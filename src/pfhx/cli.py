@@ -14,6 +14,7 @@ import itertools
 import os
 import sys
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -52,6 +53,8 @@ _FLAG_MAP = {
     "cycles": "freqresp.cycles",
 }
 
+_NORMS_BLOCK_ROWS = 4096
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".16e")
@@ -61,46 +64,52 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write each item followed by a newline; an item may span several lines."""
     with open(path, "w", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
+
+
+def _format_rows(block: np.ndarray) -> str:
+    """CSV text of a 2-D block, every value as ``_fmt`` spells it.
+
+    One ``%`` operation formats the whole block: ``'%.16e' % x`` and
+    ``format(x, '.16e')`` agree for every double, non-finite ones included.
+    """
+    rows, cols = block.shape
+    row = ",".join(["%.16e"] * cols)
+    return "\n".join([row] * rows) % tuple(block.ravel().tolist())
 
 
 def _write_norms(path: Path, result: RunResult) -> None:
     traj = result.trajectory
-    lines = ["t,plant_l2,obs_err_l2,pred_err1_at_l,pred_err2_at_l,u1,u2,theta1_at_l,theta2_at_l"]
-    for j in range(len(traj.t)):
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    traj.t[j],
-                    traj.plant_l2[j],
-                    traj.obs_err_l2[j],
-                    traj.pred_err_at_l[j, 0],
-                    traj.pred_err_at_l[j, 1],
-                    traj.u[j, 0],
-                    traj.u[j, 1],
-                    traj.exit_values[j, 0],
-                    traj.exit_values[j, 1],
-                )
-            )
-        )
-    _write_lines(path, lines)
+    table = np.column_stack(
+        [traj.t, traj.plant_l2, traj.obs_err_l2, traj.pred_err_at_l, traj.u, traj.exit_values]
+    )
+    header = "t,plant_l2,obs_err_l2,pred_err1_at_l,pred_err2_at_l,u1,u2,theta1_at_l,theta2_at_l"
+    blocks = (
+        _format_rows(table[start:start + _NORMS_BLOCK_ROWS])
+        for start in range(0, len(table), _NORMS_BLOCK_ROWS)
+    )
+    _write_lines(path, itertools.chain([header], blocks))
+
+
+def _snapshot_block(t: float, snap: np.ndarray, node_tails: list[str]) -> str:
+    t_str = _fmt(t)
+    return (t_str + ("\n" + t_str).join(node_tails)) % tuple(snap.ravel().tolist())
 
 
 def _write_snapshots(path: Path, result: RunResult, grid: Grid) -> None:
     traj = result.trajectory
-    lines = ["t,x,theta1,theta2"]
-    nodes = grid.nodes
-    for idx in range(len(traj.snapshot_t)):
-        t = traj.snapshot_t[idx]
-        snap = traj.snapshots[idx]
-        for i in range(len(nodes)):
-            lines.append(
-                ",".join(_fmt(v) for v in (t, nodes[i], snap[i, 0], snap[i, 1]))
-            )
-    _write_lines(path, lines)
+    # x is formatted once per run and t once per snapshot; only theta is per row
+    node_tails = ["," + _fmt(x) + ",%.16e,%.16e" for x in grid.nodes]
+    blocks = (
+        _snapshot_block(t, snap, node_tails)
+        for t, snap in zip(traj.snapshot_t, traj.snapshots)
+    )
+    _write_lines(path, itertools.chain(["t,x,theta1,theta2"], blocks))
 
 
 def _decay_text(label: str, decay) -> str:

@@ -1,11 +1,14 @@
 """Ring buffer of step-aligned boundary samples over a sliding window.
 
-The closed loop needs the inputs applied over the last max(tau, l) time
-units (the observer replays u(t - tau), the predictor propagates u(t - l)
-forward) and the exit values measured over the last tau.  Samples live on
-the solver's step grid, so lookups are exact; asking for a time that was
-never stored, or that has already slid out of the window, is an error that
-names the offending time.
+A predictor needs the inputs applied over the last max(tau, l) time units
+(the observer replays u(t - tau), the predictor propagates u(t - l)
+forward).  ``InputHistory`` is the validated lookup of such samples by
+time, used by ``observer.predict`` (through ``covers``) and by library
+callers.  The runners in ``loop`` do not go through it: they already
+record u and the exit values at every step and read the delayed samples
+back by step index.  Samples live on the solver's step grid, so lookups
+are exact; asking for a time that was never stored, or that has already
+slid out of the window, is an error that names the offending time.
 """
 
 from __future__ import annotations

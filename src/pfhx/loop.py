@@ -33,7 +33,6 @@ from .analysis import ConditionReport, DecayReport, condition_report, fit_decay
 from .coupling import coupling_matrix
 from .errors import ConfigError
 from .grid import Grid, _l2, check_field
-from .history import InputHistory
 from .params import Params, SanoReport, sano_window
 from .profiles import input_function, profile_array
 from .solver import Recorder, Trajectory, _advance_exact, solve_exact, solve_upwind
@@ -152,8 +151,11 @@ def _summarize(
     wall: float,
     fit_start: float,
     with_observer: bool,
+    sano_k: float | None = None,
 ) -> RunSummary:
+    """``sano_k`` is the static gain a baseline run used; default: the scenario's."""
     p = scenario.params
+    sano_k = scenario.sano_k if sano_k is None else sano_k
     window = _fit_window(fit_start, T_used, traj.dt)
     plant_decay = _safe_fit(traj.t, traj.plant_l2, window)
     obs_decay = None
@@ -163,10 +165,10 @@ def _summarize(
         warnings = warnings + ["decay fit: samples below the numerical floor were excluded"]
     if plant_decay.extinct:
         warnings = warnings + ["finite-time extinction: state norm at or below floor on the whole fit window"]
-    sano = sano_window(p, scenario.sano_k) if scenario.sano_k is not None else None
+    sano = sano_window(p, sano_k) if sano_k is not None else None
     return RunSummary(
         controller=scenario.controller,
-        condition=condition_report(p, k_sano=scenario.sano_k),
+        condition=condition_report(p, k_sano=sano_k),
         plant_decay=plant_decay,
         obs_err_decay=obs_decay,
         tau_requested=p.tau,
@@ -201,40 +203,33 @@ def run_closed_loop(scenario: Scenario) -> RunResult:
     obs = _resolve_field(grid, scenario.observer0, rng)
     warm = _input_pair(scenario.warmup_u)
 
-    window = max(tau_used, p.l) + dt
-    u_hist = InputHistory(dt, window)
-    exit_hist = InputHistory(dt, window)
-    u_hist.append(0.0, np.zeros(2))
-    exit_hist.append(0.0, plant[n])
-    plant_hist: deque[np.ndarray] = deque([plant.copy()], maxlen=m + 1)
+    plant_hist: deque[np.ndarray] = deque([plant], maxlen=m + 1)
 
+    # The recorder keeps u and the exits at every step index; the delayed
+    # samples the loop needs are read back from it by index.
     rec = Recorder(grid, n_steps, dt, scenario.snapshot_stride)
     init_err = _l2(obs - plant, grid.dx)
     rec.record(0, plant, np.zeros(2), obs_err=init_err)
 
     for jn in range(1, n_steps + 1):
-        t_new = jn * dt
         pred_exit = None
         if jn > m:
-            s_new = (jn - m) * dt
-            y = exit_hist.at(s_new)[::-1]  # y(t) reveals the plant exits at s = t - tau
-            u_at_s = u_hist.at(s_new)
+            y = rec.exit_values[jn - m][::-1]  # y(t) reveals the plant exits at s = t - tau
+            u_at_s = rec.u[jn - m]
             new_obs = np.empty_like(obs)
             np.matmul(obs[:-1], M.T, out=new_obs[1:])
             new_obs[0, 0] = -k1 * (new_obs[n, 1] - y[0]) + u_at_s[0]
             new_obs[0, 1] = -k2 * (new_obs[n, 0] - y[1]) + u_at_s[1]
             obs = new_obs
             if m > n:
-                pred_exit = prop_l @ u_hist.at((jn - n) * dt)
+                pred_exit = prop_l @ rec.u[jn - n]
             else:
                 pred_exit = prop_tau @ obs[n - m]
             u_new = np.array([-k1 * pred_exit[1], -k2 * pred_exit[0]])
         else:
-            u_new = warm(t_new)
+            u_new = warm(jn * dt)
         plant = _advance_exact(plant, M, u_new)
-        u_hist.append(t_new, u_new)
-        exit_hist.append(t_new, plant[n])
-        plant_hist.append(plant.copy())
+        plant_hist.append(plant)
         obs_err = _l2(obs - plant_hist[0], grid.dx) if jn >= m else init_err
         pred_err = pred_exit - plant[n] if pred_exit is not None else None
         rec.record(jn, plant, u_new, obs_err=obs_err, pred_err=pred_err)
@@ -255,34 +250,28 @@ def run_sano_baseline(scenario: Scenario, k: float | None = None) -> RunResult:
     k = scenario.sano_k if k is None else k
     if k is None:
         raise ConfigError("sano_static controller requires a gain (run.sano_k)")
-    scenario.sano_k = k
     grid, m, tau_used, tau_snapped, n_steps, T_used, warnings, rng = _prepare(scenario)
     if n_steps <= m:
         raise ConfigError(
             f"final time T={scenario.T:g} must exceed the delay tau={tau_used:g}"
         )
-    n = grid.n_cells
     dt = grid.dt
     M = coupling_matrix(dt, p.h1, p.h2)
     plant = _resolve_field(grid, scenario.theta0, rng)
-    exit_hist = InputHistory(dt, tau_used + dt)
-    exit_hist.append(0.0, plant[n])
     rec = Recorder(grid, n_steps, dt, scenario.snapshot_stride)
     rec.record(0, plant, np.zeros(2))
     for jn in range(1, n_steps + 1):
-        t_new = jn * dt
         if jn >= m:
-            u_new = np.array([0.0, -k * exit_hist.at((jn - m) * dt)[0]])
+            u_new = np.array([0.0, -k * rec.exit_values[jn - m, 0]])
         else:
             u_new = np.zeros(2)
         plant = _advance_exact(plant, M, u_new)
-        exit_hist.append(t_new, plant[n])
         rec.record(jn, plant, u_new)
     traj = rec.finish()
     wall = time.perf_counter() - start
     summary = _summarize(
         scenario, traj, tau_used, tau_snapped, T_used, warnings, wall,
-        fit_start=tau_used + 2 * p.l, with_observer=False,
+        fit_start=tau_used + 2 * p.l, with_observer=False, sano_k=k,
     )
     return RunResult(trajectory=traj, summary=summary)
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pfhx.cli import main
+from pfhx import Grid, Params, Scenario, run_scenario
+from pfhx.cli import _write_norms, _write_snapshots, main
 
 BASE = """\
 [params]
@@ -188,3 +189,72 @@ def test_check_prints_condition_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "theorem_valid = true" in out
     assert "tau inside: true" in out
+
+
+# Per-value writers as the CSV format was first defined: every number goes
+# through format(x, '.16e') and every row through ",".join.  Kept here as
+# the reference the batched writers must reproduce byte for byte.
+def _reference_fmt(value):
+    return format(float(value), ".16e")
+
+
+def _reference_write(path, lines):
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def reference_write_norms(path, result):
+    traj = result.trajectory
+    lines = ["t,plant_l2,obs_err_l2,pred_err1_at_l,pred_err2_at_l,u1,u2,theta1_at_l,theta2_at_l"]
+    for j in range(len(traj.t)):
+        values = (traj.t[j], traj.plant_l2[j], traj.obs_err_l2[j],
+                  traj.pred_err_at_l[j, 0], traj.pred_err_at_l[j, 1],
+                  traj.u[j, 0], traj.u[j, 1], traj.exit_values[j, 0], traj.exit_values[j, 1])
+        lines.append(",".join(_reference_fmt(v) for v in values))
+    _reference_write(path, lines)
+
+
+def reference_write_snapshots(path, result, grid):
+    traj = result.trajectory
+    lines = ["t,x,theta1,theta2"]
+    for t, snap in zip(traj.snapshot_t, traj.snapshots):
+        for i, x in enumerate(grid.nodes):
+            lines.append(",".join(_reference_fmt(v) for v in (t, x, snap[i, 0], snap[i, 1])))
+    _reference_write(path, lines)
+
+
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize(
+    "n_cells, T, stride",
+    [
+        (1, 6.0, 0.1),  # a single cell: two nodes, dt = 1
+        (50, 6.0, 0.07),  # snapshot stride does not divide T
+        (400, 11.0, 0.5),  # more norms rows than one write block
+    ],
+)
+def test_writers_match_per_value_reference(tmp_path, n_cells, T, stride):
+    params = Params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=0.5, k2=0.5)
+    scenario = Scenario(params=params, n_cells=n_cells, T=T, snapshot_stride=stride,
+                        theta0=("step(0.5, 1.0, 0.0)", "sine(1, 1)"),
+                        observer0=("random(0.5)", "zero"), warmup_u=("sine(1, 4)", "zero"))
+    result = run_scenario(scenario)
+    traj = result.trajectory
+    # every third value of every written array becomes a special double
+    for array in (traj.t, traj.plant_l2, traj.obs_err_l2, traj.pred_err_at_l, traj.u,
+                  traj.exit_values, traj.snapshot_t, traj.snapshots):
+        flat = array.reshape(-1)
+        flat[::3] = np.resize(SPECIALS, flat[::3].size)
+    grid = Grid(n_cells, params.l)
+
+    _write_norms(tmp_path / "norms.csv", result)
+    reference_write_norms(tmp_path / "norms_ref.csv", result)
+    assert (tmp_path / "norms.csv").read_bytes() == (tmp_path / "norms_ref.csv").read_bytes()
+
+    _write_snapshots(tmp_path / "snapshots.csv", result, grid)
+    reference_write_snapshots(tmp_path / "snapshots_ref.csv", result, grid)
+    written = (tmp_path / "snapshots.csv").read_bytes()
+    assert written == (tmp_path / "snapshots_ref.csv").read_bytes()
+    for token in (b"nan", b"inf", b"-inf", b"-0.0000000000000000e+00", b"4.9406564584124654e-324"):
+        assert token in written

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,16 @@ from conftest import field_from
 from pfhx import (
     ConfigError,
     Grid,
+    InputHistory,
+    ObserverState,
     Params,
     Scenario,
+    control_law,
     fit_decay,
+    input_function,
+    l2_norm,
+    observer_step,
+    predict_exit,
     run_closed_loop,
     run_delay_free_feedback,
     run_error_system,
@@ -16,6 +26,7 @@ from pfhx import (
     run_scenario,
 )
 from pfhx.coupling import coupling_matrix
+from pfhx.solver import _advance_exact
 
 
 def scenario_with(tau=0.5, T=20.0, n=100, controller="observer_predictor", **kw):
@@ -240,3 +251,118 @@ def test_random_profiles_are_seed_deterministic():
     sc.seed = 12
     third = run_closed_loop(sc)
     assert first.trajectory.plant_l2[0] != third.trajectory.plant_l2[0]
+
+
+@pytest.mark.parametrize(
+    "runner, controller, kwargs",
+    [
+        (run_closed_loop, "observer_predictor", {}),
+        (run_sano_baseline, "sano_static", {"k": 1.0}),
+        (run_error_system, "error_system", {}),
+        (run_delay_free_feedback, "observer_predictor", {}),
+        (run_open_loop, "open_loop", {}),
+    ],
+)
+def test_runners_leave_scenario_unchanged(runner, controller, kwargs):
+    grid = Grid(50, 1.0)
+    sc = scenario_with(tau=0.5, T=4.0, n=50, controller=controller,
+                       u_open=("sine(1, 2)", "zero"), warmup_u=("constant(0.5)", "zero"))
+    sc.theta0 = field_from(grid, lambda x: np.sin(np.pi * x), 0.5)
+    sc.observer0 = field_from(grid, 0.0, lambda x: x * (1 - x))
+    before = {f.name: copy.deepcopy(getattr(sc, f.name)) for f in dataclasses.fields(sc)}
+    result = runner(sc, **kwargs)
+    for name, value in before.items():
+        now = getattr(sc, name)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(now, value), name
+        else:
+            assert now == value, name
+    if runner is run_sano_baseline:
+        # the gain given by argument still reaches the summary
+        assert result.summary.sano is not None
+        assert result.summary.condition == run_sano_baseline(
+            dataclasses.replace(sc, sano_k=1.0)).summary.condition
+
+
+def _index_scenario(tau: float, controller: str = "observer_predictor", **kw) -> Scenario:
+    grid = Grid(50, 1.0)
+    params = Params(h1=1.0, h2=2.0, l=1.0, tau=tau, k1=0.5, k2=0.5)
+    return Scenario(params=params, n_cells=50, T=6.0, controller=controller,
+                    theta0=field_from(grid, lambda x: np.sin(np.pi * x), lambda x: x),
+                    observer0=field_from(grid, lambda x: np.cos(3 * x), -0.25),
+                    warmup_u=("sine(1, 4)", "constant(0.5)"), **kw)
+
+
+def _reference_closed_loop(sc: Scenario) -> dict:
+    """The observer-predictor loop built from the public, separately tested pieces."""
+    p = sc.params
+    grid = Grid(sc.n_cells, p.l)
+    m, tau_used, _ = grid.snap_tau(p.tau)
+    n_steps, _, _ = grid.snap_steps(sc.T)
+    n, dt = grid.n_cells, grid.dt
+    step_matrix = coupling_matrix(dt, p.h1, p.h2)
+    warm = [input_function(spec) for spec in sc.warmup_u]
+    plant = sc.theta0.copy()
+    obs = ObserverState(s=0.0, field=sc.observer0.copy(), grid=grid, params=p)
+    u_hist = InputHistory(dt, window=sc.T + dt)
+    exit_hist = InputHistory(dt, window=sc.T + dt)
+    u_hist.append(0.0, np.zeros(2))
+    exit_hist.append(0.0, plant[n])
+    plants = [plant]
+    out = {"u": [np.zeros(2)], "exit_values": [plant[n]], "pred_err_at_l": [np.zeros(2)],
+           "obs_err_l2": [l2_norm(obs.field - plant, grid)]}
+    for jn in range(1, n_steps + 1):
+        t = jn * dt
+        pred = None
+        if jn > m:
+            s = (jn - m) * dt
+            obs = observer_step(obs, exit_hist.at(s)[::-1], u_hist.at(s))
+            pred = predict_exit(obs.field, u_hist, t, p, grid)
+            u = control_law(pred, p, t, tau=tau_used)
+        else:
+            u = np.array([warm[0](t), warm[1](t)])
+        plant = _advance_exact(plant, step_matrix, u)
+        plants.append(plant)
+        u_hist.append(t, u)
+        exit_hist.append(t, plant[n])
+        out["u"].append(u)
+        out["exit_values"].append(plant[n])
+        out["pred_err_at_l"].append(np.zeros(2) if pred is None else pred - plant[n])
+        out["obs_err_l2"].append(
+            l2_norm(obs.field - plants[jn - m], grid) if jn >= m else out["obs_err_l2"][0]
+        )
+    return {name: np.array(values) for name, values in out.items()}
+
+
+@pytest.mark.parametrize("tau", [0.02, 0.98, 1.0, 1.02, 1.5])  # dt, l - dt, l, l + dt, 1.5 l
+def test_closed_loop_matches_reference_loop_at_delay_edges(tau):
+    sc = _index_scenario(tau)
+    traj = run_closed_loop(sc).trajectory
+    expected = _reference_closed_loop(sc)
+    for name, values in expected.items():
+        assert np.array_equal(getattr(traj, name), values), name
+    assert traj.obs_err_l2[-1] != 0.0  # the observer error is still live at T
+
+
+@pytest.mark.parametrize("tau", [0.02, 1.0])  # tau = dt reads step 0 at the first step
+def test_sano_baseline_matches_reference_loop(tau):
+    k = 0.8
+    sc = _index_scenario(tau, controller="sano_static", sano_k=k)
+    traj = run_sano_baseline(sc).trajectory
+    grid = Grid(sc.n_cells, sc.params.l)
+    m, _, _ = grid.snap_tau(tau)
+    n_steps, _, _ = grid.snap_steps(sc.T)
+    n, dt = grid.n_cells, grid.dt
+    step_matrix = coupling_matrix(dt, sc.params.h1, sc.params.h2)
+    plant = sc.theta0.copy()
+    exit_hist = InputHistory(dt, window=sc.T + dt)
+    exit_hist.append(0.0, plant[n])
+    u_ref, exits_ref = [np.zeros(2)], [plant[n]]
+    for jn in range(1, n_steps + 1):
+        u = np.array([0.0, -k * exit_hist.at((jn - m) * dt)[0]]) if jn >= m else np.zeros(2)
+        plant = _advance_exact(plant, step_matrix, u)
+        exit_hist.append(jn * dt, plant[n])
+        u_ref.append(u)
+        exits_ref.append(plant[n])
+    assert np.array_equal(traj.u, np.array(u_ref))
+    assert np.array_equal(traj.exit_values, np.array(exits_ref))
