@@ -22,7 +22,7 @@ frequency-response experiments with deterministic CSV output.
 """
 
 from .params import Params, GainReport, SanoReport, validate_gains, sano_window
-from .coupling import CouplingExp, coupling_exp, coupling_matrix
+from .coupling import coupling_matrix
 from .grid import (
     Grid,
     CompatibilityReport,
@@ -81,7 +81,6 @@ __all__ = [
     "CompatibilityReport",
     "ConditionReport",
     "ConfigError",
-    "CouplingExp",
     "DecayReport",
     "GainReport",
     "Grid",
@@ -100,7 +99,6 @@ __all__ = [
     "compatibility_check",
     "condition_report",
     "control_law",
-    "coupling_exp",
     "coupling_matrix",
     "evaluate_output",
     "fit_decay",

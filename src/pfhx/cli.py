@@ -30,7 +30,6 @@ from .config import Config, parse_config
 from .errors import ConfigError
 from .grid import Grid
 from .loop import RunResult, Scenario, run_scenario
-from .params import sano_window
 
 _FLAG_MAP = {
     "h1": "params.h1",
@@ -148,13 +147,12 @@ def _emit_warnings(warnings: list[str]) -> None:
 
 
 def cmd_run(cfg: Config) -> int:
-    scenario = cfg.to_scenario()
+    scenario = cfg.scenario
     result = run_scenario(scenario)
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = Grid(cfg.n_cells, cfg.l)
-    # tau/T snapping is reported both at parse and run time; show it once
-    warnings = list(dict.fromkeys(cfg.warnings + result.summary.warnings))
+    grid = Grid(scenario.n_cells, scenario.params.l)
+    warnings = result.summary.warnings  # the run's own tau/T snapping included
     _write_norms(outdir / "norms.csv", result)
     _write_snapshots(outdir / "snapshots.csv", result, grid)
     _write_summary(outdir / "summary.txt", result, warnings)
@@ -170,11 +168,7 @@ def _sweep_worker(payload: tuple[int, Scenario]) -> tuple[int, dict]:
     result = run_scenario(scenario)
     s = result.summary
     p = scenario.params
-    sano = (
-        sano_window(p, scenario.sano_k)
-        if scenario.controller == "sano_static" and scenario.sano_k is not None
-        else None
-    )
+    sano = s.sano if scenario.controller == "sano_static" else None
     return index, {
         "h1": p.h1,
         "h2": p.h2,
@@ -258,8 +252,8 @@ def cmd_sweep(cfg: Config) -> int:
 
 
 def cmd_freqresp(cfg: Config) -> int:
-    params = cfg.params()
-    grid = Grid(cfg.n_cells, cfg.l)
+    params = cfg.scenario.params
+    grid = Grid(cfg.scenario.n_cells, params.l)
     header = ["omega"]
     for i in (1, 2):
         for j in (1, 2):
@@ -298,7 +292,7 @@ def cmd_freqresp(cfg: Config) -> int:
 
 
 def cmd_check(cfg: Config) -> int:
-    report = condition_report(cfg.params(), k_sano=cfg.sano_k)
+    report = condition_report(cfg.scenario.params, k_sano=cfg.scenario.sano_k)
     print(render_condition(report))
     _emit_warnings(cfg.warnings)
     return 0

@@ -3,24 +3,23 @@
 The config format is flat key/value pairs grouped into sections; the full
 schema lives in docs/config.md.  Unknown sections or keys are rejected by
 name, command-line flags override file values, and the tau/T step snapping
-performed by the solver is surfaced as warnings at parse time.
+performed by the solver is surfaced as warnings at parse time.  The run
+checks and defaults are the library's (``check_scenario``, ``Scenario``).
 """
 
 from __future__ import annotations
 
 import configparser
-import math
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
 from .grid import Grid
-from .loop import Scenario
+from .loop import Scenario, check_scenario
 from .params import Params
 from .profiles import input_function, profile_array
-
-_CONTROLLERS = ("observer_predictor", "sano_static", "open_loop", "error_system")
 
 # section -> key -> type tag
 _SCHEMA: dict[str, dict[str, str]] = {
@@ -72,32 +71,29 @@ _REQUIRED = (
 _SWEEP_AXES = ("tau", "k1", "k2", "h1", "h2")
 
 
+# [initial] key pairs -> the Scenario field holding them
+_PAIRS = {
+    "theta0": ("theta1", "theta2"),
+    "observer0": ("observer1", "observer2"),
+    "u_open": ("u1", "u2"),
+    "warmup_u": ("warmup_u1", "warmup_u2"),
+}
+
+# Config field -> the (section, key) that sets it
+_SETTINGS = {
+    "out_dir": ("output", "dir"),
+    "workers": ("sweep", "workers"),
+    "freq_omegas": ("freqresp", "omega"),
+    "freq_cycles": ("freqresp", "cycles"),
+    "freq_cfl": ("freqresp", "cfl"),
+}
+
+
 @dataclass
 class Config:
-    """Validated configuration for one invocation."""
+    """A validated configuration: the base scenario plus subcommand settings."""
 
-    h1: float
-    h2: float
-    l: float
-    tau: float
-    k1: float
-    k2: float
-    n_cells: int
-    T: float
-    controller: str
-    sano_k: float | None = None
-    solver: str = "exact"
-    cfl: float = 0.5
-    snapshot_stride: float = 0.1
-    seed: int = 0
-    theta1: str = "zero"
-    theta2: str = "zero"
-    observer1: str = "zero"
-    observer2: str = "zero"
-    u1: str = "zero"
-    u2: str = "zero"
-    warmup_u1: str = "zero"
-    warmup_u2: str = "zero"
+    scenario: Scenario
     out_dir: str = "out"
     sweep_axes: dict = field(default_factory=dict)
     workers: int = 0
@@ -106,38 +102,13 @@ class Config:
     freq_cfl: float = 0.5
     warnings: list = field(default_factory=list)
 
-    def params(self) -> Params:
+    def to_scenario(self, **axis_values) -> Scenario:
+        """The base scenario with the given parameters (e.g. a swept tau) replaced."""
         try:
-            return Params(
-                h1=self.h1, h2=self.h2, l=self.l, tau=self.tau, k1=self.k1, k2=self.k2
-            )
+            params = dataclasses.replace(self.scenario.params, **axis_values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def to_scenario(self, **overrides) -> Scenario:
-        values = dict(
-            h1=self.h1, h2=self.h2, l=self.l, tau=self.tau, k1=self.k1, k2=self.k2
-        )
-        values.update(overrides)
-        try:
-            params = Params(**values)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return Scenario(
-            params=params,
-            n_cells=self.n_cells,
-            T=self.T,
-            controller=self.controller,
-            theta0=(self.theta1, self.theta2),
-            observer0=(self.observer1, self.observer2),
-            sano_k=self.sano_k,
-            u_open=(self.u1, self.u2),
-            warmup_u=(self.warmup_u1, self.warmup_u2),
-            solver=self.solver,
-            cfl=self.cfl,
-            snapshot_stride=self.snapshot_stride,
-            seed=self.seed,
-        )
+        return dataclasses.replace(self.scenario, params=params)
 
 
 def _parse_value(raw: str, kind: str, where: str):
@@ -155,8 +126,9 @@ def _parse_value(raw: str, kind: str, where: str):
                 return []
             return [float(piece) for piece in raw.replace(",", " ").split()]
         return raw
-    except ValueError:
-        raise ConfigError(f"non-numeric value {raw!r} for key {where}") from None
+    except (ValueError, OverflowError):  # int(inf) overflows
+        what = "non-integer" if kind == "int" else "non-numeric"
+        raise ConfigError(f"{what} value {raw!r} for key {where}") from None
 
 
 def _read_raw(text: str) -> dict[str, dict[str, str]]:
@@ -195,71 +167,47 @@ def parse_config(text: str, overrides: dict[str, object] | None = None) -> Confi
         if section not in raw or key not in raw[section]:
             raise ConfigError(f"missing required key {section}.{key}")
 
-    def get(section: str, key: str, default=None):
-        if section in raw and key in raw[section]:
-            return _parse_value(raw[section][key], _SCHEMA[section][key], f"{section}.{key}")
-        return default
-
-    cfg = Config(
-        h1=get("params", "h1"),
-        h2=get("params", "h2"),
-        l=get("params", "l"),
-        tau=get("params", "tau"),
-        k1=get("params", "k1"),
-        k2=get("params", "k2"),
-        n_cells=get("grid", "n_cells"),
-        T=get("run", "T"),
-        controller=get("run", "controller"),
-        sano_k=get("run", "sano_k"),
-        solver=get("run", "solver", "exact"),
-        cfl=get("run", "cfl", 0.5),
-        snapshot_stride=get("run", "snapshot_stride", 0.1),
-        seed=get("run", "seed", 0),
-        theta1=get("initial", "theta1", "zero"),
-        theta2=get("initial", "theta2", "zero"),
-        observer1=get("initial", "observer1", "zero"),
-        observer2=get("initial", "observer2", "zero"),
-        u1=get("initial", "u1", "zero"),
-        u2=get("initial", "u2", "zero"),
-        warmup_u1=get("initial", "warmup_u1", "zero"),
-        warmup_u2=get("initial", "warmup_u2", "zero"),
-        out_dir=get("output", "dir", "out"),
-        workers=get("sweep", "workers", 0),
-        freq_omegas=get("freqresp", "omega", [0.5, 1.0, 2.0]),
-        freq_cycles=get("freqresp", "cycles", 10),
-        freq_cfl=get("freqresp", "cfl", 0.5),
-    )
-    for key in raw.get("sweep", {}):  # declaration order fixes the row order
-        if key in _SWEEP_AXES:
-            values = get("sweep", key)
-            if values:
-                cfg.sweep_axes[key] = values
+    values = {
+        section: {
+            key: _parse_value(given, _SCHEMA[section][key], f"{section}.{key}")
+            for key, given in raw.get(section, {}).items()
+        }
+        for section in _SCHEMA
+    }
+    try:
+        params = Params(**values["params"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    run, initial = values["run"], values["initial"]
+    defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+    for name, keys in _PAIRS.items():
+        if any(key in initial for key in keys):
+            run[name] = tuple(initial.get(key, d) for key, d in zip(keys, defaults[name]))
+    scenario = Scenario(params=params, n_cells=values["grid"]["n_cells"], **run)
+    settings = {
+        name: values[section][key]
+        for name, (section, key) in _SETTINGS.items()
+        if key in values[section]
+    }
+    # declaration order fixes the row order
+    axes = {key: v for key, v in values["sweep"].items() if key in _SWEEP_AXES and v}
+    cfg = Config(scenario=scenario, sweep_axes=axes, **settings)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: Config) -> None:
-    params = cfg.params()  # checks positivity and finiteness
-    if cfg.n_cells < 1:
-        raise ConfigError(f"grid.n_cells must be >= 1, got {cfg.n_cells}")
-    if not math.isfinite(cfg.T) or cfg.T <= 0:
-        raise ConfigError(f"run.T must be positive, got {cfg.T}")
-    if cfg.controller not in _CONTROLLERS:
-        raise ConfigError(
-            f"unknown controller {cfg.controller!r} (expected one of {_CONTROLLERS})"
-        )
-    if cfg.controller == "sano_static" and cfg.sano_k is None:
-        raise ConfigError("missing required key run.sano_k (needed by sano_static)")
-    if cfg.solver not in ("exact", "upwind"):
-        raise ConfigError(f"run.solver must be exact or upwind, got {cfg.solver!r}")
-    if not 0.0 < cfg.cfl <= 1.0:
-        raise ConfigError(f"run.cfl must lie in (0, 1], got {cfg.cfl}")
+    """Run the scenario checks on the base and every swept tau, then the settings."""
+    scenario = cfg.scenario
+    cfg.warnings = check_scenario(scenario)
+    for tau in cfg.sweep_axes.get("tau", []):
+        try:
+            swept = check_scenario(cfg.to_scenario(tau=tau))
+        except ConfigError as exc:
+            raise ConfigError(f"every swept tau must give a valid run; tau={tau:g}: {exc}") from None
+        cfg.warnings += [w for w in swept if w not in cfg.warnings]
     if not 0.0 < cfg.freq_cfl <= 1.0:
         raise ConfigError(f"freqresp.cfl must lie in (0, 1], got {cfg.freq_cfl}")
-    if cfg.solver == "upwind" and cfg.controller != "open_loop":
-        raise ConfigError("the upwind solver is available for open_loop runs only")
-    if cfg.snapshot_stride <= 0:
-        raise ConfigError(f"run.snapshot_stride must be positive, got {cfg.snapshot_stride}")
     if cfg.freq_cycles < 10:
         raise ConfigError(f"freqresp.cycles must be >= 10, got {cfg.freq_cycles}")
     if any(w < 0 for w in cfg.freq_omegas):
@@ -267,29 +215,9 @@ def _validate(cfg: Config) -> None:
     if cfg.workers < 0:
         raise ConfigError(f"sweep.workers must be >= 0, got {cfg.workers}")
 
-    grid = Grid(cfg.n_cells, cfg.l)
+    grid = Grid(scenario.n_cells, scenario.params.l)
     probe = np.random.default_rng(0)
-    for key in ("theta1", "theta2", "observer1", "observer2"):
-        profile_array(getattr(cfg, key), grid, probe)
-    for key in ("u1", "u2", "warmup_u1", "warmup_u2"):
-        input_function(getattr(cfg, key))
-
-    m, tau_used, tau_snapped = grid.snap_tau(cfg.tau)
-    if tau_snapped:
-        cfg.warnings.append(
-            f"tau snapped from {cfg.tau:g} to {tau_used:g} ({m} steps of dt={grid.dt:g})"
-        )
-    n_steps, T_used, T_snapped = grid.snap_steps(cfg.T)
-    if T_snapped:
-        cfg.warnings.append(f"T snapped from {cfg.T:g} to {T_used:g}")
-    if cfg.controller in ("observer_predictor", "sano_static") and n_steps <= m:
-        raise ConfigError(
-            f"run.T={cfg.T:g} must exceed the delay tau={tau_used:g} for controlled runs"
-        )
-    taus = cfg.sweep_axes.get("tau", [])
-    for tau_value in taus:
-        m_ax, tau_ax, _ = grid.snap_tau(tau_value)
-        if cfg.controller in ("observer_predictor", "sano_static") and n_steps <= m_ax:
-            raise ConfigError(
-                f"run.T={cfg.T:g} must exceed every swept tau (violated by {tau_value:g})"
-            )
+    for spec in (*scenario.theta0, *scenario.observer0):
+        profile_array(spec, grid, probe)
+    for spec in (*scenario.u_open, *scenario.warmup_u):
+        input_function(spec)

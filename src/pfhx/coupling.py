@@ -19,11 +19,8 @@ temperatures.  The weighted sum h2*v1 + h1*v2 is conserved exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-from .params import Params
 
 
 def coupling_matrix(s: float, h1: float, h2: float) -> np.ndarray:
@@ -40,19 +37,3 @@ def coupling_matrix(s: float, h1: float, h2: float) -> np.ndarray:
             [h2 * (1.0 - decay) / rate, (h1 + h2 * decay) / rate],
         ]
     )
-
-
-@dataclass(frozen=True)
-class CouplingExp:
-    """exp(A1 s) together with the elapsed time it was evaluated at."""
-
-    s: float
-    entries: np.ndarray
-
-    def __matmul__(self, other):
-        return self.entries @ other
-
-
-def coupling_exp(s: float, params: Params) -> CouplingExp:
-    """Evaluate the coupling semigroup at elapsed characteristic time s."""
-    return CouplingExp(s=s, entries=coupling_matrix(s, params.h1, params.h2))

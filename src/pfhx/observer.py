@@ -54,6 +54,15 @@ class ObserverState:
         check_field(self.field, self.grid)
 
 
+def _advance_observer(field, step_matrix, k1, k2, y, u) -> np.ndarray:
+    """Observer kernel: one characteristic step, then the output injection at the inflow."""
+    new = np.empty_like(field)
+    np.matmul(field[:-1], step_matrix.T, out=new[1:])
+    new[0, 0] = -k1 * (new[-1, 1] - y[0]) + u[0]
+    new[0, 1] = -k2 * (new[-1, 0] - y[1]) + u[1]
+    return new
+
+
 def observer_step(obs: ObserverState, y_pair, u_pair) -> ObserverState:
     """Advance the observer one step to s + dt.
 
@@ -64,16 +73,12 @@ def observer_step(obs: ObserverState, y_pair, u_pair) -> ObserverState:
     convention (required for the error system to decouple exactly).
     """
     grid, params = obs.grid, obs.params
-    dt = grid.dt
-    step_matrix = coupling_matrix(dt, params.h1, params.h2)
-    y = np.asarray(y_pair, dtype=float)
-    u = np.asarray(u_pair, dtype=float)
-    new = np.empty_like(obs.field)
-    np.matmul(obs.field[:-1], step_matrix.T, out=new[1:])
-    n = grid.n_cells
-    new[0, 0] = -params.k1 * (new[n, 1] - y[0]) + u[0]
-    new[0, 1] = -params.k2 * (new[n, 0] - y[1]) + u[1]
-    return ObserverState(s=obs.s + dt, field=new, grid=grid, params=params)
+    step_matrix = coupling_matrix(grid.dt, params.h1, params.h2)
+    new = _advance_observer(
+        obs.field, step_matrix, params.k1, params.k2,
+        np.asarray(y_pair, dtype=float), np.asarray(u_pair, dtype=float),
+    )
+    return ObserverState(s=obs.s + grid.dt, field=new, grid=grid, params=params)
 
 
 @dataclass(frozen=True)
@@ -125,6 +130,23 @@ def predict(
     return Prediction(t=t, field_at_t=field, boundary_value_at_l=field[n].copy())
 
 
+def _exit_propagator(m: int, n: int, tau_used: float, params: Params) -> np.ndarray:
+    """exp(A1 l) when the delay exceeds the tube (m > n steps), else exp(A1 tau)."""
+    return coupling_matrix(params.l if m > n else tau_used, params.h1, params.h2)
+
+
+def _predict_exit(obs_field: np.ndarray, u_past, m: int, prop: np.ndarray) -> np.ndarray:
+    """Predictor kernel: the exit pair from u(t - l) when m > n, else from the estimate.
+
+    ``u_past`` is only read when the delay exceeds the tube; ``prop`` comes
+    from ``_exit_propagator``.
+    """
+    n = len(obs_field) - 1
+    if m > n:
+        return prop @ u_past
+    return prop @ obs_field[n - m]
+
+
 def predict_exit(
     obs_field: np.ndarray, inputs, t: float, params: Params, grid: Grid
 ) -> np.ndarray:
@@ -136,12 +158,9 @@ def predict_exit(
     """
     m, tau_used = _snap_tau(params, grid)
     n = grid.n_cells
-    if m > n:
-        trace = as_trace(inputs)
-        u_past = np.asarray(trace(t - params.l), dtype=float)
-        return coupling_matrix(params.l, params.h1, params.h2) @ u_past
     obs_field = check_field(obs_field, grid)
-    return coupling_matrix(tau_used, params.h1, params.h2) @ obs_field[n - m]
+    u_past = np.asarray(as_trace(inputs)(t - params.l), dtype=float) if m > n else None
+    return _predict_exit(obs_field, u_past, m, _exit_propagator(m, n, tau_used, params))
 
 
 def predict_by_resolve(
@@ -172,4 +191,9 @@ def control_law(pred, params: Params, t: float, tau: float | None = None) -> np.
     if t <= tau + 1e-9 * max(1.0, tau):
         return np.zeros(2)
     exit_pair = pred.boundary_value_at_l if isinstance(pred, Prediction) else np.asarray(pred, float)
-    return np.array([-params.k1 * exit_pair[1], -params.k2 * exit_pair[0]])
+    return _cross_law(params.k1, params.k2, exit_pair)
+
+
+def _cross_law(k1: float, k2: float, exit_pair) -> np.ndarray:
+    """Feedback kernel: (-k1 * exit2, -k2 * exit1)."""
+    return np.array([-k1 * exit_pair[1], -k2 * exit_pair[0]])

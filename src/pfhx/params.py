@@ -100,11 +100,6 @@ def validate_gains(params: Params) -> GainReport:
     )
 
 
-def theorem_valid(params: Params) -> bool:
-    """Shorthand for ``validate_gains(params).theorem_valid``."""
-    return validate_gains(params).theorem_valid
-
-
 @dataclass(frozen=True)
 class SanoReport:
     """Delay window for the static output feedback u1 = 0, u2 = -k*y2.

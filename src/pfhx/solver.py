@@ -87,7 +87,11 @@ class Trajectory:
 
 
 class Recorder:
-    """Preallocated collector filling a Trajectory step by step."""
+    """Preallocated collector filling a Trajectory step by step.
+
+    ``record`` fills the norm, input, exits and snapshots; a run with an
+    observer writes ``obs_err_l2`` and ``pred_err_at_l`` itself.
+    """
 
     def __init__(self, grid: Grid, n_steps: int, dt: float, snapshot_stride: float):
         if snapshot_stride <= 0:
@@ -109,11 +113,8 @@ class Recorder:
         self._snap_lookup = {j: idx for idx, j in enumerate(self._snap_steps)}
         self.snapshots = np.zeros((len(self._snap_steps), grid.n_cells + 1, 2))
 
-    def record(self, j: int, field: np.ndarray, u, obs_err: float = 0.0, pred_err=None):
+    def record(self, j: int, field: np.ndarray, u):
         self.plant_l2[j] = _l2(field, self.dx)
-        self.obs_err_l2[j] = obs_err
-        if pred_err is not None:
-            self.pred_err_at_l[j] = pred_err
         self.u[j] = u
         self.exit_values[j] = field[-1]
         idx = self._snap_lookup.get(j)

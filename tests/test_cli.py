@@ -110,6 +110,35 @@ def test_snap_warning_on_stderr(tmp_path, capsys):
     assert "snapped" in (out / "summary.txt").read_text()
 
 
+@pytest.mark.parametrize("value", ["inf", "1e400"])
+@pytest.mark.parametrize("key", ["grid.n_cells", "run.seed", "sweep.workers", "freqresp.cycles"])
+def test_infinite_integer_value_is_config_error(tmp_path, capsys, key, value):
+    section, name = key.split(".")
+    in_base = {"grid": "n_cells = 50", "run": "seed = 3"}
+    if section in in_base:
+        text = BASE.replace(in_base[section], f"{name} = {value}")
+    else:
+        text = BASE + f"\n[{section}]\n{name} = {value}\n"
+    cfg = write_config(tmp_path, text)
+    assert main(["check", "-c", cfg]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+def test_sweep_warns_once_per_snapped_tau(tmp_path, capsys):
+    # dt = 0.02: 0.333 runs as 0.34 and 0.777 as 0.78, but the CSV keeps the requested values
+    text = BASE + "\n[sweep]\ntau = 0.333, 0.5, 0.777\n"
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["sweep", "-c", cfg, "-o", str(out), "--workers", "1"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("tau snapped") == 2
+    assert "tau snapped from 0.333 to 0.34" in err
+    assert "tau snapped from 0.777 to 0.78" in err
+    _, rows = read_csv(out / "sweep.csv")
+    assert [row.split(",")[4] for row in rows] == [format(v, ".16e") for v in (0.333, 0.5, 0.777)]
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # gains far beyond any stability condition overflow the error feedback
     text = BASE.replace("k1 = 0.5", "k1 = 1e8").replace("k2 = 0.5", "k2 = 1e8")

@@ -1,6 +1,6 @@
 import pytest
 
-from pfhx import ConfigError
+from pfhx import ConfigError, Params, Scenario
 from pfhx.config import parse_config
 
 MINIMAL = """\
@@ -23,15 +23,21 @@ controller = observer_predictor
 
 def test_minimal_config_gets_documented_defaults():
     cfg = parse_config(MINIMAL)
-    assert cfg.solver == "exact"
-    assert cfg.cfl == 0.5
-    assert cfg.snapshot_stride == 0.1
-    assert cfg.seed == 0
-    assert cfg.theta1 == "zero" and cfg.observer2 == "zero"
+    assert cfg.scenario.solver == "exact"
+    assert cfg.scenario.cfl == 0.5
+    assert cfg.scenario.snapshot_stride == 0.1
+    assert cfg.scenario.seed == 0
+    assert cfg.scenario.theta0 == ("zero", "zero") and cfg.scenario.observer0 == ("zero", "zero")
     assert cfg.out_dir == "out"
     assert cfg.sweep_axes == {}
     assert cfg.freq_omegas == [0.5, 1.0, 2.0]
     assert cfg.warnings == []
+
+
+def test_library_scenario_shares_config_defaults():
+    params = Params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=0.5, k2=0.5)
+    library = Scenario(params=params, n_cells=100, T=10.0, controller="observer_predictor")
+    assert parse_config(MINIMAL).scenario == library
 
 
 def test_unknown_key_rejected_by_name():
@@ -68,7 +74,7 @@ def test_sano_requires_gain_key():
     with pytest.raises(ConfigError, match="run.sano_k"):
         parse_config(broken)
     ok = broken + "sano_k = 1.0\n"
-    assert parse_config(ok).sano_k == 1.0
+    assert parse_config(ok).scenario.sano_k == 1.0
 
 
 def test_T_must_exceed_tau_for_controlled_runs():
@@ -77,7 +83,7 @@ def test_T_must_exceed_tau_for_controlled_runs():
         parse_config(broken)
     # an open-loop run with the same horizon is fine
     open_loop = broken.replace("controller = observer_predictor", "controller = open_loop")
-    assert parse_config(open_loop).controller == "open_loop"
+    assert parse_config(open_loop).scenario.controller == "open_loop"
 
 
 def test_upwind_restricted_to_open_loop():
@@ -113,7 +119,7 @@ def test_sweep_tau_values_validated_against_T():
 
 def test_overrides_beat_file_values():
     cfg = parse_config(MINIMAL, overrides={"params.tau": 0.5, "run.seed": 7})
-    assert cfg.tau == 0.5 and cfg.seed == 7
+    assert cfg.scenario.params.tau == 0.5 and cfg.scenario.seed == 7
     with pytest.raises(ConfigError, match="unknown override"):
         parse_config(MINIMAL, overrides={"params.bogus": 1})
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from pfhx import Params, coupling_exp
 from pfhx.coupling import coupling_matrix
 
 
@@ -48,14 +47,6 @@ def test_zero_rates_give_identity():
 def test_negative_time_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         coupling_matrix(-0.1, 1.0, 1.0)
-
-
-def test_wrapper_carries_time_and_params():
-    params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5)
-    wrapped = coupling_exp(0.25, params)
-    assert wrapped.s == 0.25
-    np.testing.assert_array_equal(wrapped.entries, coupling_matrix(0.25, 1.0, 2.0))
-    np.testing.assert_allclose(wrapped @ np.array([1.0, 0.0]), wrapped.entries[:, 0])
 
 
 def test_rows_sum_to_one_randomized():

@@ -69,6 +69,21 @@ def test_closed_loop_observer_error_decouples():
     assert np.abs(closed_series - standalone).max() <= 1e-10
 
 
+def test_error_system_draws_random_profiles_in_closed_loop_order():
+    # theta0 is drawn before observer0 in both runners, so the decoupling
+    # oracle compares the same initial error
+    sc = scenario_with(tau=0.5, T=20.0, n=50)
+    sc.theta0 = ("random(1.0)", "random(1.0)")
+    sc.observer0 = ("random(0.5)", "sine(1, 1)")
+    sc.seed = 3
+    closed = run_closed_loop(sc)
+    err = run_error_system(sc)
+    m = round(0.5 / closed.trajectory.dt)
+    closed_series = closed.trajectory.obs_err_l2[m:]
+    standalone = err.trajectory.plant_l2[: len(closed_series)]
+    assert np.abs(closed_series - standalone).max() <= 1e-10
+
+
 def test_exact_compensation_boundary_identity():
     # tau > l: the realized boundary equals pure cross feedback regardless of
     # the observer initialization; warm-up input keeps the run non-trivial
@@ -334,7 +349,10 @@ def _reference_closed_loop(sc: Scenario) -> dict:
     return {name: np.array(values) for name, values in out.items()}
 
 
-@pytest.mark.parametrize("tau", [0.02, 0.98, 1.0, 1.02, 1.5])  # dt, l - dt, l, l + dt, 1.5 l
+DELAY_EDGES = [0.02, 0.98, 1.0, 1.02, 1.5]  # dt, l - dt, l, l + dt, 1.5 l at n_cells = 50
+
+
+@pytest.mark.parametrize("tau", DELAY_EDGES)
 def test_closed_loop_matches_reference_loop_at_delay_edges(tau):
     sc = _index_scenario(tau)
     traj = run_closed_loop(sc).trajectory
@@ -366,3 +384,50 @@ def test_sano_baseline_matches_reference_loop(tau):
         exits_ref.append(plant[n])
     assert np.array_equal(traj.u, np.array(u_ref))
     assert np.array_equal(traj.exit_values, np.array(exits_ref))
+
+
+@pytest.mark.parametrize("tau", DELAY_EDGES)
+def test_delay_free_feedback_matches_reference_loop(tau):
+    sc = _index_scenario(tau)
+    traj = run_delay_free_feedback(sc).trajectory
+    p = sc.params
+    grid = Grid(sc.n_cells, p.l)
+    m, tau_used, _ = grid.snap_tau(tau)
+    n_steps, _, _ = grid.snap_steps(sc.T)
+    step_matrix = coupling_matrix(grid.dt, p.h1, p.h2)
+    warm = [input_function(spec) for spec in sc.warmup_u]
+    plant = sc.theta0.copy()
+    u_ref, exits_ref, norms_ref = [np.zeros(2)], [plant[-1]], [l2_norm(plant, grid)]
+    for jn in range(1, n_steps + 1):
+        t = jn * grid.dt
+        plant = _advance_exact(plant, step_matrix, np.zeros(2))
+        if jn > m:
+            plant[0] = control_law(plant[-1], p, t, tau=tau_used)  # the current exits
+        else:
+            plant[0] = [warm[0](t), warm[1](t)]
+        u_ref.append(plant[0].copy())
+        exits_ref.append(plant[-1])
+        norms_ref.append(l2_norm(plant, grid))
+    assert np.array_equal(traj.u, np.array(u_ref))
+    assert np.array_equal(traj.exit_values, np.array(exits_ref))
+    assert np.array_equal(traj.plant_l2, np.array(norms_ref))
+
+
+@pytest.mark.parametrize("tau", DELAY_EDGES)
+def test_error_system_matches_reference_loop(tau):
+    # the estimation error is the observer of a zero plant under zero input
+    sc = _index_scenario(tau, controller="error_system")
+    traj = run_error_system(sc).trajectory
+    grid = Grid(sc.n_cells, sc.params.l)
+    n_steps, _, _ = grid.snap_steps(sc.T)
+    err = ObserverState(s=0.0, field=sc.observer0 - sc.theta0, grid=grid, params=sc.params)
+    u_ref, exits_ref, norms_ref = [np.zeros(2)], [err.field[-1]], [l2_norm(err.field, grid)]
+    for _ in range(n_steps):
+        err = observer_step(err, np.zeros(2), np.zeros(2))
+        u_ref.append(err.field[0])
+        exits_ref.append(err.field[-1])
+        norms_ref.append(l2_norm(err.field, grid))
+    assert np.array_equal(traj.u, np.array(u_ref))
+    assert np.array_equal(traj.exit_values, np.array(exits_ref))
+    assert np.array_equal(traj.plant_l2, np.array(norms_ref))
+    assert traj.plant_l2[-1] != 0.0  # the error is still live at T
