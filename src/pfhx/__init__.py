@@ -71,6 +71,7 @@ from .analysis import (
     condition_report,
     fit_decay,
     measure_frequency_response,
+    measure_frequency_responses,
     transfer_function,
 )
 from .errors import ConfigError
@@ -106,6 +107,7 @@ __all__ = [
     "l2_norm",
     "make_field",
     "measure_frequency_response",
+    "measure_frequency_responses",
     "observer_step",
     "output_at",
     "predict",

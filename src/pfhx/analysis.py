@@ -11,9 +11,10 @@ which is exp(A1 l) with swapped rows times e^{-sl}.  Rows of G(0) sum to
 one (a constant inlet passes through unchanged in steady state) and every
 entry rolls off like e^{-Re(s) l} for large positive real part.
 
-``measure_frequency_response`` estimates G(i omega) empirically by driving
+``measure_frequency_responses`` estimates G(i omega) empirically by driving
 one inlet with a sinusoid and fitting the exit oscillations after the
-transient has flushed.  It deliberately runs the dissipative upwind scheme
+transient has flushed; every frequency and both inlets run as columns of
+one stacked simulation.  It deliberately runs the dissipative upwind scheme
 at CFL < 1: the characteristic solver reproduces G to rounding and would
 make the measurement a tautology, while the upwind route has an honest
 O(dx) discretization error that must shrink under grid refinement.
@@ -27,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coupling import coupling_matrix
 from .grid import Grid
 from .params import GainReport, Params, SanoReport, sano_window, validate_gains
-from .solver import solve_upwind
+from .solver import _advance_upwind
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,87 @@ def transfer_function(s: complex, params: Params) -> TransferEval:
     return TransferEval(s=s, matrix=matrix)
 
 
+def measure_frequency_responses(
+    omegas,
+    params: Params,
+    grid: Grid,
+    cycles: int = 10,
+    cfl: float = 0.5,
+    transient_factor: float = 3.0,
+) -> list[np.ndarray]:
+    """Measure the 2x2 gain at each frequency in one stacked simulation.
+
+    Every distinct omega gives two runs, one per inlet channel, driven by
+    sin(omega t) with the other channel zero.  All runs are columns of one
+    field advanced by a single upwind loop that records only the exit
+    node.  A run's horizon is the transient t < transient_factor * l plus
+    ``cycles`` periods, rounded up to the step grid; runs are stacked
+    longest first and leave the stack when their horizon ends.  Amplitude
+    and phase of both exit values come from a least-squares sinusoid fit
+    after the transient.  omega = 0 drives a constant input and reads the
+    steady state at its final step.  Needs cycles >= 10 for a
+    well-conditioned fit.  Returns one gain per entry of ``omegas``, in
+    order.
+    """
+    omegas = [float(omega) for omega in omegas]
+    for omega in omegas:
+        if not (math.isfinite(omega) and omega >= 0):
+            raise ValueError(f"omega must be finite and nonnegative, got {omega}")
+    if cycles < 10:
+        raise ValueError(f"need at least 10 cycles after the transient, got {cycles}")
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
+    transient = transient_factor * params.l
+    dt = cfl * grid.dx
+
+    def horizon_steps(omega: float) -> int:
+        if omega == 0.0:
+            T = (transient_factor + 5.0) * params.l
+        else:
+            T = transient + cycles * 2 * math.pi / omega
+        return math.ceil(T / dt)
+
+    steps = {omega: horizon_steps(omega) for omega in omegas}
+    distinct = sorted(steps, key=steps.get, reverse=True)
+    live = len(distinct)
+    # axes: node or step, omega, drive channel, stream
+    field = np.zeros((grid.n_cells + 1, live, 2, 2))
+    exits = [np.zeros((steps[omega] + 1, 2, 2)) for omega in distinct]
+    out, adv = np.empty_like(field), np.empty_like(field)
+    inflow = np.zeros((live, 2, 2))
+    step_matrix = coupling_matrix(dt, params.h1, params.h2)
+    for j in range(1, max(steps.values(), default=0) + 1):
+        if steps[distinct[live - 1]] < j:  # the shortest live runs have ended
+            live = sum(steps[omega] >= j for omega in distinct)
+            field = field[:, :live].copy()
+            out, adv = np.empty_like(field), np.empty_like(field)
+        t = j * dt
+        for k, omega in enumerate(distinct[:live]):  # drive channel c feeds stream c
+            inflow[k, 0, 0] = inflow[k, 1, 1] = math.sin(omega * t) if omega else 1.0
+        field, out = _advance_upwind(field, step_matrix, cfl, inflow[:live], out, adv), field
+        for k in range(live):
+            exits[k][j] = field[-1, k]
+
+    gains = {}
+    for omega, exit_values in zip(distinct, exits):
+        n = steps[omega]
+        gain = np.zeros((2, 2), dtype=complex)
+        # output row i observes the opposite stream
+        if omega == 0.0:
+            gain[0], gain[1] = exit_values[n, :, 1], exit_values[n, :, 0]
+        else:
+            t = np.arange(n + 1) * dt
+            sel = t >= transient - 1e-9
+            ts = t[sel]
+            design = np.column_stack([np.sin(omega * ts), np.cos(omega * ts)])
+            for chan in (0, 1):
+                for row, col in ((0, 1), (1, 0)):
+                    coef, *_ = np.linalg.lstsq(design, exit_values[sel, chan, col], rcond=None)
+                    gain[row, chan] = coef[0] + 1j * coef[1]
+        gains[omega] = gain
+    return [gains[omega].copy() for omega in omegas]
+
+
 def measure_frequency_response(
     omega: float,
     params: Params,
@@ -70,55 +153,8 @@ def measure_frequency_response(
     cfl: float = 0.5,
     transient_factor: float = 3.0,
 ) -> np.ndarray:
-    """Measure the 2x2 gain at frequency omega by simulation.
-
-    Drives one inlet channel with sin(omega t) (the other zero), discards
-    t < transient_factor * l, and extracts amplitude and phase of both exit
-    values by a least-squares sinusoid fit; repeating for the other channel
-    fills the matrix.  omega = 0 is handled by a constant-input steady
-    state instead.  Needs cycles >= 10 for a well-conditioned fit.
-    """
-    if omega < 0:
-        raise ValueError(f"omega must be nonnegative, got {omega}")
-    if cycles < 10:
-        raise ValueError(f"need at least 10 cycles after the transient, got {cycles}")
-    transient = transient_factor * params.l
-    dt = cfl * grid.dx
-    gain = np.zeros((2, 2), dtype=complex)
-    theta0 = np.zeros((grid.n_cells + 1, 2))
-
-    if omega == 0.0:
-        T = (transient_factor + 5.0) * params.l
-        T = math.ceil(T / dt) * dt
-        for chan in (0, 1):
-            drive = np.zeros(2)
-            drive[chan] = 1.0
-            traj = solve_upwind(
-                theta0, lambda t: drive, T, params, grid, cfl=cfl, snapshot_stride=T
-            )
-            exits = traj.exit_values[-1]
-            gain[0, chan] = exits[1]  # output 1 observes stream 2
-            gain[1, chan] = exits[0]
-        return gain
-
-    T = transient + cycles * 2 * math.pi / omega
-    T = math.ceil(T / dt) * dt
-    for chan in (0, 1):
-        def drive(t, _chan=chan):
-            u = np.zeros(2)
-            u[_chan] = math.sin(omega * t)
-            return u
-
-        traj = solve_upwind(
-            theta0, drive, T, params, grid, cfl=cfl, snapshot_stride=T
-        )
-        sel = traj.t >= transient - 1e-9
-        ts = traj.t[sel]
-        design = np.column_stack([np.sin(omega * ts), np.cos(omega * ts)])
-        for row, col in ((0, 1), (1, 0)):  # output row observes the opposite stream
-            coef, *_ = np.linalg.lstsq(design, traj.exit_values[sel, col], rcond=None)
-            gain[row, chan] = coef[0] + 1j * coef[1]
-    return gain
+    """Measure the 2x2 gain at one frequency; see ``measure_frequency_responses``."""
+    return measure_frequency_responses([omega], params, grid, cycles, cfl, transient_factor)[0]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import (
     condition_report,
-    measure_frequency_response,
+    measure_frequency_responses,
     render_condition,
     transfer_function,
 )
@@ -266,11 +266,11 @@ def cmd_freqresp(cfg: Config) -> int:
     header.append("rel_err")
     lines = [",".join(header)]
     start = time.perf_counter()
-    for omega in cfg.freq_omegas:
+    gains = measure_frequency_responses(
+        cfg.freq_omegas, params, grid, cycles=cfg.freq_cycles, cfl=cfg.freq_cfl
+    )
+    for omega, measured in zip(cfg.freq_omegas, gains):
         formula = transfer_function(1j * omega, params).matrix
-        measured = measure_frequency_response(
-            omega, params, grid, cycles=cfg.freq_cycles, cfl=cfg.freq_cfl
-        )
         rel_err = float(np.linalg.norm(measured - formula) / np.linalg.norm(formula))
         row = [_fmt(omega)]
         for i in range(2):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,8 +211,10 @@ def _validate(cfg: Config) -> None:
         raise ConfigError(f"freqresp.cfl must lie in (0, 1], got {cfg.freq_cfl}")
     if cfg.freq_cycles < 10:
         raise ConfigError(f"freqresp.cycles must be >= 10, got {cfg.freq_cycles}")
-    if any(w < 0 for w in cfg.freq_omegas):
-        raise ConfigError("freqresp.omega values must be nonnegative")
+    if not all(math.isfinite(w) and w >= 0 for w in cfg.freq_omegas):
+        raise ConfigError(
+            f"freqresp.omega values must be finite and nonnegative, got {cfg.freq_omegas}"
+        )
     if cfg.workers < 0:
         raise ConfigError(f"sweep.workers must be >= 0, got {cfg.workers}")
 

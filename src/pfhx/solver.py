@@ -142,11 +142,30 @@ def _advance_exact(field: np.ndarray, step_matrix: np.ndarray, u_new) -> np.ndar
     return out
 
 
-def _advance_upwind(field: np.ndarray, step_matrix: np.ndarray, cfl: float, u_new) -> np.ndarray:
-    adv = np.empty_like(field)
-    adv[1:] = (1.0 - cfl) * field[1:] + cfl * field[:-1]
+def _advance_upwind(
+    field: np.ndarray, step_matrix: np.ndarray, cfl: float, u_new, out=None, adv=None
+) -> np.ndarray:
+    """One split upwind step of a field of shape (n_cells+1, ..., 2).
+
+    The axes between the node and the stream axis stack independent runs
+    that share the grid, CFL and coupling.  ``out`` and ``adv`` are
+    optional C-contiguous buffers of the field's shape; ``out`` receives
+    the new field, which is returned.  The mixing is one 2-D matmul over
+    every (node, run) row.  Its right operand is a C-contiguous copy of
+    ``step_matrix.T``: BLAS then skips its transposed path, which at these
+    shapes is two to three times slower; the products are the same bits
+    (tests/test_analysis.py compares against the transposed view).
+    """
+    if out is None:
+        out = np.empty(field.shape)
+    if adv is None:
+        adv = np.empty(field.shape)
+    np.multiply(field[1:], 1.0 - cfl, out=adv[1:])
+    np.multiply(field[:-1], cfl, out=out[1:])
+    np.add(adv[1:], out[1:], out=adv[1:])
     adv[0] = field[0]
-    out = adv @ step_matrix.T
+    mix = np.ascontiguousarray(step_matrix.T)
+    np.matmul(adv.reshape(-1, 2), mix, out=out.reshape(-1, 2))
     out[0] = u_new
     return out
 

@@ -7,8 +7,10 @@ from pfhx import (
     Grid,
     Params,
     condition_report,
+    coupling_matrix,
     fit_decay,
     measure_frequency_response,
+    measure_frequency_responses,
     solve_exact,
     transfer_function,
     zero_field,
@@ -95,6 +97,87 @@ def test_measure_validation():
         measure_frequency_response(-1.0, params, grid)
     with pytest.raises(ValueError, match="cycles"):
         measure_frequency_response(1.0, params, grid, cycles=3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measure_rejects_non_finite_omega(bad):
+    with pytest.raises(ValueError, match="omega must be finite"):
+        measure_frequency_responses([1.0, bad], make_params(), Grid(10, 1.0))
+
+
+# The measurement as it was first written: one upwind run per omega and
+# drive channel, each stepping with its own allocating copy of the split
+# upwind update and recording the exit node.  Kept as the reference the
+# stacked measurement must reproduce bit for bit.
+def _reference_upwind_step(field, step_matrix, cfl, u_new):
+    adv = np.empty_like(field)
+    adv[1:] = (1.0 - cfl) * field[1:] + cfl * field[:-1]
+    adv[0] = field[0]
+    out = adv @ step_matrix.T
+    out[0] = u_new
+    return out
+
+
+def _reference_exit_run(drive, T, params, grid, cfl):
+    dt = cfl * grid.dx
+    n_steps = int(round(T / dt))
+    step_matrix = coupling_matrix(dt, params.h1, params.h2)
+    field = np.zeros((grid.n_cells + 1, 2))
+    exits = np.zeros((n_steps + 1, 2))
+    for j in range(1, n_steps + 1):
+        u_new = np.asarray(drive(0.0 + j * dt), dtype=float)
+        field = _reference_upwind_step(field, step_matrix, cfl, u_new)
+        exits[j] = field[-1]
+    return np.arange(n_steps + 1) * dt + 0.0, exits
+
+
+def _reference_measure(omega, params, grid, cycles, cfl, transient_factor=3.0):
+    transient = transient_factor * params.l
+    dt = cfl * grid.dx
+    gain = np.zeros((2, 2), dtype=complex)
+    if omega == 0.0:
+        T = (transient_factor + 5.0) * params.l
+        T = math.ceil(T / dt) * dt
+        for chan in (0, 1):
+            drive = np.zeros(2)
+            drive[chan] = 1.0
+            _, exit_values = _reference_exit_run(lambda t: drive, T, params, grid, cfl)
+            gain[0, chan] = exit_values[-1][1]
+            gain[1, chan] = exit_values[-1][0]
+        return gain
+    T = transient + cycles * 2 * math.pi / omega
+    T = math.ceil(T / dt) * dt
+    for chan in (0, 1):
+        def drive(t, _chan=chan):
+            u = np.zeros(2)
+            u[_chan] = math.sin(omega * t)
+            return u
+
+        t, exit_values = _reference_exit_run(drive, T, params, grid, cfl)
+        sel = t >= transient - 1e-9
+        ts = t[sel]
+        design = np.column_stack([np.sin(omega * ts), np.cos(omega * ts)])
+        for row, col in ((0, 1), (1, 0)):
+            coef, *_ = np.linalg.lstsq(design, exit_values[sel, col], rcond=None)
+            gain[row, chan] = coef[0] + 1j * coef[1]
+    return gain
+
+
+@pytest.mark.parametrize("h1", [0.0, 1.0])
+@pytest.mark.parametrize("cycles", [10, 13])
+@pytest.mark.parametrize("cfl", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n_cells", [1, 7, 50])
+def test_stacked_measurement_matches_per_run_reference(n_cells, cfl, cycles, h1):
+    # unsorted, with a repeat and omega = 0; horizons differ, so runs leave the stack in turn
+    omegas = [6.0, 0.0, 3.0, 6.0, 12.0]
+    params = make_params(h1=h1)
+    grid = Grid(n_cells, 1.0)
+    measured = measure_frequency_responses(omegas, params, grid, cycles=cycles, cfl=cfl)
+    assert len(measured) == len(omegas)
+    for omega, gain in zip(omegas, measured):
+        expected = _reference_measure(omega, params, grid, cycles, cfl)
+        assert np.array_equal(gain, expected), omega
+    assert measure_frequency_responses([], params, grid) == []
 
 
 def test_fit_decay_exact_exponential():

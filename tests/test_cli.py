@@ -212,6 +212,16 @@ def test_freqresp_writes_formula_and_measurement(tmp_path):
     assert rel_err < 0.05  # coarse grid (n=50), still close
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_omega_is_config_error(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, BASE + "\n[freqresp]\nomega = 1.0\n")
+    out = tmp_path / "out"
+    assert main(["freqresp", "-c", cfg, "-o", str(out), f"--omega={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "freqresp.omega" in err and "Traceback" not in err
+    assert not (out / "freqresp.csv").exists()
+
+
 def test_check_prints_condition_report(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     assert main(["check", "-c", cfg, "--sano-k", "1.0"]) == 0
