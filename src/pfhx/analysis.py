@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,13 @@ def transfer_function(s: complex, params: Params) -> TransferEval:
     return TransferEval(s=s, matrix=matrix)
 
 
+def _physical_memory() -> float:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
+
+
 def measure_frequency_responses(
     omegas,
     params: Params,
@@ -84,7 +92,9 @@ def measure_frequency_responses(
     after the transient.  omega = 0 drives a constant input and reads the
     steady state at its final step.  Needs cycles >= 10 for a
     well-conditioned fit.  Returns one gain per entry of ``omegas``, in
-    order.
+    order.  Raises ValueError, before allocating, for an omega so small
+    that its horizon is not finite or the exit buffers would not fit in
+    physical memory.
     """
     omegas = [float(omega) for omega in omegas]
     for omega in omegas:
@@ -102,9 +112,20 @@ def measure_frequency_responses(
             T = (transient_factor + 5.0) * params.l
         else:
             T = transient + cycles * 2 * math.pi / omega
+        if not math.isfinite(T / dt):
+            raise ValueError(f"omega={omega!r} needs a horizon of inf steps of dt={dt:g}")
         return math.ceil(T / dt)
 
     steps = {omega: horizon_steps(omega) for omega in omegas}
+    exit_bytes = sum(32 * (n + 1) for n in steps.values())  # (n+1, 2, 2) doubles each
+    memory = _physical_memory()
+    if exit_bytes > memory:
+        omega = max(steps, key=steps.get)
+        raise ValueError(
+            f"omega={omega!r} needs {steps[omega]} steps of dt={dt:g}: the exit buffers "
+            f"would take {exit_bytes / 2**30:.3g} GiB, more than the physical memory "
+            f"({memory / 2**30:.3g} GiB)"
+        )
     distinct = sorted(steps, key=steps.get, reverse=True)
     live = len(distinct)
     # axes: node or step, omega, drive channel, stream

@@ -190,6 +190,23 @@ def _sweep_worker(payload: tuple[int, Scenario]) -> tuple[int, dict]:
     }
 
 
+def _sweep_line(index: int, row: dict) -> str:
+    """One sweep.csv row from a single ``%`` operation; floats as ``_fmt`` spells them."""
+    sano_k, in_window = row["sano_k"], row["sano_in_window"]
+    template = (
+        "%s" + ",%.16e" * 6 + ",%s,%.16e,%s," + ("" if sano_k is None else "%.16e")
+        + ",%s,%s,%.16e,%.16e,%s,%s"
+    )
+    values = (
+        index, row["h1"], row["h2"], row["l"], row["tau"], row["k1"], row["k2"],
+        row["n_cells"], row["T"], row["controller"],
+        *(() if sano_k is None else (sano_k,)),
+        _bool(row["theorem_valid"]), "" if in_window is None else _bool(in_window),
+        row["gamma_hat"], row["r_squared"], _bool(row["floor_hit"]), _bool(row["extinct"]),
+    )
+    return template % values
+
+
 def cmd_sweep(cfg: Config) -> int:
     if not cfg.sweep_axes:
         raise ConfigError("sweep requires at least one non-empty axis in [sweep]")
@@ -214,33 +231,8 @@ def cmd_sweep(cfg: Config) -> int:
         "index,h1,h2,l,tau,k1,k2,n_cells,T,controller,sano_k,theorem_valid,"
         "sano_in_window,gamma_hat,r_squared,floor_hit,extinct"
     )
-    lines = [header]
-    all_finite = True
-    for index, row in results:
-        all_finite &= row["finite"]
-        lines.append(
-            ",".join(
-                [
-                    str(index),
-                    _fmt(row["h1"]),
-                    _fmt(row["h2"]),
-                    _fmt(row["l"]),
-                    _fmt(row["tau"]),
-                    _fmt(row["k1"]),
-                    _fmt(row["k2"]),
-                    str(row["n_cells"]),
-                    _fmt(row["T"]),
-                    row["controller"],
-                    "" if row["sano_k"] is None else _fmt(row["sano_k"]),
-                    _bool(row["theorem_valid"]),
-                    "" if row["sano_in_window"] is None else _bool(row["sano_in_window"]),
-                    _fmt(row["gamma_hat"]),
-                    _fmt(row["r_squared"]),
-                    _bool(row["floor_hit"]),
-                    _bool(row["extinct"]),
-                ]
-            )
-        )
+    lines = [header] + [_sweep_line(index, row) for index, row in results]
+    all_finite = all(row["finite"] for _, row in results)
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_lines(outdir / "sweep.csv", lines)
@@ -266,9 +258,12 @@ def cmd_freqresp(cfg: Config) -> int:
     header.append("rel_err")
     lines = [",".join(header)]
     start = time.perf_counter()
-    gains = measure_frequency_responses(
-        cfg.freq_omegas, params, grid, cycles=cfg.freq_cycles, cfl=cfg.freq_cfl
-    )
+    try:
+        gains = measure_frequency_responses(
+            cfg.freq_omegas, params, grid, cycles=cfg.freq_cycles, cfl=cfg.freq_cfl
+        )
+    except ValueError as exc:  # the config checks leave only a too-long horizon
+        raise ConfigError(f"freqresp.omega is too small: {exc}") from None
     for omega, measured in zip(cfg.freq_omegas, gains):
         formula = transfer_function(1j * omega, params).matrix
         rel_err = float(np.linalg.norm(measured - formula) / np.linalg.norm(formula))

@@ -208,7 +208,8 @@ def _observer_predictor(scenario, run, rec, theta0, observer0):
 
     The recorder keeps u and the exits at every step index; the delayed
     samples are read back from it by index.  The law also records the
-    observer error and the prediction error at the exit.
+    observer error and the prediction error at the exit; from step m on the
+    recorder norms the observer error in blocks.
     """
     p, m, n = scenario.params, run.m, run.grid.n_cells
     k1, k2, dt, dx = p.k1, p.k2, run.grid.dt, run.grid.dx
@@ -230,7 +231,10 @@ def _observer_predictor(scenario, run, rec, theta0, observer0):
             u_new = _cross_law(k1, k2, pred_exit)
         else:
             u_new = warm(jn * dt)
-        rec.obs_err_l2[jn] = _l2(obs - plants[0], dx) if jn >= m else init_err
+        if jn >= m:
+            rec.record_obs_err(jn, obs, plants[0])
+        else:
+            rec.obs_err_l2[jn] = init_err
         return u_new
 
     return theta0, inflow

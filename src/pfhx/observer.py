@@ -38,7 +38,7 @@ import numpy as np
 from .coupling import coupling_matrix
 from .grid import Grid, check_field
 from .params import Params
-from .solver import SolverState, as_trace, step_exact
+from .solver import SolverState, _mix_operand, as_trace, step_exact
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class ObserverState:
 def _advance_observer(field, step_matrix, k1, k2, y, u) -> np.ndarray:
     """Observer kernel: one characteristic step, then the output injection at the inflow."""
     new = np.empty_like(field)
-    np.matmul(field[:-1], step_matrix.T, out=new[1:])
+    np.matmul(field[:-1], _mix_operand(step_matrix, len(field) - 1), out=new[1:])
     new[0, 0] = -k1 * (new[-1, 1] - y[0]) + u[0]
     new[0, 1] = -k2 * (new[-1, 0] - y[1]) + u[1]
     return new

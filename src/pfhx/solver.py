@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import coupling_matrix
-from .grid import Grid, _l2, check_field
+from .grid import Grid, check_field
 from .params import Params
 
 
@@ -86,18 +86,59 @@ class Trajectory:
         )
 
 
+# A norm block holds about 256 KB of fields: it stays in cache while it fills.
+_NORM_BLOCK_BYTES = 2**18
+
+
+class _NormBlock:
+    """Fields copied row by row into a cache-sized block, normed a block at a time.
+
+    Row k of the block holds step ``start + k``; steps arrive in order.  When
+    the block is full, and at ``flush``, one trapezoid over the whole block
+    fills ``norms[start:start + used]``.  Each row's norm has the same bits
+    as ``_l2`` on that field, which a fused weighted dot would not give.
+    """
+
+    def __init__(self, norms: np.ndarray, n_nodes: int, dx: float):
+        rows = max(8, _NORM_BLOCK_BYTES // (16 * n_nodes))
+        self.buf = np.empty((rows, n_nodes, 2))
+        self.norms = norms
+        self.dx = dx
+        self.start = 0
+        self.used = 0
+
+    def row(self, j: int) -> np.ndarray:
+        """The block row that step j is written into."""
+        if self.used == len(self.buf):
+            self.flush()
+        if not self.used:
+            self.start = j
+        self.used += 1
+        return self.buf[self.used - 1]
+
+    def flush(self) -> None:
+        if self.used:
+            blk = self.buf[: self.used]
+            self.norms[self.start:self.start + self.used] = np.sqrt(
+                np.trapezoid(blk[..., 0] ** 2 + blk[..., 1] ** 2, dx=self.dx, axis=-1)
+            )
+            self.used = 0
+
+
 class Recorder:
     """Preallocated collector filling a Trajectory step by step.
 
-    ``record`` fills the norm, input, exits and snapshots; a run with an
-    observer writes ``obs_err_l2`` and ``pred_err_at_l`` itself.
+    ``record`` fills the input, exits and snapshots and copies the field
+    into a norm block; a run with an observer writes ``pred_err_at_l`` and
+    the early ``obs_err_l2`` entries itself and hands the later observer
+    errors to ``record_obs_err``.  The norms are complete after ``finish``.
+    Steps must be recorded in order.
     """
 
     def __init__(self, grid: Grid, n_steps: int, dt: float, snapshot_stride: float):
         if snapshot_stride <= 0:
             raise ValueError("snapshot stride must be positive")
         self.dt = dt
-        self.dx = grid.dx
         total = n_steps + 1
         self.t = np.arange(total) * dt
         self.plant_l2 = np.zeros(total)
@@ -112,16 +153,24 @@ class Recorder:
         self._snap_steps = sorted(steps)
         self._snap_lookup = {j: idx for idx, j in enumerate(self._snap_steps)}
         self.snapshots = np.zeros((len(self._snap_steps), grid.n_cells + 1, 2))
+        self._plant_norms = _NormBlock(self.plant_l2, grid.n_cells + 1, grid.dx)
+        self._obs_err_norms = _NormBlock(self.obs_err_l2, grid.n_cells + 1, grid.dx)
 
     def record(self, j: int, field: np.ndarray, u):
-        self.plant_l2[j] = _l2(field, self.dx)
+        self._plant_norms.row(j)[...] = field
         self.u[j] = u
         self.exit_values[j] = field[-1]
         idx = self._snap_lookup.get(j)
         if idx is not None:
             self.snapshots[idx] = field
 
+    def record_obs_err(self, j: int, obs: np.ndarray, plant: np.ndarray):
+        """Queue the norm of the observer error obs - plant as ``obs_err_l2[j]``."""
+        np.subtract(obs, plant, out=self._obs_err_norms.row(j))
+
     def finish(self) -> Trajectory:
+        self._plant_norms.flush()
+        self._obs_err_norms.flush()
         return Trajectory(
             t=self.t,
             plant_l2=self.plant_l2,
@@ -135,9 +184,24 @@ class Recorder:
         )
 
 
+def _mix_operand(step_matrix: np.ndarray, rows: int) -> np.ndarray:
+    """Right operand that maps each of ``rows`` node rows r to step_matrix @ r.
+
+    A C-contiguous copy of ``step_matrix.T``: BLAS then skips its
+    transposed path, which at these shapes is two to three times slower,
+    and the products are the same bits.  A single row keeps the transposed
+    view: numpy hands one row to BLAS gemv, where the two layouts round
+    differently by a few ulp (tests/test_recorder.py and
+    tests/test_analysis.py compare against the transposed view).
+    """
+    if rows == 1:
+        return step_matrix.T
+    return np.ascontiguousarray(step_matrix.T)
+
+
 def _advance_exact(field: np.ndarray, step_matrix: np.ndarray, u_new) -> np.ndarray:
     out = np.empty_like(field)
-    np.matmul(field[:-1], step_matrix.T, out=out[1:])
+    np.matmul(field[:-1], _mix_operand(step_matrix, len(field) - 1), out=out[1:])
     out[0] = u_new
     return out
 
@@ -151,10 +215,7 @@ def _advance_upwind(
     that share the grid, CFL and coupling.  ``out`` and ``adv`` are
     optional C-contiguous buffers of the field's shape; ``out`` receives
     the new field, which is returned.  The mixing is one 2-D matmul over
-    every (node, run) row.  Its right operand is a C-contiguous copy of
-    ``step_matrix.T``: BLAS then skips its transposed path, which at these
-    shapes is two to three times slower; the products are the same bits
-    (tests/test_analysis.py compares against the transposed view).
+    every (node, run) row, with the operand ``_mix_operand`` gives.
     """
     if out is None:
         out = np.empty(field.shape)
@@ -164,8 +225,8 @@ def _advance_upwind(
     np.multiply(field[:-1], cfl, out=out[1:])
     np.add(adv[1:], out[1:], out=adv[1:])
     adv[0] = field[0]
-    mix = np.ascontiguousarray(step_matrix.T)
-    np.matmul(adv.reshape(-1, 2), mix, out=out.reshape(-1, 2))
+    rows = adv.reshape(-1, 2)
+    np.matmul(rows, _mix_operand(step_matrix, len(rows)), out=out.reshape(-1, 2))
     out[0] = u_new
     return out
 

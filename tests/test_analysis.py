@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,22 @@ def test_measure_validation():
 def test_measure_rejects_non_finite_omega(bad):
     with pytest.raises(ValueError, match="omega must be finite"):
         measure_frequency_responses([1.0, bad], make_params(), Grid(10, 1.0))
+
+
+@pytest.mark.parametrize("tiny", [1e-320, 1e-12])
+def test_measure_refuses_tiny_omega_before_allocating(tiny):
+    # 1e-320 gives an infinite horizon; 1e-12 would need 35.7 PiB of exit buffers
+    dt = 0.5 * 0.1
+    horizon = (3.0 + 10 * 2 * math.pi / tiny) / dt
+    steps = "inf" if math.isinf(horizon) else str(math.ceil(horizon))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"omega={tiny!r} needs .*\b{steps} steps"):
+            measure_frequency_responses([1.0, tiny], make_params(), Grid(10, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # The measurement as it was first written: one upwind run per omega and

@@ -1,8 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pfhx import Grid, Params, Scenario, run_scenario
-from pfhx.cli import _write_norms, _write_snapshots, main
+from pfhx.cli import _sweep_line, _sweep_worker, _write_norms, _write_snapshots, main
 
 BASE = """\
 [params]
@@ -222,6 +225,25 @@ def test_non_finite_omega_is_config_error(tmp_path, capsys, value):
     assert not (out / "freqresp.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["1e-320", "1e-12"])
+def test_tiny_omega_is_config_error(tmp_path, capsys, value):
+    # refused before the exit buffers are allocated (35.7 PiB at 1e-12)
+    cfg = write_config(tmp_path, BASE + "\n[freqresp]\nomega = 1.0\n")
+    out = tmp_path / "out"
+    argv = ["freqresp", "-c", cfg, "-o", str(out), f"--omega={value}", "--n-cells", "10"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert "freqresp.omega" in err and f"omega={value}" in err and " steps " in err
+    assert "Traceback" not in err
+    assert not (out / "freqresp.csv").exists()
+    assert peak < 2**20
+
+
 def test_check_prints_condition_report(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     assert main(["check", "-c", cfg, "--sano-k", "1.0"]) == 0
@@ -262,7 +284,51 @@ def reference_write_snapshots(path, result, grid):
     _reference_write(path, lines)
 
 
+def reference_sweep_line(index, row):
+    return ",".join(
+        [
+            str(index),
+            _reference_fmt(row["h1"]),
+            _reference_fmt(row["h2"]),
+            _reference_fmt(row["l"]),
+            _reference_fmt(row["tau"]),
+            _reference_fmt(row["k1"]),
+            _reference_fmt(row["k2"]),
+            str(row["n_cells"]),
+            _reference_fmt(row["T"]),
+            row["controller"],
+            "" if row["sano_k"] is None else _reference_fmt(row["sano_k"]),
+            "true" if row["theorem_valid"] else "false",
+            "" if row["sano_in_window"] is None else ("true" if row["sano_in_window"] else "false"),
+            _reference_fmt(row["gamma_hat"]),
+            _reference_fmt(row["r_squared"]),
+            "true" if row["floor_hit"] else "false",
+            "true" if row["extinct"] else "false",
+        ]
+    )
+
+
 SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
+
+
+def test_sweep_line_matches_per_value_reference():
+    params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
+    base = Scenario(params=params, n_cells=20, T=4.0, theta0=("sine(1, 1)", "zero"))
+    rows = [
+        _sweep_worker((0, base))[1],
+        _sweep_worker((1, dataclasses.replace(base, controller="sano_static", sano_k=0.8)))[1],
+    ]
+    special = dict(rows[0], gamma_hat=np.inf, r_squared=np.nan, h1=-0.0, k2=5e-324,
+                   T=1.7976931348623157e308, sano_k=None, sano_in_window=None)
+    assert rows[0]["sano_k"] is None and rows[1]["sano_in_window"] is not None
+    for value in SPECIALS:
+        rows.append(dict(special, tau=value, sano_k=value, sano_in_window=False, extinct=True))
+    rows.append(special)
+    for index, row in enumerate(rows):
+        assert _sweep_line(index, row) == reference_sweep_line(index, row)
+    assert _sweep_line(9, special).split(",")[10:16] == [
+        "", "true", "", "inf", "nan", "false"]
+    assert ",-0.0000000000000000e+00," in _sweep_line(9, special)
 
 
 @pytest.mark.parametrize(
