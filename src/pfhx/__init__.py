@@ -31,22 +31,15 @@ from .grid import (
     make_field,
     zero_field,
 )
-from .history import InputHistory
 from .profiles import input_function, profile_array
 from .solver import (
-    SolverState,
     Trajectory,
     closed_form_state,
-    evaluate_output,
-    output_at,
     solve_exact,
     solve_upwind,
     step_exact,
-    step_upwind,
 )
 from .observer import (
-    ObserverState,
-    Prediction,
     control_law,
     observer_step,
     predict,
@@ -70,7 +63,6 @@ from .analysis import (
     TransferEval,
     condition_report,
     fit_decay,
-    measure_frequency_response,
     measure_frequency_responses,
     transfer_function,
 )
@@ -85,15 +77,11 @@ __all__ = [
     "DecayReport",
     "GainReport",
     "Grid",
-    "InputHistory",
-    "ObserverState",
     "Params",
-    "Prediction",
     "RunResult",
     "RunSummary",
     "SanoReport",
     "Scenario",
-    "SolverState",
     "Trajectory",
     "TransferEval",
     "closed_form_state",
@@ -101,15 +89,12 @@ __all__ = [
     "condition_report",
     "control_law",
     "coupling_matrix",
-    "evaluate_output",
     "fit_decay",
     "input_function",
     "l2_norm",
     "make_field",
-    "measure_frequency_response",
     "measure_frequency_responses",
     "observer_step",
-    "output_at",
     "predict",
     "predict_by_resolve",
     "predict_exit",
@@ -124,7 +109,6 @@ __all__ = [
     "solve_exact",
     "solve_upwind",
     "step_exact",
-    "step_upwind",
     "transfer_function",
     "validate_gains",
     "zero_field",

@@ -166,18 +166,6 @@ def measure_frequency_responses(
     return [gains[omega].copy() for omega in omegas]
 
 
-def measure_frequency_response(
-    omega: float,
-    params: Params,
-    grid: Grid,
-    cycles: int = 10,
-    cfl: float = 0.5,
-    transient_factor: float = 3.0,
-) -> np.ndarray:
-    """Measure the 2x2 gain at one frequency; see ``measure_frequency_responses``."""
-    return measure_frequency_responses([omega], params, grid, cycles, cfl, transient_factor)[0]
-
-
 @dataclass(frozen=True)
 class DecayReport:
     """Log-linear decay fit of a norm series.

@@ -44,13 +44,16 @@ class Grid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.l, self.n_cells + 1)
 
-    def snap_steps(self, duration: float, minimum: int = 0) -> tuple[int, float, bool]:
-        """Round a duration to a whole number of steps.
+    def snap_steps(
+        self, duration: float, minimum: int = 0, dt: float | None = None
+    ) -> tuple[int, float, bool]:
+        """Round a duration to a whole number of steps of dt (default: the grid's step).
 
         Returns (step count, snapped duration, whether snapping changed it).
         """
-        steps = max(minimum, int(round(duration / self.dt)))
-        snapped = steps * self.dt
+        dt = self.dt if dt is None else dt
+        steps = max(minimum, int(round(duration / dt)))
+        snapped = steps * dt
         changed = abs(snapped - duration) > _ALIGN_RTOL * max(1.0, abs(duration))
         return steps, snapped, changed
 

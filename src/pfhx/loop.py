@@ -128,10 +128,19 @@ class _Run:
 
 
 def _prepare(scenario: Scenario, delayed: bool) -> _Run:
-    """Snap tau and T; a delayed run must outlast its delay."""
+    """Snap tau to dt = dx and T to the run's own step (cfl * dx for upwind runs).
+
+    T must cover at least half a step, and a delayed run must outlast its
+    delay.
+    """
+    if not 0.0 < scenario.cfl <= 1.0:
+        raise ConfigError(f"run.cfl must lie in (0, 1], got {scenario.cfl}")
     grid = Grid(scenario.n_cells, scenario.params.l)
     m, tau_used, tau_snapped = grid.snap_tau(scenario.params.tau)
-    n_steps, T_used, T_snapped = grid.snap_steps(scenario.T)
+    dt = scenario.cfl * grid.dx if scenario.solver == "upwind" else grid.dt
+    n_steps, T_used, T_snapped = grid.snap_steps(scenario.T, dt=dt)
+    if n_steps == 0:
+        raise ConfigError(f"run.T={scenario.T:g} must cover at least half a step (dt={dt:g})")
     if delayed and n_steps <= m:
         raise ConfigError(
             f"run.T={scenario.T:g} must exceed the delay tau={tau_used:g} for controlled runs"
@@ -334,16 +343,10 @@ def run_open_loop(scenario: Scenario) -> RunResult:
     theta0 = _resolve_field(run.grid, scenario.theta0, np.random.default_rng(scenario.seed))
     u_fn = _input_pair(scenario.u_open)
     if scenario.solver == "upwind":
-        dt_up = scenario.cfl * run.grid.dx
-        steps_up = max(1, int(round(run.T_used / dt_up)))
-        T_up = steps_up * dt_up
-        if abs(T_up - run.T_used) > 1e-9 * max(1.0, run.T_used):
-            run.warnings.append(f"T snapped from {run.T_used:g} to {T_up:g} for cfl={scenario.cfl:g}")
         traj = solve_upwind(
-            theta0, u_fn, T_up, p, run.grid, cfl=scenario.cfl,
+            theta0, u_fn, run.T_used, p, run.grid, cfl=scenario.cfl,
             snapshot_stride=scenario.snapshot_stride,
         )
-        run.T_used = T_up
     elif scenario.solver == "exact":
         traj = solve_exact(
             theta0, u_fn, run.T_used, p, run.grid, snapshot_stride=scenario.snapshot_stride
@@ -386,8 +389,6 @@ def check_scenario(scenario: Scenario) -> list[str]:
         _require_sano_k(scenario.sano_k)
     if scenario.solver not in ("exact", "upwind"):
         raise ConfigError(f"run.solver must be exact or upwind, got {scenario.solver!r}")
-    if not 0.0 < scenario.cfl <= 1.0:
-        raise ConfigError(f"run.cfl must lie in (0, 1], got {scenario.cfl}")
     if scenario.solver == "upwind" and scenario.controller != "open_loop":
         raise ConfigError("the upwind solver is available for open_loop runs only")
     if not scenario.snapshot_stride > 0:

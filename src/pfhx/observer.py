@@ -31,27 +31,13 @@ and u = 0 while t <= tau (no measurement has arrived yet).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .coupling import coupling_matrix
 from .grid import Grid, check_field
+from .history import as_trace
 from .params import Params
-from .solver import SolverState, _mix_operand, as_trace, step_exact
-
-
-@dataclass(frozen=True)
-class ObserverState:
-    """Observer field at observer time s (wall-clock t = s + tau)."""
-
-    s: float
-    field: np.ndarray
-    grid: Grid
-    params: Params
-
-    def __post_init__(self) -> None:
-        check_field(self.field, self.grid)
+from .solver import _mix_operand, step_exact
 
 
 def _advance_observer(field, step_matrix, k1, k2, y, u) -> np.ndarray:
@@ -63,31 +49,21 @@ def _advance_observer(field, step_matrix, k1, k2, y, u) -> np.ndarray:
     return new
 
 
-def observer_step(obs: ObserverState, y_pair, u_pair) -> ObserverState:
-    """Advance the observer one step to s + dt.
+def observer_step(field: np.ndarray, y, u, params: Params, grid: Grid) -> np.ndarray:
+    """Advance the observer field one step, from observer time s to s + dt.
 
-    ``y_pair`` is the delayed measurement that becomes available at wall
-    clock (s + dt) + tau, i.e. the plant exits at time s + dt in swapped
-    order; ``u_pair`` is the input u(s + dt).  Both are imposed pointwise
-    at the step's target time, matching the plant solver's boundary
-    convention (required for the error system to decouple exactly).
+    The observer runs in its own time s = t - tau.  ``y`` is the delayed
+    measurement that becomes available at wall clock (s + dt) + tau, i.e.
+    the plant exits at time s + dt in swapped order; ``u`` is the input
+    u(s + dt).  Both are imposed pointwise at the step's target time,
+    matching the plant solver's boundary convention (required for the error
+    system to decouple exactly).  Returns the new field.
     """
-    grid, params = obs.grid, obs.params
     step_matrix = coupling_matrix(grid.dt, params.h1, params.h2)
-    new = _advance_observer(
-        obs.field, step_matrix, params.k1, params.k2,
-        np.asarray(y_pair, dtype=float), np.asarray(u_pair, dtype=float),
+    return _advance_observer(
+        check_field(field, grid), step_matrix, params.k1, params.k2,
+        np.asarray(y, dtype=float), np.asarray(u, dtype=float),
     )
-    return ObserverState(s=obs.s + grid.dt, field=new, grid=grid, params=params)
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Estimate of the current (undelayed) state, formed at wall-clock t."""
-
-    t: float
-    field_at_t: np.ndarray
-    boundary_value_at_l: np.ndarray
 
 
 def _snap_tau(params: Params, grid: Grid) -> tuple[int, float]:
@@ -97,26 +73,20 @@ def _snap_tau(params: Params, grid: Grid) -> tuple[int, float]:
 
 def predict(
     obs_field: np.ndarray, inputs, t: float, params: Params, grid: Grid
-) -> Prediction:
-    """Closed-form prediction of the state at time t.
+) -> np.ndarray:
+    """Closed-form prediction of the state at time t; returns the field.
 
     ``obs_field`` is the observer estimate at time t - tau and ``inputs``
-    must cover [t - tau, t] at step resolution (an ``InputHistory`` or a
-    callable).  Node i takes exp(A1 tau) applied to the estimate one delay
-    upstream when x_i >= tau, and exp(A1 x_i) applied to the stored input
-    u(t - x_i) when x_i < tau.
+    (see ``history.as_trace``) must cover [t - tau, t] at step resolution.
+    Node i takes exp(A1 tau) applied to the estimate one delay upstream
+    when x_i >= tau, and exp(A1 x_i) applied to the input u(t - x_i) when
+    x_i < tau.  The predicted exit pair is the field's last row.
     """
     obs_field = check_field(obs_field, grid)
     m, tau_used = _snap_tau(params, grid)
     n = grid.n_cells
     dt = grid.dt
-    if hasattr(inputs, "covers"):
-        missing = inputs.covers(max(0.0, t - tau_used), t)
-        if missing:
-            shown = ", ".join(f"{v:g}" for v in missing[:5])
-            more = f" (+{len(missing) - 5} more)" if len(missing) > 5 else ""
-            raise ValueError(f"input history does not cover [t-tau, t]; missing: {shown}{more}")
-    trace = as_trace(inputs)
+    trace = as_trace(inputs, dt)
 
     field = np.empty((n + 1, 2))
     k = min(m, n + 1)  # nodes fed from stored inputs
@@ -127,7 +97,7 @@ def predict(
     if m <= n:
         prop = coupling_matrix(tau_used, params.h1, params.h2)
         field[m:] = obs_field[: n + 1 - m] @ prop.T
-    return Prediction(t=t, field_at_t=field, boundary_value_at_l=field[n].copy())
+    return field
 
 
 def _exit_propagator(m: int, n: int, tau_used: float, params: Params) -> np.ndarray:
@@ -159,39 +129,36 @@ def predict_exit(
     m, tau_used = _snap_tau(params, grid)
     n = grid.n_cells
     obs_field = check_field(obs_field, grid)
-    u_past = np.asarray(as_trace(inputs)(t - params.l), dtype=float) if m > n else None
+    u_past = np.asarray(as_trace(inputs, grid.dt)(t - params.l), dtype=float) if m > n else None
     return _predict_exit(obs_field, u_past, m, _exit_propagator(m, n, tau_used, params))
 
 
 def predict_by_resolve(
     obs_field: np.ndarray, inputs, t: float, params: Params, grid: Grid
-) -> Prediction:
-    """Prediction by brute force: re-solve the plant over [t - tau, t].
+) -> np.ndarray:
+    """Brute-force prediction: re-solve the plant over [t - tau, t]; returns the field.
 
     Mathematically identical to ``predict`` but costs O(tau/dt * n_cells)
     per call; kept as an independent oracle for testing, not used in the
     control loop.
     """
     m, tau_used = _snap_tau(params, grid)
-    state = SolverState(t=t - tau_used, field=check_field(obs_field, grid).copy(),
-                        grid=grid, params=params)
-    for _ in range(m):
-        state = step_exact(state, inputs)
-    return Prediction(t=t, field_at_t=state.field, boundary_value_at_l=state.field[-1].copy())
+    field = obs_field
+    for j in range(m):
+        field = step_exact(field, t - tau_used + j * grid.dt, inputs, params, grid)
+    return field
 
 
-def control_law(pred, params: Params, t: float, tau: float | None = None) -> np.ndarray:
-    """Boundary feedback from the predicted exit values.
+def control_law(exit_pair, params: Params, t: float, tau: float | None = None) -> np.ndarray:
+    """Boundary feedback from the predicted exit pair (pred1, pred2)(t, l).
 
     Returns (0, 0) for t <= tau (measurements have not arrived yet) and
-    (-k1 * pred2(t, l), -k2 * pred1(t, l)) afterwards.  ``pred`` may be a
-    Prediction or a bare exit pair.
+    (-k1 * pred2(t, l), -k2 * pred1(t, l)) afterwards.
     """
     tau = params.tau if tau is None else tau
     if t <= tau + 1e-9 * max(1.0, tau):
         return np.zeros(2)
-    exit_pair = pred.boundary_value_at_l if isinstance(pred, Prediction) else np.asarray(pred, float)
-    return _cross_law(params.k1, params.k2, exit_pair)
+    return _cross_law(params.k1, params.k2, np.asarray(exit_pair, dtype=float))
 
 
 def _cross_law(k1: float, k2: float, exit_pair) -> np.ndarray:

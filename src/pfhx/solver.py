@@ -6,10 +6,13 @@ characteristics: the characteristic through (t + dt, x_i) passes through
 closed-form matrix exponential.  The update is therefore exact at the
 nodes, with no discretization error beyond floating-point rounding.
 
-``step_upwind`` is an independent first-order scheme (upwind advection at
-CFL <= 1, then exact coupling at each node, i.e. operator splitting) used
-to cross-validate the exact solver.  At CFL = 1 the split update reduces
-algebraically to the characteristic update.
+``solve_upwind`` runs an independent first-order scheme (upwind advection
+at CFL <= 1, then exact coupling at each node, i.e. operator splitting)
+used to cross-validate the exact solver.  At CFL = 1 the split update
+reduces algebraically to the characteristic update.
+
+Every solver reads its boundary input through ``history.as_trace``: zero,
+a callable, or a step-indexed array such as a recorded ``Trajectory.u``.
 
 Boundary convention: node 0 at time t carries u(t) exactly.  A mismatch
 between the initial profile and u at the inflow corner is allowed; the
@@ -24,35 +27,8 @@ import numpy as np
 
 from .coupling import coupling_matrix
 from .grid import Grid, check_field
+from .history import as_trace
 from .params import Params
-
-
-def as_trace(inputs):
-    """Normalize a boundary-input source to a callable t -> (u1, u2).
-
-    Accepts a callable, an object with an ``at`` method (``InputHistory``),
-    or None for zero input.
-    """
-    if inputs is None:
-        return lambda t: np.zeros(2)
-    if hasattr(inputs, "at"):
-        return inputs.at
-    if callable(inputs):
-        return inputs
-    raise TypeError(f"cannot use {type(inputs).__name__} as a boundary trace")
-
-
-@dataclass(frozen=True)
-class SolverState:
-    """Field at a single step-aligned time, with its grid and parameters."""
-
-    t: float
-    field: np.ndarray
-    grid: Grid
-    params: Params
-
-    def __post_init__(self) -> None:
-        check_field(self.field, self.grid)
 
 
 @dataclass
@@ -231,26 +207,14 @@ def _advance_upwind(
     return out
 
 
-def step_exact(state: SolverState, inputs) -> SolverState:
-    """Advance one exact characteristic step of size dt = dx."""
-    trace = as_trace(inputs)
-    dt = state.grid.dt
-    t_new = state.t + dt
-    step_matrix = coupling_matrix(dt, state.params.h1, state.params.h2)
-    field = _advance_exact(state.field, step_matrix, trace(t_new))
-    return SolverState(t=t_new, field=field, grid=state.grid, params=state.params)
+def step_exact(field: np.ndarray, t: float, inputs, params: Params, grid: Grid) -> np.ndarray:
+    """Advance a field from time t by one exact characteristic step of size dt = dx.
 
-
-def step_upwind(state: SolverState, inputs, cfl: float) -> SolverState:
-    """Advance one split upwind step of size dt = cfl * dx."""
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    trace = as_trace(inputs)
-    dt = cfl * state.grid.dx
-    t_new = state.t + dt
-    step_matrix = coupling_matrix(dt, state.params.h1, state.params.h2)
-    field = _advance_upwind(state.field, step_matrix, cfl, trace(t_new))
-    return SolverState(t=t_new, field=field, grid=state.grid, params=state.params)
+    Returns the new field; its node 0 carries the input u(t + dt).
+    """
+    dt = grid.dt
+    step_matrix = coupling_matrix(dt, params.h1, params.h2)
+    return _advance_exact(check_field(field, grid), step_matrix, as_trace(inputs, dt)(t + dt))
 
 
 def solve_exact(
@@ -263,9 +227,9 @@ def solve_exact(
     t0: float = 0.0,
 ) -> Trajectory:
     """Run the exact solver from t0 to t0 + T and record the trajectory."""
-    trace = as_trace(inputs)
-    field = check_field(theta0, grid).copy()
     dt = grid.dt
+    trace = as_trace(inputs, dt)
+    field = check_field(theta0, grid).copy()
     n_steps, _, _ = grid.snap_steps(T)
     step_matrix = coupling_matrix(dt, params.h1, params.h2)
     rec = Recorder(grid, n_steps, dt, snapshot_stride)
@@ -291,11 +255,11 @@ def solve_upwind(
     """Run the split upwind solver from t0 to t0 + T at the given CFL."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    trace = as_trace(inputs)
-    field = check_field(theta0, grid).copy()
     dt = cfl * grid.dx
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(1.0, T):
+    trace = as_trace(inputs, dt)
+    field = check_field(theta0, grid).copy()
+    n_steps, _, changed = grid.snap_steps(T, dt=dt)
+    if changed:
         raise ValueError(f"final time {T} is not a whole number of steps dt={dt}")
     step_matrix = coupling_matrix(dt, params.h1, params.h2)
     rec = Recorder(grid, n_steps, dt, snapshot_stride)
@@ -318,7 +282,7 @@ def closed_form_state(
     reaches back to the boundary (x < t).  Used as an independent check of
     the stepped solver; both must agree to rounding.
     """
-    trace = as_trace(inputs)
+    trace = as_trace(inputs, grid.dt)
     theta0 = check_field(theta0, grid)
     j, t_snapped, changed = grid.snap_steps(t)
     if changed:
@@ -334,31 +298,3 @@ def closed_form_state(
                 trace((j - i) * grid.dt), dtype=float
             )
     return field
-
-
-def evaluate_output(trajectory: Trajectory, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """Delayed exit measurements y(t) = (theta2(t - tau, l), theta1(t - tau, l)).
-
-    Returns the step-aligned times t >= tau covered by the trajectory and
-    the matching output pairs (note the swapped order: channel 1 observes
-    stream 2 and vice versa).
-    """
-    m = int(round(tau / trajectory.dt))
-    if m < 1 or abs(m * trajectory.dt - tau) > 1e-9 * max(1.0, tau):
-        raise ValueError(f"tau={tau} is not a positive whole number of steps dt={trajectory.dt}")
-    if m >= len(trajectory.t):
-        return trajectory.t[:0], np.zeros((0, 2))
-    times = trajectory.t[m:]
-    y = trajectory.exit_values[:-m][:, ::-1].copy()
-    return times, y
-
-
-def output_at(trajectory: Trajectory, tau: float, t: float) -> np.ndarray:
-    """Point lookup of the delayed output; undefined before t = tau."""
-    if t < tau - 1e-9 * max(1.0, tau):
-        raise ValueError(f"output undefined before t = tau ({tau}); got t={t}")
-    times, y = evaluate_output(trajectory, tau)
-    j = int(round((t - times[0]) / trajectory.dt))
-    if j < 0 or j >= len(times) or abs(times[0] + j * trajectory.dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"trajectory does not cover the step-aligned time {t}")
-    return y[j].copy()

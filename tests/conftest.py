@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pfhx import Grid, InputHistory, Params
+from pfhx import Grid, Params
 
 
 @pytest.fixture
@@ -18,10 +18,3 @@ def field_from(grid: Grid, f1, f2) -> np.ndarray:
 def random_field(grid: Grid, rng, scale: float = 1.0) -> np.ndarray:
     return scale * rng.standard_normal((grid.n_cells + 1, 2))
 
-
-def history_from(dt: float, n_steps: int, values) -> InputHistory:
-    """Fill a history with step-aligned samples values[j] at t = j*dt."""
-    hist = InputHistory(dt, window=(n_steps + 1) * dt)
-    for j in range(n_steps + 1):
-        hist.append(j * dt, values[j])
-    return hist

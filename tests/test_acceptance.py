@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import field_from, history_from, random_field
+from conftest import field_from, random_field
 from pfhx import (
     Grid,
     Params,
     Scenario,
-    SolverState,
     compatibility_check,
     fit_decay,
     l2_norm,
@@ -136,11 +135,11 @@ def test_c05_predictor_closed_form_vs_brute_force():
         for _ in range(25):
             obs_field = random_field(grid, rng)
             n_hist = m + rng.integers(2, 30)
-            hist = history_from(grid.dt, n_hist, rng.standard_normal((n_hist + 1, 2)))
+            inputs = rng.standard_normal((n_hist + 1, 2))
             t_now = n_hist * grid.dt
-            fast = predict(obs_field, hist, t_now, params, grid)
-            slow = predict_by_resolve(obs_field, hist, t_now, params, grid)
-            worst = max(worst, float(np.abs(fast.field_at_t - slow.field_at_t).max()))
+            fast = predict(obs_field, inputs, t_now, params, grid)
+            slow = predict_by_resolve(obs_field, inputs, t_now, params, grid)
+            worst = max(worst, float(np.abs(fast - slow).max()))
             cases += 1
     report("C05 predictor vs brute force", cases == 100 and worst <= 1e-12,
            f"{cases} cases, sup diff={worst:.2e}")
@@ -287,27 +286,27 @@ def test_c11_conservation_and_hull_bounds():
     grid = Grid(100, 1.0)
     rng = np.random.default_rng(46)
     theta0 = rng.uniform(-1.0, 1.0, size=(grid.n_cells + 1, 2))
-    states = [SolverState(0.0, theta0, grid, params)]
+    fields = [theta0]
     u = lambda t: np.array([np.sin(t), np.cos(3.0 * t)])
-    for _ in range(80):
-        states.append(step_exact(states[-1], u))
+    for j in range(80):
+        fields.append(step_exact(fields[-1], j * grid.dt, u, params, grid))
     weights = np.array([params.h2, params.h1])
     worst_cons = 0.0
     for start_node in range(0, 80, 9):
         for start_step in range(0, 40, 7):
             length = min(grid.n_cells - start_node, 80 - start_step)
-            values = [weights @ states[start_step + q].field[start_node + q]
+            values = [weights @ fields[start_step + q][start_node + q]
                       for q in range(length + 1)]
             worst_cons = max(worst_cons, float(np.ptp(values)))
 
     hull_ok = True
-    state = SolverState(0.0, theta0, grid, params)
+    field = theta0
     for j in range(1, grid.n_cells + 1):
-        state = step_exact(state, None)
+        field = step_exact(field, (j - 1) * grid.dt, None, params, grid)
         for i in range(j, grid.n_cells + 1):
             foot = theta0[i - j]
-            if not (np.all(state.field[i] >= foot.min() - 1e-12)
-                    and np.all(state.field[i] <= foot.max() + 1e-12)):
+            if not (np.all(field[i] >= foot.min() - 1e-12)
+                    and np.all(field[i] <= foot.max() + 1e-12)):
                 hull_ok = False
     report("C11 conservation and hull bounds", worst_cons <= 1e-12 and hull_ok,
            f"conservation drift={worst_cons:.2e}, hull={hull_ok}")

@@ -10,7 +10,6 @@ from pfhx import (
     condition_report,
     coupling_matrix,
     fit_decay,
-    measure_frequency_response,
     measure_frequency_responses,
     solve_exact,
     transfer_function,
@@ -69,7 +68,7 @@ def test_measured_response_close_to_formula():
     params = make_params()
     grid = Grid(200, 1.0)
     formula = transfer_function(1j * 1.0, params).matrix
-    measured = measure_frequency_response(1.0, params, grid)
+    measured = measure_frequency_responses([1.0], params, grid)[0]
     rel = np.linalg.norm(measured - formula) / np.linalg.norm(formula)
     assert rel < 0.02
 
@@ -79,14 +78,14 @@ def test_measured_response_error_halves_under_refinement():
     formula = transfer_function(1j * 1.0, params).matrix
     errs = {}
     for n in (200, 800):
-        measured = measure_frequency_response(1.0, params, Grid(n, 1.0))
+        measured = measure_frequency_responses([1.0], params, Grid(n, 1.0))[0]
         errs[n] = np.linalg.norm(measured - formula)
     assert errs[800] <= 0.5 * errs[200]
 
 
 def test_measured_dc_gain_from_steady_state():
     params = make_params()
-    measured = measure_frequency_response(0.0, params, Grid(200, 1.0))
+    measured = measure_frequency_responses([0.0], params, Grid(200, 1.0))[0]
     g0 = transfer_function(0.0, params).matrix
     assert np.abs(measured - g0).max() < 1e-2
 
@@ -95,9 +94,9 @@ def test_measure_validation():
     params = make_params()
     grid = Grid(50, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        measure_frequency_response(-1.0, params, grid)
+        measure_frequency_responses([-1.0], params, grid)
     with pytest.raises(ValueError, match="cycles"):
-        measure_frequency_response(1.0, params, grid, cycles=3)
+        measure_frequency_responses([1.0], params, grid, cycles=3)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -4,7 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pfhx import Grid, Params, Scenario, run_scenario
+from pfhx import (
+    ConfigError,
+    Grid,
+    Params,
+    Scenario,
+    run_error_system,
+    run_open_loop,
+    run_scenario,
+)
 from pfhx.cli import _sweep_line, _sweep_worker, _write_norms, _write_snapshots, main
 
 BASE = """\
@@ -111,6 +119,25 @@ def test_snap_warning_on_stderr(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "snapped" in err
     assert "snapped" in (out / "summary.txt").read_text()
+
+
+@pytest.mark.parametrize("controller", ["error_system", "open_loop"])
+def test_T_below_half_a_step_is_config_error(tmp_path, capsys, controller):
+    # T = 0.01 snaps to zero steps of dt = 0.1
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    argv = ["-c", cfg, "--controller", controller, "--T", "0.01", "--n-cells", "10"]
+    assert main(["check", *argv]) == 2
+    assert main(["run", *argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("run.T=0.01 must cover at least half a step (dt=0.1)") == 2
+    assert not out.exists()
+    # a runner called directly refuses it as well
+    scenario = Scenario(params=Params(h1=1.0, h2=2.0, l=1.0, tau=1.5), n_cells=10, T=0.01,
+                        controller=controller)
+    runner = {"error_system": run_error_system, "open_loop": run_open_loop}[controller]
+    with pytest.raises(ConfigError, match="run.T=0.01 must cover"):
+        runner(scenario)
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400"])

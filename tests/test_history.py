@@ -1,63 +1,22 @@
-import math
-
 import numpy as np
 import pytest
 
-from pfhx import InputHistory
+from pfhx.history import as_trace
 
 
-def test_exact_lookup_at_aligned_times():
-    hist = InputHistory(dt=0.01, window=0.5)
-    for j in range(30):
-        hist.append(j * 0.01, [j, -j])
-    np.testing.assert_array_equal(hist.at(0.17), [17.0, -17.0])
-    np.testing.assert_array_equal(hist.at(0.29), [29.0, -29.0])
-    assert hist.newest_t == pytest.approx(0.29)
-
-
-def test_capacity_covers_window():
-    hist = InputHistory(dt=0.01, window=0.5)
-    assert hist.capacity >= math.ceil(0.5 / 0.01) + 1
-
-
-def test_window_slides_and_drops_oldest():
-    hist = InputHistory(dt=0.1, window=0.3)
-    for j in range(10):
-        hist.append(j * 0.1, [j, j])
-    # capacity is 4: only the last four samples remain
-    assert len(hist) == hist.capacity
-    assert hist.oldest_t == pytest.approx(0.6)
-    with pytest.raises(ValueError, match="no input stored"):
-        hist.at(0.5)
-    np.testing.assert_array_equal(hist.at(0.9), [9.0, 9.0])
-
-
-def test_lookup_names_the_missing_time():
-    hist = InputHistory(dt=0.1, window=1.0)
-    hist.append(0.0, [0.0, 0.0])
-    with pytest.raises(ValueError, match="0.4"):
-        hist.at(0.4)
-
-
-def test_misaligned_time_rejected():
-    hist = InputHistory(dt=0.1, window=1.0)
-    hist.append(0.0, [0.0, 0.0])
-    with pytest.raises(ValueError, match="not aligned"):
-        hist.at(0.05)
-    with pytest.raises(ValueError, match="not aligned"):
-        hist.append(0.1499, [1.0, 1.0])
-
-
-def test_appends_must_be_contiguous():
-    hist = InputHistory(dt=0.1, window=1.0)
-    hist.append(0.0, [0.0, 0.0])
-    with pytest.raises(ValueError, match="contiguously"):
-        hist.append(0.3, [1.0, 1.0])
-
-
-def test_covers_reports_missing_times():
-    hist = InputHistory(dt=0.1, window=1.0)
-    for j in range(3, 6):
-        hist.append(j * 0.1, [j, j])
-    missing = hist.covers(0.1, 0.5)
-    assert missing == pytest.approx([0.1, 0.2])
+def test_array_input_is_read_by_step_and_names_bad_times():
+    samples = np.column_stack([np.arange(30.0), -np.arange(30.0)])  # u[j] = u(j * 0.01)
+    trace = as_trace(samples, 0.01)
+    np.testing.assert_array_equal(trace(0.17), [17.0, -17.0])
+    np.testing.assert_array_equal(trace(0.29), [29.0, -29.0])
+    np.testing.assert_array_equal(trace(0.0), [0.0, 0.0])
+    trace(0.17)[0] = 99.0  # a lookup hands out a copy
+    assert samples[17, 0] == 17.0
+    with pytest.raises(ValueError, match=r"time 0\.005 is not aligned"):
+        trace(0.005)
+    with pytest.raises(ValueError, match=r"missing at t=-0\.01\b"):
+        trace(-0.01)  # no wrap to the last sample
+    with pytest.raises(ValueError, match=r"missing at t=0\.3\b"):
+        trace(0.3)  # one step past the end
+    with pytest.raises(ValueError, match="shape"):
+        as_trace(np.zeros((3, 3)), 0.01)

@@ -8,8 +8,6 @@ from conftest import field_from
 from pfhx import (
     ConfigError,
     Grid,
-    InputHistory,
-    ObserverState,
     Params,
     Scenario,
     control_law,
@@ -26,6 +24,8 @@ from pfhx import (
     run_scenario,
 )
 from pfhx.coupling import coupling_matrix
+from pfhx.history import as_trace
+from pfhx.loop import check_scenario
 from pfhx.solver import _advance_exact
 
 
@@ -142,6 +142,20 @@ def test_T_not_exceeding_tau_is_config_error():
     sc = scenario_with(tau=1.5, T=1.0)
     with pytest.raises(ConfigError, match="must exceed"):
         run_closed_loop(sc)
+
+
+def test_upwind_open_loop_snaps_T_once_to_its_own_step():
+    # dt = cfl * dx = 0.03: T = 0.26 is 9 steps (0.27), not 10 steps of a
+    # T first snapped to dx (0.3); check reports the snap the run makes
+    sc = scenario_with(T=0.26, n=10, controller="open_loop", solver="upwind", cfl=0.3)
+    assert check_scenario(sc) == ["T snapped from 0.26 to 0.27"]
+    result = run_open_loop(sc)
+    assert len(result.trajectory.t) == 10
+    assert result.summary.T_used == pytest.approx(0.27)
+    assert result.summary.warnings.count("T snapped from 0.26 to 0.27") == 1
+    assert check_scenario(dataclasses.replace(sc, T=1.0)) == ["T snapped from 1 to 0.99"]
+    with pytest.raises(ConfigError, match="run.cfl"):  # the step is cfl * dx
+        run_open_loop(dataclasses.replace(sc, cfl=0.0))
 
 
 def test_sano_baseline_inside_window_decays():
@@ -318,33 +332,34 @@ def _reference_closed_loop(sc: Scenario) -> dict:
     step_matrix = coupling_matrix(dt, p.h1, p.h2)
     warm = [input_function(spec) for spec in sc.warmup_u]
     plant = sc.theta0.copy()
-    obs = ObserverState(s=0.0, field=sc.observer0.copy(), grid=grid, params=p)
-    u_hist = InputHistory(dt, window=sc.T + dt)
-    exit_hist = InputHistory(dt, window=sc.T + dt)
-    u_hist.append(0.0, np.zeros(2))
-    exit_hist.append(0.0, plant[n])
+    obs = sc.observer0.copy()
+    # the samples recorded so far, read back by time
+    u_hist = np.zeros((n_steps + 1, 2))
+    exit_hist = np.zeros((n_steps + 1, 2))
+    exit_hist[0] = plant[n]
     plants = [plant]
     out = {"u": [np.zeros(2)], "exit_values": [plant[n]], "pred_err_at_l": [np.zeros(2)],
-           "obs_err_l2": [l2_norm(obs.field - plant, grid)]}
+           "obs_err_l2": [l2_norm(obs - plant, grid)]}
     for jn in range(1, n_steps + 1):
         t = jn * dt
         pred = None
         if jn > m:
             s = (jn - m) * dt
-            obs = observer_step(obs, exit_hist.at(s)[::-1], u_hist.at(s))
-            pred = predict_exit(obs.field, u_hist, t, p, grid)
+            y = as_trace(exit_hist[:jn], dt)(s)[::-1]
+            obs = observer_step(obs, y, as_trace(u_hist[:jn], dt)(s), p, grid)
+            pred = predict_exit(obs, u_hist[:jn], t, p, grid)
             u = control_law(pred, p, t, tau=tau_used)
         else:
             u = np.array([warm[0](t), warm[1](t)])
         plant = _advance_exact(plant, step_matrix, u)
         plants.append(plant)
-        u_hist.append(t, u)
-        exit_hist.append(t, plant[n])
+        u_hist[jn] = u
+        exit_hist[jn] = plant[n]
         out["u"].append(u)
         out["exit_values"].append(plant[n])
         out["pred_err_at_l"].append(np.zeros(2) if pred is None else pred - plant[n])
         out["obs_err_l2"].append(
-            l2_norm(obs.field - plants[jn - m], grid) if jn >= m else out["obs_err_l2"][0]
+            l2_norm(obs - plants[jn - m], grid) if jn >= m else out["obs_err_l2"][0]
         )
     return {name: np.array(values) for name, values in out.items()}
 
@@ -373,13 +388,15 @@ def test_sano_baseline_matches_reference_loop(tau):
     n, dt = grid.n_cells, grid.dt
     step_matrix = coupling_matrix(dt, sc.params.h1, sc.params.h2)
     plant = sc.theta0.copy()
-    exit_hist = InputHistory(dt, window=sc.T + dt)
-    exit_hist.append(0.0, plant[n])
+    exit_hist = np.zeros((n_steps + 1, 2))
+    exit_hist[0] = plant[n]
     u_ref, exits_ref = [np.zeros(2)], [plant[n]]
     for jn in range(1, n_steps + 1):
-        u = np.array([0.0, -k * exit_hist.at((jn - m) * dt)[0]]) if jn >= m else np.zeros(2)
+        u = np.zeros(2)
+        if jn >= m:
+            u[1] = -k * as_trace(exit_hist[:jn], dt)((jn - m) * dt)[0]
         plant = _advance_exact(plant, step_matrix, u)
-        exit_hist.append(jn * dt, plant[n])
+        exit_hist[jn] = plant[n]
         u_ref.append(u)
         exits_ref.append(plant[n])
     assert np.array_equal(traj.u, np.array(u_ref))
@@ -420,13 +437,13 @@ def test_error_system_matches_reference_loop(tau):
     traj = run_error_system(sc).trajectory
     grid = Grid(sc.n_cells, sc.params.l)
     n_steps, _, _ = grid.snap_steps(sc.T)
-    err = ObserverState(s=0.0, field=sc.observer0 - sc.theta0, grid=grid, params=sc.params)
-    u_ref, exits_ref, norms_ref = [np.zeros(2)], [err.field[-1]], [l2_norm(err.field, grid)]
+    err = sc.observer0 - sc.theta0
+    u_ref, exits_ref, norms_ref = [np.zeros(2)], [err[-1]], [l2_norm(err, grid)]
     for _ in range(n_steps):
-        err = observer_step(err, np.zeros(2), np.zeros(2))
-        u_ref.append(err.field[0])
-        exits_ref.append(err.field[-1])
-        norms_ref.append(l2_norm(err.field, grid))
+        err = observer_step(err, np.zeros(2), np.zeros(2), sc.params, grid)
+        u_ref.append(err[0])
+        exits_ref.append(err[-1])
+        norms_ref.append(l2_norm(err, grid))
     assert np.array_equal(traj.u, np.array(u_ref))
     assert np.array_equal(traj.exit_values, np.array(exits_ref))
     assert np.array_equal(traj.plant_l2, np.array(norms_ref))

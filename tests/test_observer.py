@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import field_from, history_from, random_field
+from conftest import random_field
 from pfhx import (
     Grid,
-    ObserverState,
     Params,
-    Prediction,
-    SolverState,
     control_law,
     observer_step,
     predict,
@@ -25,10 +22,9 @@ def make_params(tau=0.5, k1=0.5, k2=0.5, h1=1.0, h2=2.0):
 
 def simulate_plant(grid, params, theta0, u_fn, n_steps):
     """Plant rollout returning the field, exit pair, and input at every step."""
-    states = [SolverState(0.0, theta0.copy(), grid, params)]
-    for _ in range(n_steps):
-        states.append(step_exact(states[-1], u_fn))
-    fields = [s.field for s in states]
+    fields = [theta0.copy()]
+    for j in range(n_steps):
+        fields.append(step_exact(fields[-1], j * grid.dt, u_fn, params, grid))
     exits = np.array([f[-1] for f in fields])
     inputs = np.array([u_fn(j * grid.dt) for j in range(n_steps + 1)])
     return fields, exits, inputs
@@ -40,11 +36,9 @@ def drive_observer(obs0, grid, params, exits, inputs, n_steps):
     The measurement injected at observer time s is the exit pair at s in
     swapped order (that is what arrives at wall clock s + tau).
     """
-    obs = ObserverState(0.0, obs0.copy(), grid, params)
-    trace = [obs.field]
+    trace = [obs0.copy()]
     for j in range(1, n_steps + 1):
-        obs = observer_step(obs, exits[j][::-1], inputs[j])
-        trace.append(obs.field)
+        trace.append(observer_step(trace[-1], exits[j][::-1], inputs[j], params, grid))
     return trace
 
 
@@ -64,10 +58,10 @@ def test_observer_initialized_at_truth_tracks_plant():
 def test_zero_observer_stays_zero():
     grid = Grid(30, 1.0)
     params = make_params()
-    obs = ObserverState(0.0, zero_field(grid), grid, params)
+    obs = zero_field(grid)
     for _ in range(60):
-        obs = observer_step(obs, np.zeros(2), np.zeros(2))
-    assert np.all(obs.field == 0.0)
+        obs = observer_step(obs, np.zeros(2), np.zeros(2), params, grid)
+    assert np.all(obs == 0.0)
 
 
 def test_estimation_error_is_autonomous():
@@ -106,11 +100,10 @@ def test_predict_with_exact_estimate_recovers_truth(tau):
     m = round(tau / grid.dt)
     horizon = m + 60
     fields, exits, inputs = simulate_plant(grid, params, theta0, u_fn, horizon)
-    hist = history_from(grid.dt, horizon, inputs)
     t_now = horizon * grid.dt
-    pred = predict(fields[horizon - m], hist, t_now, params, grid)
-    np.testing.assert_allclose(pred.field_at_t, fields[horizon], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(pred.boundary_value_at_l, exits[horizon], rtol=0, atol=1e-12)
+    pred = predict(fields[horizon - m], inputs, t_now, params, grid)
+    np.testing.assert_allclose(pred, fields[horizon], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pred[-1], exits[horizon], rtol=0, atol=1e-12)
 
 
 def test_predicted_exit_ignores_estimate_when_tau_exceeds_l():
@@ -118,37 +111,53 @@ def test_predicted_exit_ignores_estimate_when_tau_exceeds_l():
     params = make_params(tau=1.5)
     rng = np.random.default_rng(23)
     inputs = rng.standard_normal((200, 2))
-    hist = history_from(grid.dt, 199, inputs)
     t_now = 199 * grid.dt
-    exit_a = predict_exit(random_field(grid, rng), hist, t_now, params, grid)
-    exit_b = predict_exit(random_field(grid, rng), hist, t_now, params, grid)
+    exit_a = predict_exit(random_field(grid, rng), inputs, t_now, params, grid)
+    exit_b = predict_exit(random_field(grid, rng), inputs, t_now, params, grid)
     np.testing.assert_array_equal(exit_a, exit_b)
-    expected = coupling_matrix(params.l, params.h1, params.h2) @ hist.at(t_now - params.l)
+    expected = coupling_matrix(params.l, params.h1, params.h2) @ inputs[199 - grid.n_cells]
     np.testing.assert_allclose(exit_a, expected, rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("tau", [0.2, 0.9, 1.3])
-def test_predict_matches_brute_force_resolve(tau):
-    grid = Grid(100, 1.0)
-    params = make_params(tau=tau)
+@pytest.mark.parametrize(
+    "tau, h1, n_cells",
+    [
+        (0.2, 1.0, 100),
+        (0.9, 1.0, 100),
+        (1.3, 1.0, 100),
+        (0.01, 1.0, 100),  # tau = dt
+        (0.99, 1.0, 100),  # l - dt
+        (1.0, 1.0, 100),  # l
+        (1.01, 1.0, 100),  # l + dt
+        (0.5, 0.0, 100),
+        (1.3, 0.0, 100),
+        (0.5, 1.0, 1),  # one cell: tau snaps to dt = l
+        (2.0, 1.0, 1),
+    ],
+    ids=["0.2", "0.9", "1.3", "tau=dt", "tau=l-dt", "tau=l", "tau=l+dt",
+         "h1=0", "h1=0-tau>l", "n_cells=1", "n_cells=1-tau>l"],
+)
+def test_predict_matches_brute_force_resolve(tau, h1, n_cells):
+    grid = Grid(n_cells, 1.0)
+    params = make_params(tau=tau, h1=h1)
     rng = np.random.default_rng(24)
-    m = round(tau / grid.dt)
+    m, _, _ = grid.snap_tau(tau)
     for _ in range(4):
         obs_field = random_field(grid, rng)
         n_hist = m + 10
-        hist = history_from(grid.dt, n_hist, rng.standard_normal((n_hist + 1, 2)))
+        inputs = rng.standard_normal((n_hist + 1, 2))
         t_now = n_hist * grid.dt
-        fast = predict(obs_field, hist, t_now, params, grid)
-        slow = predict_by_resolve(obs_field, hist, t_now, params, grid)
-        np.testing.assert_allclose(fast.field_at_t, slow.field_at_t, rtol=0, atol=1e-12)
+        fast = predict(obs_field, inputs, t_now, params, grid)
+        slow = predict_by_resolve(obs_field, inputs, t_now, params, grid)
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
 
 
 def test_predict_reports_missing_input_times():
     grid = Grid(10, 1.0)
     params = make_params(tau=0.5)
-    hist = history_from(grid.dt, 2, np.zeros((3, 2)))  # covers only t <= 0.2
+    inputs = np.zeros((3, 2))  # covers only t <= 0.2
     with pytest.raises(ValueError, match="missing"):
-        predict(zero_field(grid), hist, 0.6, params, grid)
+        predict(zero_field(grid), inputs, 0.6, params, grid)
 
 
 def test_prediction_error_propagates_estimate_error():
@@ -164,25 +173,24 @@ def test_prediction_error_propagates_estimate_error():
     n = grid.n_cells
 
     inputs = rng.standard_normal((m + 1, 2))
-    hist = history_from(grid.dt, m, inputs)
     t_now = m * grid.dt
 
-    pred_true = predict(theta, hist, t_now, params, grid)
-    pred_obs = predict(theta + w, hist, t_now, params, grid)
-    gap = pred_obs.boundary_value_at_l - pred_true.boundary_value_at_l
+    pred_true = predict(theta, inputs, t_now, params, grid)
+    pred_obs = predict(theta + w, inputs, t_now, params, grid)
+    gap = pred_obs[-1] - pred_true[-1]
 
     direct = coupling_matrix(m * grid.dt, params.h1, params.h2) @ w[n - m]
     np.testing.assert_allclose(gap, direct, rtol=0, atol=1e-12)
 
-    state = SolverState(0.0, w.copy(), grid, params)
-    for _ in range(m):
-        state = step_exact(state, None)  # zero inflow: both predictors share u
-    np.testing.assert_allclose(gap, state.field[n], rtol=0, atol=1e-10)
+    field = w.copy()
+    for j in range(m):  # zero inflow: both predictors share u
+        field = step_exact(field, j * grid.dt, None, params, grid)
+    np.testing.assert_allclose(gap, field[n], rtol=0, atol=1e-10)
 
 
 def test_control_law_zero_until_delay_elapses():
     params = make_params(tau=1.5)
-    pred = Prediction(t=1.0, field_at_t=np.zeros((2, 2)), boundary_value_at_l=np.array([3.0, 4.0]))
+    pred = np.array([3.0, 4.0])
     np.testing.assert_array_equal(control_law(pred, params, t=1.0), [0.0, 0.0])
     np.testing.assert_array_equal(control_law(pred, params, t=1.5), [0.0, 0.0])
 

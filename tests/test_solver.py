@@ -2,19 +2,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import field_from, history_from, random_field
+from conftest import field_from, random_field
 from pfhx import (
     Grid,
     Params,
-    SolverState,
     closed_form_state,
-    evaluate_output,
     l2_norm,
-    output_at,
     solve_exact,
     solve_upwind,
     step_exact,
-    step_upwind,
     zero_field,
 )
 
@@ -32,11 +28,10 @@ def test_zero_field_zero_input_stays_zero():
 
 def test_equal_components_are_coupling_fixed_point():
     grid = Grid(40, 1.0)
-    state = SolverState(0.0, field_from(grid, 3.0, 3.0), grid, params_with())
-    state = step_exact(state, None)
+    field = step_exact(field_from(grid, 3.0, 3.0), 0.0, None, params_with(), grid)
     # nodes fed from the interior keep the common value; node 0 takes u = 0
-    np.testing.assert_allclose(state.field[1:], 3.0, rtol=0, atol=1e-13)
-    assert state.field[0, 0] == 0.0 and state.field[0, 1] == 0.0
+    np.testing.assert_allclose(field[1:], 3.0, rtol=0, atol=1e-13)
+    assert field[0, 0] == 0.0 and field[0, 1] == 0.0
 
 
 def test_characteristic_point_value_vs_ode_oracle():
@@ -61,11 +56,11 @@ def test_pure_advection_when_decoupled():
     grid = Grid(80, 1.0)
     params = params_with(h1=0.0, h2=0.0)
     theta0 = field_from(grid, lambda x: np.sin(2 * np.pi * x), lambda x: x**2)
-    state = SolverState(0.0, theta0, grid, params)
+    field = theta0
     steps = 30
-    for _ in range(steps):
-        state = step_exact(state, None)
-    np.testing.assert_allclose(state.field[steps:], theta0[:-steps], rtol=0, atol=0)
+    for j in range(steps):
+        field = step_exact(field, j * grid.dt, None, params, grid)
+    np.testing.assert_allclose(field[steps:], theta0[:-steps], rtol=0, atol=0)
 
 
 def test_constant_input_steady_state():
@@ -101,11 +96,11 @@ def test_closed_form_agrees_with_stepping():
     u = lambda t: np.array([np.sin(3.0 * t), np.cos(2.0 * t)])
     for t_query in (0.37, 1.0, 2.31):
         j, t_snapped, _ = grid.snap_steps(t_query)
-        state = SolverState(0.0, theta0.copy(), grid, params)
-        for _ in range(j):
-            state = step_exact(state, u)
+        field = theta0
+        for q in range(j):
+            field = step_exact(field, q * grid.dt, u, params, grid)
         direct = closed_form_state(theta0, u, t_snapped, params, grid)
-        np.testing.assert_allclose(state.field, direct, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(field, direct, rtol=0, atol=1e-12)
 
 
 def test_linearity_of_solution_operator():
@@ -143,17 +138,17 @@ def test_conservation_along_characteristics():
     grid = Grid(60, 1.0)
     params = params_with(h1=0.8, h2=1.9)
     rng = np.random.default_rng(10)
-    states = [SolverState(0.0, random_field(grid, rng), grid, params)]
+    fields = [random_field(grid, rng)]
     u = lambda t: np.array([np.sin(t), np.cos(t)])
-    for _ in range(40):
-        states.append(step_exact(states[-1], u))
+    for j in range(40):
+        fields.append(step_exact(fields[-1], j * grid.dt, u, params, grid))
     weights = np.array([params.h2, params.h1])
     worst = 0.0
     for start_node in range(0, 40, 7):
         for start_step in range(0, 15, 4):
             length = min(grid.n_cells - start_node, 40 - start_step)
             values = [
-                weights @ states[start_step + q].field[start_node + q]
+                weights @ fields[start_step + q][start_node + q]
                 for q in range(length + 1)
             ]
             worst = max(worst, np.ptp(values))
@@ -165,14 +160,14 @@ def test_hull_bounds_zero_input():
     params = params_with(h1=2.0, h2=0.7)
     rng = np.random.default_rng(11)
     theta0 = rng.uniform(-1.0, 1.0, size=(grid.n_cells + 1, 2))
-    state = SolverState(0.0, theta0, grid, params)
+    field = theta0
     for j in range(1, grid.n_cells + 1):
-        state = step_exact(state, None)
+        field = step_exact(field, (j - 1) * grid.dt, None, params, grid)
         for i in range(j, grid.n_cells + 1):
             foot = theta0[i - j]
             lo, hi = foot.min(), foot.max()
-            assert np.all(state.field[i] >= lo - 1e-12)
-            assert np.all(state.field[i] <= hi + 1e-12)
+            assert np.all(field[i] >= lo - 1e-12)
+            assert np.all(field[i] <= hi + 1e-12)
 
 
 def test_upwind_at_cfl_one_matches_exact():
@@ -207,40 +202,9 @@ def test_upwind_first_order_convergence():
 
 def test_upwind_cfl_validation():
     grid = Grid(10, 1.0)
-    state = SolverState(0.0, zero_field(grid), grid, params_with())
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError, match="cfl"):
-            step_upwind(state, None, bad)
-
-
-def test_delayed_output_cross_structure():
-    grid = Grid(50, 1.0)
-    params = params_with()
-    theta0 = field_from(grid, lambda x: x, lambda x: 1.0 - x)
-    traj = solve_exact(theta0, None, 2.0, params, grid)
-    tau = 0.5
-    times, y = evaluate_output(traj, tau)
-    m = round(tau / traj.dt)
-    assert times[0] == pytest.approx(tau)
-    # y(tau) reveals the initial exit pair, swapped
-    np.testing.assert_array_equal(y[0], theta0[-1][::-1])
-    np.testing.assert_array_equal(y[:, 0], traj.exit_values[:-m, 1])
-    np.testing.assert_array_equal(y[:, 1], traj.exit_values[:-m, 0])
-
-
-def test_output_undefined_before_delay():
-    grid = Grid(20, 1.0)
-    traj = solve_exact(zero_field(grid), None, 2.0, params_with(), grid)
-    with pytest.raises(ValueError, match="undefined before"):
-        output_at(traj, 0.5, 0.25)
-    np.testing.assert_array_equal(output_at(traj, 0.5, 1.0), [0.0, 0.0])
-
-
-def test_zero_trajectory_gives_zero_outputs():
-    grid = Grid(20, 1.0)
-    traj = solve_exact(zero_field(grid), None, 2.0, params_with(), grid)
-    _, y = evaluate_output(traj, 0.5)
-    assert np.all(y == 0.0)
+            solve_upwind(zero_field(grid), None, 1.0, params_with(), grid, cfl=bad)
 
 
 def test_time_shift_invariance():
@@ -257,7 +221,6 @@ def test_time_shift_invariance():
 
 def test_missing_boundary_value_names_time():
     grid = Grid(10, 1.0)
-    hist = history_from(grid.dt, 3, np.zeros((4, 2)))  # covers t <= 0.3
-    state = SolverState(0.3, zero_field(grid), grid, params_with())
+    inputs = np.zeros((4, 2))  # covers t <= 0.3
     with pytest.raises(ValueError, match="0.4"):
-        step_exact(state, hist)
+        step_exact(zero_field(grid), 0.3, inputs, params_with(), grid)
