@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .coupling import coupling_matrix
 from .grid import Grid
 from .params import GainReport, Params, SanoReport, sano_window, validate_gains
-from .solver import _advance_upwind
+from .solver import _advance_upwind, _physical_memory
 
 
 @dataclass(frozen=True)
@@ -63,13 +62,6 @@ def transfer_function(s: complex, params: Params) -> TransferEval:
         / rate
     )
     return TransferEval(s=s, matrix=matrix)
-
-
-def _physical_memory() -> float:
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        return math.inf
 
 
 def measure_frequency_responses(

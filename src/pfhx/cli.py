@@ -82,17 +82,30 @@ def _format_rows(block: np.ndarray) -> str:
     return "\n".join([row] * rows) % tuple(block.ravel().tolist())
 
 
+_NORMS_HEADER = "t,plant_l2,obs_err_l2,pred_err1_at_l,pred_err2_at_l,u1,u2,theta1_at_l,theta2_at_l"
+
+
+def _norms_columns(traj) -> list[np.ndarray]:
+    """The norms.csv columns, in header order, as views of the trajectory."""
+    return [traj.t, traj.plant_l2, traj.obs_err_l2, *traj.pred_err_at_l.T, *traj.u.T,
+            *traj.exit_values.T]
+
+
 def _write_norms(path: Path, result: RunResult) -> None:
-    traj = result.trajectory
-    table = np.column_stack(
-        [traj.t, traj.plant_l2, traj.obs_err_l2, traj.pred_err_at_l, traj.u, traj.exit_values]
-    )
-    header = "t,plant_l2,obs_err_l2,pred_err1_at_l,pred_err2_at_l,u1,u2,theta1_at_l,theta2_at_l"
+    columns = _norms_columns(result.trajectory)
     blocks = (
-        _format_rows(table[start:start + _NORMS_BLOCK_ROWS])
-        for start in range(0, len(table), _NORMS_BLOCK_ROWS)
+        _format_rows(np.column_stack([c[start:start + _NORMS_BLOCK_ROWS] for c in columns]))
+        for start in range(0, len(columns[0]), _NORMS_BLOCK_ROWS)
     )
-    _write_lines(path, itertools.chain([header], blocks))
+    _write_lines(path, itertools.chain([_NORMS_HEADER], blocks))
+
+
+def _first_non_finite(result: RunResult) -> str:
+    """Where the first non-finite value of norms.csv is: its step, time and column."""
+    columns = _norms_columns(result.trajectory)
+    bad = np.column_stack([~np.isfinite(c) for c in columns])
+    j = int(np.argmax(bad.any(axis=1)))
+    return f"step {j} (t={columns[0][j]:g}) in {_NORMS_HEADER.split(',')[int(np.argmax(bad[j]))]}"
 
 
 def _snapshot_block(t: float, snap: np.ndarray, node_tails: list[str]) -> str:
@@ -158,7 +171,8 @@ def cmd_run(cfg: Config) -> int:
     _write_summary(outdir / "summary.txt", result, warnings)
     _emit_warnings(warnings)
     if not result.summary.finite:
-        print("numerical failure: trajectory contains non-finite values", file=sys.stderr)
+        print(f"numerical failure: first non-finite value at {_first_non_finite(result)}",
+              file=sys.stderr)
         return 3
     return 0
 

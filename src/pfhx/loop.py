@@ -1,19 +1,27 @@
 """Closed-loop, baseline, and open-loop run orchestration.
 
-A step of the observer-predictor loop, arriving at wall-clock time t:
+The observer-predictor loop uses information in this order at wall-clock
+time t:
 
-1. read the delayed measurement y(t) (plant exits recorded tau ago),
-2. advance the observer to its new time t - tau using y(t) and the stored
-   input u(t - tau),
-3. form the predicted exit values at t (closed form; for tau > l this uses
-   only the stored input u(t - l)),
-4. apply the feedback u(t) = (-k1 * pred2, -k2 * pred1),
-5. advance the plant with u(t) at the inflow nodes.
+1. the delayed measurement y(t) arrives (the plant exits at s = t - tau),
+2. the observer advances to its own time s using y(t) and the stored
+   input u(s),
+3. the predicted exit values at t follow in closed form (for tau > l
+   from the stored input u(t - l) only),
+4. the feedback u(t) = (-k1 * pred2, -k2 * pred1) is applied at the
+   plant's inflow nodes.
 
 Every quantity is evaluated at step-aligned times, and the control applied
 at t uses only information available strictly before t plus the
 measurement that arrives at t.  While t <= tau no measurement exists and
 the input is an optional open-loop warm-up signal (zero by default).
+
+The simulation does the same arithmetic in another order: the observer
+runs in its own time, in step with the plant.  Simulation step s advances
+the plant to s, sets its inflow u(s), then advances the observer to s,
+whose inflow needs y(s) and u(s), both known by then.  The prediction for
+step s + m is made from obs(s) and kept until that step.  So u(t) still
+reads obs(t - tau) only, and no plant field from tau ago is kept.
 
 The estimation error evolves autonomously (its boundary condition is the
 homogeneous cross coupling), so ``run_error_system`` simulates it directly;
@@ -21,8 +29,8 @@ it doubles as the decoupling oracle and as the empirical probe of the
 decay rate of the delay-free feedback generator.
 
 Every stepped run shares one skeleton, ``_simulate``: it advances the
-interior of the field by one exact step, asks a boundary law for the
-inflow pair, and records.  The laws are the observer-predictor above, the
+interiors of the fields in a recorder block row by one exact step and asks
+a boundary law for the inflow pair.  The laws are the observer-predictor above, the
 static (Sano) feedback, and the cross feedback on the current exits, which
 is both the delay-free reference loop and, started from the initial
 estimation error without warm-up, the error system.  Open-loop runs use
@@ -34,7 +42,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -43,10 +50,13 @@ from .analysis import ConditionReport, DecayReport, condition_report, fit_decay
 from .coupling import coupling_matrix
 from .errors import ConfigError
 from .grid import Grid, _l2, check_field
-from .observer import _advance_observer, _cross_law, _exit_propagator, _predict_exit
+from .observer import _cross_law, _exit_propagator, _inject, _predict_exit
 from .params import Params, SanoReport, sano_window
 from .profiles import input_function, profile_array
-from .solver import Recorder, Trajectory, _advance_exact, solve_exact, solve_upwind
+from .solver import (
+    Recorder, Trajectory, _advance_exact, _mix_operand, _physical_memory, solve_exact,
+    solve_upwind,
+)
 
 
 @dataclass
@@ -130,8 +140,8 @@ class _Run:
 def _prepare(scenario: Scenario, delayed: bool) -> _Run:
     """Snap tau to dt = dx and T to the run's own step (cfl * dx for upwind runs).
 
-    T must cover at least half a step, and a delayed run must outlast its
-    delay.
+    T must cover at least half a step, a delayed run must outlast its
+    delay, and the recorded trajectory must fit in physical memory.
     """
     if not 0.0 < scenario.cfl <= 1.0:
         raise ConfigError(f"run.cfl must lie in (0, 1], got {scenario.cfl}")
@@ -144,6 +154,14 @@ def _prepare(scenario: Scenario, delayed: bool) -> _Run:
     if delayed and n_steps <= m:
         raise ConfigError(
             f"run.T={scenario.T:g} must exceed the delay tau={tau_used:g} for controlled runs"
+        )
+    need = Recorder.bytes_needed(grid.n_cells + 1, n_steps, dt, scenario.snapshot_stride)
+    memory = _physical_memory()
+    if need > memory:
+        raise ConfigError(
+            f"run.T={scenario.T:g} at grid.n_cells={scenario.n_cells} and "
+            f"run.snapshot_stride={scenario.snapshot_stride:g} needs {need / 2**30:.3g} GiB "
+            f"to record, more than the physical memory ({memory / 2**30:.3g} GiB)"
         )
     warnings = []
     if tau_snapped:
@@ -207,58 +225,56 @@ def _summarize(
     )
 
 
-# A boundary law is called as law(scenario, run, rec, theta0, observer0) and
-# returns the field to evolve and inflow(jn, field): the pair to impose at
-# x = 0 at step jn, given the field with its interior already advanced.
+# A boundary law is called as law(scenario, run, rec, theta0, observer0)
+# and returns the fields to evolve, stacked in that order in each block row,
+# and inflow(jn, row): the plant's pair to impose at x = 0 at step jn, given
+# the row with every interior already advanced.  inflow sets the inflow of
+# any other field itself.
 
 
 def _observer_predictor(scenario, run, rec, theta0, observer0):
-    """Observer at t - tau, closed-form exit prediction, cross feedback on it.
+    """Observer in its own time, closed-form exit prediction, cross feedback on it.
 
-    The recorder keeps u and the exits at every step index; the delayed
-    samples are read back from it by index.  The law also records the
-    observer error and the prediction error at the exit; from step m on the
-    recorder norms the observer error in blocks.
+    Each row holds the plant and the observer at the same step s.  Once the
+    law knows u(s), the observer takes its inflow from y(s), the plant exits
+    in that row, and u(s).  The recorder keeps u at every step index and
+    norms obs(s) - theta(s) into ``obs_err_l2[s + m]``.  For m <= n the
+    exit prediction for step s + m is made from obs(s) and kept until then;
+    for m > n it is made at s from the stored input u(s - l).
     """
     p, m, n = scenario.params, run.m, run.grid.n_cells
-    k1, k2, dt, dx = p.k1, p.k2, run.grid.dt, run.grid.dx
-    step_matrix = coupling_matrix(dt, p.h1, p.h2)
+    k1, k2, dt = p.k1, p.k2, run.grid.dt
     prop = _exit_propagator(m, n, run.tau_used, p)
     warm = _input_pair(scenario.warmup_u)
-    plants = deque([theta0], maxlen=m + 1)  # plants[0] is the plant from tau ago
-    init_err = rec.obs_err_l2[0] = _l2(observer0 - theta0, dx)
-    obs = observer0
+    rec.obs_err_l2[:m] = _l2(observer0 - theta0, run.grid.dx)
+    ahead = np.empty((m, 2)) if m <= n else None  # step s reads, then refills, row s % m
 
-    def inflow(jn, field):
-        nonlocal obs
-        plants.append(field)  # its node 0 is set before a later step reads it
-        if jn > m:
-            y = rec.exit_values[jn - m][::-1]  # y(t) reveals the plant exits at s = t - tau
-            obs = _advance_observer(obs, step_matrix, k1, k2, y, rec.u[jn - m])
-            pred_exit = _predict_exit(obs, rec.u[jn - n] if m > n else None, m, prop)
-            rec.pred_err_at_l[jn] = pred_exit - field[-1]
+    def inflow(s, row):
+        if s > m:
+            pred_exit = prop @ rec.u[s - n] if m > n else ahead[s % m]
+            rec.pred_err_at_l[s] = pred_exit - row[-1, 0]
             u_new = _cross_law(k1, k2, pred_exit)
         else:
-            u_new = warm(jn * dt)
-        if jn >= m:
-            rec.record_obs_err(jn, obs, plants[0])
-        else:
-            rec.obs_err_l2[jn] = init_err
+            u_new = warm(s * dt)
+        obs = row[:, 1]
+        _inject(obs, k1, k2, row[-1, 0, ::-1], u_new)  # y(s) is the swapped plant exit pair
+        if m <= n:
+            ahead[s % m] = _predict_exit(obs, None, m, prop)
         return u_new
 
-    return theta0, inflow
+    return (theta0, observer0), inflow
 
 
 def _static_feedback(scenario, run, rec, theta0, observer0):
     """Sano's static delayed output feedback u1 = 0, u2(t) = -k * theta1(t - tau, l)."""
     k, m = scenario.sano_k, run.m
 
-    def inflow(jn, field):
+    def inflow(jn, row):
         if jn >= m:
-            return np.array([0.0, -k * rec.exit_values[jn - m, 0]])
+            return np.array([0.0, -k * rec.exit_at(jn - m)[0]])
         return np.zeros(2)
 
-    return theta0, inflow
+    return (theta0,), inflow
 
 
 def _cross_feedback(scenario, run, rec, theta0, observer0):
@@ -272,30 +288,31 @@ def _cross_feedback(scenario, run, rec, theta0, observer0):
     wait = run.m if run.delayed else 0
     warm = _input_pair(scenario.warmup_u)
 
-    def inflow(jn, field):
+    def inflow(jn, row):
         if jn > wait:
-            return _cross_law(k1, k2, field[-1])
+            return _cross_law(k1, k2, row[-1, 0])
         return warm(jn * dt)
 
-    return (theta0 if run.delayed else observer0 - theta0), inflow
+    return (theta0 if run.delayed else observer0 - theta0,), inflow
 
 
 def _simulate(scenario: Scenario, law, delayed: bool = True, with_observer: bool = False) -> RunResult:
-    """The run skeleton every boundary law shares."""
+    """The run skeleton every boundary law shares: each step fills its block row."""
     start = time.perf_counter()
     p = scenario.params
     run = _prepare(scenario, delayed)
     rng = np.random.default_rng(scenario.seed)
     theta0 = _resolve_field(run.grid, scenario.theta0, rng)
     observer0 = _resolve_field(run.grid, scenario.observer0, rng)
-    rec = Recorder(run.grid, run.n_steps, run.grid.dt, scenario.snapshot_stride)
-    field, inflow = law(scenario, run, rec, theta0, observer0)
-    rec.record(0, field, np.zeros(2))
-    step_matrix = coupling_matrix(run.grid.dt, p.h1, p.h2)
+    rec = Recorder(run.grid, run.n_steps, run.grid.dt, scenario.snapshot_stride,
+                   obs_lag=run.m if with_observer else None)
+    fields, inflow = law(scenario, run, rec, theta0, observer0)
+    rec.first()[...] = np.stack(fields, axis=1)
+    mix = _mix_operand(coupling_matrix(run.grid.dt, p.h1, p.h2), run.grid.n_cells)
     for jn in range(1, run.n_steps + 1):
-        field = _advance_exact(field, step_matrix, 0.0)  # the law sets the inflow
-        field[0] = u_new = inflow(jn, field)
-        rec.record(jn, field, u_new)
+        prev, row = rec.rows()
+        _advance_exact(prev, mix, 0.0, out=row)  # the law sets the inflow
+        row[0, 0] = rec.u[jn] = inflow(jn, row)
     traj = rec.finish()
     return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start, with_observer))
 

@@ -37,16 +37,13 @@ from .coupling import coupling_matrix
 from .grid import Grid, check_field
 from .history import as_trace
 from .params import Params
-from .solver import _mix_operand, step_exact
+from .solver import _advance_exact, _mix_operand, step_exact
 
 
-def _advance_observer(field, step_matrix, k1, k2, y, u) -> np.ndarray:
-    """Observer kernel: one characteristic step, then the output injection at the inflow."""
-    new = np.empty_like(field)
-    np.matmul(field[:-1], _mix_operand(step_matrix, len(field) - 1), out=new[1:])
-    new[0, 0] = -k1 * (new[-1, 1] - y[0]) + u[0]
-    new[0, 1] = -k2 * (new[-1, 0] - y[1]) + u[1]
-    return new
+def _inject(field, k1, k2, y, u) -> None:
+    """Observer kernel: the output injection at the inflow of a field just advanced."""
+    field[0, 0] = -k1 * (field[-1, 1] - y[0]) + u[0]
+    field[0, 1] = -k2 * (field[-1, 0] - y[1]) + u[1]
 
 
 def observer_step(field: np.ndarray, y, u, params: Params, grid: Grid) -> np.ndarray:
@@ -59,11 +56,10 @@ def observer_step(field: np.ndarray, y, u, params: Params, grid: Grid) -> np.nda
     matching the plant solver's boundary convention (required for the error
     system to decouple exactly).  Returns the new field.
     """
-    step_matrix = coupling_matrix(grid.dt, params.h1, params.h2)
-    return _advance_observer(
-        check_field(field, grid), step_matrix, params.k1, params.k2,
-        np.asarray(y, dtype=float), np.asarray(u, dtype=float),
-    )
+    mix = _mix_operand(coupling_matrix(grid.dt, params.h1, params.h2), grid.n_cells)
+    new = _advance_exact(check_field(field, grid), mix, 0.0)
+    _inject(new, params.k1, params.k2, np.asarray(y, dtype=float), np.asarray(u, dtype=float))
+    return new
 
 
 def _snap_tau(params: Params, grid: Grid) -> tuple[int, float]:

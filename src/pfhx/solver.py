@@ -21,6 +21,8 @@ discontinuity just propagates along the characteristic x = t.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,59 +64,67 @@ class Trajectory:
         )
 
 
-# A norm block holds about 256 KB of fields: it stays in cache while it fills.
+# A block holds about 256 KB of plant fields: it stays in cache while it fills.
 _NORM_BLOCK_BYTES = 2**18
 
 
-class _NormBlock:
-    """Fields copied row by row into a cache-sized block, normed a block at a time.
+def _physical_memory() -> float:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
 
-    Row k of the block holds step ``start + k``; steps arrive in order.  When
-    the block is full, and at ``flush``, one trapezoid over the whole block
-    fills ``norms[start:start + used]``.  Each row's norm has the same bits
-    as ``_l2`` on that field, which a fused weighted dot would not give.
+
+def _block_l2(theta1: np.ndarray, theta2: np.ndarray, dx: float, out: np.ndarray, work: np.ndarray):
+    """Write the trapezoid L2 norm of each field of a block into ``out``.
+
+    Field k has the streams ``theta1[k]`` and ``theta2[k]``, each over the
+    nodes.  The arithmetic is ``_l2``'s, so each norm has the same bits,
+    which a fused weighted dot would not give.  ``work`` holds two arrays
+    of the streams' shape, which may be the streams themselves; reusing it
+    keeps the heap from shrinking and regrowing, with its page faults, at
+    every block.
     """
+    s, t = work[0][: len(out)], work[1][: len(out)]
+    np.square(theta1, out=s)
+    np.square(theta2, out=t)
+    np.add(s, t, out=s)
+    t = t[:, :-1]
+    np.add(s[:, 1:], s[:, :-1], out=t)  # np.trapezoid: (dx * (y[1:] + y[:-1]) / 2.0).sum()
+    np.multiply(dx, t, out=t)
+    np.divide(t, 2.0, out=t)
+    np.sum(t, axis=-1, out=out)
+    np.sqrt(out, out=out)
 
-    def __init__(self, norms: np.ndarray, n_nodes: int, dx: float):
-        rows = max(8, _NORM_BLOCK_BYTES // (16 * n_nodes))
-        self.buf = np.empty((rows, n_nodes, 2))
-        self.norms = norms
-        self.dx = dx
-        self.start = 0
-        self.used = 0
 
-    def row(self, j: int) -> np.ndarray:
-        """The block row that step j is written into."""
-        if self.used == len(self.buf):
-            self.flush()
-        if not self.used:
-            self.start = j
-        self.used += 1
-        return self.buf[self.used - 1]
-
-    def flush(self) -> None:
-        if self.used:
-            blk = self.buf[: self.used]
-            self.norms[self.start:self.start + self.used] = np.sqrt(
-                np.trapezoid(blk[..., 0] ** 2 + blk[..., 1] ** 2, dx=self.dx, axis=-1)
-            )
-            self.used = 0
+def _block_rows(n_nodes: int) -> int:
+    return max(8, _NORM_BLOCK_BYTES // (16 * n_nodes))
 
 
 class Recorder:
-    """Preallocated collector filling a Trajectory step by step.
+    """Preallocated collector filling a Trajectory a block of steps at a time.
 
-    ``record`` fills the input, exits and snapshots and copies the field
-    into a norm block; a run with an observer writes ``pred_err_at_l`` and
-    the early ``obs_err_l2`` entries itself and hands the later observer
-    errors to ``record_obs_err``.  The norms are complete after ``finish``.
-    Steps must be recorded in order.
+    The step kernel writes each new field straight into a row of a
+    cache-sized block: ``rows`` hands out the rows of steps j - 1 and j.
+    A row has shape (n_cells + 1, fields, 2): the plant, and given an
+    ``obs_lag`` the observer at the same step.  When the block is full,
+    and at ``finish``, it is read once to fill ``plant_l2``,
+    ``exit_values`` and the snapshots due in it; with an observer, the
+    error obs(s) - theta(s) is normed into ``obs_err_l2[s + obs_lag]``.
+    The block's last row carries over to the next block.  The run writes
+    ``u``, ``pred_err_at_l`` and the first ``obs_lag`` observer errors
+    itself.  Steps arrive in order, from ``first`` on.
     """
 
-    def __init__(self, grid: Grid, n_steps: int, dt: float, snapshot_stride: float):
+    def __init__(
+        self, grid: Grid, n_steps: int, dt: float, snapshot_stride: float,
+        obs_lag: int | None = None,
+    ):
         if snapshot_stride <= 0:
             raise ValueError("snapshot stride must be positive")
         self.dt = dt
+        self.dx = grid.dx
+        self.obs_lag = obs_lag
         total = n_steps + 1
         self.t = np.arange(total) * dt
         self.plant_l2 = np.zeros(total)
@@ -126,27 +136,64 @@ class Recorder:
         marks = int(np.floor(horizon / snapshot_stride + 1e-9))
         steps = {min(n_steps, int(round(q * snapshot_stride / dt))) for q in range(marks + 1)}
         steps.add(0)
-        self._snap_steps = sorted(steps)
-        self._snap_lookup = {j: idx for idx, j in enumerate(self._snap_steps)}
+        self._snap_steps = np.array(sorted(steps))
         self.snapshots = np.zeros((len(self._snap_steps), grid.n_cells + 1, 2))
-        self._plant_norms = _NormBlock(self.plant_l2, grid.n_cells + 1, grid.dx)
-        self._obs_err_norms = _NormBlock(self.obs_err_l2, grid.n_cells + 1, grid.dx)
+        rows = _block_rows(grid.n_cells + 1)
+        self.block = np.empty((rows, grid.n_cells + 1, 1 if obs_lag is None else 2, 2))
+        self._work = np.empty((2, rows, grid.n_cells + 1))
+        self.start = 0  # the step in block row 0
+        self.used = 0  # rows written
+        self.fresh = 0  # the first row not yet read out
 
-    def record(self, j: int, field: np.ndarray, u):
-        self._plant_norms.row(j)[...] = field
-        self.u[j] = u
-        self.exit_values[j] = field[-1]
-        idx = self._snap_lookup.get(j)
-        if idx is not None:
-            self.snapshots[idx] = field
+    @staticmethod
+    def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float) -> float:
+        """What a Recorder with an observer allocates, from arithmetic alone."""
+        snaps = min(n_steps, math.floor(n_steps * dt / snapshot_stride + 1e-9)) + 1
+        per_step = 72.0  # t, both norms, and the pred_err_at_l, u and exit pairs
+        return per_step * (n_steps + 1) + 16.0 * n_nodes * (snaps + 3 * _block_rows(n_nodes))
 
-    def record_obs_err(self, j: int, obs: np.ndarray, plant: np.ndarray):
-        """Queue the norm of the observer error obs - plant as ``obs_err_l2[j]``."""
-        np.subtract(obs, plant, out=self._obs_err_norms.row(j))
+    def first(self) -> np.ndarray:
+        """The row that step 0 is written into."""
+        self.used = 1
+        return self.block[0]
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the previous step and of the next step, which the kernel fills."""
+        if self.used == len(self.block):
+            self._read_block()
+            self.block[0] = self.block[-1]
+            self.start += self.used - 1
+            self.used = self.fresh = 1
+        self.used += 1
+        return self.block[self.used - 2], self.block[self.used - 1]
+
+    def exit_at(self, j: int) -> np.ndarray:
+        """The plant's exit pair at step j, which may still be in the block."""
+        if j >= self.start:
+            return self.block[j - self.start, -1, 0]
+        return self.exit_values[j]
+
+    def _read_block(self) -> None:
+        lo, hi = self.start + self.fresh, self.start + self.used
+        blk = self.block[self.fresh:self.used]
+        plant = blk[:, :, 0]
+        _block_l2(plant[..., 0], plant[..., 1], self.dx, self.plant_l2[lo:hi], self._work)
+        self.exit_values[lo:hi] = plant[:, -1]
+        a, b = np.searchsorted(self._snap_steps, (lo, hi))
+        self.snapshots[a:b] = self.block[self._snap_steps[a:b] - self.start, :, 0]
+        # the observer error of step s is obs_err_l2[s + obs_lag], which may run past the end
+        live = 0 if self.obs_lag is None else min(hi, len(self.t) - self.obs_lag) - lo
+        if live > 0:
+            obs, plant = blk[:live, :, 1], plant[:live]
+            d1, d2 = self._work[0][:live], self._work[1][:live]
+            np.subtract(obs[..., 0], plant[..., 0], out=d1)
+            np.subtract(obs[..., 1], plant[..., 1], out=d2)
+            lag = lo + self.obs_lag
+            _block_l2(d1, d2, self.dx, self.obs_err_l2[lag:lag + live], self._work)
+        self.fresh = self.used
 
     def finish(self) -> Trajectory:
-        self._plant_norms.flush()
-        self._obs_err_norms.flush()
+        self._read_block()
         return Trajectory(
             t=self.t,
             plant_l2=self.plant_l2,
@@ -154,7 +201,7 @@ class Recorder:
             pred_err_at_l=self.pred_err_at_l,
             u=self.u,
             exit_values=self.exit_values,
-            snapshot_t=np.asarray(self._snap_steps) * self.dt,
+            snapshot_t=self._snap_steps * self.dt,
             snapshots=self.snapshots,
             dt=self.dt,
         )
@@ -175,9 +222,24 @@ def _mix_operand(step_matrix: np.ndarray, rows: int) -> np.ndarray:
     return np.ascontiguousarray(step_matrix.T)
 
 
-def _advance_exact(field: np.ndarray, step_matrix: np.ndarray, u_new) -> np.ndarray:
-    out = np.empty_like(field)
-    np.matmul(field[:-1], _mix_operand(step_matrix, len(field) - 1), out=out[1:])
+def _advance_exact(field: np.ndarray, mix: np.ndarray, u_new, out=None) -> np.ndarray:
+    """One exact characteristic step of a field of shape (n_cells+1, ..., 2).
+
+    Node i + 1 takes the step matrix applied to node i and node 0 takes
+    ``u_new``.  The axes between the node and the stream axis stack
+    independent fields, mixed by one matmul over every (node, field) row;
+    ``mix`` is ``_mix_operand(step_matrix, n_cells)``, made once per run.
+    With one node row per field each field's row goes to gemv on its own,
+    so that stacking keeps the bits of an unstacked step.  ``out``, a
+    C-contiguous buffer of the field's shape, receives the new field, which
+    is returned.
+    """
+    if out is None:
+        out = np.empty(field.shape)
+    if len(field) == 2:
+        np.matmul(field[0].reshape(-1, 1, 2), mix, out=out[1].reshape(-1, 1, 2))
+    else:
+        np.matmul(field[:-1].reshape(-1, 2), mix, out=out[1:].reshape(-1, 2))
     out[0] = u_new
     return out
 
@@ -213,8 +275,8 @@ def step_exact(field: np.ndarray, t: float, inputs, params: Params, grid: Grid) 
     Returns the new field; its node 0 carries the input u(t + dt).
     """
     dt = grid.dt
-    step_matrix = coupling_matrix(dt, params.h1, params.h2)
-    return _advance_exact(check_field(field, grid), step_matrix, as_trace(inputs, dt)(t + dt))
+    mix = _mix_operand(coupling_matrix(dt, params.h1, params.h2), grid.n_cells)
+    return _advance_exact(check_field(field, grid), mix, as_trace(inputs, dt)(t + dt))
 
 
 def solve_exact(
@@ -229,16 +291,16 @@ def solve_exact(
     """Run the exact solver from t0 to t0 + T and record the trajectory."""
     dt = grid.dt
     trace = as_trace(inputs, dt)
-    field = check_field(theta0, grid).copy()
+    theta0 = check_field(theta0, grid)
     n_steps, _, _ = grid.snap_steps(T)
-    step_matrix = coupling_matrix(dt, params.h1, params.h2)
+    mix = _mix_operand(coupling_matrix(dt, params.h1, params.h2), grid.n_cells)
     rec = Recorder(grid, n_steps, dt, snapshot_stride)
     rec.t = rec.t + t0
-    rec.record(0, field, np.zeros(2))
+    rec.first()[:, 0] = theta0
     for j in range(1, n_steps + 1):
-        u_new = np.asarray(trace(t0 + j * dt), dtype=float)
-        field = _advance_exact(field, step_matrix, u_new)
-        rec.record(j, field, u_new)
+        rec.u[j] = u_new = np.asarray(trace(t0 + j * dt), dtype=float)
+        prev, field = rec.rows()
+        _advance_exact(prev, mix, u_new, out=field)
     return rec.finish()
 
 
@@ -257,18 +319,19 @@ def solve_upwind(
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     dt = cfl * grid.dx
     trace = as_trace(inputs, dt)
-    field = check_field(theta0, grid).copy()
+    theta0 = check_field(theta0, grid)
     n_steps, _, changed = grid.snap_steps(T, dt=dt)
     if changed:
         raise ValueError(f"final time {T} is not a whole number of steps dt={dt}")
     step_matrix = coupling_matrix(dt, params.h1, params.h2)
     rec = Recorder(grid, n_steps, dt, snapshot_stride)
     rec.t = rec.t + t0
-    rec.record(0, field, np.zeros(2))
+    rec.first()[:, 0] = theta0
+    adv = np.empty(rec.block.shape[1:])
     for j in range(1, n_steps + 1):
-        u_new = np.asarray(trace(t0 + j * dt), dtype=float)
-        field = _advance_upwind(field, step_matrix, cfl, u_new)
-        rec.record(j, field, u_new)
+        rec.u[j] = u_new = np.asarray(trace(t0 + j * dt), dtype=float)
+        prev, field = rec.rows()
+        _advance_upwind(prev, step_matrix, cfl, u_new, out=field, adv=adv)
     return rec.finish()
 
 

@@ -9,10 +9,13 @@ from pfhx import (
     Grid,
     Params,
     Scenario,
+    loop,
+    run_closed_loop,
     run_error_system,
     run_open_loop,
     run_scenario,
 )
+from pfhx.loop import check_scenario
 from pfhx.cli import _sweep_line, _sweep_worker, _write_norms, _write_snapshots, main
 
 BASE = """\
@@ -181,6 +184,57 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         rc = main(["run", "-c", cfg, "-o", str(out)])
     assert rc == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_numerical_failure_names_the_first_non_finite_step(tmp_path, capsys):
+    text = BASE.replace("k1 = 0.5", "k1 = 1e150").replace("k2 = 0.5", "k2 = 1e150")
+    cfg = write_config(tmp_path, text + "warmup_u1 = sine(1, 4)\n")
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", "-c", cfg, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    header, rows = read_csv(out / "norms.csv")
+    table = np.array([[float(v) for v in row.split(",")] for row in rows])
+    j = int(np.argmax(~np.isfinite(table).all(axis=1)))
+    column = header[int(np.argmax(~np.isfinite(table[j])))]
+    assert 0 < j < len(rows) - 1
+    assert f"numerical failure: first non-finite value at step {j} (t={table[j, 0]:g}) in {column}" in err
+
+
+def test_recording_beyond_physical_memory_is_config_error(tmp_path, capsys):
+    # refused by arithmetic, before allocating: at T = 1e15 and n_cells = 10
+    # the per-step columns alone would take 720 PB
+    params = Params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=0.5, k2=0.5)
+    scenario = Scenario(params=params, n_cells=10, T=1e15)
+    cfg = write_config(tmp_path, BASE)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"run\.T=1e\+15 at grid\.n_cells=10 and "
+                                              r"run\.snapshot_stride=0\.1 needs .* GiB"):
+            check_scenario(scenario)
+        assert main(["check", "-c", cfg, "--T", "1e15", "--n-cells", "10"]) == 2
+        assert main(["run", "-c", cfg, "-o", str(tmp_path / "out"), "--T", "1e15",
+                     "--n-cells", "10"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.count("physical memory") == 2 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    assert peak < 2**20
+
+
+def test_runner_checks_recording_size_before_allocating(monkeypatch):
+    # 101 nodes over 10,000 steps record about 3.1 MB: more than 1 MB of memory
+    monkeypatch.setattr(loop, "_physical_memory", lambda: 2**20)
+    params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
+    scenario = Scenario(params=params, n_cells=100, T=100.0)
+    with pytest.raises(ConfigError, match="run.snapshot_stride"):
+        run_scenario(scenario)
+    with pytest.raises(ConfigError, match="physical memory"):
+        run_closed_loop(scenario)
+    monkeypatch.setattr(loop, "_physical_memory", lambda: 2**22)
+    assert run_closed_loop(scenario).summary.finite
 
 
 def test_io_failure_exit_code(tmp_path):

@@ -26,7 +26,7 @@ from pfhx import (
 from pfhx.coupling import coupling_matrix
 from pfhx.history import as_trace
 from pfhx.loop import check_scenario
-from pfhx.solver import _advance_exact
+from pfhx.solver import _advance_exact, _mix_operand
 
 
 def scenario_with(tau=0.5, T=20.0, n=100, controller="observer_predictor", **kw):
@@ -329,7 +329,7 @@ def _reference_closed_loop(sc: Scenario) -> dict:
     m, tau_used, _ = grid.snap_tau(p.tau)
     n_steps, _, _ = grid.snap_steps(sc.T)
     n, dt = grid.n_cells, grid.dt
-    step_matrix = coupling_matrix(dt, p.h1, p.h2)
+    mix = _mix_operand(coupling_matrix(dt, p.h1, p.h2), n)
     warm = [input_function(spec) for spec in sc.warmup_u]
     plant = sc.theta0.copy()
     obs = sc.observer0.copy()
@@ -351,7 +351,7 @@ def _reference_closed_loop(sc: Scenario) -> dict:
             u = control_law(pred, p, t, tau=tau_used)
         else:
             u = np.array([warm[0](t), warm[1](t)])
-        plant = _advance_exact(plant, step_matrix, u)
+        plant = _advance_exact(plant, mix, u)
         plants.append(plant)
         u_hist[jn] = u
         exit_hist[jn] = plant[n]
@@ -386,7 +386,7 @@ def test_sano_baseline_matches_reference_loop(tau):
     m, _, _ = grid.snap_tau(tau)
     n_steps, _, _ = grid.snap_steps(sc.T)
     n, dt = grid.n_cells, grid.dt
-    step_matrix = coupling_matrix(dt, sc.params.h1, sc.params.h2)
+    mix = _mix_operand(coupling_matrix(dt, sc.params.h1, sc.params.h2), n)
     plant = sc.theta0.copy()
     exit_hist = np.zeros((n_steps + 1, 2))
     exit_hist[0] = plant[n]
@@ -395,7 +395,7 @@ def test_sano_baseline_matches_reference_loop(tau):
         u = np.zeros(2)
         if jn >= m:
             u[1] = -k * as_trace(exit_hist[:jn], dt)((jn - m) * dt)[0]
-        plant = _advance_exact(plant, step_matrix, u)
+        plant = _advance_exact(plant, mix, u)
         exit_hist[jn] = plant[n]
         u_ref.append(u)
         exits_ref.append(plant[n])
@@ -411,13 +411,13 @@ def test_delay_free_feedback_matches_reference_loop(tau):
     grid = Grid(sc.n_cells, p.l)
     m, tau_used, _ = grid.snap_tau(tau)
     n_steps, _, _ = grid.snap_steps(sc.T)
-    step_matrix = coupling_matrix(grid.dt, p.h1, p.h2)
+    mix = _mix_operand(coupling_matrix(grid.dt, p.h1, p.h2), grid.n_cells)
     warm = [input_function(spec) for spec in sc.warmup_u]
     plant = sc.theta0.copy()
     u_ref, exits_ref, norms_ref = [np.zeros(2)], [plant[-1]], [l2_norm(plant, grid)]
     for jn in range(1, n_steps + 1):
         t = jn * grid.dt
-        plant = _advance_exact(plant, step_matrix, np.zeros(2))
+        plant = _advance_exact(plant, mix, np.zeros(2))
         if jn > m:
             plant[0] = control_law(plant[-1], p, t, tau=tau_used)  # the current exits
         else:

@@ -1,15 +1,24 @@
-"""Blocked norms and contiguous step operands against the per-step path.
+"""Block-stepped runs against the per-step loop they replaced.
 
-The recorder copies each field into a cache-sized block and norms a whole
-block with one trapezoid; the exact-step kernels multiply by a contiguous
-copy of the transposed step matrix.  Both must give the same bits as the
-per-step ``_l2`` and the transposed view, sign bits, inf and nan included.
-That holds at n_cells = 1 too: there one node row goes to BLAS gemv, where
-the contiguous operand would round differently, so the kernels keep the
-transposed view for a single row.
+Every stepped run writes each new field straight into a row of the
+recorder's cache-sized block, and the recorder reads a whole block at once
+for the norms, exits and snapshots.  An observer-predictor row stacks the
+plant and the observer at the same step: the observer runs in its own time
+and its error is normed from that row, with no stored plant history.  The
+exact-step kernels multiply by a contiguous copy of the transposed step
+matrix, made once per run.
+
+The reference here is a test-only copy of the per-step loop as it was
+before: transposed-view kernels, one ``_l2`` call per field, and the
+observer advanced tau late against a deque of the last m + 1 plant fields.
+Both must give the same bits, sign bits, inf and nan included.  That holds
+at n_cells = 1 too: there each field's single node row goes to BLAS gemv,
+where the contiguous operand or a stacked dgemm would round differently.
 """
 
 import dataclasses
+import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -19,7 +28,7 @@ from pfhx.coupling import coupling_matrix
 from pfhx.grid import _l2
 from pfhx.loop import run_closed_loop, run_delay_free_feedback, run_error_system, run_sano_baseline
 from pfhx.profiles import input_function
-from pfhx.solver import Trajectory, _NormBlock, solve_exact, solve_upwind
+from pfhx.solver import Recorder, Trajectory, _block_l2, solve_exact, solve_upwind
 
 
 class _PerStepRecorder:
@@ -80,12 +89,101 @@ def _transposed_advance_observer(field, step_matrix, k1, k2, y, u):
     return new
 
 
-def _per_step_path(monkeypatch):
-    monkeypatch.setattr(loop, "Recorder", _PerStepRecorder)
-    monkeypatch.setattr(solver, "Recorder", _PerStepRecorder)
-    monkeypatch.setattr(loop, "_advance_exact", _transposed_advance_exact)
-    monkeypatch.setattr(solver, "_advance_exact", _transposed_advance_exact)
-    monkeypatch.setattr(loop, "_advance_observer", _transposed_advance_observer)
+def _transposed_advance_upwind(field, step_matrix, cfl, u_new):
+    adv = field[1:] * (1.0 - cfl) + field[:-1] * cfl
+    out = np.empty_like(field)
+    np.matmul(np.vstack([field[:1], adv]), step_matrix.T, out=out)
+    out[0] = u_new
+    return out
+
+
+def _cross(k1, k2, exit_pair):
+    return np.array([-k1 * exit_pair[1], -k2 * exit_pair[0]])
+
+
+def _deque_observer_predictor(scenario, run, rec, theta0, observer0):
+    """The observer advanced at t, tau late, normed against the plant from a deque."""
+    p, m, n = scenario.params, run.m, run.grid.n_cells
+    k1, k2, dt, dx = p.k1, p.k2, run.grid.dt, run.grid.dx
+    step_matrix = coupling_matrix(dt, p.h1, p.h2)
+    prop = coupling_matrix(p.l if m > n else run.tau_used, p.h1, p.h2)
+    warm = loop._input_pair(scenario.warmup_u)
+    plants = deque([theta0], maxlen=m + 1)  # plants[0] is the plant from tau ago
+    init_err = rec.obs_err_l2[0] = _l2(observer0 - theta0, dx)
+    obs = observer0
+
+    def inflow(jn, field):
+        nonlocal obs
+        plants.append(field)
+        if jn > m:
+            y = rec.exit_values[jn - m][::-1]
+            obs = _transposed_advance_observer(obs, step_matrix, k1, k2, y, rec.u[jn - m])
+            pred_exit = prop @ (rec.u[jn - n] if m > n else obs[n - m])
+            rec.pred_err_at_l[jn] = pred_exit - field[-1]
+            u_new = _cross(k1, k2, pred_exit)
+        else:
+            u_new = warm(jn * dt)
+        if jn >= m:
+            rec.record_obs_err(jn, obs, plants[0])
+        else:
+            rec.obs_err_l2[jn] = init_err
+        return u_new
+
+    return theta0, inflow
+
+
+def _per_step_static_feedback(scenario, run, rec, theta0, observer0):
+    k, m = scenario.sano_k, run.m
+
+    def inflow(jn, field):
+        if jn >= m:
+            return np.array([0.0, -k * rec.exit_values[jn - m, 0]])
+        return np.zeros(2)
+
+    return theta0, inflow
+
+
+def _per_step_cross_feedback(scenario, run, rec, theta0, observer0):
+    k1, k2, dt = scenario.params.k1, scenario.params.k2, run.grid.dt
+    wait = run.m if run.delayed else 0
+    warm = loop._input_pair(scenario.warmup_u)
+
+    def inflow(jn, field):
+        if jn > wait:
+            return _cross(k1, k2, field[-1])
+        return warm(jn * dt)
+
+    return (theta0 if run.delayed else observer0 - theta0), inflow
+
+
+def _per_step_simulate(scenario, law, delayed=True):
+    p = scenario.params
+    run = loop._prepare(scenario, delayed)
+    rng = np.random.default_rng(scenario.seed)
+    theta0 = loop._resolve_field(run.grid, scenario.theta0, rng)
+    observer0 = loop._resolve_field(run.grid, scenario.observer0, rng)
+    rec = _PerStepRecorder(run.grid, run.n_steps, run.grid.dt, scenario.snapshot_stride)
+    field, inflow = law(scenario, run, rec, theta0, observer0)
+    rec.record(0, field, np.zeros(2))
+    step_matrix = coupling_matrix(run.grid.dt, p.h1, p.h2)
+    for jn in range(1, run.n_steps + 1):
+        field = _transposed_advance_exact(field, step_matrix, 0.0)
+        field[0] = u_new = inflow(jn, field)
+        rec.record(jn, field, u_new)
+    return rec.finish()
+
+
+def _per_step_solve(theta0, u_fn, n_steps, p, grid, dt, advance, snapshot_stride, t0=0.0):
+    step_matrix = coupling_matrix(dt, p.h1, p.h2)
+    rec = _PerStepRecorder(grid, n_steps, dt, snapshot_stride)
+    rec.t = rec.t + t0
+    field = theta0.copy()
+    rec.record(0, field, np.zeros(2))
+    for j in range(1, n_steps + 1):
+        u_new = np.asarray(u_fn(t0 + j * dt), dtype=float)
+        field = advance(field, step_matrix, u_new)
+        rec.record(j, field, u_new)
+    return rec.finish()
 
 
 def _same_bits(a, b) -> bool:
@@ -94,34 +192,60 @@ def _same_bits(a, b) -> bool:
 
 
 def _block_rows(n_cells: int) -> int:
-    return len(_NormBlock(np.zeros(1), n_cells + 1, 1.0).buf)
+    return len(Recorder(Grid(n_cells, 1.0), 1, 1.0 / n_cells, 1.0).block)
+
+
+def _scenario(n_cells, tau, n_steps, gain):
+    grid = Grid(n_cells, 1.0)
+    p = Params(h1=1.0, h2=2.0, l=1.0, tau=tau, k1=gain, k2=gain)
+    return Scenario(params=p, n_cells=n_cells, T=n_steps * grid.dt,
+                    theta0=("sine(1, 1)", "random(0.5)"), observer0=("zero", "constant(0.2)"),
+                    warmup_u=("sine(1, 4)", "constant(0.5)"), snapshot_stride=0.3, seed=3)
+
+
+def _oracle_inputs(grid):
+    f1, f2 = input_function("sine(1, 2)"), input_function("constant(1)")
+    u_fn = lambda t: np.array([f1(t), f2(t)])
+    return np.column_stack([np.sin(grid.nodes), -0.0 * grid.nodes]), u_fn
 
 
 def _trajectories(n_cells, tau, n_steps, gain):
     """Every stepped runner and both solver oracles on one scenario."""
+    sc = _scenario(n_cells, tau, n_steps, gain)
     grid = Grid(n_cells, 1.0)
-    p = Params(h1=1.0, h2=2.0, l=1.0, tau=tau, k1=gain, k2=gain)
-    sc = Scenario(params=p, n_cells=n_cells, T=n_steps * grid.dt,
-                  theta0=("sine(1, 1)", "random(0.5)"), observer0=("zero", "constant(0.2)"),
-                  warmup_u=("sine(1, 4)", "constant(0.5)"), snapshot_stride=0.3, seed=3)
-    f1, f2 = input_function("sine(1, 2)"), input_function("constant(1)")
-    u_fn = lambda t: np.array([f1(t), f2(t)])
-    theta0 = np.column_stack([np.sin(grid.nodes), -0.0 * grid.nodes])
+    theta0, u_fn = _oracle_inputs(grid)
     return {
         "observer_predictor": run_closed_loop(sc).trajectory,
         "sano_static": run_sano_baseline(sc, k=0.8 * gain).trajectory,
         "delay_free": run_delay_free_feedback(sc).trajectory,
         "error_system": run_error_system(sc).trajectory,
-        "solve_exact": solve_exact(theta0, u_fn, sc.T, p, grid, snapshot_stride=0.3, t0=0.5),
-        "solve_upwind": solve_upwind(theta0, u_fn, sc.T, p, grid, cfl=0.5, snapshot_stride=0.3),
+        "solve_exact": solve_exact(theta0, u_fn, sc.T, sc.params, grid, snapshot_stride=0.3, t0=0.5),
+        "solve_upwind": solve_upwind(theta0, u_fn, sc.T, sc.params, grid, cfl=0.5, snapshot_stride=0.3),
     }
 
 
-def _assert_matches_per_step_path(monkeypatch, n_cells, tau, n_steps, gain):
+def _per_step_trajectories(n_cells, tau, n_steps, gain):
+    """The same runs through the per-step reference loop."""
+    sc = _scenario(n_cells, tau, n_steps, gain)
+    grid = Grid(n_cells, 1.0)
+    theta0, u_fn = _oracle_inputs(grid)
+    upwind = lambda field, step_matrix, u_new: _transposed_advance_upwind(field, step_matrix, 0.5, u_new)
+    return {
+        "observer_predictor": _per_step_simulate(sc, _deque_observer_predictor),
+        "sano_static": _per_step_simulate(
+            dataclasses.replace(sc, sano_k=0.8 * gain), _per_step_static_feedback),
+        "delay_free": _per_step_simulate(sc, _per_step_cross_feedback),
+        "error_system": _per_step_simulate(sc, _per_step_cross_feedback, delayed=False),
+        "solve_exact": _per_step_solve(theta0, u_fn, n_steps, sc.params, grid, grid.dt,
+                                       _transposed_advance_exact, 0.3, t0=0.5),
+        "solve_upwind": _per_step_solve(theta0, u_fn, 2 * n_steps, sc.params, grid, 0.5 * grid.dx,
+                                        upwind, 0.3),
+    }
+
+
+def _assert_matches_per_step_path(n_cells, tau, n_steps, gain):
     blocked = _trajectories(n_cells, tau, n_steps, gain)
-    with monkeypatch.context() as patch:
-        _per_step_path(patch)
-        per_step = _trajectories(n_cells, tau, n_steps, gain)
+    per_step = _per_step_trajectories(n_cells, tau, n_steps, gain)
     for runner, traj in blocked.items():
         for f in dataclasses.fields(Trajectory):
             assert _same_bits(getattr(traj, f.name), getattr(per_step[runner], f.name)), (
@@ -160,7 +284,7 @@ def _small_blocks(monkeypatch, n_cells, tau):
 def test_blocked_runs_match_per_step_path(monkeypatch, n_cells, edge, case):
     tau = TAU_EDGES[edge](1.0 / n_cells)
     rows = _small_blocks(monkeypatch, n_cells, tau)
-    _assert_matches_per_step_path(monkeypatch, n_cells, tau, STEP_CASES[case](rows), 0.5)
+    _assert_matches_per_step_path(n_cells, tau, STEP_CASES[case](rows), 0.5)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -171,14 +295,14 @@ def test_overflowing_runs_match_per_step_path(monkeypatch, n_cells, edge):
     tau = TAU_EDGES[edge](1.0 / n_cells)
     rows = _small_blocks(monkeypatch, n_cells, tau)
     n_steps = 4 * (rows + n_cells) + 5  # several trips round the loop
-    runs = _assert_matches_per_step_path(monkeypatch, n_cells, tau, n_steps, 1e150)
+    runs = _assert_matches_per_step_path(n_cells, tau, n_steps, 1e150)
     assert np.isinf(runs["observer_predictor"].plant_l2).any()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflow_starts_inside_a_block(monkeypatch):
     rows = _small_blocks(monkeypatch, 7, 1.5)
-    runs = _assert_matches_per_step_path(monkeypatch, 7, 1.5, 4 * rows + 5, 1e150)
+    runs = _assert_matches_per_step_path(7, 1.5, 4 * rows + 5, 1e150)
     for runner in ("observer_predictor", "delay_free", "error_system"):
         first = int(np.argmax(~np.isfinite(runs[runner].plant_l2)))
         assert first > 0 and first % rows not in (0, rows - 1), runner
@@ -187,11 +311,11 @@ def test_overflow_starts_inside_a_block(monkeypatch):
 
 @pytest.mark.parametrize("n_cells, case", [
     (1, "under_one_block"), (50, "whole_blocks"), (50, "ragged")])
-def test_shipped_block_size_matches_per_step_path(monkeypatch, n_cells, case):
+def test_shipped_block_size_matches_per_step_path(n_cells, case):
     rows = _block_rows(n_cells)
     assert rows == max(8, 2**18 // (16 * (n_cells + 1)))
     n_steps = STEP_CASES[case](rows) if n_cells > 1 else 60  # 8192 rows at n_cells = 1
-    _assert_matches_per_step_path(monkeypatch, n_cells, 1.5, n_steps, 0.5)
+    _assert_matches_per_step_path(n_cells, 1.5, n_steps, 0.5)
 
 
 def test_norm_block_is_about_256_kb():
@@ -210,12 +334,14 @@ def test_block_norms_match_per_field_l2(n_cells):
     fields[4, -1, 1] = np.nan
     fields[5] = -0.0
     fields[6, 0, 1] = 1e200  # the square overflows
-    norms = np.zeros(len(fields))
-    block = _NormBlock(norms, n_cells + 1, 0.37)
-    for j, f in enumerate(fields):
-        block.row(j)[...] = f
-    block.flush()
     expected = np.array([_l2(f, 0.37) for f in fields])
+    norms, work = np.zeros(len(fields)), np.empty((2, 50, n_cells + 1))
+    _block_l2(fields[..., 0], fields[..., 1], 0.37, norms, work)
+    assert _same_bits(norms, expected)
+    # the plant fields of a stacked block are a strided view
+    stacked = np.stack([fields, fields[::-1]], axis=2)
+    plant = stacked[:, :, 0]
+    _block_l2(plant[..., 0], plant[..., 1], 0.37, norms, work)
     assert _same_bits(norms, expected)
 
 
@@ -224,7 +350,38 @@ def test_single_row_keeps_transposed_view_bits():
     rng = np.random.default_rng(0)
     step_matrix = coupling_matrix(0.3, 1.0, 2.0)
     for rows in (1, 2, 3, 50, 1001):
+        mix = solver._mix_operand(step_matrix, rows)
         for _ in range(200 if rows == 1 else 5):
             field = rng.standard_normal((rows + 1, 2))
             ref = _transposed_advance_exact(field, step_matrix, (1.0, 2.0))
-            assert _same_bits(solver._advance_exact(field, step_matrix, (1.0, 2.0)), ref)
+            assert _same_bits(solver._advance_exact(field, mix, (1.0, 2.0)), ref)
+
+
+def test_stacked_step_keeps_each_fields_bits():
+    # plant and observer in one call: a (2 n, 2) dgemm, or gemv per field at n = 1
+    rng = np.random.default_rng(1)
+    step_matrix = coupling_matrix(0.3, 1.0, 2.0)
+    for rows in (1, 2, 3, 7, 50, 1001):
+        mix = solver._mix_operand(step_matrix, rows)
+        for _ in range(200 if rows == 1 else 5):
+            stacked = rng.standard_normal((rows + 1, 2, 2))
+            new = solver._advance_exact(stacked, mix, 0.0)
+            for k in (0, 1):
+                ref = _transposed_advance_exact(stacked[:, k], step_matrix, 0.0)
+                assert _same_bits(new[:, k], ref)
+
+
+def test_closed_loop_holds_no_plant_history():
+    # tau = 1.5 at n_cells = 1000 is m = 1500 steps: a deque of the last
+    # m + 1 plant fields alone would take about 24 MB
+    p = Params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=0.5, k2=0.5)
+    sc = Scenario(params=p, n_cells=1000, T=6.0, theta0=("step(0.5, 1.0, 0.0)", "zero"),
+                  observer0=("random(0.5)", "random(0.5)"), warmup_u=("sine(1, 4)", "constant(0.5)"))
+    tracemalloc.start()
+    try:
+        result = run_closed_loop(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.summary.finite
+    assert peak < 8 * 2**20
