@@ -31,7 +31,7 @@ import numpy as np
 from .coupling import coupling_matrix
 from .grid import Grid
 from .params import GainReport, Params, SanoReport, sano_window, validate_gains
-from .solver import _advance_upwind, _physical_memory
+from .solver import _advance_upwind, _mix_operand, _physical_memory
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def measure_frequency_responses(
     exits = [np.zeros((steps[omega] + 1, 2, 2)) for omega in distinct]
     out, adv = np.empty_like(field), np.empty_like(field)
     inflow = np.zeros((live, 2, 2))
-    step_matrix = coupling_matrix(dt, params.h1, params.h2)
+    mix = _mix_operand(coupling_matrix(dt, params.h1, params.h2), grid.n_cells + 1)
     for j in range(1, max(steps.values(), default=0) + 1):
         if steps[distinct[live - 1]] < j:  # the shortest live runs have ended
             live = sum(steps[omega] >= j for omega in distinct)
@@ -134,7 +134,7 @@ def measure_frequency_responses(
         t = j * dt
         for k, omega in enumerate(distinct[:live]):  # drive channel c feeds stream c
             inflow[k, 0, 0] = inflow[k, 1, 1] = math.sin(omega * t) if omega else 1.0
-        field, out = _advance_upwind(field, step_matrix, cfl, inflow[:live], out, adv), field
+        field, out = _advance_upwind(field, mix, cfl, inflow[:live], out, adv), field
         for k in range(live):
             exits[k][j] = field[-1, k]
 

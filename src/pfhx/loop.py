@@ -28,13 +28,15 @@ homogeneous cross coupling), so ``run_error_system`` simulates it directly;
 it doubles as the decoupling oracle and as the empirical probe of the
 decay rate of the delay-free feedback generator.
 
-Every stepped run shares one skeleton, ``_simulate``: it advances the
-interiors of the fields in a recorder block row by one exact step and asks
-a boundary law for the inflow pair.  The laws are the observer-predictor above, the
-static (Sano) feedback, and the cross feedback on the current exits, which
-is both the delay-free reference loop and, started from the initial
-estimation error without warm-up, the error system.  Open-loop runs use
-the solver oracles directly.
+Every run shares one skeleton, ``_simulate``: ``_prepare`` checks the
+scenario, then the solver's march loop (``solver._march``, which the
+solver oracles run too) advances the interiors of the fields in a
+recorder block row by one step and asks a boundary law for the inflow
+pair.  The laws are the open-loop input signals, on either solver, and on
+the exact solver the observer-predictor above, the static (Sano)
+feedback, and the cross feedback on the current exits, which is both the
+delay-free reference loop and, started from the initial estimation error
+without warm-up, the error system.
 """
 
 from __future__ import annotations
@@ -47,16 +49,12 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .analysis import ConditionReport, DecayReport, condition_report, fit_decay
-from .coupling import coupling_matrix
 from .errors import ConfigError
 from .grid import Grid, _l2, check_field
 from .observer import _cross_law, _exit_propagator, _inject, _predict_exit
 from .params import Params, SanoReport, sano_window
 from .profiles import input_function, profile_array
-from .solver import (
-    Recorder, Trajectory, _advance_exact, _mix_operand, _physical_memory, solve_exact,
-    solve_upwind,
-)
+from .solver import Recorder, Trajectory, _march, _physical_memory
 
 
 @dataclass
@@ -131,6 +129,7 @@ class _Run:
     m: int  # the delay in steps
     tau_used: float
     tau_snapped: bool
+    dt: float  # the step: dx, or cfl * dx on the upwind solver
     n_steps: int
     T_used: float
     warnings: list[str]
@@ -138,16 +137,28 @@ class _Run:
 
 
 def _prepare(scenario: Scenario, delayed: bool) -> _Run:
-    """Snap tau to dt = dx and T to the run's own step (cfl * dx for upwind runs).
+    """Check every run setting; snap tau to dt = dx and T to the run's own step.
 
-    T must cover at least half a step, a delayed run must outlast its
-    delay, and the recorded trajectory must fit in physical memory.
+    The step is cfl * dx on the upwind solver, which only the open loop
+    runs.  T must be finite and cover at least half a step, a delayed run
+    must outlast its delay, and the recording must fit in physical memory.
     """
+    if scenario.n_cells < 1:
+        raise ConfigError(f"grid.n_cells must be >= 1, got {scenario.n_cells}")
+    if not math.isfinite(scenario.T) or scenario.T <= 0:
+        raise ConfigError(f"run.T must be positive and finite, got {scenario.T}")
+    if scenario.solver not in ("exact", "upwind"):
+        raise ConfigError(f"run.solver must be exact or upwind, got {scenario.solver!r}")
+    upwind = scenario.solver == "upwind"
+    if upwind and (delayed or scenario.controller != "open_loop"):  # undelayed runners pin it
+        raise ConfigError("run.solver=upwind is available for open_loop runs only")
+    if not scenario.snapshot_stride > 0:
+        raise ConfigError(f"run.snapshot_stride must be positive, got {scenario.snapshot_stride}")
     if not 0.0 < scenario.cfl <= 1.0:
         raise ConfigError(f"run.cfl must lie in (0, 1], got {scenario.cfl}")
     grid = Grid(scenario.n_cells, scenario.params.l)
     m, tau_used, tau_snapped = grid.snap_tau(scenario.params.tau)
-    dt = scenario.cfl * grid.dx if scenario.solver == "upwind" else grid.dt
+    dt = scenario.cfl * grid.dx if upwind else grid.dt
     n_steps, T_used, T_snapped = grid.snap_steps(scenario.T, dt=dt)
     if n_steps == 0:
         raise ConfigError(f"run.T={scenario.T:g} must cover at least half a step (dt={dt:g})")
@@ -171,7 +182,7 @@ def _prepare(scenario: Scenario, delayed: bool) -> _Run:
         )
     if T_snapped:
         warnings.append(f"T snapped from {scenario.T:g} to {T_used:g}")
-    return _Run(grid, m, tau_used, tau_snapped, n_steps, T_used, warnings, delayed)
+    return _Run(grid, m, tau_used, tau_snapped, dt, n_steps, T_used, warnings, delayed)
 
 
 def _safe_fit(t, values, window) -> DecayReport:
@@ -238,28 +249,28 @@ def _observer_predictor(scenario, run, rec, theta0, observer0):
     Each row holds the plant and the observer at the same step s.  Once the
     law knows u(s), the observer takes its inflow from y(s), the plant exits
     in that row, and u(s).  The recorder keeps u at every step index and
-    norms obs(s) - theta(s) into ``obs_err_l2[s + m]``.  For m <= n the
-    exit prediction for step s + m is made from obs(s) and kept until then;
-    for m > n it is made at s from the stored input u(s - l).
+    norms obs(s) - theta(s) into ``obs_err_l2[s + m]``.  At step s the
+    predictor kernel makes the exit prediction for step s + min(m, n): for
+    m <= n from obs(s), for m > n from u(s); it is kept until then.
     """
     p, m, n = scenario.params, run.m, run.grid.n_cells
-    k1, k2, dt = p.k1, p.k2, run.grid.dt
+    k1, k2, dt = p.k1, p.k2, run.dt
     prop = _exit_propagator(m, n, run.tau_used, p)
     warm = _input_pair(scenario.warmup_u)
     rec.obs_err_l2[:m] = _l2(observer0 - theta0, run.grid.dx)
-    ahead = np.empty((m, 2)) if m <= n else None  # step s reads, then refills, row s % m
+    lead = min(m, n)
+    ahead = np.empty((lead, 2))  # step s reads, then refills, row s % lead
 
     def inflow(s, row):
         if s > m:
-            pred_exit = prop @ rec.u[s - n] if m > n else ahead[s % m]
+            pred_exit = ahead[s % lead]
             rec.pred_err_at_l[s] = pred_exit - row[-1, 0]
             u_new = _cross_law(k1, k2, pred_exit)
         else:
             u_new = warm(s * dt)
         obs = row[:, 1]
         _inject(obs, k1, k2, row[-1, 0, ::-1], u_new)  # y(s) is the swapped plant exit pair
-        if m <= n:
-            ahead[s % m] = _predict_exit(obs, None, m, prop)
+        ahead[s % lead] = _predict_exit(obs, u_new, m, prop)
         return u_new
 
     return (theta0, observer0), inflow
@@ -284,7 +295,7 @@ def _cross_feedback(scenario, run, rec, theta0, observer0):
     warm-up input while t <= tau; otherwise it is the error system, which
     evolves observer0 - theta0 under the feedback from the first step.
     """
-    k1, k2, dt = scenario.params.k1, scenario.params.k2, run.grid.dt
+    k1, k2, dt = scenario.params.k1, scenario.params.k2, run.dt
     wait = run.m if run.delayed else 0
     warm = _input_pair(scenario.warmup_u)
 
@@ -296,24 +307,24 @@ def _cross_feedback(scenario, run, rec, theta0, observer0):
     return (theta0 if run.delayed else observer0 - theta0,), inflow
 
 
+def _open_loop(scenario, run, rec, theta0, observer0):
+    """The configured open-loop input signals."""
+    u, dt = _input_pair(scenario.u_open), run.dt
+    return (theta0,), lambda j, row: u(j * dt)
+
+
 def _simulate(scenario: Scenario, law, delayed: bool = True, with_observer: bool = False) -> RunResult:
     """The run skeleton every boundary law shares: each step fills its block row."""
     start = time.perf_counter()
-    p = scenario.params
     run = _prepare(scenario, delayed)
     rng = np.random.default_rng(scenario.seed)
     theta0 = _resolve_field(run.grid, scenario.theta0, rng)
     observer0 = _resolve_field(run.grid, scenario.observer0, rng)
-    rec = Recorder(run.grid, run.n_steps, run.grid.dt, scenario.snapshot_stride,
+    rec = Recorder(run.grid, run.n_steps, run.dt, scenario.snapshot_stride,
                    obs_lag=run.m if with_observer else None)
     fields, inflow = law(scenario, run, rec, theta0, observer0)
     rec.first()[...] = np.stack(fields, axis=1)
-    mix = _mix_operand(coupling_matrix(run.grid.dt, p.h1, p.h2), run.grid.n_cells)
-    for jn in range(1, run.n_steps + 1):
-        prev, row = rec.rows()
-        _advance_exact(prev, mix, 0.0, out=row)  # the law sets the inflow
-        row[0, 0] = rec.u[jn] = inflow(jn, row)
-    traj = rec.finish()
+    traj = _march(rec, scenario.params, scenario.cfl if scenario.solver == "upwind" else None, inflow)
     return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start, with_observer))
 
 
@@ -339,7 +350,7 @@ def run_error_system(scenario: Scenario) -> RunResult:
     left the domain (strictly after t = l; at t = l the exit node still
     carries the inflow-corner value).
     """
-    return _simulate(scenario, _cross_feedback, delayed=False)
+    return _simulate(dataclasses.replace(scenario, controller="error_system"), _cross_feedback, False)
 
 
 def run_delay_free_feedback(scenario: Scenario) -> RunResult:
@@ -353,24 +364,8 @@ def run_delay_free_feedback(scenario: Scenario) -> RunResult:
 
 
 def run_open_loop(scenario: Scenario) -> RunResult:
-    """Plant driven by the configured open-loop input signals."""
-    start = time.perf_counter()
-    p = scenario.params
-    run = _prepare(scenario, False)
-    theta0 = _resolve_field(run.grid, scenario.theta0, np.random.default_rng(scenario.seed))
-    u_fn = _input_pair(scenario.u_open)
-    if scenario.solver == "upwind":
-        traj = solve_upwind(
-            theta0, u_fn, run.T_used, p, run.grid, cfl=scenario.cfl,
-            snapshot_stride=scenario.snapshot_stride,
-        )
-    elif scenario.solver == "exact":
-        traj = solve_exact(
-            theta0, u_fn, run.T_used, p, run.grid, snapshot_stride=scenario.snapshot_stride
-        )
-    else:
-        raise ConfigError(f"run.solver must be exact or upwind, got {scenario.solver!r}")
-    return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start))
+    """Plant driven by the configured open-loop input signals, on either solver."""
+    return _simulate(dataclasses.replace(scenario, controller="open_loop"), _open_loop, False)
 
 
 # controller -> (runner, whether the run must outlast the delay)
@@ -391,12 +386,9 @@ def _require_sano_k(k: float | None) -> float:
 def check_scenario(scenario: Scenario) -> list[str]:
     """Check what a run needs before it starts; return the tau/T snap warnings.
 
+    The run checks are ``_prepare``'s, which every runner makes as well.
     Raises ConfigError naming the offending setting by its config key.
     """
-    if scenario.n_cells < 1:
-        raise ConfigError(f"grid.n_cells must be >= 1, got {scenario.n_cells}")
-    if not math.isfinite(scenario.T) or scenario.T <= 0:
-        raise ConfigError(f"run.T must be positive and finite, got {scenario.T}")
     if scenario.controller not in _CONTROLLERS:
         raise ConfigError(
             f"unknown controller {scenario.controller!r} "
@@ -404,12 +396,6 @@ def check_scenario(scenario: Scenario) -> list[str]:
         )
     if scenario.controller == "sano_static":
         _require_sano_k(scenario.sano_k)
-    if scenario.solver not in ("exact", "upwind"):
-        raise ConfigError(f"run.solver must be exact or upwind, got {scenario.solver!r}")
-    if scenario.solver == "upwind" and scenario.controller != "open_loop":
-        raise ConfigError("the upwind solver is available for open_loop runs only")
-    if not scenario.snapshot_stride > 0:
-        raise ConfigError(f"run.snapshot_stride must be positive, got {scenario.snapshot_stride}")
     return _prepare(scenario, _CONTROLLERS[scenario.controller][1]).warnings
 
 

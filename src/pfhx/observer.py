@@ -37,7 +37,7 @@ from .coupling import coupling_matrix
 from .grid import Grid, check_field
 from .history import as_trace
 from .params import Params
-from .solver import _advance_exact, _mix_operand, step_exact
+from .solver import _advance_exact, _mix_operand, closed_form_state, step_exact
 
 
 def _inject(field, k1, k2, y, u) -> None:
@@ -62,11 +62,6 @@ def observer_step(field: np.ndarray, y, u, params: Params, grid: Grid) -> np.nda
     return new
 
 
-def _snap_tau(params: Params, grid: Grid) -> tuple[int, float]:
-    m, tau_used, _ = grid.snap_tau(params.tau)
-    return m, tau_used
-
-
 def predict(
     obs_field: np.ndarray, inputs, t: float, params: Params, grid: Grid
 ) -> np.ndarray:
@@ -74,26 +69,15 @@ def predict(
 
     ``obs_field`` is the observer estimate at time t - tau and ``inputs``
     (see ``history.as_trace``) must cover [t - tau, t] at step resolution.
-    Node i takes exp(A1 tau) applied to the estimate one delay upstream
-    when x_i >= tau, and exp(A1 x_i) applied to the input u(t - x_i) when
-    x_i < tau.  The predicted exit pair is the field's last row.
+    It is the plant's closed form (``solver.closed_form_state``) run for
+    tau from the estimate at t - tau: node i takes exp(A1 tau) applied to
+    the estimate one delay upstream when x_i >= tau, and exp(A1 x_i)
+    applied to the input u(t - x_i) when x_i < tau.  The predicted exit
+    pair is the field's last row.
     """
-    obs_field = check_field(obs_field, grid)
-    m, tau_used = _snap_tau(params, grid)
-    n = grid.n_cells
-    dt = grid.dt
-    trace = as_trace(inputs, dt)
-
-    field = np.empty((n + 1, 2))
-    k = min(m, n + 1)  # nodes fed from stored inputs
-    for i in range(k):
-        field[i] = coupling_matrix(i * grid.dx, params.h1, params.h2) @ np.asarray(
-            trace(t - i * dt), dtype=float
-        )
-    if m <= n:
-        prop = coupling_matrix(tau_used, params.h1, params.h2)
-        field[m:] = obs_field[: n + 1 - m] @ prop.T
-    return field
+    tau_used = grid.snap_tau(params.tau)[1]
+    trace, start = as_trace(inputs, grid.dt), t - tau_used
+    return closed_form_state(obs_field, lambda s: trace(start + s), tau_used, params, grid)
 
 
 def _exit_propagator(m: int, n: int, tau_used: float, params: Params) -> np.ndarray:
@@ -122,7 +106,7 @@ def predict_exit(
     never requires u(t) itself: for tau > l it propagates the stored input
     u(t - l), otherwise it propagates the observer estimate at x = l - tau.
     """
-    m, tau_used = _snap_tau(params, grid)
+    m, tau_used, _ = grid.snap_tau(params.tau)
     n = grid.n_cells
     obs_field = check_field(obs_field, grid)
     u_past = np.asarray(as_trace(inputs, grid.dt)(t - params.l), dtype=float) if m > n else None
@@ -138,7 +122,7 @@ def predict_by_resolve(
     per call; kept as an independent oracle for testing, not used in the
     control loop.
     """
-    m, tau_used = _snap_tau(params, grid)
+    m, tau_used, _ = grid.snap_tau(params.tau)
     field = obs_field
     for j in range(m):
         field = step_exact(field, t - tau_used + j * grid.dt, inputs, params, grid)

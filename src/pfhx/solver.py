@@ -132,11 +132,12 @@ class Recorder:
         self.pred_err_at_l = np.zeros((total, 2))
         self.u = np.zeros((total, 2))
         self.exit_values = np.zeros((total, 2))
-        horizon = n_steps * dt
-        marks = int(np.floor(horizon / snapshot_stride + 1e-9))
-        steps = {min(n_steps, int(round(q * snapshot_stride / dt))) for q in range(marks + 1)}
-        steps.add(0)
-        self._snap_steps = np.array(sorted(steps))
+        marks = int(np.floor(n_steps * dt / snapshot_stride + 1e-9))  # the marks after t = 0
+        if snapshot_stride <= dt:  # marks at most a step apart reach every step to the last
+            self._snap_steps = np.arange(min(n_steps, round(marks * snapshot_stride / dt)) + 1)
+        else:
+            steps = np.round(np.arange(1, marks + 1) * snapshot_stride / dt)
+            self._snap_steps = np.unique(np.append(0, np.minimum(n_steps, steps).astype(int)))
         self.snapshots = np.zeros((len(self._snap_steps), grid.n_cells + 1, 2))
         rows = _block_rows(grid.n_cells + 1)
         self.block = np.empty((rows, grid.n_cells + 1, 1 if obs_lag is None else 2, 2))
@@ -244,29 +245,45 @@ def _advance_exact(field: np.ndarray, mix: np.ndarray, u_new, out=None) -> np.nd
     return out
 
 
-def _advance_upwind(
-    field: np.ndarray, step_matrix: np.ndarray, cfl: float, u_new, out=None, adv=None
-) -> np.ndarray:
+def _advance_upwind(field: np.ndarray, mix: np.ndarray, cfl: float, u_new, out, adv) -> np.ndarray:
     """One split upwind step of a field of shape (n_cells+1, ..., 2).
 
     The axes between the node and the stream axis stack independent runs
     that share the grid, CFL and coupling.  ``out`` and ``adv`` are
-    optional C-contiguous buffers of the field's shape; ``out`` receives
-    the new field, which is returned.  The mixing is one 2-D matmul over
-    every (node, run) row, with the operand ``_mix_operand`` gives.
+    C-contiguous buffers of the field's shape; ``out`` receives the new
+    field, which is returned.  The mixing is one 2-D matmul over every
+    (node, run) row; ``mix`` is ``_mix_operand(step_matrix, n_cells + 1)``,
+    made once per run.
     """
-    if out is None:
-        out = np.empty(field.shape)
-    if adv is None:
-        adv = np.empty(field.shape)
     np.multiply(field[1:], 1.0 - cfl, out=adv[1:])
     np.multiply(field[:-1], cfl, out=out[1:])
     np.add(adv[1:], out[1:], out=adv[1:])
     adv[0] = field[0]
-    rows = adv.reshape(-1, 2)
-    np.matmul(rows, _mix_operand(step_matrix, len(rows)), out=out.reshape(-1, 2))
+    np.matmul(adv.reshape(-1, 2), mix, out=out.reshape(-1, 2))
     out[0] = u_new
     return out
+
+
+def _march(rec: Recorder, params: Params, cfl: float | None, inflow) -> Trajectory:
+    """The one loop that steps a Recorder, from its first row to its last.
+
+    Each step advances every field of the row by one exact step (``cfl``
+    None) or one split upwind step at ``cfl``, with zero inflow; then
+    ``inflow(j, row)`` returns the plant's inflow pair at step j and sets
+    that of any other field itself.  The kernels are looked up at each
+    call, where the benchmark's tracer wraps them.
+    """
+    n = rec.block.shape[1] - 1
+    mix = _mix_operand(coupling_matrix(rec.dt, params.h1, params.h2), n if cfl is None else n + 1)
+    adv = np.empty(rec.block.shape[1:])
+    for j in range(1, len(rec.t)):
+        prev, row = rec.rows()
+        if cfl is None:
+            _advance_exact(prev, mix, 0.0, row)
+        else:
+            _advance_upwind(prev, mix, cfl, 0.0, row, adv)
+        row[0, 0] = rec.u[j] = inflow(j, row)
+    return rec.finish()
 
 
 def step_exact(field: np.ndarray, t: float, inputs, params: Params, grid: Grid) -> np.ndarray:
@@ -289,19 +306,7 @@ def solve_exact(
     t0: float = 0.0,
 ) -> Trajectory:
     """Run the exact solver from t0 to t0 + T and record the trajectory."""
-    dt = grid.dt
-    trace = as_trace(inputs, dt)
-    theta0 = check_field(theta0, grid)
-    n_steps, _, _ = grid.snap_steps(T)
-    mix = _mix_operand(coupling_matrix(dt, params.h1, params.h2), grid.n_cells)
-    rec = Recorder(grid, n_steps, dt, snapshot_stride)
-    rec.t = rec.t + t0
-    rec.first()[:, 0] = theta0
-    for j in range(1, n_steps + 1):
-        rec.u[j] = u_new = np.asarray(trace(t0 + j * dt), dtype=float)
-        prev, field = rec.rows()
-        _advance_exact(prev, mix, u_new, out=field)
-    return rec.finish()
+    return _solve(theta0, inputs, grid.snap_steps(T)[0], params, grid, None, snapshot_stride, t0)
 
 
 def solve_upwind(
@@ -317,22 +322,20 @@ def solve_upwind(
     """Run the split upwind solver from t0 to t0 + T at the given CFL."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    dt = cfl * grid.dx
-    trace = as_trace(inputs, dt)
-    theta0 = check_field(theta0, grid)
-    n_steps, _, changed = grid.snap_steps(T, dt=dt)
+    n_steps, _, changed = grid.snap_steps(T, dt=cfl * grid.dx)
     if changed:
-        raise ValueError(f"final time {T} is not a whole number of steps dt={dt}")
-    step_matrix = coupling_matrix(dt, params.h1, params.h2)
+        raise ValueError(f"final time {T} is not a whole number of steps dt={cfl * grid.dx}")
+    return _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0)
+
+
+def _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0) -> Trajectory:
+    """An oracle run: theta0 at t0, then the inputs at each step's time."""
+    dt = grid.dt if cfl is None else cfl * grid.dx
+    trace = as_trace(inputs, dt)
     rec = Recorder(grid, n_steps, dt, snapshot_stride)
     rec.t = rec.t + t0
-    rec.first()[:, 0] = theta0
-    adv = np.empty(rec.block.shape[1:])
-    for j in range(1, n_steps + 1):
-        rec.u[j] = u_new = np.asarray(trace(t0 + j * dt), dtype=float)
-        prev, field = rec.rows()
-        _advance_upwind(prev, step_matrix, cfl, u_new, out=field, adv=adv)
-    return rec.finish()
+    rec.first()[:, 0] = check_field(theta0, grid)
+    return _march(rec, params, cfl, lambda j, row: trace(t0 + j * dt))
 
 
 def closed_form_state(
@@ -343,7 +346,8 @@ def closed_form_state(
     theta(t, x) = exp(A1 t) theta0(x - t) where the characteristic reaches
     back to the initial data (x >= t), and exp(A1 x) u(t - x) where it
     reaches back to the boundary (x < t).  Used as an independent check of
-    the stepped solver; both must agree to rounding.
+    the stepped solver, both agreeing to rounding, and started at t - tau
+    from the estimate, it is the predictor (``observer.predict``).
     """
     trace = as_trace(inputs, grid.dt)
     theta0 = check_field(theta0, grid)
@@ -351,13 +355,11 @@ def closed_form_state(
     if changed:
         raise ValueError(f"time {t} is not aligned to the step grid (dt={grid.dt})")
     n = grid.n_cells
+    k = min(j, n + 1)  # the nodes whose characteristic reaches back to the boundary
     field = np.empty((n + 1, 2))
-    prop_t = coupling_matrix(t_snapped, params.h1, params.h2)
-    for i in range(n + 1):
-        if i >= j:
-            field[i] = prop_t @ theta0[i - j]
-        else:
-            field[i] = coupling_matrix(i * grid.dx, params.h1, params.h2) @ np.asarray(
-                trace((j - i) * grid.dt), dtype=float
-            )
+    for i in range(k):
+        field[i] = coupling_matrix(i * grid.dx, params.h1, params.h2) @ np.asarray(
+            trace((j - i) * grid.dt), dtype=float
+        )
+    field[k:] = theta0[: n + 1 - k] @ coupling_matrix(t_snapped, params.h1, params.h2).T
     return field

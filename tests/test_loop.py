@@ -259,6 +259,39 @@ def test_dispatch_and_controller_validation():
         run_scenario(sc)
 
 
+# every runner, with the arguments it needs besides the scenario
+RUNNERS = {
+    "closed_loop": (run_closed_loop, {}),
+    "sano": (run_sano_baseline, {"k": 1.0}),
+    "error_system": (run_error_system, {}),
+    "delay_free": (run_delay_free_feedback, {}),
+    "open_loop": (run_open_loop, {}),
+}
+
+
+@pytest.mark.parametrize("controller", ["observer_predictor", "open_loop"])
+@pytest.mark.parametrize("solver", ["upwind", "bogus"])
+@pytest.mark.parametrize("name", ["closed_loop", "sano", "error_system", "delay_free"])
+def test_direct_runner_refuses_a_solver_the_cli_refuses(name, solver, controller):
+    # the upwind step is cfl * dx, which only the open loop runs; a scenario
+    # that names open_loop does not change what another runner runs
+    runner, kwargs = RUNNERS[name]
+    sc = scenario_with(tau=0.5, T=4.0, n=20, controller=controller, solver=solver, cfl=0.5)
+    with pytest.raises(ConfigError, match="run.solver"):
+        runner(sc, **kwargs)
+
+
+@pytest.mark.parametrize("setting, key", [
+    ({"T": float("inf")}, "run.T"), ({"snapshot_stride": 0.0}, "run.snapshot_stride")])
+@pytest.mark.parametrize("name", RUNNERS)
+def test_direct_runner_refuses_a_run_setting_the_cli_refuses(name, setting, key):
+    runner, kwargs = RUNNERS[name]
+    controller = "open_loop" if name == "open_loop" else "observer_predictor"
+    sc = scenario_with(tau=0.5, T=4.0, n=20, controller=controller)
+    with pytest.raises(ConfigError, match=key):
+        runner(dataclasses.replace(sc, **setting), **kwargs)
+
+
 def test_summary_reproducible_from_trajectory():
     sc = scenario_with(tau=0.5, T=20.0)
     sc.observer0 = ("sine(1, 1)", "sine(1, 1)")

@@ -26,7 +26,9 @@ import pytest
 from pfhx import Grid, Params, Scenario, loop, solver
 from pfhx.coupling import coupling_matrix
 from pfhx.grid import _l2
-from pfhx.loop import run_closed_loop, run_delay_free_feedback, run_error_system, run_sano_baseline
+from pfhx.loop import (
+    run_closed_loop, run_delay_free_feedback, run_error_system, run_open_loop, run_sano_baseline,
+)
 from pfhx.profiles import input_function
 from pfhx.solver import Recorder, Trajectory, _block_l2, solve_exact, solve_upwind
 
@@ -209,12 +211,19 @@ def _oracle_inputs(grid):
     return np.column_stack([np.sin(grid.nodes), -0.0 * grid.nodes]), u_fn
 
 
+def _open_loop(sc):
+    return dataclasses.replace(sc, controller="open_loop", u_open=("sine(1, 2)", "constant(0.5)"))
+
+
 def _trajectories(n_cells, tau, n_steps, gain):
-    """Every stepped runner and both solver oracles on one scenario."""
+    """Every runner and both solver oracles on one scenario."""
     sc = _scenario(n_cells, tau, n_steps, gain)
     grid = Grid(n_cells, 1.0)
     theta0, u_fn = _oracle_inputs(grid)
     return {
+        "open_loop_exact": run_open_loop(_open_loop(sc)).trajectory,
+        "open_loop_upwind": run_open_loop(
+            dataclasses.replace(_open_loop(sc), solver="upwind", cfl=0.5)).trajectory,
         "observer_predictor": run_closed_loop(sc).trajectory,
         "sano_static": run_sano_baseline(sc, k=0.8 * gain).trajectory,
         "delay_free": run_delay_free_feedback(sc).trajectory,
@@ -230,7 +239,14 @@ def _per_step_trajectories(n_cells, tau, n_steps, gain):
     grid = Grid(n_cells, 1.0)
     theta0, u_fn = _oracle_inputs(grid)
     upwind = lambda field, step_matrix, u_new: _transposed_advance_upwind(field, step_matrix, 0.5, u_new)
+    ol = _open_loop(sc)
+    ol_theta0 = loop._resolve_field(grid, ol.theta0, np.random.default_rng(ol.seed))
+    ol_u = loop._input_pair(ol.u_open)
     return {
+        "open_loop_exact": _per_step_solve(ol_theta0, ol_u, n_steps, sc.params, grid, grid.dt,
+                                           _transposed_advance_exact, 0.3),
+        "open_loop_upwind": _per_step_solve(ol_theta0, ol_u, 2 * n_steps, sc.params, grid,
+                                            0.5 * grid.dx, upwind, 0.3),
         "observer_predictor": _per_step_simulate(sc, _deque_observer_predictor),
         "sano_static": _per_step_simulate(
             dataclasses.replace(sc, sano_k=0.8 * gain), _per_step_static_feedback),
@@ -316,6 +332,30 @@ def test_shipped_block_size_matches_per_step_path(n_cells, case):
     assert rows == max(8, 2**18 // (16 * (n_cells + 1)))
     n_steps = STEP_CASES[case](rows) if n_cells > 1 else 60  # 8192 rows at n_cells = 1
     _assert_matches_per_step_path(n_cells, 1.5, n_steps, 0.5)
+
+
+@pytest.mark.parametrize("n_cells, n_steps", [(10, 10), (7, 23), (200, 5000)])
+@pytest.mark.parametrize("ratio", [0.3, 1.0, 1.5, 2.5])
+def test_snapshot_steps_match_per_mark_set(n_cells, n_steps, ratio):
+    # at a stride of at most dt every step to the last mark's is a snapshot
+    grid = Grid(n_cells, 1.0)
+    for dt in (grid.dt, 0.3 * grid.dt):
+        for stride in (ratio * dt, np.nextafter(ratio * dt, 0), np.nextafter(ratio * dt, 1)):
+            steps = Recorder(grid, n_steps, dt, stride)._snap_steps
+            assert steps.tolist() == _PerStepRecorder(grid, n_steps, dt, stride)._snap_steps
+
+
+def test_snapshot_stride_far_below_a_step_snaps_every_step():
+    # a per-mark loop would take 1e12 iterations here
+    sc = dataclasses.replace(_scenario(10, 0.5, 10, 0.5), snapshot_stride=1e-12)
+    traj = run_closed_loop(sc).trajectory
+    assert len(traj.t) == 11
+    assert np.array_equal(traj.snapshot_t, traj.t)
+    assert np.array_equal(traj.snapshots[:, -1], traj.exit_values)
+
+
+def test_infinite_snapshot_stride_keeps_the_initial_field_only():
+    assert Recorder(Grid(10, 1.0), 10, 0.1, np.inf)._snap_steps.tolist() == [0]
 
 
 def test_norm_block_is_about_256_kb():
