@@ -12,8 +12,11 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import pickle
+import struct
 import sys
 import time
+import warnings
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -29,7 +32,7 @@ from .analysis import (
 from .config import Config, parse_config
 from .errors import ConfigError
 from .grid import Grid
-from .loop import RunResult, Scenario, run_scenario
+from .loop import RunResult, Scenario, check_scenario, run_scenario
 
 _FLAG_MAP = {
     "h1": "params.h1",
@@ -63,12 +66,16 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
+def _put_lines(handle, lines: Iterable[str]) -> None:
     """Write each item followed by a newline; an item may span several lines."""
+    for line in lines:
+        handle.write(line)
+        handle.write("\n")
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
     with open(path, "w", newline="\n") as handle:
-        for line in lines:
-            handle.write(line)
-            handle.write("\n")
+        _put_lines(handle, lines)
 
 
 def _format_rows(block: np.ndarray) -> str:
@@ -113,15 +120,110 @@ def _snapshot_block(t: float, snap: np.ndarray, node_tails: list[str]) -> str:
     return (t_str + ("\n" + t_str).join(node_tails)) % tuple(snap.ravel().tolist())
 
 
-def _write_snapshots(path: Path, result: RunResult, grid: Grid) -> None:
-    traj = result.trajectory
+def _snapshot_text(grid: Grid, batches) -> Iterable[str]:
+    """snapshots.csv as text items: the header, then one block per snapshot.
+
+    ``batches`` yields ``(times, fields)`` pairs, the snapshots in order.
+    """
     # x is formatted once per run and t once per snapshot; only theta is per row
     node_tails = ["," + _fmt(x) + ",%.16e,%.16e" for x in grid.nodes]
-    blocks = (
-        _snapshot_block(t, snap, node_tails)
-        for t, snap in zip(traj.snapshot_t, traj.snapshots)
-    )
-    _write_lines(path, itertools.chain(["t,x,theta1,theta2"], blocks))
+    yield "t,x,theta1,theta2"
+    for times, fields in batches:
+        for t, snap in zip(times, fields):
+            yield _snapshot_block(t, snap, node_tails)
+
+
+def _write_snapshots(path: Path, result: RunResult, grid: Grid) -> None:
+    traj = result.trajectory
+    _write_lines(path, _snapshot_text(grid, [(traj.snapshot_t, traj.snapshots)]))
+
+
+_BATCH_HEAD = struct.Struct("=q")  # the number of snapshots in a batch
+
+
+def _send_all(fd: int, data) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_batches(pipe, n_nodes: int):
+    """The (times, fields) batches ``_SnapshotWriter.send`` framed, up to end of file."""
+    while head := pipe.read(_BATCH_HEAD.size):
+        (count,) = _BATCH_HEAD.unpack(head)
+        values = np.frombuffer(pipe.read(8 * count * (1 + 2 * n_nodes)))
+        yield values[:count], values[count:].reshape(count, n_nodes, 2)
+
+
+def _writer_process(handle, grid: Grid, data_r: int, error_w: int):
+    """The forked writer: snapshots.csv from the pipe's batches, then exit.
+
+    What stops it, interrupts included, goes back pickled over ``error_w``
+    for the run to raise.  It never returns or raises: the stack above it
+    is the run's, copied by the fork.
+    """
+    code = 0
+    try:
+        with handle, open(data_r, "rb") as pipe:
+            _put_lines(handle, _snapshot_text(grid, _read_batches(pipe, grid.n_cells + 1)))
+    except BaseException as exc:
+        code = 1
+        try:
+            message = pickle.dumps(exc)
+        except Exception:
+            message = pickle.dumps(RuntimeError(f"snapshot writer failed: {exc!r}"))
+        _send_all(error_w, message)
+    finally:
+        os._exit(code)
+
+
+class _SnapshotWriter:
+    """snapshots.csv, written by a forked process while the run steps.
+
+    ``send`` is a ``Recorder``'s ``on_snapshots``: it passes each batch as
+    raw doubles over a pipe, whose blocking bounds what is in flight.  The
+    writer formats them as ``_write_snapshots`` does and never calls BLAS,
+    whose threads a forked process lacks.  ``join`` ends the input, waits
+    for the writer and raises what stopped it; the writer then has at most
+    a pipe's worth of snapshots left to format.
+    """
+
+    def __init__(self, path: Path, grid: Grid):
+        handle = open(path, "w", newline="\n")
+        data_r, self.data_w = os.pipe()
+        self.error_r, error_w = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 warns on forking a process with threads; the writer needs none
+            warnings.simplefilter("ignore", DeprecationWarning)
+            self.pid = os.fork()
+        if self.pid == 0:
+            os.close(self.data_w)
+            os.close(self.error_r)
+            _writer_process(handle, grid, data_r, error_w)
+        os.close(data_r)
+        os.close(error_w)
+        handle.close()
+
+    def send(self, times: np.ndarray, fields: np.ndarray) -> None:
+        try:
+            for data in (_BATCH_HEAD.pack(len(times)), times, fields):
+                _send_all(self.data_w, data)
+        except BrokenPipeError:
+            self.join()  # the writer stopped: raise what stopped it
+            raise
+
+    def join(self) -> None:
+        if self.pid is None:
+            return
+        os.close(self.data_w)
+        with open(self.error_r, "rb") as pipe:
+            message = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if message:
+            raise pickle.loads(message)
+        if status:
+            raise OSError(f"snapshot writer ended with wait status {status}")
 
 
 def _decay_text(label: str, decay) -> str:
@@ -160,16 +262,27 @@ def _emit_warnings(warnings: list[str]) -> None:
 
 
 def cmd_run(cfg: Config) -> int:
+    """One run; where it can fork, a second process writes snapshots.csv as it steps."""
     scenario = cfg.scenario
-    result = run_scenario(scenario)
+    check_scenario(scenario)  # a configuration error leaves the outputs alone
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     grid = Grid(scenario.n_cells, scenario.params.l)
-    warnings = result.summary.warnings  # the run's own tau/T snapping included
-    _write_norms(outdir / "norms.csv", result)
-    _write_snapshots(outdir / "snapshots.csv", result, grid)
-    _write_summary(outdir / "summary.txt", result, warnings)
-    _emit_warnings(warnings)
+    norms, snapshots, summary = (outdir / f for f in ("norms.csv", "snapshots.csv", "summary.txt"))
+    for path in (norms, snapshots, summary):
+        open(path, "w").close()  # an unwritable output fails before the run
+    writer = _SnapshotWriter(snapshots, grid) if hasattr(os, "fork") else None
+    try:
+        result = run_scenario(scenario, on_snapshots=None if writer is None else writer.send)
+        run_warnings = result.summary.warnings  # the run's own tau/T snapping included
+        _write_norms(norms, result)
+        if writer is None:
+            _write_snapshots(snapshots, result, grid)
+        _write_summary(summary, result, run_warnings)
+    finally:
+        if writer is not None:
+            writer.join()
+    _emit_warnings(run_warnings)
     if not result.summary.finite:
         print(f"numerical failure: first non-finite value at {_first_non_finite(result)}",
               file=sys.stderr)
@@ -367,3 +480,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

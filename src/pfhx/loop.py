@@ -313,30 +313,49 @@ def _open_loop(scenario, run, rec, theta0, observer0):
     return (theta0,), lambda j, row: u(j * dt)
 
 
-def _simulate(scenario: Scenario, law, delayed: bool = True, with_observer: bool = False) -> RunResult:
-    """The run skeleton every boundary law shares: each step fills its block row."""
+def _simulate(
+    scenario: Scenario, law, delayed: bool = True, with_observer: bool = False, on_snapshots=None,
+) -> RunResult:
+    """The run skeleton every boundary law shares: each step fills its block row.
+
+    The steps run with numpy's overflow and invalid-value warnings off: a
+    run that overflows is reported by ``Trajectory.is_finite`` instead, and
+    ``pfhx run`` names its first non-finite value.  ``on_snapshots`` goes to
+    the ``Recorder``.
+    """
     start = time.perf_counter()
     run = _prepare(scenario, delayed)
     rng = np.random.default_rng(scenario.seed)
     theta0 = _resolve_field(run.grid, scenario.theta0, rng)
     observer0 = _resolve_field(run.grid, scenario.observer0, rng)
     rec = Recorder(run.grid, run.n_steps, run.dt, scenario.snapshot_stride,
-                   obs_lag=run.m if with_observer else None)
+                   obs_lag=run.m if with_observer else None, on_snapshots=on_snapshots)
     fields, inflow = law(scenario, run, rec, theta0, observer0)
     rec.first()[...] = np.stack(fields, axis=1)
-    traj = _march(rec, scenario.params, scenario.cfl if scenario.solver == "upwind" else None, inflow)
+    cfl = scenario.cfl if scenario.solver == "upwind" else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = _march(rec, scenario.params, cfl, inflow)
     return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start, with_observer))
+
+
+# controller -> (boundary law, whether the run must outlast the delay, whether it runs an observer)
+_CONTROLLERS = {
+    "observer_predictor": (_observer_predictor, True, True),
+    "sano_static": (_static_feedback, True, False),
+    "open_loop": (_open_loop, False, False),
+    "error_system": (_cross_feedback, False, False),
+}
 
 
 def run_closed_loop(scenario: Scenario) -> RunResult:
     """Full observer-predictor feedback run."""
-    return _simulate(scenario, _observer_predictor, with_observer=True)
+    return _simulate(scenario, *_CONTROLLERS["observer_predictor"])
 
 
 def run_sano_baseline(scenario: Scenario, k: float | None = None) -> RunResult:
     """Static delayed output feedback u1 = 0, u2(t) = -k * theta1(t - tau, l)."""
     k = _require_sano_k(scenario.sano_k if k is None else k)
-    return _simulate(dataclasses.replace(scenario, sano_k=k), _static_feedback)
+    return _simulate(dataclasses.replace(scenario, sano_k=k), *_CONTROLLERS["sano_static"])
 
 
 def run_error_system(scenario: Scenario) -> RunResult:
@@ -350,7 +369,8 @@ def run_error_system(scenario: Scenario) -> RunResult:
     left the domain (strictly after t = l; at t = l the exit node still
     carries the inflow-corner value).
     """
-    return _simulate(dataclasses.replace(scenario, controller="error_system"), _cross_feedback, False)
+    return _simulate(dataclasses.replace(scenario, controller="error_system"),
+                     *_CONTROLLERS["error_system"])
 
 
 def run_delay_free_feedback(scenario: Scenario) -> RunResult:
@@ -365,16 +385,8 @@ def run_delay_free_feedback(scenario: Scenario) -> RunResult:
 
 def run_open_loop(scenario: Scenario) -> RunResult:
     """Plant driven by the configured open-loop input signals, on either solver."""
-    return _simulate(dataclasses.replace(scenario, controller="open_loop"), _open_loop, False)
-
-
-# controller -> (runner, whether the run must outlast the delay)
-_CONTROLLERS = {
-    "observer_predictor": (run_closed_loop, True),
-    "sano_static": (run_sano_baseline, True),
-    "open_loop": (run_open_loop, False),
-    "error_system": (run_error_system, False),
-}
+    return _simulate(dataclasses.replace(scenario, controller="open_loop"),
+                     *_CONTROLLERS["open_loop"])
 
 
 def _require_sano_k(k: float | None) -> float:
@@ -399,7 +411,11 @@ def check_scenario(scenario: Scenario) -> list[str]:
     return _prepare(scenario, _CONTROLLERS[scenario.controller][1]).warnings
 
 
-def run_scenario(scenario: Scenario) -> RunResult:
-    """Check a scenario, then dispatch it to the runner its controller names."""
+def run_scenario(scenario: Scenario, on_snapshots=None) -> RunResult:
+    """Check a scenario, then run the boundary law its controller names.
+
+    ``on_snapshots(t, fields)``, if given, receives the snapshots in order
+    as they are recorded, a batch at a time (``solver.Recorder``).
+    """
     check_scenario(scenario)
-    return _CONTROLLERS[scenario.controller][0](scenario)
+    return _simulate(scenario, *_CONTROLLERS[scenario.controller], on_snapshots)

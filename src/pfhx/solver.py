@@ -113,18 +113,23 @@ class Recorder:
     error obs(s) - theta(s) is normed into ``obs_err_l2[s + obs_lag]``.
     The block's last row carries over to the next block.  The run writes
     ``u``, ``pred_err_at_l`` and the first ``obs_lag`` observer errors
-    itself.  Steps arrive in order, from ``first`` on.
+    itself.  Steps arrive in order, from ``first`` on.  Given
+    ``on_snapshots``, each read-out that copies snapshots calls
+    ``on_snapshots(t, fields)`` with their times and fields, in order,
+    so a consumer can take them while the run steps on; ``fields`` is a
+    view of ``snapshots``.
     """
 
     def __init__(
         self, grid: Grid, n_steps: int, dt: float, snapshot_stride: float,
-        obs_lag: int | None = None,
+        obs_lag: int | None = None, on_snapshots=None,
     ):
         if snapshot_stride <= 0:
             raise ValueError("snapshot stride must be positive")
         self.dt = dt
         self.dx = grid.dx
         self.obs_lag = obs_lag
+        self.on_snapshots = on_snapshots
         total = n_steps + 1
         self.t = np.arange(total) * dt
         self.plant_l2 = np.zeros(total)
@@ -182,6 +187,8 @@ class Recorder:
         self.exit_values[lo:hi] = plant[:, -1]
         a, b = np.searchsorted(self._snap_steps, (lo, hi))
         self.snapshots[a:b] = self.block[self._snap_steps[a:b] - self.start, :, 0]
+        if b > a and self.on_snapshots is not None:
+            self.on_snapshots(self._snap_steps[a:b] * self.dt, self.snapshots[a:b])
         # the observer error of step s is obs_err_l2[s + obs_lag], which may run past the end
         live = 0 if self.obs_lag is None else min(hi, len(self.t) - self.obs_lag) - lo
         if live > 0:

@@ -1,5 +1,10 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +20,12 @@ from pfhx import (
     run_open_loop,
     run_scenario,
 )
+from pfhx import cli
+from pfhx.config import parse_config
 from pfhx.loop import check_scenario
 from pfhx.cli import _sweep_line, _sweep_worker, _write_norms, _write_snapshots, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 BASE = """\
 [params]
@@ -242,6 +251,117 @@ def test_io_failure_exit_code(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory")
     assert main(["run", "-c", cfg, "-o", str(blocker)]) == 4
+
+
+@pytest.mark.parametrize("name", ["norms.csv", "snapshots.csv", "summary.txt"])
+def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch, name):
+    marched = []
+    monkeypatch.setattr(loop, "_march", lambda *args: marched.append(args))
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert main(["run", "-c", cfg, "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and str(out / name) in err
+    assert marched == []
+
+
+def _cli(*args):
+    """``python -m pfhx.cli ARGS`` from the repository root, as a subprocess."""
+    paths = [str(ROOT / "src"), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run([sys.executable, "-m", "pfhx.cli", *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_runs_the_cli():
+    done = _cli("check", "-c", "configs/theorem_run.ini")
+    assert done.returncode == 0 and done.stderr == ""
+    assert "theorem_valid = true" in done.stdout
+
+
+def test_overflowing_run_prints_one_line(tmp_path):
+    done = _cli("run", "-c", "configs/theorem_run.ini", "-o", str(tmp_path), "--n-cells", "20",
+                "--T", "4", "--k1", "1e150", "--k2", "1e150")
+    assert done.returncode == 3
+    assert done.stderr == (
+        "numerical failure: first non-finite value at step 51 (t=2.55) in plant_l2\n")
+
+
+def test_overflowing_runner_raises_no_numpy_warning():
+    params = Params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=1e150, k2=1e150)
+    scenario = Scenario(params=params, n_cells=20, T=4.0, warmup_u=("sine(1, 4)", "zero"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not run_scenario(scenario).summary.finite
+
+
+WRITER_CASES = {
+    "one cell": {"grid.n_cells": 1},
+    "two cells": {"grid.n_cells": 2},
+    "tau > l": {},
+    "tau < l": {"params.tau": 0.5},
+    "tau = l": {"params.tau": 1.0},
+    "stride below dt": {"run.snapshot_stride": 1e-9},
+    "open loop": {"run.controller": "open_loop"},
+    "sano": {"run.controller": "sano_static", "run.sano_k": 1.5},
+    "overflow": {"params.k1": 1e150, "params.k2": 1e150},
+}
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
+@pytest.mark.parametrize("case", list(WRITER_CASES))
+def test_run_writes_what_the_writers_make_of_its_result(tmp_path, monkeypatch, case, fork):
+    # the run's CSVs are the writers' bytes for the same scenario, from the
+    # forked writer or, without os.fork, from this process after the run
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    text = BASE + "warmup_u1 = sine(1, 4)\n"
+    cfg = write_config(tmp_path, text)
+    overrides = WRITER_CASES[case]
+    flag = {dotted: "--" + attr.replace("_", "-") for attr, dotted in cli._FLAG_MAP.items()}
+    argv = [item for key, value in overrides.items() for item in (flag[key], str(value))]
+    out = tmp_path / "out"
+    assert main(["run", "-c", cfg, "-o", str(out), *argv]) == (3 if case == "overflow" else 0)
+    scenario = parse_config(text, overrides=overrides).scenario
+    result = run_scenario(scenario)
+    _write_norms(tmp_path / "norms.csv", result)
+    _write_snapshots(tmp_path / "snapshots.csv", result, Grid(scenario.n_cells, 1.0))
+    for name in ("norms.csv", "snapshots.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("args, stopped", [
+    # one batch of 61 snapshots fits in the pipe: the run ends, then joins the failed writer
+    (["--snapshot-stride", "0.1"], False),
+    # batches of 321 snapshots, 262 KB each, do not: the run stops at the broken pipe
+    (["--snapshot-stride", "1e-9", "--T", "60"], True),
+], ids=["at join", "mid-run"])
+def test_failing_writer_is_an_io_error_and_leaves_no_process(tmp_path, capsys, monkeypatch, args,
+                                                             stopped):
+    def full_disk(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_snapshot_block", full_disk)
+    cfg = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert main(["run", "-c", cfg, "-o", str(out), *args]) == 4
+    assert capsys.readouterr().err == "I/O error: [Errno 28] No space left on device\n"
+    assert ((out / "norms.csv").stat().st_size == 0) == stopped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failing_run_still_joins_the_writer(tmp_path, monkeypatch):
+    def broken(*args):
+        raise RuntimeError("not an output failure")
+
+    monkeypatch.setattr(cli, "_write_norms", broken)
+    cfg = write_config(tmp_path, BASE)
+    with pytest.raises(RuntimeError, match="not an output failure"):
+        main(["run", "-c", cfg, "-o", str(tmp_path / "out")])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_cartesian_order_and_content(tmp_path):
