@@ -31,7 +31,11 @@ import numpy as np
 from .coupling import coupling_matrix
 from .grid import Grid
 from .params import GainReport, Params, SanoReport, sano_window, validate_gains
-from .solver import _advance_upwind, _mix_operand, _physical_memory
+from .solver import _advance_upwind, _mix_operand, _physical_memory, _upwind_operands
+
+# Steps per chunk of the stacked upwind loop: the drive table is filled, and
+# the exit rows are scattered to their runs, once a chunk.
+_CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -119,28 +123,22 @@ def measure_frequency_responses(
             f"({memory / 2**30:.3g} GiB)"
         )
     distinct = sorted(steps, key=steps.get, reverse=True)
-    live = len(distinct)
-    # axes: node or step, omega, drive channel, stream
-    field = np.zeros((grid.n_cells + 1, live, 2, 2))
-    exits = [np.zeros((steps[omega] + 1, 2, 2)) for omega in distinct]
-    out, adv = np.empty_like(field), np.empty_like(field)
-    inflow = np.zeros((live, 2, 2))
+    # axes: node or step, then (omega, drive channel, stream) as column 4k + 2c + s
+    exits = [np.zeros((steps[omega] + 1, 4)) for omega in distinct]
     mix = _mix_operand(coupling_matrix(dt, params.h1, params.h2), grid.n_cells + 1)
-    for j in range(1, max(steps.values(), default=0) + 1):
-        if steps[distinct[live - 1]] < j:  # the shortest live runs have ended
-            live = sum(steps[omega] >= j for omega in distinct)
-            field = field[:, :live].copy()
-            out, adv = np.empty_like(field), np.empty_like(field)
-        t = j * dt
-        for k, omega in enumerate(distinct[:live]):  # drive channel c feeds stream c
-            inflow[k, 0, 0] = inflow[k, 1, 1] = math.sin(omega * t) if omega else 1.0
-        field, out = _advance_upwind(field, mix, cfl, inflow[:live], out, adv), field
-        for k in range(live):
-            exits[k][j] = field[-1, k]
+    field = np.zeros((grid.n_cells + 1, 4 * len(distinct)))
+    j = 1
+    for live in range(len(distinct), 0, -1):  # the shortest live runs leave the stack in turn
+        end = steps[distinct[live - 1]]
+        if end >= j:
+            field = np.ascontiguousarray(field[:, : 4 * live])
+            field = _march_stack(field, distinct[:live], exits, j, end, dt, mix, cfl)
+            j = end + 1
 
     gains = {}
     for omega, exit_values in zip(distinct, exits):
         n = steps[omega]
+        exit_values = exit_values.reshape(-1, 2, 2)
         gain = np.zeros((2, 2), dtype=complex)
         # output row i observes the opposite stream
         if omega == 0.0:
@@ -156,6 +154,41 @@ def measure_frequency_responses(
                     gain[row, chan] = coef[0] + 1j * coef[1]
         gains[omega] = gain
     return [gains[omega].copy() for omega in omegas]
+
+
+def _march_stack(field, omegas, exits, first, last, dt, mix, cfl) -> np.ndarray:
+    """Step a stack of runs from step ``first`` to step ``last``; return the last field.
+
+    ``field`` is C-contiguous of shape (node, 4 * len(omegas)), column
+    4k + 2c + s holding stream s of the run that drives channel c at
+    ``omegas[k]``.  Two buffers take turns as the field, so the operands of
+    both turns are built once.  Each chunk of steps fills a table of the
+    drives, which node 0 takes at each step, and collects the exit rows,
+    which go to ``exits[k][first:last + 1]`` once a chunk.
+    """
+    out, adv = np.empty_like(field), np.empty_like(field)
+    turns = [(_upwind_operands(a, b, adv), b[0], b[-1]) for a, b in ((field, out), (out, field))]
+    drive = np.zeros((_CHUNK_STEPS, field.shape[1]))
+    record = np.empty_like(drive)
+    drive_rows, record_rows = list(drive), list(record)
+    for k, omega in enumerate(omegas):  # drive channel c feeds stream c
+        if not omega:
+            drive[:, 4 * k] = drive[:, 4 * k + 3] = 1.0
+    for start in range(first, last + 1, _CHUNK_STEPS):
+        n = min(_CHUNK_STEPS, last + 1 - start)
+        times = np.arange(start, start + n) * dt
+        for k, omega in enumerate(omegas):
+            if omega:
+                sines = list(map(math.sin, (omega * times).tolist()))
+                drive[:n, 4 * k] = drive[:n, 4 * k + 3] = sines
+        for i in range(n):
+            operands, head, tail = turns[(start - first + i) & 1]
+            _advance_upwind(operands, mix, cfl)
+            head[...] = drive_rows[i]
+            record_rows[i][...] = tail
+        for k, rows in enumerate(exits[: len(omegas)]):
+            rows[start:start + n] = record[:n, 4 * k:4 * k + 4]
+    return (field, out)[(last + 1 - first) & 1]
 
 
 @dataclass(frozen=True)

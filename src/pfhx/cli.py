@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
+import math
 import os
 import pickle
 import struct
@@ -54,6 +56,8 @@ _FLAG_MAP = {
     "omega": "freqresp.omega",
     "cycles": "freqresp.cycles",
 }
+# flags that set a subcommand's own key in place of the one above
+_COMMAND_FLAGS = {"freqresp": {"cfl": "freqresp.cfl"}}
 
 _NORMS_BLOCK_ROWS = 4096
 
@@ -292,7 +296,8 @@ def cmd_run(cfg: Config) -> int:
 
 def _sweep_worker(payload: tuple[int, Scenario]) -> tuple[int, dict]:
     index, scenario = payload
-    result = run_scenario(scenario)
+    # a row reads no snapshot: an infinite stride keeps only the initial field
+    result = run_scenario(dataclasses.replace(scenario, snapshot_stride=math.inf))
     s = result.summary
     p = scenario.params
     sano = s.sano if scenario.controller == "sano_static" else None
@@ -408,7 +413,7 @@ def cmd_freqresp(cfg: Config) -> int:
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_lines(outdir / "freqresp.csv", lines)
-    _emit_warnings(cfg.warnings)
+    # cfg.warnings, the run's tau and T snaps, are left out: freqresp uses neither
     print(f"freqresp: {len(cfg.freq_omegas)} frequencies in {time.perf_counter() - start:.3f} s")
     return 0
 
@@ -448,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, object]:
     overrides: dict[str, object] = {}
-    for attr, dotted in _FLAG_MAP.items():
+    for attr, dotted in {**_FLAG_MAP, **_COMMAND_FLAGS.get(args.command, {})}.items():
         value = getattr(args, attr, None)
         if value is not None:
             overrides[dotted] = value

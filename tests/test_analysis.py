@@ -15,6 +15,7 @@ from pfhx import (
     transfer_function,
     zero_field,
 )
+from pfhx import analysis
 from pfhx.analysis import render_condition
 
 
@@ -194,6 +195,40 @@ def test_stacked_measurement_matches_per_run_reference(n_cells, cfl, cycles, h1)
         expected = _reference_measure(omega, params, grid, cycles, cfl)
         assert np.array_equal(gain, expected), omega
     assert measure_frequency_responses([], params, grid) == []
+
+
+def _omega_with_steps(steps, grid, cycles, cfl, transient=3.0):
+    """An omega whose horizon is ``steps`` steps: its end lies half a step before the last."""
+    dt = cfl * grid.dx
+    return cycles * 2 * math.pi / ((steps - 0.5) * dt - transient)
+
+
+def _assert_matches_reference(omegas, params, grid, cycles, cfl):
+    measured = measure_frequency_responses(omegas, params, grid, cycles=cycles, cfl=cfl)
+    for omega, gain in zip(omegas, measured):
+        assert np.array_equal(gain, _reference_measure(omega, params, grid, cycles, cfl)), omega
+
+
+# where the shortest run's horizon ends against chunks of 8 steps: 12 whole
+# chunks, then 7 (one step short of a 13th), 8, 9 or 12 steps into the next
+CHUNK_SEAMS = {"one before": -1, "on a boundary": 0, "one after": 1, "mid-chunk": 4}
+
+
+@pytest.mark.parametrize("seam", CHUNK_SEAMS)
+@pytest.mark.parametrize("n_cells", [1, 2, 7])
+def test_stacked_measurement_matches_reference_at_chunk_seams(monkeypatch, n_cells, seam):
+    # the short run leaves the stack at its last step; the long one steps on alone
+    monkeypatch.setattr(analysis, "_CHUNK_STEPS", 8)
+    grid, cfl, cycles = Grid(n_cells, 1.0), 0.5, 10
+    short = _omega_with_steps(8 * 12 + CHUNK_SEAMS[seam], grid, cycles, cfl)
+    _assert_matches_reference([1.0, short], make_params(), grid, cycles, cfl)
+
+
+@pytest.mark.parametrize("omega", [5.0, 0.0])
+@pytest.mark.parametrize("n_cells", [1, 2])
+def test_single_run_stack_matches_reference(monkeypatch, n_cells, omega):
+    monkeypatch.setattr(analysis, "_CHUNK_STEPS", 8)
+    _assert_matches_reference([omega], make_params(), Grid(n_cells, 1.0), 10, 0.5)
 
 
 def test_fit_decay_exact_exponential():

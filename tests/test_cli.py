@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -414,6 +415,55 @@ def test_freqresp_writes_formula_and_measurement(tmp_path):
     assert len(rows) == 1
     rel_err = float(rows[0].split(",")[header.index("rel_err")])
     assert rel_err < 0.05  # coarse grid (n=50), still close
+
+
+def test_cfl_flag_sets_the_freqresp_cfl(tmp_path, capsys):
+    text = BASE + "\n[freqresp]\nomega = 1.0, 2.0\n"
+    cfg = write_config(tmp_path, text)
+    keyed = write_config(tmp_path, text + "cfl = 1.0\n", name="keyed.ini")
+    runs = {"flag": (cfg, "--cfl", "1.0"), "key": (keyed,), "default": (cfg,)}
+    written = {}
+    for name, (path, *flag) in runs.items():
+        out = tmp_path / name
+        assert main(["freqresp", "-c", path, "-o", str(out), "--n-cells", "20", *flag]) == 0
+        written[name] = (out / "freqresp.csv").read_bytes()
+    assert written["flag"] == written["key"]
+    assert written["flag"] != written["default"]
+    capsys.readouterr()
+    assert main(["freqresp", "-c", cfg, "-o", str(tmp_path / "bad"), "--cfl", "7"]) == 2
+    assert "freqresp.cfl" in capsys.readouterr().err
+
+
+def test_freqresp_does_not_warn_of_the_run_snaps(tmp_path, capsys):
+    # n_cells = 7 snaps the run's tau = 1.5, which freqresp does not use
+    cfg = ROOT / "configs" / "freqresp.ini"
+    assert parse_config(cfg.read_text(), overrides={"grid.n_cells": 7}).warnings
+    argv = ["freqresp", "-c", str(cfg), "-o", str(tmp_path), "--n-cells", "7", "--omega", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", ["tau_sweep.ini", "sano_baseline.ini"])
+def test_sweep_rows_keep_no_snapshots_and_the_same_bytes(tmp_path, monkeypatch, name):
+    cfg = ROOT / "configs" / name
+    stride = parse_config(cfg.read_text()).scenario.snapshot_stride
+    argv = ["sweep", "-c", str(cfg), "--n-cells", "20", "--workers", "1", "-o"]
+    run = cli.run_scenario
+    kept = []
+
+    def counting(scenario):
+        result = run(scenario)
+        kept.append((scenario.snapshot_stride, len(result.trajectory.snapshot_t)))
+        return result
+
+    monkeypatch.setattr(cli, "run_scenario", counting)
+    assert main([*argv, str(tmp_path / "rows")]) == 0
+    assert kept == [(math.inf, 1)] * 6
+    monkeypatch.setattr(cli, "run_scenario",
+                        lambda scenario: run(dataclasses.replace(scenario, snapshot_stride=stride)))
+    assert main([*argv, str(tmp_path / "strided")]) == 0
+    assert (tmp_path / "rows" / "sweep.csv").read_bytes() == (
+        tmp_path / "strided" / "sweep.csv").read_bytes()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
