@@ -16,9 +16,10 @@ The package provides an exact method-of-characteristics solver (plus an
 independent upwind scheme for cross-validation), a Luenberger observer
 with delayed output injection, a prediction step that compensates the
 delay in closed form, boundary feedback built from the predicted state,
-and analysis tools (transfer function, frequency-response measurement,
-decay-rate fitting).  A CLI drives single runs, parameter sweeps, and
-frequency-response experiments with deterministic CSV output.
+and analysis tools (transfer function, the upwind scheme's exact
+frequency response, decay-rate fitting).  A CLI drives single runs,
+parameter sweeps, and frequency-response comparisons with deterministic
+CSV output.
 """
 
 from .params import Params, GainReport, SanoReport, validate_gains, sano_window
@@ -62,8 +63,8 @@ from .analysis import (
     DecayReport,
     TransferEval,
     condition_report,
+    discrete_response,
     fit_decay,
-    measure_frequency_responses,
     transfer_function,
 )
 from .errors import ConfigError
@@ -89,11 +90,11 @@ __all__ = [
     "condition_report",
     "control_law",
     "coupling_matrix",
+    "discrete_response",
     "fit_decay",
     "input_function",
     "l2_norm",
     "make_field",
-    "measure_frequency_responses",
     "observer_step",
     "predict",
     "predict_by_resolve",

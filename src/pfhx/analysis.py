@@ -1,4 +1,4 @@
-"""Transfer function, frequency-response measurement, and decay fitting.
+"""Transfer function, the upwind scheme's frequency response, and decay fitting.
 
 With zero delay the map from the inlet inputs to the (cross-measured)
 exit outputs is a pure transport delay combined with the heat-exchange
@@ -11,12 +11,12 @@ which is exp(A1 l) with swapped rows times e^{-sl}.  Rows of G(0) sum to
 one (a constant inlet passes through unchanged in steady state) and every
 entry rolls off like e^{-Re(s) l} for large positive real part.
 
-``measure_frequency_responses`` estimates G(i omega) empirically by driving
-one inlet with a sinusoid and fitting the exit oscillations after the
-transient has flushed; every frequency and both inlets run as columns of
-one stacked simulation.  It deliberately runs the dissipative upwind scheme
-at CFL < 1: the characteristic solver reproduces G to rounding and would
-make the measurement a tautology, while the upwind route has an honest
+``discrete_response`` gives the gain that a measurement of the upwind
+scheme would read: the steady response of its linear, time-invariant step
+to a sinusoidal inlet, solved exactly in the z-domain instead of stepped
+until the transient flushes.  It deliberately models the dissipative upwind
+scheme at CFL < 1: the characteristic solver reproduces G to rounding and
+would make the comparison a tautology, while the upwind route has an honest
 O(dx) discretization error that must shrink under grid refinement.
 """
 
@@ -28,14 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import coupling_matrix
 from .grid import Grid
 from .params import GainReport, Params, SanoReport, sano_window, validate_gains
-from .solver import _advance_upwind, _mix_operand, _physical_memory, _upwind_operands
-
-# Steps per chunk of the stacked upwind loop: the drive table is filled, and
-# the exit rows are scattered to their runs, once a chunk.
-_CHUNK_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -46,149 +40,71 @@ class TransferEval:
     matrix: np.ndarray
 
 
+def _exchange_gain(a, b, h1: float, h2: float) -> np.ndarray:
+    """exp(A1 l) with its rows swapped and its two modes weighted by ``a`` and ``b``.
+
+    A1 has the eigenvalue 0 with eigenvector (1, 1) and -(h1 + h2) with
+    (h1, -h2); exp(A1 l) weights them by 1 and e^{-(h1+h2) l}.  Scalar
+    weights give a (2, 2) matrix, weight arrays of shape (k,) a (k, 2, 2)
+    stack.  With h1 = h2 = 0 both eigenvalues are 0 and ``a`` weighs both.
+    """
+    rate = h1 + h2
+    if rate == 0.0:
+        zero = np.zeros_like(a, dtype=complex)
+        return np.stack([np.stack(row, -1) for row in ((zero, a), (a, zero))], -2)
+    rows = ((h2 * a - h2 * b, h2 * b + h1 * a), (h2 * a + h1 * b, -h1 * b + h1 * a))
+    return np.stack([np.stack(row, -1) for row in rows], -2) / rate
+
+
 def transfer_function(s: complex, params: Params) -> TransferEval:
     """Evaluate the delay-free transfer matrix G(s)."""
     h1, h2, l = params.h1, params.h2, params.l
-    rate = h1 + h2
-    if rate == 0.0:
-        a = cmath.exp(-s * l)
-        return TransferEval(s=s, matrix=np.array([[0.0, a], [a, 0.0]], dtype=complex))
     a = cmath.exp(-s * l)
-    b = cmath.exp(-(rate + s) * l)
-    matrix = (
-        np.array(
-            [
-                [h2 * a - h2 * b, h2 * b + h1 * a],
-                [h2 * a + h1 * b, -h1 * b + h1 * a],
-            ],
-            dtype=complex,
-        )
-        / rate
-    )
-    return TransferEval(s=s, matrix=matrix)
+    b = cmath.exp(-(h1 + h2 + s) * l)
+    return TransferEval(s=s, matrix=_exchange_gain(a, b, h1, h2))
 
 
-def measure_frequency_responses(
-    omegas,
-    params: Params,
-    grid: Grid,
-    cycles: int = 10,
-    cfl: float = 0.5,
-    transient_factor: float = 3.0,
-) -> list[np.ndarray]:
-    """Measure the 2x2 gain at each frequency in one stacked simulation.
+def _log1p(w: np.ndarray) -> np.ndarray:
+    """log(1 + w) for complex w, accurate for small |w|."""
+    re, im = w.real, w.imag
+    return 0.5 * np.log1p(re * (2.0 + re) + im * im) + 1j * np.arctan2(im, 1.0 + re)
 
-    Every distinct omega gives two runs, one per inlet channel, driven by
-    sin(omega t) with the other channel zero.  All runs are columns of one
-    field advanced by a single upwind loop that records only the exit
-    node.  A run's horizon is the transient t < transient_factor * l plus
-    ``cycles`` periods, rounded up to the step grid; runs are stacked
-    longest first and leave the stack when their horizon ends.  Amplitude
-    and phase of both exit values come from a least-squares sinusoid fit
-    after the transient.  omega = 0 drives a constant input and reads the
-    steady state at its final step.  Needs cycles >= 10 for a
-    well-conditioned fit.  Returns one gain per entry of ``omegas``, in
-    order.  Raises ValueError, before allocating, for an omega so small
-    that its horizon is not finite or the exit buffers would not fit in
-    physical memory.
+
+def discrete_response(omegas, params: Params, grid: Grid, cfl: float = 0.5) -> np.ndarray:
+    """The upwind scheme's exact steady gain at each omega, as a (k, 2, 2) array.
+
+    The split upwind step at CFL c is linear and time-invariant: node i
+    takes M ((1 - c) theta_i + c theta_{i-1}) with M = exp(A1 dt), dt = c dx.
+    Driven by z^j at node 0, with z = e^{i omega dt}, its steady state is
+    z^j T(z)^i at node i, where T(z) = c (z I - (1 - c) M)^{-1} M, so the
+    exit gain is T(z)^n_cells with its rows swapped, because output row i
+    observes the opposite stream.  This is what fitting sinusoids to the
+    stepped exit values gives once the transient has flushed, and it keeps
+    the scheme's O(dx) error against G(i omega).  omega = 0 is z = 1.
+
+    T(z) shares M's eigenvectors, which are A1's: an eigenvalue mu of M
+    gives 1 / (1 + w) with w = (z - mu) / (c mu).  So the gain is G(i omega)
+    with the mode weights e^{-i omega l} and e^{-(h1+h2+i omega) l} replaced
+    by (1 + w)^-n_cells, taken as exp(-n_cells log1p(w)): the rounding then
+    does not grow with n_cells, and a tiny omega or CFL cancels nothing.
     """
-    omegas = [float(omega) for omega in omegas]
+    omegas = np.array([float(omega) for omega in omegas])
     for omega in omegas:
         if not (math.isfinite(omega) and omega >= 0):
             raise ValueError(f"omega must be finite and nonnegative, got {omega}")
-    if cycles < 10:
-        raise ValueError(f"need at least 10 cycles after the transient, got {cycles}")
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    transient = transient_factor * params.l
-    dt = cfl * grid.dx
-
-    def horizon_steps(omega: float) -> int:
-        if omega == 0.0:
-            T = (transient_factor + 5.0) * params.l
-        else:
-            T = transient + cycles * 2 * math.pi / omega
-        if not math.isfinite(T / dt):
-            raise ValueError(f"omega={omega!r} needs a horizon of inf steps of dt={dt:g}")
-        return math.ceil(T / dt)
-
-    steps = {omega: horizon_steps(omega) for omega in omegas}
-    exit_bytes = sum(32 * (n + 1) for n in steps.values())  # (n+1, 2, 2) doubles each
-    memory = _physical_memory()
-    if exit_bytes > memory:
-        omega = max(steps, key=steps.get)
-        raise ValueError(
-            f"omega={omega!r} needs {steps[omega]} steps of dt={dt:g}: the exit buffers "
-            f"would take {exit_bytes / 2**30:.3g} GiB, more than the physical memory "
-            f"({memory / 2**30:.3g} GiB)"
-        )
-    distinct = sorted(steps, key=steps.get, reverse=True)
-    # axes: node or step, then (omega, drive channel, stream) as column 4k + 2c + s
-    exits = [np.zeros((steps[omega] + 1, 4)) for omega in distinct]
-    mix = _mix_operand(coupling_matrix(dt, params.h1, params.h2), grid.n_cells + 1)
-    field = np.zeros((grid.n_cells + 1, 4 * len(distinct)))
-    j = 1
-    for live in range(len(distinct), 0, -1):  # the shortest live runs leave the stack in turn
-        end = steps[distinct[live - 1]]
-        if end >= j:
-            field = np.ascontiguousarray(field[:, : 4 * live])
-            field = _march_stack(field, distinct[:live], exits, j, end, dt, mix, cfl)
-            j = end + 1
-
-    gains = {}
-    for omega, exit_values in zip(distinct, exits):
-        n = steps[omega]
-        exit_values = exit_values.reshape(-1, 2, 2)
-        gain = np.zeros((2, 2), dtype=complex)
-        # output row i observes the opposite stream
-        if omega == 0.0:
-            gain[0], gain[1] = exit_values[n, :, 1], exit_values[n, :, 0]
-        else:
-            t = np.arange(n + 1) * dt
-            sel = t >= transient - 1e-9
-            ts = t[sel]
-            design = np.column_stack([np.sin(omega * ts), np.cos(omega * ts)])
-            for chan in (0, 1):
-                for row, col in ((0, 1), (1, 0)):
-                    coef, *_ = np.linalg.lstsq(design, exit_values[sel, chan, col], rcond=None)
-                    gain[row, chan] = coef[0] + 1j * coef[1]
-        gains[omega] = gain
-    return [gains[omega].copy() for omega in omegas]
-
-
-def _march_stack(field, omegas, exits, first, last, dt, mix, cfl) -> np.ndarray:
-    """Step a stack of runs from step ``first`` to step ``last``; return the last field.
-
-    ``field`` is C-contiguous of shape (node, 4 * len(omegas)), column
-    4k + 2c + s holding stream s of the run that drives channel c at
-    ``omegas[k]``.  Two buffers take turns as the field, so the operands of
-    both turns are built once.  Each chunk of steps fills a table of the
-    drives, which node 0 takes at each step, and collects the exit rows,
-    which go to ``exits[k][first:last + 1]`` once a chunk.
-    """
-    out, adv = np.empty_like(field), np.empty_like(field)
-    turns = [(_upwind_operands(a, b, adv), b[0], b[-1]) for a, b in ((field, out), (out, field))]
-    drive = np.zeros((_CHUNK_STEPS, field.shape[1]))
-    record = np.empty_like(drive)
-    drive_rows, record_rows = list(drive), list(record)
-    for k, omega in enumerate(omegas):  # drive channel c feeds stream c
-        if not omega:
-            drive[:, 4 * k] = drive[:, 4 * k + 3] = 1.0
-    for start in range(first, last + 1, _CHUNK_STEPS):
-        n = min(_CHUNK_STEPS, last + 1 - start)
-        times = np.arange(start, start + n) * dt
-        for k, omega in enumerate(omegas):
-            if omega:
-                sines = list(map(math.sin, (omega * times).tolist()))
-                drive[:n, 4 * k] = drive[:n, 4 * k + 3] = sines
-        for i in range(n):
-            operands, head, tail = turns[(start - first + i) & 1]
-            _advance_upwind(operands, mix, cfl)
-            head[...] = drive_rows[i]
-            record_rows[i][...] = tail
-        for k, rows in enumerate(exits[: len(omegas)]):
-            rows[start:start + n] = record[:n, 4 * k:4 * k + 4]
-    return (field, out)[(last + 1 - first) & 1]
+    h1, h2, dx = params.h1, params.h2, grid.dx
+    dt = cfl * dx
+    half = omegas * dt / 2
+    advance = 1j * omegas * np.sinc(half / math.pi) * np.exp(1j * half)  # (z - 1) / dt
+    decay = (h1 + h2) * dt
+    exchange = (h1 + h2) * (-math.expm1(-decay) / decay if decay else 1.0)  # (1 - mu) / dt
+    weights = (
+        np.exp(-grid.n_cells * _log1p(w))
+        for w in (dx * advance, dx * (advance + exchange) * math.exp(decay))
+    )
+    return _exchange_gain(*weights, h1, h2)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
-import math
 import os
 import pickle
 import struct
@@ -25,12 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    condition_report,
-    measure_frequency_responses,
-    render_condition,
-    transfer_function,
-)
+from .analysis import condition_report, discrete_response, render_condition, transfer_function
 from .config import Config, parse_config
 from .errors import ConfigError
 from .grid import Grid
@@ -296,8 +289,7 @@ def cmd_run(cfg: Config) -> int:
 
 def _sweep_worker(payload: tuple[int, Scenario]) -> tuple[int, dict]:
     index, scenario = payload
-    # a row reads no snapshot: an infinite stride keeps only the initial field
-    result = run_scenario(dataclasses.replace(scenario, snapshot_stride=math.inf))
+    result = run_scenario(scenario)
     s = result.summary
     p = scenario.params
     sano = s.sano if scenario.controller == "sano_static" else None
@@ -348,7 +340,7 @@ def cmd_sweep(cfg: Config) -> int:
     payloads = []
     for index, combo in enumerate(combos):
         overrides = dict(zip(names, combo))
-        payloads.append((index, cfg.to_scenario(**overrides)))
+        payloads.append((index, cfg.sweep_row(**overrides)))
 
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
     workers = min(workers, len(payloads))
@@ -390,12 +382,7 @@ def cmd_freqresp(cfg: Config) -> int:
     header.append("rel_err")
     lines = [",".join(header)]
     start = time.perf_counter()
-    try:
-        gains = measure_frequency_responses(
-            cfg.freq_omegas, params, grid, cycles=cfg.freq_cycles, cfl=cfg.freq_cfl
-        )
-    except ValueError as exc:  # the config checks leave only a too-long horizon
-        raise ConfigError(f"freqresp.omega is too small: {exc}") from None
+    gains = discrete_response(cfg.freq_omegas, params, grid, cfl=cfg.freq_cfl)
     for omega, measured in zip(cfg.freq_omegas, gains):
         formula = transfer_function(1j * omega, params).matrix
         rel_err = float(np.linalg.norm(measured - formula) / np.linalg.norm(formula))
@@ -413,7 +400,8 @@ def cmd_freqresp(cfg: Config) -> int:
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_lines(outdir / "freqresp.csv", lines)
-    # cfg.warnings, the run's tau and T snaps, are left out: freqresp uses neither
+    if cfg.freq_cycles is not None:
+        _emit_warnings(["freqresp.cycles no longer affects the exact response and will be removed"])
     print(f"freqresp: {len(cfg.freq_omegas)} frequencies in {time.perf_counter() - start:.3f} s")
     return 0
 
@@ -467,7 +455,7 @@ def main(argv=None) -> int:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        cfg = parse_config(text, overrides=_collect_overrides(args))
+        cfg = parse_config(text, overrides=_collect_overrides(args), command=args.command)
         handler = {
             "run": cmd_run,
             "sweep": cmd_sweep,

@@ -4,7 +4,8 @@ The config format is flat key/value pairs grouped into sections; the full
 schema lives in docs/config.md.  Unknown sections or keys are rejected by
 name, command-line flags override file values, and the tau/T step snapping
 performed by the solver is surfaced as warnings at parse time.  The run
-checks and defaults are the library's (``check_scenario``, ``Scenario``).
+checks and defaults are the library's (``check_scenario``, ``Scenario``),
+made on the runs of the subcommand the config serves.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class Config:
     sweep_axes: dict = field(default_factory=dict)
     workers: int = 0
     freq_omegas: list = field(default_factory=lambda: [0.5, 1.0, 2.0])
-    freq_cycles: int = 10
+    freq_cycles: int | None = None  # deprecated: the exact response has no horizon
     freq_cfl: float = 0.5
     warnings: list = field(default_factory=list)
 
@@ -110,6 +111,10 @@ class Config:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         return dataclasses.replace(self.scenario, params=params)
+
+    def sweep_row(self, **axis_values) -> Scenario:
+        """A sweep row's scenario: it keeps no snapshots, since nothing reads them."""
+        return dataclasses.replace(self.to_scenario(**axis_values), snapshot_stride=math.inf)
 
 
 def _parse_value(raw: str, kind: str, where: str):
@@ -145,11 +150,15 @@ def _read_raw(text: str) -> dict[str, dict[str, str]]:
     return raw
 
 
-def parse_config(text: str, overrides: dict[str, object] | None = None) -> Config:
+def parse_config(
+    text: str, overrides: dict[str, object] | None = None, command: str | None = None
+) -> Config:
     """Parse and fully validate a config, applying flag overrides last.
 
     ``overrides`` maps dotted keys (e.g. ``params.tau``) to replacement
-    values.  Raises ConfigError naming the offending key on any problem.
+    values.  ``command`` names the subcommand the config serves: only the
+    runs it makes get the run checks.  Raises ConfigError naming the
+    offending key on any problem.
     """
     raw = _read_raw(text)
     for section, entries in raw.items():
@@ -193,23 +202,34 @@ def parse_config(text: str, overrides: dict[str, object] | None = None) -> Confi
     # declaration order fixes the row order
     axes = {key: v for key, v in values["sweep"].items() if key in _SWEEP_AXES and v}
     cfg = Config(scenario=scenario, sweep_axes=axes, **settings)
-    _validate(cfg)
+    _validate(cfg, command)
     return cfg
 
 
-def _validate(cfg: Config) -> None:
-    """Run the scenario checks on the base and every swept tau, then the settings."""
+def _validate(cfg: Config, command: str | None) -> None:
+    """Run the run checks on the runs ``command`` makes, then check the settings.
+
+    ``run`` makes the base scenario's run, ``sweep`` its rows, checked at
+    each swept tau (the other axes change no run check) or at the base one,
+    and ``freqresp`` none.  Any other command, None included, gets the base
+    scenario and every swept tau.
+    """
     scenario = cfg.scenario
-    cfg.warnings = check_scenario(scenario)
-    for tau in cfg.sweep_axes.get("tau", []):
+    if scenario.n_cells < 1:  # the first run check; freqresp needs it too
+        raise ConfigError(f"grid.n_cells must be >= 1, got {scenario.n_cells}")
+    swept = [] if command in ("run", "freqresp") else cfg.sweep_axes.get("tau", [])
+    run = cfg.sweep_row if command == "sweep" else cfg.to_scenario
+    base = command != "freqresp" and not (command == "sweep" and swept)
+    cfg.warnings = check_scenario(run()) if base else []
+    for tau in swept:
         try:
-            swept = check_scenario(cfg.to_scenario(tau=tau))
+            found = check_scenario(run(tau=tau))
         except ConfigError as exc:
             raise ConfigError(f"every swept tau must give a valid run; tau={tau:g}: {exc}") from None
-        cfg.warnings += [w for w in swept if w not in cfg.warnings]
+        cfg.warnings += [w for w in found if w not in cfg.warnings]
     if not 0.0 < cfg.freq_cfl <= 1.0:
         raise ConfigError(f"freqresp.cfl must lie in (0, 1], got {cfg.freq_cfl}")
-    if cfg.freq_cycles < 10:
+    if cfg.freq_cycles is not None and cfg.freq_cycles < 10:
         raise ConfigError(f"freqresp.cycles must be >= 10, got {cfg.freq_cycles}")
     if not all(math.isfinite(w) and w >= 0 for w in cfg.freq_omegas):
         raise ConfigError(

@@ -222,8 +222,8 @@ def _mix_operand(step_matrix: np.ndarray, rows: int) -> np.ndarray:
     transposed path, which at these shapes is two to three times slower,
     and the products are the same bits.  A single row keeps the transposed
     view: numpy hands one row to BLAS gemv, where the two layouts round
-    differently by a few ulp (tests/test_recorder.py and
-    tests/test_analysis.py compare against the transposed view).
+    differently by a few ulp (tests/test_recorder.py compares against the
+    transposed view).
     """
     if rows == 1:
         return step_matrix.T
@@ -252,35 +252,24 @@ def _advance_exact(field: np.ndarray, mix: np.ndarray, u_new, out=None) -> np.nd
     return out
 
 
-def _upwind_operands(field: np.ndarray, out: np.ndarray, adv: np.ndarray) -> tuple:
-    """The views that one upwind step from ``field`` into ``out`` works on.
+def _advance_upwind(field: np.ndarray, out: np.ndarray, adv: np.ndarray, mix: np.ndarray,
+                    cfl: float) -> None:
+    """One split upwind step from ``field`` into ``out``, with ``adv`` as scratch.
 
-    ``field``, ``out`` and ``adv`` are C-contiguous buffers of one shape
-    (n_cells+1, ...) whose node rows hold stream pairs side by side, such
-    as (n_cells+1, ..., 2).  The axes after the node axis are flattened, so
-    every view is a 2-D (node, column) slice, a node row, or the (-1, 2)
-    rows the mixing matmul reads and writes.  A loop that steps the same
-    buffers again and again builds these once.
-    """
-    f, o, a = (np.reshape(b, (len(b), -1)) for b in (field, out, adv))
-    return f[1:], f[:-1], a[1:], o[1:], a[0], f[0], a.reshape(-1, 2), o.reshape(-1, 2)
-
-
-def _advance_upwind(operands: tuple, mix: np.ndarray, cfl: float) -> None:
-    """One split upwind step over ``_upwind_operands(field, out, adv)``.
-
+    The three are C-contiguous buffers of one shape (n_cells+1, ..., 2).
     Every node of ``out`` but node 0, which the caller sets to the inflow,
     receives the new field.  The axes between the node and the stream axis
-    stack independent runs that share the grid, CFL and coupling.  The
-    mixing is one 2-D matmul over every (node, run) row; ``mix`` is
+    stack independent runs that share the grid, CFL and coupling; they are
+    flattened, so the advection works on 2-D (node, column) slices and the
+    mixing is one 2-D matmul over every (node, run) row.  ``mix`` is
     ``_mix_operand(step_matrix, n_cells + 1)``, made once per run.
     """
-    f_next, f_prev, a_next, o_next, a_head, f_head, a_rows, o_rows = operands
-    np.multiply(f_next, 1.0 - cfl, out=a_next)
-    np.multiply(f_prev, cfl, out=o_next)
-    np.add(a_next, o_next, out=a_next)
-    a_head[...] = f_head
-    np.matmul(a_rows, mix, out=o_rows)
+    f, o, a = (np.reshape(b, (len(b), -1)) for b in (field, out, adv))
+    np.multiply(f[1:], 1.0 - cfl, out=a[1:])
+    np.multiply(f[:-1], cfl, out=o[1:])
+    np.add(a[1:], o[1:], out=a[1:])
+    a[0] = f[0]
+    np.matmul(a.reshape(-1, 2), mix, out=o.reshape(-1, 2))
 
 
 def _march(rec: Recorder, params: Params, cfl: float | None, inflow) -> Trajectory:
@@ -300,7 +289,7 @@ def _march(rec: Recorder, params: Params, cfl: float | None, inflow) -> Trajecto
         if cfl is None:
             _advance_exact(prev, mix, 0.0, row)
         else:
-            _advance_upwind(_upwind_operands(prev, row, adv), mix, cfl)
+            _advance_upwind(prev, row, adv, mix, cfl)
             row[0] = 0.0
         row[0, 0] = rec.u[j] = inflow(j, row)
     return rec.finish()

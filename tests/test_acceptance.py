@@ -20,9 +20,9 @@ from pfhx import (
     Params,
     Scenario,
     compatibility_check,
+    discrete_response,
     fit_decay,
     l2_norm,
-    measure_frequency_responses,
     predict,
     predict_by_resolve,
     run_closed_loop,
@@ -199,7 +199,7 @@ def test_c08_transfer_function_vs_measurement():
     grid = Grid(400, 1.0)
     omegas = (0.5, 1.0, 2.0)
     worst_rel = 0.0
-    for omega, measured in zip(omegas, measure_frequency_responses(omegas, params, grid)):
+    for omega, measured in zip(omegas, discrete_response(omegas, params, grid)):
         formula = transfer_function(1j * omega, params).matrix
         worst_rel = max(worst_rel, float(np.linalg.norm(measured - formula)
                                          / np.linalg.norm(formula)))

@@ -3,19 +3,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfhx import (
     Grid,
     Params,
     condition_report,
     coupling_matrix,
+    discrete_response,
     fit_decay,
-    measure_frequency_responses,
     solve_exact,
     transfer_function,
     zero_field,
 )
-from pfhx import analysis
 from pfhx.analysis import render_condition
 
 
@@ -69,7 +70,7 @@ def test_measured_response_close_to_formula():
     params = make_params()
     grid = Grid(200, 1.0)
     formula = transfer_function(1j * 1.0, params).matrix
-    measured = measure_frequency_responses([1.0], params, grid)[0]
+    measured = discrete_response([1.0], params, grid)[0]
     rel = np.linalg.norm(measured - formula) / np.linalg.norm(formula)
     assert rel < 0.02
 
@@ -79,14 +80,14 @@ def test_measured_response_error_halves_under_refinement():
     formula = transfer_function(1j * 1.0, params).matrix
     errs = {}
     for n in (200, 800):
-        measured = measure_frequency_responses([1.0], params, Grid(n, 1.0))[0]
+        measured = discrete_response([1.0], params, Grid(n, 1.0))[0]
         errs[n] = np.linalg.norm(measured - formula)
     assert errs[800] <= 0.5 * errs[200]
 
 
 def test_measured_dc_gain_from_steady_state():
     params = make_params()
-    measured = measure_frequency_responses([0.0], params, Grid(200, 1.0))[0]
+    measured = discrete_response([0.0], params, Grid(200, 1.0))[0]
     g0 = transfer_function(0.0, params).matrix
     assert np.abs(measured - g0).max() < 1e-2
 
@@ -95,37 +96,59 @@ def test_measure_validation():
     params = make_params()
     grid = Grid(50, 1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        measure_frequency_responses([-1.0], params, grid)
-    with pytest.raises(ValueError, match="cycles"):
-        measure_frequency_responses([1.0], params, grid, cycles=3)
+        discrete_response([-1.0], params, grid)
+    for cfl in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError, match="cfl"):
+            discrete_response([1.0], params, grid, cfl=cfl)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_measure_rejects_non_finite_omega(bad):
     with pytest.raises(ValueError, match="omega must be finite"):
-        measure_frequency_responses([1.0, bad], make_params(), Grid(10, 1.0))
+        discrete_response([1.0, bad], make_params(), Grid(10, 1.0))
 
 
 @pytest.mark.parametrize("tiny", [1e-320, 1e-12])
-def test_measure_refuses_tiny_omega_before_allocating(tiny):
-    # 1e-320 gives an infinite horizon; 1e-12 would need 35.7 PiB of exit buffers
-    dt = 0.5 * 0.1
-    horizon = (3.0 + 10 * 2 * math.pi / tiny) / dt
-    steps = "inf" if math.isinf(horizon) else str(math.ceil(horizon))
+def test_tiny_omega_gives_the_dc_gain(tiny):
+    # a stepped measurement would need a horizon of 1e13 steps or more
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match=rf"omega={tiny!r} needs .*\b{steps} steps"):
-            measure_frequency_responses([1.0, tiny], make_params(), Grid(10, 1.0))
+        gains = discrete_response([0.0, tiny], make_params(), Grid(10, 1.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert np.all(np.isfinite(gains))
+    np.testing.assert_allclose(gains[1], gains[0], rtol=0, atol=1e-12)
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("cfl", [1e-300, 5e-324])
+def test_tiny_cfl_gives_the_semi_discrete_response(cfl):
+    # as cfl -> 0 the scheme tends to its method of lines, whose cell factor
+    # is (I + dx (i omega I - A1))^-1; a tiny step must not cancel to it
+    params, grid, omegas = make_params(), Grid(20, 1.0), [0.0, 1.0, 12.0]
+    a1 = np.array([[-params.h1, params.h1], [params.h2, -params.h2]])
+    for omega, gain in zip(omegas, discrete_response(omegas, params, grid, cfl=cfl)):
+        cell = np.linalg.inv(np.eye(2) + grid.dx * (1j * omega * np.eye(2) - a1))
+        expected = np.linalg.matrix_power(cell, grid.n_cells)[::-1]
+        assert np.linalg.norm(gain - expected) <= 1e-12 * np.linalg.norm(expected), omega
+
+
+def test_exact_scheme_response_is_the_pure_delay():
+    # at CFL 1 the upwind step is the exact shift: the gain is G(i omega) to rounding
+    params = make_params()
+    for omega, gain in zip([0.0, 0.5, 7.0], discrete_response([0.0, 0.5, 7.0], params,
+                                                                Grid(37, 1.0), cfl=1.0)):
+        formula = transfer_function(1j * omega, params).matrix
+        np.testing.assert_allclose(gain, formula, rtol=0, atol=1e-14)
 
 
 # The measurement as it was first written: one upwind run per omega and
 # drive channel, each stepping with its own allocating copy of the split
-# upwind update and recording the exit node.  Kept as the reference the
-# stacked measurement must reproduce bit for bit.
+# upwind update, recording the exit node and fitting a sinusoid to it after
+# a transient of transient_factor * l.  Kept as the stepped oracle of
+# discrete_response: once the transient has flushed, the fit reads the
+# scheme's steady response.
 def _reference_upwind_step(field, step_matrix, cfl, u_new):
     adv = np.empty_like(field)
     adv[1:] = (1.0 - cfl) * field[1:] + cfl * field[:-1]
@@ -180,55 +203,49 @@ def _reference_measure(omega, params, grid, cycles, cfl, transient_factor=3.0):
     return gain
 
 
+def _assert_matches_oracle(omegas, params, grid, cycles, cfl, transient_factor=40.0):
+    measured = discrete_response(omegas, params, grid, cfl=cfl)
+    assert measured.shape == (len(omegas), 2, 2)
+    for omega, gain in zip(omegas, measured):
+        expected = _reference_measure(omega, params, grid, cycles, cfl, transient_factor)
+        assert np.linalg.norm(gain - expected) <= 1e-12 * np.linalg.norm(expected), omega
+
+
 @pytest.mark.parametrize("h1", [0.0, 1.0])
 @pytest.mark.parametrize("cycles", [10, 13])
 @pytest.mark.parametrize("cfl", [0.3, 0.5, 1.0])
 @pytest.mark.parametrize("n_cells", [1, 7, 50])
 def test_stacked_measurement_matches_per_run_reference(n_cells, cfl, cycles, h1):
-    # unsorted, with a repeat and omega = 0; horizons differ, so runs leave the stack in turn
-    omegas = [6.0, 0.0, 3.0, 6.0, 12.0]
+    # every omega in one call, unsorted, with a repeat and omega = 0, against
+    # one stepped run per omega and channel whose transient is 40 l long
     params = make_params(h1=h1)
     grid = Grid(n_cells, 1.0)
-    measured = measure_frequency_responses(omegas, params, grid, cycles=cycles, cfl=cfl)
-    assert len(measured) == len(omegas)
-    for omega, gain in zip(omegas, measured):
-        expected = _reference_measure(omega, params, grid, cycles, cfl)
-        assert np.array_equal(gain, expected), omega
-    assert measure_frequency_responses([], params, grid) == []
-
-
-def _omega_with_steps(steps, grid, cycles, cfl, transient=3.0):
-    """An omega whose horizon is ``steps`` steps: its end lies half a step before the last."""
-    dt = cfl * grid.dx
-    return cycles * 2 * math.pi / ((steps - 0.5) * dt - transient)
-
-
-def _assert_matches_reference(omegas, params, grid, cycles, cfl):
-    measured = measure_frequency_responses(omegas, params, grid, cycles=cycles, cfl=cfl)
-    for omega, gain in zip(omegas, measured):
-        assert np.array_equal(gain, _reference_measure(omega, params, grid, cycles, cfl)), omega
-
-
-# where the shortest run's horizon ends against chunks of 8 steps: 12 whole
-# chunks, then 7 (one step short of a 13th), 8, 9 or 12 steps into the next
-CHUNK_SEAMS = {"one before": -1, "on a boundary": 0, "one after": 1, "mid-chunk": 4}
-
-
-@pytest.mark.parametrize("seam", CHUNK_SEAMS)
-@pytest.mark.parametrize("n_cells", [1, 2, 7])
-def test_stacked_measurement_matches_reference_at_chunk_seams(monkeypatch, n_cells, seam):
-    # the short run leaves the stack at its last step; the long one steps on alone
-    monkeypatch.setattr(analysis, "_CHUNK_STEPS", 8)
-    grid, cfl, cycles = Grid(n_cells, 1.0), 0.5, 10
-    short = _omega_with_steps(8 * 12 + CHUNK_SEAMS[seam], grid, cycles, cfl)
-    _assert_matches_reference([1.0, short], make_params(), grid, cycles, cfl)
+    _assert_matches_oracle([6.0, 0.0, 3.0, 6.0, 12.0], params, grid, cycles, cfl)
+    assert discrete_response([], params, grid).shape == (0, 2, 2)
 
 
 @pytest.mark.parametrize("omega", [5.0, 0.0])
 @pytest.mark.parametrize("n_cells", [1, 2])
-def test_single_run_stack_matches_reference(monkeypatch, n_cells, omega):
-    monkeypatch.setattr(analysis, "_CHUNK_STEPS", 8)
-    _assert_matches_reference([omega], make_params(), Grid(n_cells, 1.0), 10, 0.5)
+def test_single_run_stack_matches_reference(n_cells, omega):
+    _assert_matches_oracle([omega], make_params(), Grid(n_cells, 1.0), 10, 0.5)
+
+
+def test_stock_transient_has_flushed_on_a_fine_grid():
+    # the stepped measurement's own 3 l transient suffices at n_cells = 200
+    _assert_matches_oracle([1.0], make_params(), Grid(200, 1.0), 10, 0.5, transient_factor=3.0)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    h1=st.floats(0.0, 4.0),
+    h2=st.floats(0.0, 4.0),
+    n_cells=st.integers(1, 12),
+    # the stepped oracle takes 1/cfl times more steps; below 0.05 it is too slow
+    cfl=st.floats(0.05, 1.0),
+    omega=st.one_of(st.just(0.0), st.floats(1.0, 12.0)),
+)
+def test_discrete_response_matches_stepped_oracle(h1, h2, n_cells, cfl, omega):
+    _assert_matches_oracle([omega], make_params(h1=h1, h2=h2), Grid(n_cells, 1.0), 10, cfl)
 
 
 def test_fit_decay_exact_exponential():

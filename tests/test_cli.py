@@ -476,23 +476,75 @@ def test_non_finite_omega_is_config_error(tmp_path, capsys, value):
     assert not (out / "freqresp.csv").exists()
 
 
+def _freqresp_gains(path):
+    header, rows = read_csv(path)
+    columns = [header.index(f"g{ij}_measured_{part}") for ij in ("11", "12", "21", "22")
+               for part in ("re", "im")]
+    return np.array([[float(row.split(",")[c]) for c in columns] for row in rows])
+
+
 @pytest.mark.parametrize("value", ["1e-320", "1e-12"])
-def test_tiny_omega_is_config_error(tmp_path, capsys, value):
-    # refused before the exit buffers are allocated (35.7 PiB at 1e-12)
+def test_tiny_omega_writes_the_dc_gain(tmp_path, capsys, value):
+    # a stepped measurement needed 1e13 steps or more here, and was refused
     cfg = write_config(tmp_path, BASE + "\n[freqresp]\nomega = 1.0\n")
     out = tmp_path / "out"
-    argv = ["freqresp", "-c", cfg, "-o", str(out), f"--omega={value}", "--n-cells", "10"]
+    argv = ["freqresp", "-c", cfg, "-o", str(out), f"--omega=0,{value}", "--n-cells", "10"]
     tracemalloc.start()
     try:
-        assert main(argv) == 2
+        assert main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    err = capsys.readouterr().err
-    assert "freqresp.omega" in err and f"omega={value}" in err and " steps " in err
-    assert "Traceback" not in err
-    assert not (out / "freqresp.csv").exists()
+    assert capsys.readouterr().err == ""
+    dc, tiny = _freqresp_gains(out / "freqresp.csv")
+    assert np.all(np.isfinite(tiny))
+    np.testing.assert_allclose(tiny, dc, rtol=0, atol=1e-12)
     assert peak < 2**20
+
+
+def test_freqresp_cycles_is_deprecated(tmp_path, capsys):
+    written = {}
+    for name, extra in (("without", ""), ("with", "cycles = 13\n")):
+        cfg = write_config(tmp_path, BASE + "\n[freqresp]\nomega = 0, 1.0\n" + extra, f"{name}.ini")
+        assert main(["freqresp", "-c", cfg, "-o", str(tmp_path / name)]) == 0
+        written[name] = (tmp_path / name / "freqresp.csv").read_bytes()
+        assert capsys.readouterr().err.count("freqresp.cycles") == (1 if extra else 0)
+    argv = ["freqresp", "-c", cfg, "-o", str(tmp_path / "flag"), "--cycles", "20"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == (
+        "warning: freqresp.cycles no longer affects the exact response and will be removed\n")
+    assert written["with"] == written["without"] == (tmp_path / "flag" / "freqresp.csv").read_bytes()
+
+
+def test_freqresp_makes_no_run_check(tmp_path, capsys):
+    # the [run] keys would need 2.3 TB to record a run that freqresp never makes
+    argv = ["freqresp", "-c", str(ROOT / "configs" / "freqresp.ini"), "-o", str(tmp_path),
+            "--T", "1e9", "--n-cells", "10", "--omega", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["check", *argv[1:3], "--T", "1e9", "--n-cells", "10"]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert main(argv[:5] + ["--n-cells", "0"]) == 2
+    assert "grid.n_cells must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_checks_its_rows_as_they_run(tmp_path, monkeypatch, capsys):
+    # a row keeps no snapshots, so a memory that fits its recording but not
+    # the base stride's snapshots still runs the sweep
+    text = BASE.replace("seed = 3", "seed = 3\nsnapshot_stride = 1e-9") + "\n[sweep]\ntau = 1.5, 2.0\n"
+    cfg = write_config(tmp_path, text)
+    dt = 1.0 / 50
+    row, base = (loop.Recorder.bytes_needed(51, 300, dt, stride) for stride in (math.inf, 1e-9))
+    monkeypatch.setattr(loop, "_physical_memory", lambda: (row + base) / 2)
+    argv = ["-c", cfg, "-o", str(tmp_path / "sweep"), "--workers", "1"]
+    assert main(["sweep", *argv]) == 0
+    _, rows = read_csv(tmp_path / "sweep" / "sweep.csv")
+    assert len(rows) == 2
+    assert main(["run", *argv[:2], "-o", str(tmp_path / "run")]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    monkeypatch.setattr(loop, "_physical_memory", lambda: row / 2)
+    assert main(["sweep", *argv]) == 2
+    assert "every swept tau must give a valid run; tau=1.5" in capsys.readouterr().err
 
 
 def test_check_prints_condition_report(tmp_path, capsys):
