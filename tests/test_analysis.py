@@ -224,6 +224,27 @@ def test_stacked_measurement_matches_per_run_reference(n_cells, cfl, cycles, h1)
     assert discrete_response([], params, grid).shape == (0, 2, 2)
 
 
+def _omega_with_steps(steps, grid, cycles, cfl, transient=40.0):
+    """An omega whose oracle horizon is ``steps`` steps: its end lies half a step before the last."""
+    dt = cfl * grid.dx
+    return cycles * 2 * math.pi / ((steps - 0.5) * dt - transient)
+
+
+# where the stepped oracle's horizon ends against blocks of 64 steps: 12 whole
+# blocks, then 63 (one step short of a 13th), 64, 65 or 68 steps into the next.
+# The chunked stepped loop once split its runs at these seams; the exact
+# response must agree with the fit whichever sample its window ends on.
+CHUNK_SEAMS = {"one before": -1, "on a boundary": 0, "one after": 1, "mid-chunk": 4}
+
+
+@pytest.mark.parametrize("seam", CHUNK_SEAMS)
+@pytest.mark.parametrize("n_cells", [1, 2, 7])
+def test_stacked_measurement_matches_reference_at_chunk_seams(n_cells, seam):
+    grid, cfl, cycles = Grid(n_cells, 1.0), 0.5, 10
+    short = _omega_with_steps(64 * 12 + CHUNK_SEAMS[seam], grid, cycles, cfl)
+    _assert_matches_oracle([1.0, short], make_params(), grid, cycles, cfl)
+
+
 @pytest.mark.parametrize("omega", [5.0, 0.0])
 @pytest.mark.parametrize("n_cells", [1, 2])
 def test_single_run_stack_matches_reference(n_cells, omega):
