@@ -51,11 +51,7 @@ from .loop import (
     RunResult,
     RunSummary,
     Scenario,
-    run_closed_loop,
     run_delay_free_feedback,
-    run_error_system,
-    run_open_loop,
-    run_sano_baseline,
     run_scenario,
 )
 from .analysis import (
@@ -100,11 +96,7 @@ __all__ = [
     "predict_by_resolve",
     "predict_exit",
     "profile_array",
-    "run_closed_loop",
     "run_delay_free_feedback",
-    "run_error_system",
-    "run_open_loop",
-    "run_sano_baseline",
     "run_scenario",
     "sano_window",
     "solve_exact",

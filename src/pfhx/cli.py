@@ -29,29 +29,6 @@ from .errors import ConfigError
 from .grid import Grid
 from .loop import RunResult, Scenario, check_scenario, run_scenario
 
-_FLAG_MAP = {
-    "h1": "params.h1",
-    "h2": "params.h2",
-    "l": "params.l",
-    "tau": "params.tau",
-    "k1": "params.k1",
-    "k2": "params.k2",
-    "T": "run.T",
-    "n_cells": "grid.n_cells",
-    "controller": "run.controller",
-    "sano_k": "run.sano_k",
-    "seed": "run.seed",
-    "solver": "run.solver",
-    "cfl": "run.cfl",
-    "snapshot_stride": "run.snapshot_stride",
-    "out": "output.dir",
-    "workers": "sweep.workers",
-    "omega": "freqresp.omega",
-    "cycles": "freqresp.cycles",
-}
-# flags that set a subcommand's own key in place of the one above
-_COMMAND_FLAGS = {"freqresp": {"cfl": "freqresp.cfl"}}
-
 _NORMS_BLOCK_ROWS = 4096
 
 
@@ -258,6 +235,25 @@ def _emit_warnings(warnings: list[str]) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
+def _checked(make, axis_values: dict, warnings: list[str]) -> Scenario:
+    """``make(**axis_values)``'s scenario once it passes the run checks.
+
+    Warnings not yet in ``warnings`` are appended to it.  A failed check at
+    a swept tau names that tau.
+    """
+    try:
+        scenario = make(**axis_values)
+        found = check_scenario(scenario)
+    except ConfigError as exc:
+        if "tau" not in axis_values:
+            raise
+        raise ConfigError(
+            f"every swept tau must give a valid run; tau={axis_values['tau']:g}: {exc}"
+        ) from None
+    warnings += [w for w in found if w not in warnings]
+    return scenario
+
+
 def cmd_run(cfg: Config) -> int:
     """One run; where it can fork, a second process writes snapshots.csv as it steps."""
     scenario = cfg.scenario
@@ -332,15 +328,14 @@ def _sweep_line(index: int, row: dict) -> str:
 
 
 def cmd_sweep(cfg: Config) -> int:
-    if not cfg.sweep_axes:
+    """Every row is checked before the pool starts; the rows run in declaration order."""
+    names, warnings = list(cfg.sweep_axes), []
+    payloads = [
+        (index, _checked(cfg.sweep_row, dict(zip(names, combo)), warnings))
+        for index, combo in enumerate(itertools.product(*cfg.sweep_axes.values()))
+    ]
+    if not cfg.sweep_axes:  # its one row, the base scenario, is checked first
         raise ConfigError("sweep requires at least one non-empty axis in [sweep]")
-    axes = list(cfg.sweep_axes.items())  # declaration order
-    names = [name for name, _ in axes]
-    combos = list(itertools.product(*(values for _, values in axes)))
-    payloads = []
-    for index, combo in enumerate(combos):
-        overrides = dict(zip(names, combo))
-        payloads.append((index, cfg.sweep_row(**overrides)))
 
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
     workers = min(workers, len(payloads))
@@ -360,7 +355,7 @@ def cmd_sweep(cfg: Config) -> int:
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_lines(outdir / "sweep.csv", lines)
-    _emit_warnings(cfg.warnings)
+    _emit_warnings(warnings)
     if not all_finite:
         print("numerical failure: at least one sweep row is non-finite", file=sys.stderr)
         return 3
@@ -407,62 +402,73 @@ def cmd_freqresp(cfg: Config) -> int:
 
 
 def cmd_check(cfg: Config) -> int:
+    """The condition report, once the base scenario and every swept tau pass the run checks."""
+    warnings: list[str] = []
+    for axis_values in [{}, *({"tau": tau} for tau in cfg.sweep_axes.get("tau", []))]:
+        _checked(cfg.to_scenario, axis_values, warnings)
     report = condition_report(cfg.scenario.params, k_sano=cfg.scenario.sano_k)
     print(render_condition(report))
-    _emit_warnings(cfg.warnings)
+    _emit_warnings(warnings)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-c", "--config", required=True, help="path to INI config file")
-    common.add_argument("-o", "--out", help="output directory (overrides output.dir)")
-    for flag in ("h1", "h2", "l", "tau", "k1", "k2", "T", "cfl", "snapshot-stride", "sano-k"):
-        common.add_argument(f"--{flag}", type=float, dest=flag.replace("-", "_"))
-    common.add_argument("--n-cells", type=int, dest="n_cells")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--controller")
-    common.add_argument("--solver")
+_ALL = ("run", "sweep", "freqresp", "check")
+# Every flag that overrides a config key: (flags, key, type, subcommands, help).
+# The key is the flag's argparse dest; --cfl sets the step of the subcommand's own scheme.
+_FLAGS = [
+    (("-o", "--out"), "output.dir", str, _ALL, "output directory (overrides output.dir)"),
+    *((("--" + name,), "params." + name, float, _ALL, None)
+      for name in ("h1", "h2", "l", "tau", "k1", "k2")),
+    (("--T",), "run.T", float, _ALL, None),
+    (("--cfl",), "run.cfl", float, ("run", "sweep", "check"), None),
+    (("--cfl",), "freqresp.cfl", float, ("freqresp",), None),
+    (("--snapshot-stride",), "run.snapshot_stride", float, _ALL, None),
+    (("--sano-k",), "run.sano_k", float, _ALL, None),
+    (("--n-cells",), "grid.n_cells", int, _ALL, None),
+    (("--seed",), "run.seed", int, _ALL, None),
+    (("--controller",), "run.controller", str, _ALL, None),
+    (("--solver",), "run.solver", str, _ALL, None),
+    (("--workers",), "sweep.workers", int, ("sweep",), "worker processes (0 = all cores)"),
+    (("--omega",), "freqresp.omega", str, ("freqresp",), "comma-separated frequencies"),
+    (("--cycles",), "freqresp.cycles", int, ("freqresp",), None),
+]
 
+
+# subcommand -> (handler, help)
+_COMMANDS = {
+    "run": (cmd_run, "single simulation run"),
+    "sweep": (cmd_sweep, "Cartesian parameter sweep"),
+    "freqresp": (cmd_freqresp, "formula vs measured frequency response"),
+    "check": (cmd_check, "condition report only, no simulation"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfhx",
         description="Delay-compensated boundary control of a parallel-flow heat exchanger",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("run", parents=[common], help="single simulation run")
-    sweep = sub.add_parser("sweep", parents=[common], help="Cartesian parameter sweep")
-    sweep.add_argument("--workers", type=int, help="worker processes (0 = all cores)")
-    freq = sub.add_parser("freqresp", parents=[common], help="formula vs measured frequency response")
-    freq.add_argument("--omega", help="comma-separated frequencies")
-    freq.add_argument("--cycles", type=int)
-    sub.add_parser("check", parents=[common], help="condition report only, no simulation")
+    for command, (_, help_text) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=help_text)
+        cmd.add_argument("-c", "--config", required=True, help="path to INI config file")
+        for flags, key, kind, commands, flag_help in _FLAGS:
+            if command in commands:
+                metavar = flags[-1].lstrip("-").replace("-", "_").upper()
+                cmd.add_argument(*flags, dest=key, type=kind, metavar=metavar, help=flag_help)
     return parser
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict[str, object]:
-    overrides: dict[str, object] = {}
-    for attr, dotted in {**_FLAG_MAP, **_COMMAND_FLAGS.get(args.command, {})}.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[dotted] = value
-    return overrides
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    overrides = {key: value for key, value in vars(args).items()
+                 if "." in key and value is not None}
     try:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        cfg = parse_config(text, overrides=_collect_overrides(args), command=args.command)
-        handler = {
-            "run": cmd_run,
-            "sweep": cmd_sweep,
-            "freqresp": cmd_freqresp,
-            "check": cmd_check,
-        }[args.command]
-        return handler(cfg)
+        return _COMMANDS[args.command][0](parse_config(text, overrides=overrides))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

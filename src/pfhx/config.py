@@ -2,10 +2,11 @@
 
 The config format is flat key/value pairs grouped into sections; the full
 schema lives in docs/config.md.  Unknown sections or keys are rejected by
-name, command-line flags override file values, and the tau/T step snapping
-performed by the solver is surfaced as warnings at parse time.  The run
-checks and defaults are the library's (``check_scenario``, ``Scenario``),
-made on the runs of the subcommand the config serves.
+name, values are checked against their types, and command-line flags
+override file values.  ``parse_config`` checks the file only: its
+parameters and the grid, sweep and frequency-response settings.  The
+defaults and the run checks are the library's (``Scenario``,
+``check_scenario``), which the caller makes on the runs it makes.
 """
 
 from __future__ import annotations
@@ -15,13 +16,9 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigError
-from .grid import Grid
-from .loop import Scenario, check_scenario
+from .loop import Scenario
 from .params import Params
-from .profiles import input_function, profile_array
 
 # section -> key -> type tag
 _SCHEMA: dict[str, dict[str, str]] = {
@@ -93,7 +90,7 @@ _SETTINGS = {
 
 @dataclass
 class Config:
-    """A validated configuration: the base scenario plus subcommand settings."""
+    """A validated configuration: the base scenario plus the output, sweep and freqresp settings."""
 
     scenario: Scenario
     out_dir: str = "out"
@@ -102,7 +99,6 @@ class Config:
     freq_omegas: list = field(default_factory=lambda: [0.5, 1.0, 2.0])
     freq_cycles: int | None = None  # deprecated: the exact response has no horizon
     freq_cfl: float = 0.5
-    warnings: list = field(default_factory=list)
 
     def to_scenario(self, **axis_values) -> Scenario:
         """The base scenario with the given parameters (e.g. a swept tau) replaced."""
@@ -150,15 +146,13 @@ def _read_raw(text: str) -> dict[str, dict[str, str]]:
     return raw
 
 
-def parse_config(
-    text: str, overrides: dict[str, object] | None = None, command: str | None = None
-) -> Config:
-    """Parse and fully validate a config, applying flag overrides last.
+def parse_config(text: str, overrides: dict[str, object] | None = None) -> Config:
+    """Parse and validate a config file, applying flag overrides last.
 
     ``overrides`` maps dotted keys (e.g. ``params.tau``) to replacement
-    values.  ``command`` names the subcommand the config serves: only the
-    runs it makes get the run checks.  Raises ConfigError naming the
-    offending key on any problem.
+    values.  Raises ConfigError naming the offending key on any problem.
+    The runs the config describes are not checked here: ``check_scenario``
+    does that.
     """
     raw = _read_raw(text)
     for section, entries in raw.items():
@@ -202,31 +196,8 @@ def parse_config(
     # declaration order fixes the row order
     axes = {key: v for key, v in values["sweep"].items() if key in _SWEEP_AXES and v}
     cfg = Config(scenario=scenario, sweep_axes=axes, **settings)
-    _validate(cfg, command)
-    return cfg
-
-
-def _validate(cfg: Config, command: str | None) -> None:
-    """Run the run checks on the runs ``command`` makes, then check the settings.
-
-    ``run`` makes the base scenario's run, ``sweep`` its rows, checked at
-    each swept tau (the other axes change no run check) or at the base one,
-    and ``freqresp`` none.  Any other command, None included, gets the base
-    scenario and every swept tau.
-    """
-    scenario = cfg.scenario
-    if scenario.n_cells < 1:  # the first run check; freqresp needs it too
-        raise ConfigError(f"grid.n_cells must be >= 1, got {scenario.n_cells}")
-    swept = [] if command in ("run", "freqresp") else cfg.sweep_axes.get("tau", [])
-    run = cfg.sweep_row if command == "sweep" else cfg.to_scenario
-    base = command != "freqresp" and not (command == "sweep" and swept)
-    cfg.warnings = check_scenario(run()) if base else []
-    for tau in swept:
-        try:
-            found = check_scenario(run(tau=tau))
-        except ConfigError as exc:
-            raise ConfigError(f"every swept tau must give a valid run; tau={tau:g}: {exc}") from None
-        cfg.warnings += [w for w in found if w not in cfg.warnings]
+    if cfg.scenario.n_cells < 1:
+        raise ConfigError(f"grid.n_cells must be >= 1, got {cfg.scenario.n_cells}")
     if not 0.0 < cfg.freq_cfl <= 1.0:
         raise ConfigError(f"freqresp.cfl must lie in (0, 1], got {cfg.freq_cfl}")
     if cfg.freq_cycles is not None and cfg.freq_cycles < 10:
@@ -237,10 +208,4 @@ def _validate(cfg: Config, command: str | None) -> None:
         )
     if cfg.workers < 0:
         raise ConfigError(f"sweep.workers must be >= 0, got {cfg.workers}")
-
-    grid = Grid(scenario.n_cells, scenario.params.l)
-    probe = np.random.default_rng(0)
-    for spec in (*scenario.theta0, *scenario.observer0):
-        profile_array(spec, grid, probe)
-    for spec in (*scenario.u_open, *scenario.warmup_u):
-        input_function(spec)
+    return cfg

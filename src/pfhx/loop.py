@@ -24,24 +24,25 @@ step s + m is made from obs(s) and kept until that step.  So u(t) still
 reads obs(t - tau) only, and no plant field from tau ago is kept.
 
 The estimation error evolves autonomously (its boundary condition is the
-homogeneous cross coupling), so ``run_error_system`` simulates it directly;
-it doubles as the decoupling oracle and as the empirical probe of the
-decay rate of the delay-free feedback generator.
+homogeneous cross coupling), so the ``error_system`` controller simulates
+it directly; it doubles as the decoupling oracle and as the empirical
+probe of the decay rate of the delay-free feedback generator.
 
-Every run shares one skeleton, ``_simulate``: ``_prepare`` checks the
-scenario, then the solver's march loop (``solver._march``, which the
-solver oracles run too) advances the interiors of the fields in a
-recorder block row by one step and asks a boundary law for the inflow
-pair.  The laws are the open-loop input signals, on either solver, and on
-the exact solver the observer-predictor above, the static (Sano)
-feedback, and the cross feedback on the current exits, which is both the
-delay-free reference loop and, started from the initial estimation error
-without warm-up, the error system.
+``run_scenario`` runs the boundary law its scenario's controller names,
+and ``run_delay_free_feedback`` the delay-free reference loop.  Both share
+one skeleton, ``_simulate``: ``_prepare`` makes every run check and
+resolves the initial data and input signals, then the solver's march loop
+(``solver._march``, which the solver oracles run too) advances the
+interiors of the fields in a recorder block row by one step and asks the
+law for the inflow pair.  The laws are the open-loop input signals, on
+either solver, and on the exact solver the observer-predictor above, the
+static (Sano) feedback, and the cross feedback on the current exits, which
+is both the delay-free reference loop and, started from the initial
+estimation error without warm-up, the error system.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -123,8 +124,12 @@ def _input_pair(specs: tuple[str, str]):
 
 @dataclass
 class _Run:
-    """A scenario's grid with its delay and horizon snapped to whole steps."""
+    """A checked scenario: its law, its grid with tau and T snapped, its initial data and inputs."""
 
+    controller: str  # the name the summary reports
+    law: object
+    delayed: bool  # the law acts on delayed measurements: T > tau, fit from tau + 2l
+    with_observer: bool
     grid: Grid
     m: int  # the delay in steps
     tau_used: float
@@ -133,16 +138,34 @@ class _Run:
     n_steps: int
     T_used: float
     warnings: list[str]
-    delayed: bool  # the law acts on delayed measurements: T > tau, fit from tau + 2l
+    theta0: np.ndarray
+    observer0: np.ndarray
+    u_open: object  # t -> the input pair
+    warmup_u: object
 
 
-def _prepare(scenario: Scenario, delayed: bool) -> _Run:
+def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
     """Check every run setting; snap tau to dt = dx and T to the run's own step.
 
-    The step is cfl * dx on the upwind solver, which only the open loop
-    runs.  T must be finite and cover at least half a step, a delayed run
-    must outlast its delay, and the recording must fit in physical memory.
+    The law is the one scenario.controller names, or with ``delay_free``
+    the reference loop.  The step is cfl * dx on the upwind solver, which
+    only the open loop runs.  T must be finite and cover at least half a
+    step, a delayed run must outlast its delay, and the recording must fit
+    in physical memory.  The profiles are then drawn, theta0 first, and
+    the input specs parsed.
     """
+    if delay_free:
+        controller, (law, delayed, with_observer) = "delay_free", _DELAY_FREE
+    elif scenario.controller in _CONTROLLERS:
+        controller = scenario.controller
+        law, delayed, with_observer = _CONTROLLERS[controller]
+    else:
+        raise ConfigError(
+            f"unknown controller {scenario.controller!r} "
+            f"(expected one of {sorted(_CONTROLLERS)})"
+        )
+    if controller == "sano_static" and scenario.sano_k is None:
+        raise ConfigError("missing required key run.sano_k (needed by sano_static)")
     if scenario.n_cells < 1:
         raise ConfigError(f"grid.n_cells must be >= 1, got {scenario.n_cells}")
     if not math.isfinite(scenario.T) or scenario.T <= 0:
@@ -150,7 +173,7 @@ def _prepare(scenario: Scenario, delayed: bool) -> _Run:
     if scenario.solver not in ("exact", "upwind"):
         raise ConfigError(f"run.solver must be exact or upwind, got {scenario.solver!r}")
     upwind = scenario.solver == "upwind"
-    if upwind and (delayed or scenario.controller != "open_loop"):  # undelayed runners pin it
+    if upwind and controller != "open_loop":
         raise ConfigError("run.solver=upwind is available for open_loop runs only")
     if not scenario.snapshot_stride > 0:
         raise ConfigError(f"run.snapshot_stride must be positive, got {scenario.snapshot_stride}")
@@ -182,7 +205,12 @@ def _prepare(scenario: Scenario, delayed: bool) -> _Run:
         )
     if T_snapped:
         warnings.append(f"T snapped from {scenario.T:g} to {T_used:g}")
-    return _Run(grid, m, tau_used, tau_snapped, dt, n_steps, T_used, warnings, delayed)
+    rng = np.random.default_rng(scenario.seed)
+    theta0 = _resolve_field(grid, scenario.theta0, rng)
+    observer0 = _resolve_field(grid, scenario.observer0, rng)
+    return _Run(controller, law, delayed, with_observer, grid, m, tau_used, tau_snapped, dt,
+                n_steps, T_used, warnings, theta0, observer0,
+                _input_pair(scenario.u_open), _input_pair(scenario.warmup_u))
 
 
 def _safe_fit(t, values, window) -> DecayReport:
@@ -205,22 +233,20 @@ def _fit_window(start: float, T_used: float, dt: float) -> tuple[float, float]:
     return (start, T_used)
 
 
-def _summarize(
-    scenario: Scenario, traj: Trajectory, run: _Run, start: float, with_observer: bool = False
-) -> RunSummary:
+def _summarize(scenario: Scenario, traj: Trajectory, run: _Run, start: float) -> RunSummary:
     wall = time.perf_counter() - start
     p = scenario.params
     warnings = run.warnings
     window = _fit_window((run.tau_used if run.delayed else 0.0) + 2 * p.l, run.T_used, traj.dt)
     plant_decay = _safe_fit(traj.t, traj.plant_l2, window)
-    obs_decay = _safe_fit(traj.t, traj.obs_err_l2, window) if with_observer else None
+    obs_decay = _safe_fit(traj.t, traj.obs_err_l2, window) if run.with_observer else None
     if plant_decay.floor_hit:
         warnings = warnings + ["decay fit: samples below the numerical floor were excluded"]
     if plant_decay.extinct:
         warnings = warnings + ["finite-time extinction: state norm at or below floor on the whole fit window"]
     sano = sano_window(p, scenario.sano_k) if scenario.sano_k is not None else None
     return RunSummary(
-        controller=scenario.controller,
+        controller=run.controller,
         condition=condition_report(p, k_sano=scenario.sano_k),
         plant_decay=plant_decay,
         obs_err_decay=obs_decay,
@@ -236,14 +262,14 @@ def _summarize(
     )
 
 
-# A boundary law is called as law(scenario, run, rec, theta0, observer0)
-# and returns the fields to evolve, stacked in that order in each block row,
-# and inflow(jn, row): the plant's pair to impose at x = 0 at step jn, given
-# the row with every interior already advanced.  inflow sets the inflow of
-# any other field itself.
+# A boundary law is called as law(scenario, run, rec) and returns the
+# fields to evolve, made from run.theta0 and run.observer0 and stacked in
+# that order in each block row, and inflow(jn, row): the plant's pair to
+# impose at x = 0 at step jn, given the row with every interior already
+# advanced.  inflow sets the inflow of any other field itself.
 
 
-def _observer_predictor(scenario, run, rec, theta0, observer0):
+def _observer_predictor(scenario, run, rec):
     """Observer in its own time, closed-form exit prediction, cross feedback on it.
 
     Each row holds the plant and the observer at the same step s.  Once the
@@ -256,7 +282,7 @@ def _observer_predictor(scenario, run, rec, theta0, observer0):
     p, m, n = scenario.params, run.m, run.grid.n_cells
     k1, k2, dt = p.k1, p.k2, run.dt
     prop = _exit_propagator(m, n, run.tau_used, p)
-    warm = _input_pair(scenario.warmup_u)
+    warm, theta0, observer0 = run.warmup_u, run.theta0, run.observer0
     rec.obs_err_l2[:m] = _l2(observer0 - theta0, run.grid.dx)
     lead = min(m, n)
     ahead = np.empty((lead, 2))  # step s reads, then refills, row s % lead
@@ -276,7 +302,7 @@ def _observer_predictor(scenario, run, rec, theta0, observer0):
     return (theta0, observer0), inflow
 
 
-def _static_feedback(scenario, run, rec, theta0, observer0):
+def _static_feedback(scenario, run, rec):
     """Sano's static delayed output feedback u1 = 0, u2(t) = -k * theta1(t - tau, l)."""
     k, m = scenario.sano_k, run.m
 
@@ -285,37 +311,37 @@ def _static_feedback(scenario, run, rec, theta0, observer0):
             return np.array([0.0, -k * rec.exit_at(jn - m)[0]])
         return np.zeros(2)
 
-    return (theta0,), inflow
+    return (run.theta0,), inflow
 
 
-def _cross_feedback(scenario, run, rec, theta0, observer0):
+def _cross_feedback(scenario, run, rec):
     """Cross feedback on the current exits, u1 = -k1 theta2(t, l), u2 = -k2 theta1(t, l).
 
     In a delayed run it is the delay-free reference loop, which applies the
     warm-up input while t <= tau; otherwise it is the error system, which
-    evolves observer0 - theta0 under the feedback from the first step.
+    evolves observer0 - theta0 under the feedback from the first step.  Its
+    plant_l2 column then holds the error norm and its u columns the
+    boundary values the error system generates for itself; with zero gains
+    the error flushes to exactly zero strictly after t = l.
     """
-    k1, k2, dt = scenario.params.k1, scenario.params.k2, run.dt
+    k1, k2, dt, warm = scenario.params.k1, scenario.params.k2, run.dt, run.warmup_u
     wait = run.m if run.delayed else 0
-    warm = _input_pair(scenario.warmup_u)
 
     def inflow(jn, row):
         if jn > wait:
             return _cross_law(k1, k2, row[-1, 0])
         return warm(jn * dt)
 
-    return (theta0 if run.delayed else observer0 - theta0,), inflow
+    return (run.theta0 if run.delayed else run.observer0 - run.theta0,), inflow
 
 
-def _open_loop(scenario, run, rec, theta0, observer0):
+def _open_loop(scenario, run, rec):
     """The configured open-loop input signals."""
-    u, dt = _input_pair(scenario.u_open), run.dt
-    return (theta0,), lambda j, row: u(j * dt)
+    u, dt = run.u_open, run.dt
+    return (run.theta0,), lambda j, row: u(j * dt)
 
 
-def _simulate(
-    scenario: Scenario, law, delayed: bool = True, with_observer: bool = False, on_snapshots=None,
-) -> RunResult:
+def _simulate(scenario: Scenario, on_snapshots=None, delay_free: bool = False) -> RunResult:
     """The run skeleton every boundary law shares: each step fills its block row.
 
     The steps run with numpy's overflow and invalid-value warnings off: a
@@ -324,18 +350,15 @@ def _simulate(
     the ``Recorder``.
     """
     start = time.perf_counter()
-    run = _prepare(scenario, delayed)
-    rng = np.random.default_rng(scenario.seed)
-    theta0 = _resolve_field(run.grid, scenario.theta0, rng)
-    observer0 = _resolve_field(run.grid, scenario.observer0, rng)
+    run = _prepare(scenario, delay_free)
     rec = Recorder(run.grid, run.n_steps, run.dt, scenario.snapshot_stride,
-                   obs_lag=run.m if with_observer else None, on_snapshots=on_snapshots)
-    fields, inflow = law(scenario, run, rec, theta0, observer0)
+                   obs_lag=run.m if run.with_observer else None, on_snapshots=on_snapshots)
+    fields, inflow = run.law(scenario, run, rec)
     rec.first()[...] = np.stack(fields, axis=1)
     cfl = scenario.cfl if scenario.solver == "upwind" else None
     with np.errstate(over="ignore", invalid="ignore"):
         traj = _march(rec, scenario.params, cfl, inflow)
-    return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start, with_observer))
+    return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start))
 
 
 # controller -> (boundary law, whether the run must outlast the delay, whether it runs an observer)
@@ -345,32 +368,8 @@ _CONTROLLERS = {
     "open_loop": (_open_loop, False, False),
     "error_system": (_cross_feedback, False, False),
 }
-
-
-def run_closed_loop(scenario: Scenario) -> RunResult:
-    """Full observer-predictor feedback run."""
-    return _simulate(scenario, *_CONTROLLERS["observer_predictor"])
-
-
-def run_sano_baseline(scenario: Scenario, k: float | None = None) -> RunResult:
-    """Static delayed output feedback u1 = 0, u2(t) = -k * theta1(t - tau, l)."""
-    k = _require_sano_k(scenario.sano_k if k is None else k)
-    return _simulate(dataclasses.replace(scenario, sano_k=k), *_CONTROLLERS["sano_static"])
-
-
-def run_error_system(scenario: Scenario) -> RunResult:
-    """Autonomous estimation-error dynamics with homogeneous cross boundary.
-
-    The initial error is observer0 - theta0, with random profiles drawn in
-    the closed loop's order (theta0 first).  The trajectory's plant_l2
-    column holds the error norm and the u columns the boundary values the
-    error system generates for itself.  With zero gains the boundary is
-    zero and the error flushes to exactly zero once the initial data has
-    left the domain (strictly after t = l; at t = l the exit node still
-    carries the inflow-corner value).
-    """
-    return _simulate(dataclasses.replace(scenario, controller="error_system"),
-                     *_CONTROLLERS["error_system"])
+# the reference loop: a law to compare against, not a controller a scenario names
+_DELAY_FREE = (_cross_feedback, True, False)
 
 
 def run_delay_free_feedback(scenario: Scenario) -> RunResult:
@@ -378,44 +377,26 @@ def run_delay_free_feedback(scenario: Scenario) -> RunResult:
 
     This is the loop the observer-predictor scheme reproduces once its
     prediction error vanishes; it exists as a reference, not a realizable
-    controller (for t > tau it reads the current exits directly).
+    controller (for t > tau it reads the current exits directly), so it
+    ignores ``scenario.controller`` and its summary reports ``delay_free``.
     """
-    return _simulate(scenario, _cross_feedback)
-
-
-def run_open_loop(scenario: Scenario) -> RunResult:
-    """Plant driven by the configured open-loop input signals, on either solver."""
-    return _simulate(dataclasses.replace(scenario, controller="open_loop"),
-                     *_CONTROLLERS["open_loop"])
-
-
-def _require_sano_k(k: float | None) -> float:
-    if k is None:
-        raise ConfigError("missing required key run.sano_k (needed by sano_static)")
-    return k
+    return _simulate(scenario, delay_free=True)
 
 
 def check_scenario(scenario: Scenario) -> list[str]:
     """Check what a run needs before it starts; return the tau/T snap warnings.
 
-    The run checks are ``_prepare``'s, which every runner makes as well.
-    Raises ConfigError naming the offending setting by its config key.
+    The checks are ``_prepare``'s, which every run makes as well.  Raises
+    ConfigError naming the offending setting by its config key.
     """
-    if scenario.controller not in _CONTROLLERS:
-        raise ConfigError(
-            f"unknown controller {scenario.controller!r} "
-            f"(expected one of {sorted(_CONTROLLERS)})"
-        )
-    if scenario.controller == "sano_static":
-        _require_sano_k(scenario.sano_k)
-    return _prepare(scenario, _CONTROLLERS[scenario.controller][1]).warnings
+    return _prepare(scenario).warnings
 
 
 def run_scenario(scenario: Scenario, on_snapshots=None) -> RunResult:
-    """Check a scenario, then run the boundary law its controller names.
+    """Run the boundary law the scenario's controller names.
 
-    ``on_snapshots(t, fields)``, if given, receives the snapshots in order
+    A scenario that fails a run check raises ConfigError, as in
+    ``check_scenario``, before anything is recorded.  ``on_snapshots(t, fields)``, if given, receives the snapshots in order
     as they are recorded, a batch at a time (``solver.Recorder``).
     """
-    check_scenario(scenario)
-    return _simulate(scenario, *_CONTROLLERS[scenario.controller], on_snapshots)
+    return _simulate(scenario, on_snapshots)

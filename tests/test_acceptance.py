@@ -25,9 +25,7 @@ from pfhx import (
     l2_norm,
     predict,
     predict_by_resolve,
-    run_closed_loop,
-    run_error_system,
-    run_sano_baseline,
+    run_scenario,
     solve_exact,
     solve_upwind,
     step_exact,
@@ -52,7 +50,7 @@ def base_params(tau: float) -> Params:
 
 def test_c01_exact_compensation_tau_gt_l():
     sc = Scenario(params=base_params(1.5), n_cells=200, T=25.0, theta0=STEP_DATA)
-    result = run_closed_loop(sc)
+    result = run_scenario(sc)
     traj = result.trajectory
     mask = traj.t > 1.5
     worst_pred = float(np.abs(traj.pred_err_at_l[mask]).max())
@@ -80,7 +78,7 @@ def test_c02_small_delay_regime_with_compatible_error():
     compat = compatibility_check(w, params, grid)
     theta0 = field_from(grid, lambda x: np.where(x < 0.5, 1.0, 0.0), 0.0)
     sc = Scenario(params=params, n_cells=200, T=25.0, theta0=theta0, observer0=theta0 + w)
-    result = run_closed_loop(sc)
+    result = run_scenario(sc)
     fit = fit_decay(result.trajectory.t, result.trajectory.plant_l2, window=(0.5 + 2.0, 20.0))
     ok = compat.compatible and fit.gamma_hat > 0 and fit.r_squared >= 0.98
     report(
@@ -91,16 +89,16 @@ def test_c02_small_delay_regime_with_compatible_error():
 
 
 def test_c03_error_system_decay_and_flush():
-    sc = Scenario(params=base_params(1.5), n_cells=200, T=20.0,
+    sc = Scenario(params=base_params(1.5), n_cells=200, T=20.0, controller="error_system",
                   observer0=("sine(1, 1)", "sine(1, 1)"))
-    result = run_error_system(sc)
+    result = run_scenario(sc)
     fit = fit_decay(result.trajectory.t, result.trajectory.plant_l2, window=(2.0, 20.0))
     decay_ok = fit.gamma_hat > 0 and fit.r_squared >= 0.98
 
     zero_gain = Params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=0.0, k2=0.0)
-    sc0 = Scenario(params=zero_gain, n_cells=200, T=5.0,
+    sc0 = Scenario(params=zero_gain, n_cells=200, T=5.0, controller="error_system",
                    observer0=("sine(1, 1)", "sine(1, 1)"))
-    res0 = run_error_system(sc0)
+    res0 = run_scenario(sc0)
     late = res0.trajectory.plant_l2[res0.trajectory.t >= 1.0]
     flush_ok = float(late.max()) <= 1e-14
     report(
@@ -113,10 +111,10 @@ def test_c03_error_system_decay_and_flush():
 def test_c04_decoupling_oracle():
     sc = Scenario(params=base_params(0.5), n_cells=200, T=20.0, theta0=STEP_DATA,
                   observer0=("sine(1, 1)", "sine(1, 2)"))
-    closed = run_closed_loop(sc)
-    sc_err = Scenario(params=sc.params, n_cells=200, T=20.0, theta0=STEP_DATA,
-                      observer0=("sine(1, 1)", "sine(1, 2)"))
-    standalone = run_error_system(sc_err)
+    closed = run_scenario(sc)
+    sc_err = Scenario(params=sc.params, n_cells=200, T=20.0, controller="error_system",
+                      theta0=STEP_DATA, observer0=("sine(1, 1)", "sine(1, 2)"))
+    standalone = run_scenario(sc_err)
     m = round(0.5 / closed.trajectory.dt)
     closed_series = closed.trajectory.obs_err_l2[m:]
     reference = standalone.trajectory.plant_l2[: len(closed_series)]
@@ -219,13 +217,13 @@ def test_c08_transfer_function_vs_measurement():
 def test_c09_sano_baseline_window():
     inside = Scenario(params=base_params(1.5), n_cells=200, T=40.0,
                       controller="sano_static", sano_k=1.0, theta0=STEP_DATA)
-    res_in = run_sano_baseline(inside)
+    res_in = run_scenario(inside)
     in_ok = (res_in.summary.sano.in_window
              and res_in.summary.plant_decay.gamma_hat > 0)
 
     outside = Scenario(params=base_params(3.0), n_cells=200, T=40.0,
                        controller="sano_static", sano_k=1.0, theta0=STEP_DATA)
-    res_out = run_sano_baseline(outside)
+    res_out = run_scenario(outside)
     # outside the window stability is an open question: report only
     out_ok = (not res_out.summary.sano.in_window) and res_out.summary.finite
     report("C09 static-feedback baseline", in_ok and out_ok,

@@ -16,9 +16,6 @@ from pfhx import (
     Params,
     Scenario,
     loop,
-    run_closed_loop,
-    run_error_system,
-    run_open_loop,
     run_scenario,
 )
 from pfhx import cli
@@ -145,12 +142,11 @@ def test_T_below_half_a_step_is_config_error(tmp_path, capsys, controller):
     err = capsys.readouterr().err
     assert err.count("run.T=0.01 must cover at least half a step (dt=0.1)") == 2
     assert not out.exists()
-    # a runner called directly refuses it as well
+    # the library refuses it as well
     scenario = Scenario(params=Params(h1=1.0, h2=2.0, l=1.0, tau=1.5), n_cells=10, T=0.01,
                         controller=controller)
-    runner = {"error_system": run_error_system, "open_loop": run_open_loop}[controller]
     with pytest.raises(ConfigError, match="run.T=0.01 must cover"):
-        runner(scenario)
+        run_scenario(scenario)
 
 
 @pytest.mark.parametrize("value", ["inf", "1e400"])
@@ -239,12 +235,11 @@ def test_runner_checks_recording_size_before_allocating(monkeypatch):
     monkeypatch.setattr(loop, "_physical_memory", lambda: 2**20)
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
     scenario = Scenario(params=params, n_cells=100, T=100.0)
-    with pytest.raises(ConfigError, match="run.snapshot_stride"):
+    with pytest.raises(ConfigError, match="run.snapshot_stride") as refused:
         run_scenario(scenario)
-    with pytest.raises(ConfigError, match="physical memory"):
-        run_closed_loop(scenario)
+    assert "physical memory" in str(refused.value)
     monkeypatch.setattr(loop, "_physical_memory", lambda: 2**22)
-    assert run_closed_loop(scenario).summary.finite
+    assert run_scenario(scenario).summary.finite
 
 
 def test_io_failure_exit_code(tmp_path):
@@ -320,7 +315,7 @@ def test_run_writes_what_the_writers_make_of_its_result(tmp_path, monkeypatch, c
     text = BASE + "warmup_u1 = sine(1, 4)\n"
     cfg = write_config(tmp_path, text)
     overrides = WRITER_CASES[case]
-    flag = {dotted: "--" + attr.replace("_", "-") for attr, dotted in cli._FLAG_MAP.items()}
+    flag = {key: flags[-1] for flags, key, *_ in cli._FLAGS}
     argv = [item for key, value in overrides.items() for item in (flag[key], str(value))]
     out = tmp_path / "out"
     assert main(["run", "-c", cfg, "-o", str(out), *argv]) == (3 if case == "overflow" else 0)
@@ -432,12 +427,16 @@ def test_cfl_flag_sets_the_freqresp_cfl(tmp_path, capsys):
     capsys.readouterr()
     assert main(["freqresp", "-c", cfg, "-o", str(tmp_path / "bad"), "--cfl", "7"]) == 2
     assert "freqresp.cfl" in capsys.readouterr().err
+    # elsewhere it sets run.cfl, the upwind open loop's step: T = 0.26 is 9 steps of 0.03
+    upwind = ["--controller", "open_loop", "--solver", "upwind", "--T", "0.26", "--n-cells", "10"]
+    assert main(["check", "-c", cfg, *upwind, "--cfl", "0.3"]) == 0
+    assert "T snapped from 0.26 to 0.27" in capsys.readouterr().err
 
 
 def test_freqresp_does_not_warn_of_the_run_snaps(tmp_path, capsys):
     # n_cells = 7 snaps the run's tau = 1.5, which freqresp does not use
     cfg = ROOT / "configs" / "freqresp.ini"
-    assert parse_config(cfg.read_text(), overrides={"grid.n_cells": 7}).warnings
+    assert check_scenario(parse_config(cfg.read_text(), overrides={"grid.n_cells": 7}).scenario)
     argv = ["freqresp", "-c", str(cfg), "-o", str(tmp_path), "--n-cells", "7", "--omega", "1"]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
@@ -514,6 +513,44 @@ def test_freqresp_cycles_is_deprecated(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "warning: freqresp.cycles no longer affects the exact response and will be removed\n")
     assert written["with"] == written["without"] == (tmp_path / "flag" / "freqresp.csv").read_bytes()
+
+
+def test_freqresp_ignores_the_initial_specs_that_run_refuses(tmp_path, capsys):
+    # the [initial] profiles and inputs describe a run, which freqresp never makes
+    text = (ROOT / "configs" / "freqresp.ini").read_text()
+    plain = write_config(tmp_path, text, "plain.ini")
+    vortex = write_config(tmp_path, text + "\n[initial]\ntheta1 = vortex(3)\n", "vortex.ini")
+    for name, cfg in (("plain", plain), ("vortex", vortex)):
+        assert main(["freqresp", "-c", cfg, "-o", str(tmp_path / name), "--n-cells", "20"]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "vortex" / "freqresp.csv").read_bytes() == (
+        tmp_path / "plain" / "freqresp.csv").read_bytes()
+    # run checks the specs before it opens its outputs
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "norms.csv").write_text("kept\n")
+    assert main(["run", "-c", vortex, "-o", str(out), "--n-cells", "20", "--T", "4"]) == 2
+    assert capsys.readouterr().err == "configuration error: unknown profile 'vortex' in 'vortex(3)'\n"
+    assert (out / "norms.csv").read_text() == "kept\n"
+    assert sorted(out.iterdir()) == [out / "norms.csv"]
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["run", "-c", "configs/theorem_run.ini"], 2),  # cmd_run's check, then the run's own
+    (["sweep", "-c", "configs/tau_sweep.ini", "--workers", "1"], 12),  # the same for 6 rows
+], ids=["run", "sweep"])
+def test_each_run_is_checked_once_before_it_starts(tmp_path, monkeypatch, argv, checks):
+    prepared = []
+    prepare = loop._prepare
+
+    def counting(*args, **kwargs):
+        prepared.append(args[0])
+        return prepare(*args, **kwargs)
+
+    monkeypatch.setattr(loop, "_prepare", counting)
+    monkeypatch.chdir(ROOT)
+    assert main([*argv, "-o", str(tmp_path), "--n-cells", "20", "--T", "4"]) == 0
+    assert len(prepared) == checks
 
 
 def test_freqresp_makes_no_run_check(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import pytest
 
 from pfhx import ConfigError, Params, Scenario
+from pfhx.cli import main
 from pfhx.config import parse_config
+from pfhx.loop import check_scenario
 
 MINIMAL = """\
 [params]
@@ -31,7 +33,7 @@ def test_minimal_config_gets_documented_defaults():
     assert cfg.out_dir == "out"
     assert cfg.sweep_axes == {}
     assert cfg.freq_omegas == [0.5, 1.0, 2.0]
-    assert cfg.warnings == []
+    assert check_scenario(cfg.scenario) == []
 
 
 def test_library_scenario_shares_config_defaults():
@@ -65,43 +67,44 @@ def test_non_numeric_value_named():
 
 def test_tau_snap_warning():
     snapped = MINIMAL.replace("tau = 1.5", "tau = 0.333")
-    cfg = parse_config(snapped)
-    assert any("snapped" in w and "0.33" in w for w in cfg.warnings)
+    warnings = check_scenario(parse_config(snapped).scenario)
+    assert any("snapped" in w and "0.33" in w for w in warnings)
 
 
 def test_sano_requires_gain_key():
     broken = MINIMAL.replace("controller = observer_predictor", "controller = sano_static")
     with pytest.raises(ConfigError, match="run.sano_k"):
-        parse_config(broken)
+        check_scenario(parse_config(broken).scenario)
     ok = broken + "sano_k = 1.0\n"
     assert parse_config(ok).scenario.sano_k == 1.0
 
 
 def test_T_must_exceed_tau_for_controlled_runs():
     broken = MINIMAL.replace("T = 10.0", "T = 1.0")
+    cfg = parse_config(broken)  # the file is valid; the run it describes is not
     with pytest.raises(ConfigError, match="must exceed"):
-        parse_config(broken)
+        check_scenario(cfg.scenario)
     # an open-loop run with the same horizon is fine
     open_loop = broken.replace("controller = observer_predictor", "controller = open_loop")
-    assert parse_config(open_loop).scenario.controller == "open_loop"
+    assert check_scenario(parse_config(open_loop).scenario) == []
 
 
 def test_upwind_restricted_to_open_loop():
     broken = MINIMAL + "solver = upwind\n"
     with pytest.raises(ConfigError, match="open_loop"):
-        parse_config(broken)
+        check_scenario(parse_config(broken).scenario)
 
 
 def test_unknown_controller_rejected():
     broken = MINIMAL.replace("controller = observer_predictor", "controller = magic")
     with pytest.raises(ConfigError, match="magic"):
-        parse_config(broken)
+        check_scenario(parse_config(broken).scenario)
 
 
 def test_bad_profile_spec_rejected():
     broken = MINIMAL + "\n[initial]\ntheta1 = vortex(3)\n"
     with pytest.raises(ConfigError, match="vortex"):
-        parse_config(broken)
+        check_scenario(parse_config(broken).scenario)
 
 
 def test_sweep_axes_keep_declaration_order():
@@ -111,10 +114,14 @@ def test_sweep_axes_keep_declaration_order():
     assert cfg.sweep_axes["tau"] == [0.5, 1.5]
 
 
-def test_sweep_tau_values_validated_against_T():
-    text = MINIMAL + "\n[sweep]\ntau = 0.5, 20.0\n"
-    with pytest.raises(ConfigError, match="every swept tau"):
-        parse_config(text)
+def test_sweep_tau_values_validated_against_T(tmp_path, capsys):
+    path = tmp_path / "sweep.ini"
+    path.write_text(MINIMAL + "\n[sweep]\ntau = 0.5, 20.0\n")
+    out = tmp_path / "out"
+    for command in ("sweep", "check"):
+        assert main([command, "-c", str(path), "-o", str(out)]) == 2
+        assert "every swept tau must give a valid run; tau=20: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_overrides_beat_file_values():

@@ -16,11 +16,7 @@ from pfhx import (
     l2_norm,
     observer_step,
     predict_exit,
-    run_closed_loop,
     run_delay_free_feedback,
-    run_error_system,
-    run_open_loop,
-    run_sano_baseline,
     run_scenario,
 )
 from pfhx.coupling import coupling_matrix
@@ -35,13 +31,18 @@ def scenario_with(tau=0.5, T=20.0, n=100, controller="observer_predictor", **kw)
                     theta0=("step(0.5, 1.0, 0.0)", "zero"), **kw)
 
 
+def run_as(controller, sc, **kw):
+    """``sc`` run under another controller (and any other replaced fields)."""
+    return run_scenario(dataclasses.replace(sc, controller=controller, **kw))
+
+
 def test_zero_error_shortcut_matches_delay_free_feedback():
     grid = Grid(100, 1.0)
     theta0 = field_from(grid, lambda x: np.sin(np.pi * x), lambda x: x * (1 - x))
     sc = scenario_with(tau=0.5, T=10.0)
     sc.theta0 = theta0
     sc.observer0 = theta0.copy()
-    closed = run_closed_loop(sc)
+    closed = run_scenario(sc)
     reference = run_delay_free_feedback(sc)
     t = closed.trajectory.t
     mask = t > 0.5
@@ -61,8 +62,8 @@ def test_zero_error_shortcut_matches_delay_free_feedback():
 def test_closed_loop_observer_error_decouples():
     sc = scenario_with(tau=0.5, T=20.0)
     sc.observer0 = ("sine(1, 1)", "sine(1, 1)")
-    closed = run_closed_loop(sc)
-    err = run_error_system(sc)
+    closed = run_scenario(sc)
+    err = run_as("error_system", sc)
     m = round(0.5 / closed.trajectory.dt)
     closed_series = closed.trajectory.obs_err_l2[m:]
     standalone = err.trajectory.plant_l2[: len(closed_series)]
@@ -76,8 +77,8 @@ def test_error_system_draws_random_profiles_in_closed_loop_order():
     sc.theta0 = ("random(1.0)", "random(1.0)")
     sc.observer0 = ("random(0.5)", "sine(1, 1)")
     sc.seed = 3
-    closed = run_closed_loop(sc)
-    err = run_error_system(sc)
+    closed = run_scenario(sc)
+    err = run_as("error_system", sc)
     m = round(0.5 / closed.trajectory.dt)
     closed_series = closed.trajectory.obs_err_l2[m:]
     standalone = err.trajectory.plant_l2[: len(closed_series)]
@@ -90,7 +91,7 @@ def test_exact_compensation_boundary_identity():
     sc = scenario_with(tau=1.5, T=12.0)
     sc.observer0 = ("constant(2.0)", "sine(3, 2)")
     sc.warmup_u = ("sine(1, 4)", "constant(0.5)")
-    result = run_closed_loop(sc)
+    result = run_scenario(sc)
     traj = result.trajectory
     mask = traj.t > 1.5
     r1 = traj.u[mask, 0] + 0.5 * traj.exit_values[mask, 1]
@@ -105,7 +106,7 @@ def test_superposition_of_feedback_and_disturbance_response():
     # prediction-error disturbance from zero data)
     sc = scenario_with(tau=0.5, T=10.0)
     sc.observer0 = ("sine(1, 1)", "sine(1, 2)")
-    closed = run_closed_loop(sc)
+    closed = run_scenario(sc)
     feedback = run_delay_free_feedback(sc)
 
     params = sc.params
@@ -132,7 +133,7 @@ def test_superposition_of_feedback_and_disturbance_response():
 
 def test_tau_snap_reported():
     sc = scenario_with(tau=0.333, T=5.0, n=100)
-    result = run_closed_loop(sc)
+    result = run_scenario(sc)
     assert result.summary.tau_snapped
     assert result.summary.tau_used == pytest.approx(0.33)
     assert any("snapped" in w for w in result.summary.warnings)
@@ -141,7 +142,7 @@ def test_tau_snap_reported():
 def test_T_not_exceeding_tau_is_config_error():
     sc = scenario_with(tau=1.5, T=1.0)
     with pytest.raises(ConfigError, match="must exceed"):
-        run_closed_loop(sc)
+        run_scenario(sc)
 
 
 def test_upwind_open_loop_snaps_T_once_to_its_own_step():
@@ -149,18 +150,18 @@ def test_upwind_open_loop_snaps_T_once_to_its_own_step():
     # T first snapped to dx (0.3); check reports the snap the run makes
     sc = scenario_with(T=0.26, n=10, controller="open_loop", solver="upwind", cfl=0.3)
     assert check_scenario(sc) == ["T snapped from 0.26 to 0.27"]
-    result = run_open_loop(sc)
+    result = run_scenario(sc)
     assert len(result.trajectory.t) == 10
     assert result.summary.T_used == pytest.approx(0.27)
     assert result.summary.warnings.count("T snapped from 0.26 to 0.27") == 1
     assert check_scenario(dataclasses.replace(sc, T=1.0)) == ["T snapped from 1 to 0.99"]
     with pytest.raises(ConfigError, match="run.cfl"):  # the step is cfl * dx
-        run_open_loop(dataclasses.replace(sc, cfl=0.0))
+        run_scenario(dataclasses.replace(sc, cfl=0.0))
 
 
 def test_sano_baseline_inside_window_decays():
     sc = scenario_with(tau=1.5, T=30.0, controller="sano_static", sano_k=1.0)
-    result = run_sano_baseline(sc)
+    result = run_scenario(sc)
     assert result.summary.sano is not None and result.summary.sano.in_window
     assert result.summary.plant_decay.gamma_hat > 0
     # u1 stays identically zero for this controller
@@ -169,7 +170,7 @@ def test_sano_baseline_inside_window_decays():
 
 def test_sano_zero_gain_reports_finite_time_extinction():
     sc = scenario_with(tau=1.5, T=10.0, controller="sano_static", sano_k=0.0)
-    result = run_sano_baseline(sc)
+    result = run_scenario(sc)
     assert result.summary.plant_decay.extinct
     assert any("extinction" in w for w in result.summary.warnings)
     # the exit node holds the inflow-corner value until t = l exactly
@@ -181,14 +182,16 @@ def test_sano_zero_gain_reports_finite_time_extinction():
 def test_sano_requires_gain():
     sc = scenario_with(controller="sano_static")
     with pytest.raises(ConfigError, match="sano_k"):
-        run_sano_baseline(sc)
+        run_scenario(sc)
+    with pytest.raises(ConfigError, match="sano_k"):
+        check_scenario(sc)
 
 
 def test_error_system_zero_error_stays_zero():
     sc = scenario_with(tau=0.5, T=5.0, controller="error_system")
     sc.theta0 = ("sine(1, 1)", "zero")
     sc.observer0 = ("sine(1, 1)", "zero")
-    result = run_error_system(sc)
+    result = run_scenario(sc)
     assert np.all(result.trajectory.plant_l2 == 0.0)
 
 
@@ -197,7 +200,7 @@ def test_error_system_reports_growth_without_asserting_sign():
     params = Params(h1=1.0, h2=1.0, l=1.0, tau=0.5, k1=3.0, k2=3.0)
     sc = Scenario(params=params, n_cells=50, T=8.0, controller="error_system",
                   observer0=("sine(1, 1)", "zero"))
-    result = run_error_system(sc)
+    result = run_scenario(sc)
     assert result.summary.finite
     assert np.isfinite(result.summary.plant_decay.gamma_hat)
     assert not result.summary.condition.gains.theorem_valid
@@ -206,7 +209,7 @@ def test_error_system_reports_growth_without_asserting_sign():
 def test_open_loop_upwind_choice():
     sc = scenario_with(tau=0.5, T=2.0, controller="open_loop", solver="upwind", cfl=0.5)
     sc.u_open = ("constant(1.0)", "zero")
-    result = run_open_loop(sc)
+    result = run_scenario(sc)
     assert result.summary.finite
     expected = coupling_matrix(1.0, 1.0, 2.0) @ np.array([1.0, 0.0])
     np.testing.assert_allclose(result.trajectory.exit_values[-1], expected, rtol=0, atol=5e-3)
@@ -219,7 +222,7 @@ def test_non_unit_length_and_asymmetric_rates():
                   theta0=("gaussian(1.0, 0.3, 1.0)", "sine(1, 2)"),
                   observer0=("constant(0.5)", "zero"),
                   warmup_u=("sine(1, 3)", "constant(0.2)"))
-    result = run_closed_loop(sc)
+    result = run_scenario(sc)
     traj = result.trajectory
     mask = traj.t > 2.5
     assert np.abs(traj.pred_err_at_l[mask]).max() <= 1e-12
@@ -230,8 +233,8 @@ def test_non_unit_length_and_asymmetric_rates():
     sc2 = Scenario(params=small_delay, n_cells=160, T=16.0,
                    theta0=("step(1.2, 1.0, -0.5)", "zero"),
                    observer0=("sine(1, 1)", "sine(0.5, 3)"))
-    closed = run_closed_loop(sc2)
-    standalone = run_error_system(sc2)
+    closed = run_scenario(sc2)
+    standalone = run_as("error_system", sc2)
     m = round(0.75 / closed.trajectory.dt)
     series = closed.trajectory.obs_err_l2[m:]
     assert np.abs(series - standalone.trajectory.plant_l2[: len(series)]).max() <= 1e-10
@@ -242,7 +245,7 @@ def test_invalid_gains_run_without_refusal():
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=2.0, k2=2.0)
     sc = Scenario(params=params, n_cells=50, T=6.0, controller="observer_predictor",
                   theta0=("step(0.5, 1.0, 0.0)", "zero"), observer0=("sine(1, 1)", "zero"))
-    result = run_closed_loop(sc)
+    result = run_scenario(sc)
     assert not result.summary.condition.gains.theorem_valid
     assert result.summary.finite
 
@@ -259,13 +262,14 @@ def test_dispatch_and_controller_validation():
         run_scenario(sc)
 
 
-# every runner, with the arguments it needs besides the scenario
+# every law a scenario reaches: run_scenario under each controller, and the
+# delay-free reference loop, with the name its summary reports
 RUNNERS = {
-    "closed_loop": (run_closed_loop, {}),
-    "sano": (run_sano_baseline, {"k": 1.0}),
-    "error_system": (run_error_system, {}),
-    "delay_free": (run_delay_free_feedback, {}),
-    "open_loop": (run_open_loop, {}),
+    "closed_loop": (lambda sc: run_as("observer_predictor", sc), "observer_predictor"),
+    "sano": (lambda sc: run_as("sano_static", sc, sano_k=1.0), "sano_static"),
+    "error_system": (lambda sc: run_as("error_system", sc), "error_system"),
+    "delay_free": (run_delay_free_feedback, "delay_free"),
+    "open_loop": (lambda sc: run_as("open_loop", sc), "open_loop"),
 }
 
 
@@ -273,29 +277,36 @@ RUNNERS = {
 @pytest.mark.parametrize("solver", ["upwind", "bogus"])
 @pytest.mark.parametrize("name", ["closed_loop", "sano", "error_system", "delay_free"])
 def test_direct_runner_refuses_a_solver_the_cli_refuses(name, solver, controller):
-    # the upwind step is cfl * dx, which only the open loop runs; a scenario
-    # that names open_loop does not change what another runner runs
-    runner, kwargs = RUNNERS[name]
+    # the upwind step is cfl * dx, which only the open loop runs; the
+    # delay-free loop ignores a scenario that names open_loop
+    runner, _ = RUNNERS[name]
     sc = scenario_with(tau=0.5, T=4.0, n=20, controller=controller, solver=solver, cfl=0.5)
     with pytest.raises(ConfigError, match="run.solver"):
-        runner(sc, **kwargs)
+        runner(sc)
 
 
 @pytest.mark.parametrize("setting, key", [
     ({"T": float("inf")}, "run.T"), ({"snapshot_stride": 0.0}, "run.snapshot_stride")])
 @pytest.mark.parametrize("name", RUNNERS)
 def test_direct_runner_refuses_a_run_setting_the_cli_refuses(name, setting, key):
-    runner, kwargs = RUNNERS[name]
-    controller = "open_loop" if name == "open_loop" else "observer_predictor"
-    sc = scenario_with(tau=0.5, T=4.0, n=20, controller=controller)
+    runner, _ = RUNNERS[name]
+    sc = scenario_with(tau=0.5, T=4.0, n=20)
     with pytest.raises(ConfigError, match=key):
-        runner(dataclasses.replace(sc, **setting), **kwargs)
+        runner(dataclasses.replace(sc, **setting))
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_summary_names_the_law_that_ran(name):
+    runner, reported = RUNNERS[name]
+    summary = runner(scenario_with(tau=0.5, T=4.0, n=20)).summary
+    assert summary.controller == reported
+    assert (summary.sano is not None) == (reported == "sano_static")
 
 
 def test_summary_reproducible_from_trajectory():
     sc = scenario_with(tau=0.5, T=20.0)
     sc.observer0 = ("sine(1, 1)", "sine(1, 1)")
-    result = run_closed_loop(sc)
+    result = run_scenario(sc)
     summary_fit = result.summary.plant_decay
     refit = fit_decay(result.trajectory.t, result.trajectory.plant_l2,
                       window=summary_fit.window)
@@ -307,43 +318,39 @@ def test_random_profiles_are_seed_deterministic():
     sc = scenario_with(tau=0.5, T=3.0)
     sc.theta0 = ("random(1.0)", "gaussian(0.5, 0.1, 2.0)")
     sc.seed = 11
-    first = run_closed_loop(sc)
-    second = run_closed_loop(sc)
+    first = run_scenario(sc)
+    second = run_scenario(sc)
     np.testing.assert_array_equal(first.trajectory.plant_l2, second.trajectory.plant_l2)
     sc.seed = 12
-    third = run_closed_loop(sc)
+    third = run_scenario(sc)
     assert first.trajectory.plant_l2[0] != third.trajectory.plant_l2[0]
 
 
 @pytest.mark.parametrize(
     "runner, controller, kwargs",
     [
-        (run_closed_loop, "observer_predictor", {}),
-        (run_sano_baseline, "sano_static", {"k": 1.0}),
-        (run_error_system, "error_system", {}),
+        (run_scenario, "observer_predictor", {}),
+        (run_scenario, "sano_static", {"sano_k": 1.0}),
+        (run_scenario, "error_system", {}),
         (run_delay_free_feedback, "observer_predictor", {}),
-        (run_open_loop, "open_loop", {}),
+        (run_scenario, "open_loop", {}),
     ],
 )
 def test_runners_leave_scenario_unchanged(runner, controller, kwargs):
     grid = Grid(50, 1.0)
     sc = scenario_with(tau=0.5, T=4.0, n=50, controller=controller,
-                       u_open=("sine(1, 2)", "zero"), warmup_u=("constant(0.5)", "zero"))
+                       u_open=("sine(1, 2)", "zero"), warmup_u=("constant(0.5)", "zero"),
+                       **kwargs)
     sc.theta0 = field_from(grid, lambda x: np.sin(np.pi * x), 0.5)
     sc.observer0 = field_from(grid, 0.0, lambda x: x * (1 - x))
     before = {f.name: copy.deepcopy(getattr(sc, f.name)) for f in dataclasses.fields(sc)}
-    result = runner(sc, **kwargs)
+    runner(sc)
     for name, value in before.items():
         now = getattr(sc, name)
         if isinstance(value, np.ndarray):
             assert np.array_equal(now, value), name
         else:
             assert now == value, name
-    if runner is run_sano_baseline:
-        # the gain given by argument still reaches the summary
-        assert result.summary.sano is not None
-        assert result.summary.condition == run_sano_baseline(
-            dataclasses.replace(sc, sano_k=1.0)).summary.condition
 
 
 def _index_scenario(tau: float, controller: str = "observer_predictor", **kw) -> Scenario:
@@ -403,7 +410,7 @@ DELAY_EDGES = [0.02, 0.98, 1.0, 1.02, 1.5]  # dt, l - dt, l, l + dt, 1.5 l at n_
 @pytest.mark.parametrize("tau", DELAY_EDGES)
 def test_closed_loop_matches_reference_loop_at_delay_edges(tau):
     sc = _index_scenario(tau)
-    traj = run_closed_loop(sc).trajectory
+    traj = run_scenario(sc).trajectory
     expected = _reference_closed_loop(sc)
     for name, values in expected.items():
         assert np.array_equal(getattr(traj, name), values), name
@@ -414,7 +421,7 @@ def test_closed_loop_matches_reference_loop_at_delay_edges(tau):
 def test_sano_baseline_matches_reference_loop(tau):
     k = 0.8
     sc = _index_scenario(tau, controller="sano_static", sano_k=k)
-    traj = run_sano_baseline(sc).trajectory
+    traj = run_scenario(sc).trajectory
     grid = Grid(sc.n_cells, sc.params.l)
     m, _, _ = grid.snap_tau(tau)
     n_steps, _, _ = grid.snap_steps(sc.T)
@@ -467,7 +474,7 @@ def test_delay_free_feedback_matches_reference_loop(tau):
 def test_error_system_matches_reference_loop(tau):
     # the estimation error is the observer of a zero plant under zero input
     sc = _index_scenario(tau, controller="error_system")
-    traj = run_error_system(sc).trajectory
+    traj = run_scenario(sc).trajectory
     grid = Grid(sc.n_cells, sc.params.l)
     n_steps, _, _ = grid.snap_steps(sc.T)
     err = sc.observer0 - sc.theta0

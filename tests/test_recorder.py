@@ -26,9 +26,7 @@ import pytest
 from pfhx import Grid, Params, Scenario, loop, solver
 from pfhx.coupling import coupling_matrix
 from pfhx.grid import _l2
-from pfhx.loop import (
-    run_closed_loop, run_delay_free_feedback, run_error_system, run_open_loop, run_sano_baseline,
-)
+from pfhx.loop import run_delay_free_feedback, run_scenario
 from pfhx.profiles import input_function
 from pfhx.solver import Recorder, Trajectory, _block_l2, solve_exact, solve_upwind
 
@@ -158,14 +156,11 @@ def _per_step_cross_feedback(scenario, run, rec, theta0, observer0):
     return (theta0 if run.delayed else observer0 - theta0), inflow
 
 
-def _per_step_simulate(scenario, law, delayed=True):
+def _per_step_simulate(scenario, law):
     p = scenario.params
-    run = loop._prepare(scenario, delayed)
-    rng = np.random.default_rng(scenario.seed)
-    theta0 = loop._resolve_field(run.grid, scenario.theta0, rng)
-    observer0 = loop._resolve_field(run.grid, scenario.observer0, rng)
+    run = loop._prepare(scenario)
     rec = _PerStepRecorder(run.grid, run.n_steps, run.grid.dt, scenario.snapshot_stride)
-    field, inflow = law(scenario, run, rec, theta0, observer0)
+    field, inflow = law(scenario, run, rec, run.theta0, run.observer0)
     rec.record(0, field, np.zeros(2))
     step_matrix = coupling_matrix(run.grid.dt, p.h1, p.h2)
     for jn in range(1, run.n_steps + 1):
@@ -215,19 +210,27 @@ def _open_loop(sc):
     return dataclasses.replace(sc, controller="open_loop", u_open=("sine(1, 2)", "constant(0.5)"))
 
 
+def _sano(sc, gain):
+    return dataclasses.replace(sc, controller="sano_static", sano_k=0.8 * gain)
+
+
+def _error_system(sc):
+    return dataclasses.replace(sc, controller="error_system")
+
+
 def _trajectories(n_cells, tau, n_steps, gain):
     """Every runner and both solver oracles on one scenario."""
     sc = _scenario(n_cells, tau, n_steps, gain)
     grid = Grid(n_cells, 1.0)
     theta0, u_fn = _oracle_inputs(grid)
     return {
-        "open_loop_exact": run_open_loop(_open_loop(sc)).trajectory,
-        "open_loop_upwind": run_open_loop(
+        "open_loop_exact": run_scenario(_open_loop(sc)).trajectory,
+        "open_loop_upwind": run_scenario(
             dataclasses.replace(_open_loop(sc), solver="upwind", cfl=0.5)).trajectory,
-        "observer_predictor": run_closed_loop(sc).trajectory,
-        "sano_static": run_sano_baseline(sc, k=0.8 * gain).trajectory,
+        "observer_predictor": run_scenario(sc).trajectory,
+        "sano_static": run_scenario(_sano(sc, gain)).trajectory,
         "delay_free": run_delay_free_feedback(sc).trajectory,
-        "error_system": run_error_system(sc).trajectory,
+        "error_system": run_scenario(_error_system(sc)).trajectory,
         "solve_exact": solve_exact(theta0, u_fn, sc.T, sc.params, grid, snapshot_stride=0.3, t0=0.5),
         "solve_upwind": solve_upwind(theta0, u_fn, sc.T, sc.params, grid, cfl=0.5, snapshot_stride=0.3),
     }
@@ -248,10 +251,9 @@ def _per_step_trajectories(n_cells, tau, n_steps, gain):
         "open_loop_upwind": _per_step_solve(ol_theta0, ol_u, 2 * n_steps, sc.params, grid,
                                             0.5 * grid.dx, upwind, 0.3),
         "observer_predictor": _per_step_simulate(sc, _deque_observer_predictor),
-        "sano_static": _per_step_simulate(
-            dataclasses.replace(sc, sano_k=0.8 * gain), _per_step_static_feedback),
+        "sano_static": _per_step_simulate(_sano(sc, gain), _per_step_static_feedback),
         "delay_free": _per_step_simulate(sc, _per_step_cross_feedback),
-        "error_system": _per_step_simulate(sc, _per_step_cross_feedback, delayed=False),
+        "error_system": _per_step_simulate(_error_system(sc), _per_step_cross_feedback),
         "solve_exact": _per_step_solve(theta0, u_fn, n_steps, sc.params, grid, grid.dt,
                                        _transposed_advance_exact, 0.3, t0=0.5),
         "solve_upwind": _per_step_solve(theta0, u_fn, 2 * n_steps, sc.params, grid, 0.5 * grid.dx,
@@ -348,7 +350,7 @@ def test_snapshot_steps_match_per_mark_set(n_cells, n_steps, ratio):
 def test_snapshot_stride_far_below_a_step_snaps_every_step():
     # a per-mark loop would take 1e12 iterations here
     sc = dataclasses.replace(_scenario(10, 0.5, 10, 0.5), snapshot_stride=1e-12)
-    traj = run_closed_loop(sc).trajectory
+    traj = run_scenario(sc).trajectory
     assert len(traj.t) == 11
     assert np.array_equal(traj.snapshot_t, traj.t)
     assert np.array_equal(traj.snapshots[:, -1], traj.exit_values)
@@ -434,7 +436,7 @@ def test_closed_loop_holds_no_plant_history():
                   observer0=("random(0.5)", "random(0.5)"), warmup_u=("sine(1, 4)", "constant(0.5)"))
     tracemalloc.start()
     try:
-        result = run_closed_loop(sc)
+        result = run_scenario(sc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
