@@ -10,10 +10,10 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
+import multiprocessing
 import os
-import pickle
-import struct
 import sys
 import time
 import warnings
@@ -30,10 +30,6 @@ from .grid import Grid
 from .loop import RunResult, Scenario, check_scenario, run_scenario
 
 _NORMS_BLOCK_ROWS = 4096
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".16e")
 
 
 def _bool(value: bool) -> str:
@@ -53,7 +49,7 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 
 
 def _format_rows(block: np.ndarray) -> str:
-    """CSV text of a 2-D block, every value as ``_fmt`` spells it.
+    """CSV text of a 2-D block, every value as ``format(x, '.16e')`` spells it.
 
     One ``%`` operation formats the whole block: ``'%.16e' % x`` and
     ``format(x, '.16e')`` agree for every double, non-finite ones included.
@@ -90,7 +86,7 @@ def _first_non_finite(result: RunResult) -> str:
 
 
 def _snapshot_block(t: float, snap: np.ndarray, node_tails: list[str]) -> str:
-    t_str = _fmt(t)
+    t_str = "%.16e" % t
     return (t_str + ("\n" + t_str).join(node_tails)) % tuple(snap.ravel().tolist())
 
 
@@ -100,7 +96,7 @@ def _snapshot_text(grid: Grid, batches) -> Iterable[str]:
     ``batches`` yields ``(times, fields)`` pairs, the snapshots in order.
     """
     # x is formatted once per run and t once per snapshot; only theta is per row
-    node_tails = ["," + _fmt(x) + ",%.16e,%.16e" for x in grid.nodes]
+    node_tails = ["," + "%.16e" % x + ",%.16e,%.16e" for x in grid.nodes]
     yield "t,x,theta1,theta2"
     for times, fields in batches:
         for t, snap in zip(times, fields):
@@ -112,92 +108,70 @@ def _write_snapshots(path: Path, result: RunResult, grid: Grid) -> None:
     _write_lines(path, _snapshot_text(grid, [(traj.snapshot_t, traj.snapshots)]))
 
 
-_BATCH_HEAD = struct.Struct("=q")  # the number of snapshots in a batch
+def _writer_process(path: Path, grid: Grid, conn, run_end) -> None:
+    """The writer process: snapshots.csv from the batches ``conn`` receives.
 
-
-def _send_all(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_batches(pipe, n_nodes: int):
-    """The (times, fields) batches ``_SnapshotWriter.send`` framed, up to end of file."""
-    while head := pipe.read(_BATCH_HEAD.size):
-        (count,) = _BATCH_HEAD.unpack(head)
-        values = np.frombuffer(pipe.read(8 * count * (1 + 2 * n_nodes)))
-        yield values[:count], values[count:].reshape(count, n_nodes, 2)
-
-
-def _writer_process(handle, grid: Grid, data_r: int, error_w: int):
-    """The forked writer: snapshots.csv from the pipe's batches, then exit.
-
-    What stops it, interrupts included, goes back pickled over ``error_w``
-    for the run to raise.  It never returns or raises: the stack above it
-    is the run's, copied by the fork.
+    What stops it, interrupts included, goes back over ``conn`` for the run
+    to raise.  It closes its copy of the run's end first, so that a run that
+    dies ends its input.
     """
-    code = 0
+    run_end.close()
     try:
-        with handle, open(data_r, "rb") as pipe:
-            _put_lines(handle, _snapshot_text(grid, _read_batches(pipe, grid.n_cells + 1)))
+        with open(path, "w", newline="\n") as handle:
+            _put_lines(handle, _snapshot_text(grid, iter(conn.recv, None)))
     except BaseException as exc:
-        code = 1
         try:
-            message = pickle.dumps(exc)
-        except Exception:
-            message = pickle.dumps(RuntimeError(f"snapshot writer failed: {exc!r}"))
-        _send_all(error_w, message)
-    finally:
-        os._exit(code)
+            conn.send(exc)
+        except OSError:  # the run is gone: there is no one to tell
+            pass
+        except Exception:  # it will not pickle
+            conn.send(RuntimeError(f"snapshot writer failed: {exc!r}"))
 
 
 class _SnapshotWriter:
     """snapshots.csv, written by a forked process while the run steps.
 
-    ``send`` is a ``Recorder``'s ``on_snapshots``: it passes each batch as
-    raw doubles over a pipe, whose blocking bounds what is in flight.  The
-    writer formats them as ``_write_snapshots`` does and never calls BLAS,
-    whose threads a forked process lacks.  ``join`` ends the input, waits
-    for the writer and raises what stopped it; the writer then has at most
-    a pipe's worth of snapshots left to format.
+    ``send`` is a ``Recorder``'s ``on_snapshots``: it passes each batch over
+    a pipe, whose blocking bounds what is in flight.  The writer formats
+    them as ``_write_snapshots`` does and never calls BLAS, whose threads a
+    forked process lacks.  ``join`` ends the input, waits for the writer and
+    raises what stopped it; the writer then has at most a pipe's worth of
+    snapshots left to format.
     """
 
     def __init__(self, path: Path, grid: Grid):
-        handle = open(path, "w", newline="\n")
-        data_r, self.data_w = os.pipe()
-        self.error_r, error_w = os.pipe()
+        self.conn, writer_end = multiprocessing.Pipe()
+        self.process = multiprocessing.get_context("fork").Process(
+            target=_writer_process, args=(path, grid, writer_end, self.conn))
         with warnings.catch_warnings():
             # Python 3.12 warns on forking a process with threads; the writer needs none
             warnings.simplefilter("ignore", DeprecationWarning)
-            self.pid = os.fork()
-        if self.pid == 0:
-            os.close(self.data_w)
-            os.close(self.error_r)
-            _writer_process(handle, grid, data_r, error_w)
-        os.close(data_r)
-        os.close(error_w)
-        handle.close()
+            self.process.start()
+        writer_end.close()
 
     def send(self, times: np.ndarray, fields: np.ndarray) -> None:
         try:
-            for data in (_BATCH_HEAD.pack(len(times)), times, fields):
-                _send_all(self.data_w, data)
-        except BrokenPipeError:
-            self.join()  # the writer stopped: raise what stopped it
+            self.conn.send((times, fields))
+        except OSError:  # the writer stopped: raise what stopped it
+            self.join()
             raise
 
     def join(self) -> None:
-        if self.pid is None:
+        if self.process is None:
             return
-        os.close(self.data_w)
-        with open(self.error_r, "rb") as pipe:
-            message = pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if message:
-            raise pickle.loads(message)
-        if status:
-            raise OSError(f"snapshot writer ended with wait status {status}")
+        process, self.process = self.process, None
+        with contextlib.suppress(OSError):  # a writer that stopped reads no more
+            self.conn.send(None)
+        try:
+            error = self.conn.recv()
+        except (EOFError, OSError):  # nothing to report, or killed mid-run
+            error = None
+        self.conn.close()
+        process.join()
+        if error is not None:
+            raise error
+        if process.exitcode:
+            raise OSError(f"snapshot writer ended with exit code {process.exitcode}")
 
 
 def _decay_text(label: str, decay) -> str:
@@ -311,7 +285,7 @@ def _sweep_worker(payload: tuple[int, Scenario]) -> tuple[int, dict]:
 
 
 def _sweep_line(index: int, row: dict) -> str:
-    """One sweep.csv row from a single ``%`` operation; floats as ``_fmt`` spells them."""
+    """One sweep.csv row from a single ``%`` operation; floats as ``%.16e``."""
     sano_k, in_window = row["sano_k"], row["sano_in_window"]
     template = (
         "%s" + ",%.16e" * 6 + ",%s,%.16e,%s," + ("" if sano_k is None else "%.16e")
@@ -365,33 +339,19 @@ def cmd_sweep(cfg: Config) -> int:
 def cmd_freqresp(cfg: Config) -> int:
     params = cfg.scenario.params
     grid = Grid(cfg.scenario.n_cells, params.l)
-    header = ["omega"]
-    for i in (1, 2):
-        for j in (1, 2):
-            header += [
-                f"g{i}{j}_formula_re",
-                f"g{i}{j}_formula_im",
-                f"g{i}{j}_measured_re",
-                f"g{i}{j}_measured_im",
-            ]
-    header.append("rel_err")
-    lines = [",".join(header)]
+    header = ",".join(["omega", *(f"g{i}{j}_{kind}_{part}" for i in (1, 2) for j in (1, 2)
+                                   for kind in ("formula", "measured") for part in ("re", "im")),
+                       "rel_err"])
     start = time.perf_counter()
     gains = discrete_response(cfg.freq_omegas, params, grid, cfl=cfg.freq_cfl)
+    rows = []
     for omega, measured in zip(cfg.freq_omegas, gains):
         formula = transfer_function(1j * omega, params).matrix
-        rel_err = float(np.linalg.norm(measured - formula) / np.linalg.norm(formula))
-        row = [_fmt(omega)]
-        for i in range(2):
-            for j in range(2):
-                row += [
-                    _fmt(formula[i, j].real),
-                    _fmt(formula[i, j].imag),
-                    _fmt(measured[i, j].real),
-                    _fmt(measured[i, j].imag),
-                ]
-        row.append(_fmt(rel_err))
-        lines.append(",".join(row))
+        rel_err = np.linalg.norm(measured - formula) / np.linalg.norm(formula)
+        # in header order: for each g_ij, formula re, im, then measured re, im
+        entries = np.stack([formula, measured], axis=-1).view(float)
+        rows.append([omega, *entries.ravel(), rel_err])
+    lines = [header] + ([_format_rows(np.array(rows))] if rows else [])
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_lines(outdir / "freqresp.csv", lines)
@@ -413,24 +373,25 @@ def cmd_check(cfg: Config) -> int:
 
 
 _ALL = ("run", "sweep", "freqresp", "check")
-# Every flag that overrides a config key: (flags, key, type, subcommands, help).
-# The key is the flag's argparse dest; --cfl sets the step of the subcommand's own scheme.
+# Every flag that overrides a config key: (flags, key, subcommands, help).  The key is
+# the flag's argparse dest, and its value the text typed, parsed as the file's value
+# is; --cfl sets the step of the subcommand's own scheme.
 _FLAGS = [
-    (("-o", "--out"), "output.dir", str, _ALL, "output directory (overrides output.dir)"),
-    *((("--" + name,), "params." + name, float, _ALL, None)
+    (("-o", "--out"), "output.dir", _ALL, "output directory (overrides output.dir)"),
+    *((("--" + name,), "params." + name, _ALL, None)
       for name in ("h1", "h2", "l", "tau", "k1", "k2")),
-    (("--T",), "run.T", float, _ALL, None),
-    (("--cfl",), "run.cfl", float, ("run", "sweep", "check"), None),
-    (("--cfl",), "freqresp.cfl", float, ("freqresp",), None),
-    (("--snapshot-stride",), "run.snapshot_stride", float, _ALL, None),
-    (("--sano-k",), "run.sano_k", float, _ALL, None),
-    (("--n-cells",), "grid.n_cells", int, _ALL, None),
-    (("--seed",), "run.seed", int, _ALL, None),
-    (("--controller",), "run.controller", str, _ALL, None),
-    (("--solver",), "run.solver", str, _ALL, None),
-    (("--workers",), "sweep.workers", int, ("sweep",), "worker processes (0 = all cores)"),
-    (("--omega",), "freqresp.omega", str, ("freqresp",), "comma-separated frequencies"),
-    (("--cycles",), "freqresp.cycles", int, ("freqresp",), None),
+    (("--T",), "run.T", _ALL, None),
+    (("--cfl",), "run.cfl", ("run", "sweep", "check"), None),
+    (("--cfl",), "freqresp.cfl", ("freqresp",), None),
+    (("--snapshot-stride",), "run.snapshot_stride", _ALL, None),
+    (("--sano-k",), "run.sano_k", _ALL, None),
+    (("--n-cells",), "grid.n_cells", _ALL, None),
+    (("--seed",), "run.seed", _ALL, None),
+    (("--controller",), "run.controller", _ALL, None),
+    (("--solver",), "run.solver", _ALL, None),
+    (("--workers",), "sweep.workers", ("sweep",), "worker processes (0 = all cores)"),
+    (("--omega",), "freqresp.omega", ("freqresp",), "comma-separated frequencies"),
+    (("--cycles",), "freqresp.cycles", ("freqresp",), None),
 ]
 
 
@@ -452,10 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
         cmd.add_argument("-c", "--config", required=True, help="path to INI config file")
-        for flags, key, kind, commands, flag_help in _FLAGS:
+        for flags, key, commands, flag_help in _FLAGS:
             if command in commands:
                 metavar = flags[-1].lstrip("-").replace("-", "_").upper()
-                cmd.add_argument(*flags, dest=key, type=kind, metavar=metavar, help=flag_help)
+                cmd.add_argument(*flags, dest=key, metavar=metavar, help=flag_help)
     return parser
 
 

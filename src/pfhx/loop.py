@@ -53,7 +53,7 @@ from .analysis import ConditionReport, DecayReport, condition_report, fit_decay
 from .errors import ConfigError
 from .grid import Grid, _l2, check_field
 from .observer import _cross_law, _exit_propagator, _inject, _predict_exit
-from .params import Params, SanoReport, sano_window
+from .params import Params, SanoReport
 from .profiles import input_function, profile_array
 from .solver import Recorder, Trajectory, _march, _physical_memory
 
@@ -244,10 +244,10 @@ def _summarize(scenario: Scenario, traj: Trajectory, run: _Run, start: float) ->
         warnings = warnings + ["decay fit: samples below the numerical floor were excluded"]
     if plant_decay.extinct:
         warnings = warnings + ["finite-time extinction: state norm at or below floor on the whole fit window"]
-    sano = sano_window(p, scenario.sano_k) if scenario.sano_k is not None else None
+    condition = condition_report(p, k_sano=scenario.sano_k)
     return RunSummary(
         controller=run.controller,
-        condition=condition_report(p, k_sano=scenario.sano_k),
+        condition=condition,
         plant_decay=plant_decay,
         obs_err_decay=obs_decay,
         tau_requested=p.tau,
@@ -255,7 +255,7 @@ def _summarize(scenario: Scenario, traj: Trajectory, run: _Run, start: float) ->
         tau_snapped=run.tau_snapped,
         T_requested=scenario.T,
         T_used=run.T_used,
-        sano=sano,
+        sano=condition.sano,
         finite=traj.is_finite(),
         wall_time_s=wall,
         warnings=warnings,

@@ -1,8 +1,10 @@
 import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -103,6 +105,24 @@ def test_flag_overrides_file_value(tmp_path):
     summary = (out / "summary.txt").read_text()
     assert "tau: requested 0.4" in summary
     assert "T: requested 4, used 4" in summary
+
+
+def test_flag_values_are_parsed_as_file_values(tmp_path, capsys):
+    # an integer key takes 20.0 from a flag as from the file, and a bad
+    # number is a configuration error naming the key, not an argparse error
+    cfg = write_config(tmp_path, BASE)
+    from_file = write_config(tmp_path, BASE.replace("n_cells = 50", "n_cells = 20.0"), "f.ini")
+    reports = []
+    for argv in (["-c", cfg, "--n-cells", "20.0", "--seed", "3.0"], ["-c", from_file],
+                 ["-c", cfg, "--n-cells", "20"]):
+        assert main(["check", *argv]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+    assert main(["check", "-c", cfg, "--tau", "abc"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: non-numeric value 'abc' for key params.tau\n")
+    assert main(["check", "-c", cfg, "--n-cells", "20.5"]) == 2
+    assert "non-integer value '20.5' for key grid.n_cells" in capsys.readouterr().err
 
 
 def test_config_error_exit_codes(tmp_path, capsys):
@@ -355,6 +375,50 @@ def test_failing_run_still_joins_the_writer(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_write_norms", broken)
     cfg = write_config(tmp_path, BASE)
     with pytest.raises(RuntimeError, match="not an output failure"):
+        main(["run", "-c", cfg, "-o", str(tmp_path / "out")])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("args", [["--snapshot-stride", "0.1"],
+                                  ["--snapshot-stride", "1e-9", "--T", "60"]],
+                         ids=["at join", "mid-run"])
+def test_killed_writer_reports_its_exit_code(tmp_path, capsys, monkeypatch, args):
+    # the writer dies once the run has queued more input: a socket reset by
+    # the killed writer reads as its end, and its exit code is the error
+    def killed(*args):
+        time.sleep(0.3)
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli, "_snapshot_block", killed)
+    cfg = write_config(tmp_path, BASE)
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out"), *args]) == 4
+    assert "snapshot writer ended with" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_writer_ends_when_the_run_dies(tmp_path):
+    # a run that dies never sends the end marker: closing its end must end the input
+    writer = cli._SnapshotWriter(tmp_path / "snapshots.csv", Grid(4, 1.0))
+    writer.send(np.zeros(1), np.zeros((1, 5, 2)))
+    writer.conn.close()
+    writer.process.join(timeout=30)
+    try:
+        assert writer.process.exitcode == 0
+    finally:
+        writer.process.kill()
+        writer.process.join()
+    assert len((tmp_path / "snapshots.csv").read_text().splitlines()) == 1 + 5
+
+
+def test_unpicklable_writer_error_is_a_runtime_error(tmp_path, monkeypatch):
+    def unpicklable(*args):
+        raise ValueError(lambda: None)
+
+    monkeypatch.setattr(cli, "_snapshot_block", unpicklable)
+    cfg = write_config(tmp_path, BASE)
+    with pytest.raises(RuntimeError, match="snapshot writer failed"):
         main(["run", "-c", cfg, "-o", str(tmp_path / "out")])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -163,6 +163,7 @@ def test_sano_baseline_inside_window_decays():
     sc = scenario_with(tau=1.5, T=30.0, controller="sano_static", sano_k=1.0)
     result = run_scenario(sc)
     assert result.summary.sano is not None and result.summary.sano.in_window
+    assert result.summary.sano is result.summary.condition.sano  # the window is evaluated once
     assert result.summary.plant_decay.gamma_hat > 0
     # u1 stays identically zero for this controller
     assert np.all(result.trajectory.u[:, 0] == 0.0)
