@@ -51,6 +51,7 @@ from .loop import (
     RunResult,
     RunSummary,
     Scenario,
+    check_scenario,
     run_delay_free_feedback,
     run_scenario,
 )
@@ -81,6 +82,7 @@ __all__ = [
     "Scenario",
     "Trajectory",
     "TransferEval",
+    "check_scenario",
     "closed_form_state",
     "compatibility_check",
     "condition_report",

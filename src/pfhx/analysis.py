@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .grid import Grid
 from .params import GainReport, Params, SanoReport, sano_window, validate_gains
 
@@ -91,9 +92,9 @@ def discrete_response(omegas, params: Params, grid: Grid, cfl: float = 0.5) -> n
     omegas = np.array([float(omega) for omega in omegas])
     for omega in omegas:
         if not (math.isfinite(omega) and omega >= 0):
-            raise ValueError(f"omega must be finite and nonnegative, got {omega}")
+            raise ConfigError(f"freqresp.omega must be finite and nonnegative, got {omega}")
     if not 0.0 < cfl <= 1.0:
-        raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
+        raise ConfigError(f"freqresp.cfl must lie in (0, 1], got {cfl}")
     h1, h2, dx = params.h1, params.h2, grid.dx
     dt = cfl * dx
     half = omegas * dt / 2

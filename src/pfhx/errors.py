@@ -1,5 +1,10 @@
-"""Exception types shared across the package."""
+"""The one error rule: a setting is refused once, by the code that consumes it.
+
+The refusal is a ``ConfigError``, which is a ``ValueError``, and its message
+names the config key (``params.tau``, ``grid.n_cells``, ...) or the profile
+spec.  Arguments that are not settings, a field's shape say, raise plain ``ValueError``.
+"""
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration (bad key, missing value, inconsistent setup)."""
+    """A refused setting: bad key, missing or inadmissible value, inconsistent run."""

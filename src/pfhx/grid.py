@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import ConfigError
+
 _ALIGN_RTOL = 1e-9
 
 
@@ -26,8 +28,8 @@ class Grid:
     l: float
 
     def __post_init__(self) -> None:
-        if int(self.n_cells) != self.n_cells or self.n_cells < 1:
-            raise ValueError(f"n_cells must be a positive integer, got {self.n_cells}")
+        if not (self.n_cells >= 1 and float(self.n_cells).is_integer()):
+            raise ConfigError(f"grid.n_cells must be >= 1 and whole, got {self.n_cells}")
         if not np.isfinite(self.l) or self.l <= 0:
             raise ValueError(f"tube length l must be positive, got {self.l}")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-_ALIGN_RTOL = 1e-9
+from .grid import _ALIGN_RTOL
 
 
 def as_trace(inputs, dt: float):

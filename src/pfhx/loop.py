@@ -166,8 +166,9 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
         )
     if controller == "sano_static" and scenario.sano_k is None:
         raise ConfigError("missing required key run.sano_k (needed by sano_static)")
-    if scenario.n_cells < 1:
-        raise ConfigError(f"grid.n_cells must be >= 1, got {scenario.n_cells}")
+    if scenario.sano_k is not None and not math.isfinite(scenario.sano_k):
+        raise ConfigError(f"run.sano_k must be finite, got {scenario.sano_k}")
+    grid = Grid(scenario.n_cells, scenario.params.l)
     if not math.isfinite(scenario.T) or scenario.T <= 0:
         raise ConfigError(f"run.T must be positive and finite, got {scenario.T}")
     if scenario.solver not in ("exact", "upwind"):
@@ -179,7 +180,8 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
         raise ConfigError(f"run.snapshot_stride must be positive, got {scenario.snapshot_stride}")
     if not 0.0 < scenario.cfl <= 1.0:
         raise ConfigError(f"run.cfl must lie in (0, 1], got {scenario.cfl}")
-    grid = Grid(scenario.n_cells, scenario.params.l)
+    if scenario.seed < 0:
+        raise ConfigError(f"run.seed must be >= 0, got {scenario.seed}")
     m, tau_used, tau_snapped = grid.snap_tau(scenario.params.tau)
     dt = scenario.cfl * grid.dx if upwind else grid.dt
     n_steps, T_used, T_snapped = grid.snap_steps(scenario.T, dt=dt)
@@ -344,19 +346,19 @@ def _open_loop(scenario, run, rec):
 def _simulate(scenario: Scenario, on_snapshots=None, delay_free: bool = False) -> RunResult:
     """The run skeleton every boundary law shares: each step fills its block row.
 
-    The steps run with numpy's overflow and invalid-value warnings off: a
-    run that overflows is reported by ``Trajectory.is_finite`` instead, and
-    ``pfhx run`` names its first non-finite value.  ``on_snapshots`` goes to
-    the ``Recorder``.
+    The law's set-up and the steps run with numpy's overflow and
+    invalid-value warnings off: a run that overflows is reported by
+    ``Trajectory.is_finite`` instead, and ``pfhx run`` names its first
+    non-finite value.  ``on_snapshots`` goes to the ``Recorder``.
     """
     start = time.perf_counter()
     run = _prepare(scenario, delay_free)
     rec = Recorder(run.grid, run.n_steps, run.dt, scenario.snapshot_stride,
                    obs_lag=run.m if run.with_observer else None, on_snapshots=on_snapshots)
-    fields, inflow = run.law(scenario, run, rec)
-    rec.first()[...] = np.stack(fields, axis=1)
     cfl = scenario.cfl if scenario.solver == "upwind" else None
     with np.errstate(over="ignore", invalid="ignore"):
+        fields, inflow = run.law(scenario, run, rec)
+        rec.first()[...] = np.stack(fields, axis=1)
         traj = _march(rec, scenario.params, cfl, inflow)
     return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start))
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coupling import coupling_matrix
-from .grid import Grid, check_field
+from .grid import _ALIGN_RTOL, Grid, check_field
 from .history import as_trace
 from .params import Params
 from .solver import _advance_exact, _mix_operand, closed_form_state, step_exact
@@ -136,7 +136,7 @@ def control_law(exit_pair, params: Params, t: float, tau: float | None = None) -
     (-k1 * pred2(t, l), -k2 * pred1(t, l)) afterwards.
     """
     tau = params.tau if tau is None else tau
-    if t <= tau + 1e-9 * max(1.0, tau):
+    if t <= tau + _ALIGN_RTOL * max(1.0, tau):
         return np.zeros(2)
     return _cross_law(params.k1, params.k2, np.asarray(exit_pair, dtype=float))
 

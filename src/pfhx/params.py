@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class Params:
@@ -29,13 +31,11 @@ class Params:
         for name in ("h1", "h2", "l", "tau", "k1", "k2"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.h1 < 0 or self.h2 < 0:
-            raise ValueError("heat exchange rates h1, h2 must be nonnegative")
-        if self.l <= 0:
-            raise ValueError("tube length l must be positive")
-        if self.tau <= 0:
-            raise ValueError("observation delay tau must be positive")
+                raise ConfigError(f"params.{name} must be finite, got {value!r}")
+            if value < 0 and name in ("h1", "h2"):
+                raise ConfigError(f"params.{name} must be nonnegative, got {value!r}")
+            if value <= 0 and name in ("l", "tau"):
+                raise ConfigError(f"params.{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def sano_window(params: Params, k: float) -> SanoReport:
             in_window=False,
         )
     low = params.h1 * params.l
-    high = math.inf if k == 0 else params.h2 * params.l / (k * k)
+    high = math.inf if k * k == 0 else params.h2 * params.l / (k * k)  # |k| < 1e-162 squares to 0
     gain_ok = k * k < params.h2 / params.h1
     return SanoReport(
         applicable=True,

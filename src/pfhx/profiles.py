@@ -30,6 +30,8 @@ def _parse(spec: str) -> tuple[str, list[float]]:
                 args.append(float(piece))
             except ValueError:
                 raise ConfigError(f"non-numeric argument {piece.strip()!r} in {spec!r}") from None
+            if not math.isfinite(args[-1]):
+                raise ConfigError(f"non-finite argument {piece.strip()!r} in {spec!r}")
     return name, args
 
 
@@ -89,6 +91,6 @@ def input_function(spec: str):
         return lambda t: c
     if name == "sine":
         _require(args, 2, spec)
-        amplitude, omega = args
-        return lambda t: amplitude * math.sin(omega * t)
+        amplitude, omega = args  # a phase omega * t that overflows gives NaN, not an error
+        return lambda t: amplitude * math.sin(p) if math.isfinite(p := omega * t) else math.nan
     raise ConfigError(f"unknown input signal {name!r} in {spec!r}")
