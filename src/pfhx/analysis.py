@@ -60,8 +60,11 @@ def _exchange_gain(a, b, h1: float, h2: float) -> np.ndarray:
 def transfer_function(s: complex, params: Params) -> TransferEval:
     """Evaluate the delay-free transfer matrix G(s)."""
     h1, h2, l = params.h1, params.h2, params.l
-    a = cmath.exp(-s * l)
-    b = cmath.exp(-(h1 + h2 + s) * l)
+    try:
+        a = cmath.exp(-s * l)
+        b = cmath.exp(-(h1 + h2 + s) * l)
+    except ValueError:  # a phase Im(s) l that overflows has no value, as a sine input's
+        a = b = complex(math.nan, math.nan)
     return TransferEval(s=s, matrix=_exchange_gain(a, b, h1, h2))
 
 
@@ -101,11 +104,14 @@ def discrete_response(omegas, params: Params, grid: Grid, cfl: float = 0.5) -> n
     advance = 1j * omegas * np.sinc(half / math.pi) * np.exp(1j * half)  # (z - 1) / dt
     decay = (h1 + h2) * dt
     exchange = (h1 + h2) * (-math.expm1(-decay) / decay if decay else 1.0)  # (1 - mu) / dt
-    weights = (
-        np.exp(-grid.n_cells * _log1p(w))
-        for w in (dx * advance, dx * (advance + exchange) * math.exp(decay))
-    )
-    return _exchange_gain(*weights, h1, h2)
+    # past |w| = e^355 |w|^2 overflows in _log1p, and the weight rounds to 0 silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = [_log1p(dx * advance)]
+        try:
+            logs.append(_log1p(dx * (advance + exchange) * math.exp(decay)))
+        except OverflowError:  # e^decay overflows: log1p(w) is log(w) to rounding
+            logs.append(np.log(dx * (advance + exchange)) + decay)
+        return _exchange_gain(*(np.exp(-grid.n_cells * log) for log in logs), h1, h2)
 
 
 @dataclass(frozen=True)
@@ -171,16 +177,18 @@ def fit_decay(
         raise ValueError(
             f"need at least 10 samples above the floor in the window, got {len(tw)}"
         )
-    y = np.log(vw)
-    design = np.column_stack([tw, np.ones_like(tw)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residuals = y - design @ coef
-    ss_res = float(np.dot(residuals, residuals))
-    centered = y - y.mean()
-    ss_tot = float(np.dot(centered, centered))
+    # the two-parameter regression in closed form on centred sums: no BLAS call,
+    # whose threads would wake for each fit
+    centered_t = tw - tw.mean()
+    centered = np.log(vw)
+    centered -= centered.mean()
+    slope = np.sum(centered_t * centered) / np.sum(centered_t * centered_t)
+    residuals = centered - slope * centered_t
+    ss_res = float(np.sum(residuals * residuals))
+    ss_tot = float(np.sum(centered * centered))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return DecayReport(
-        gamma_hat=float(-coef[0]),
+        gamma_hat=float(-slope),
         r_squared=r_squared,
         window=window,
         floor_hit=floor_hit,

@@ -15,6 +15,7 @@ import itertools
 import multiprocessing
 import os
 import sys
+import threading
 import time
 import warnings
 from collections.abc import Iterable
@@ -108,6 +109,12 @@ def _write_snapshots(path: Path, result: RunResult, grid: Grid) -> None:
     _write_lines(path, _snapshot_text(grid, [(traj.snapshot_t, traj.snapshots)]))
 
 
+def _received(conn, grid: Grid):
+    """The batches a ``_SnapshotWriter`` sends: the times, then the fields' bytes."""
+    while (times := conn.recv()) is not None:
+        yield times, np.frombuffer(conn.recv_bytes()).reshape(len(times), grid.n_cells + 1, 2)
+
+
 def _writer_process(path: Path, grid: Grid, conn, run_end) -> None:
     """The writer process: snapshots.csv from the batches ``conn`` receives.
 
@@ -118,7 +125,7 @@ def _writer_process(path: Path, grid: Grid, conn, run_end) -> None:
     run_end.close()
     try:
         with open(path, "w", newline="\n") as handle:
-            _put_lines(handle, _snapshot_text(grid, iter(conn.recv, None)))
+            _put_lines(handle, _snapshot_text(grid, _received(conn, grid)))
     except BaseException as exc:
         try:
             conn.send(exc)
@@ -129,15 +136,21 @@ def _writer_process(path: Path, grid: Grid, conn, run_end) -> None:
 
 
 class _SnapshotWriter:
-    """snapshots.csv, written by a forked process while the run steps.
+    """snapshots.csv, written by a forked process while the run goes on.
 
-    ``send`` is a ``Recorder``'s ``on_snapshots``: it passes each batch over
-    a pipe, whose blocking bounds what is in flight.  The writer formats
+    ``send`` is a run's ``on_snapshots``: a thread passes its batch over a
+    pipe, in pieces of at most ``PIECE_BYTES`` of fields sent as their bytes,
+    so the writer holds one piece at a time and the run goes on meanwhile.
+    A batch waits for the one before it to be sent.  An exact run sends
+    every snapshot at once, so the writer formats them while the run formats
+    norms.csv; the upwind loop sends them a block at a time as it steps.
+    The fields must stay unchanged until they are sent.  The writer formats
     them as ``_write_snapshots`` does and never calls BLAS, whose threads a
     forked process lacks.  ``join`` ends the input, waits for the writer and
-    raises what stopped it; the writer then has at most a pipe's worth of
-    snapshots left to format.
+    raises what stopped it.
     """
+
+    PIECE_BYTES = 2**20
 
     def __init__(self, path: Path, grid: Grid):
         self.conn, writer_end = multiprocessing.Pipe()
@@ -148,17 +161,35 @@ class _SnapshotWriter:
             warnings.simplefilter("ignore", DeprecationWarning)
             self.process.start()
         writer_end.close()
+        self.rows = max(1, self.PIECE_BYTES // (16 * (grid.n_cells + 1)))  # snapshots a piece
+        self.sender, self.broken = None, False
+
+    def _send(self, times: np.ndarray, fields: np.ndarray) -> None:
+        try:
+            for lo in range(0, len(times), self.rows):
+                self.conn.send(times[lo:lo + self.rows])
+                self.conn.send_bytes(np.ascontiguousarray(fields[lo:lo + self.rows]))
+        except OSError:  # the writer stopped; join raises what stopped it
+            self.broken = True
+
+    def _sent(self) -> None:
+        """Wait until the batch in flight is sent."""
+        if self.sender is not None:
+            self.sender.join()
+            self.sender = None
 
     def send(self, times: np.ndarray, fields: np.ndarray) -> None:
-        try:
-            self.conn.send((times, fields))
-        except OSError:  # the writer stopped: raise what stopped it
+        self._sent()
+        if self.broken:
             self.join()
-            raise
+            raise OSError("the snapshot writer stopped")
+        self.sender = threading.Thread(target=self._send, args=(times, fields), daemon=True)
+        self.sender.start()
 
     def join(self) -> None:
         if self.process is None:
             return
+        self._sent()
         process, self.process = self.process, None
         with contextlib.suppress(OSError):  # a writer that stopped reads no more
             self.conn.send(None)
@@ -209,17 +240,28 @@ def _emit_warnings(warnings: list[str]) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
+def _refusal(make, axis_values: dict) -> str | None:
+    """Why ``make(**axis_values)``'s scenario fails the run checks, or None if it passes."""
+    try:
+        check_scenario(make(**axis_values))
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
 def _checked(make, axis_values: dict, warnings: list[str]) -> Scenario:
     """``make(**axis_values)``'s scenario once it passes the run checks.
 
-    Warnings not yet in ``warnings`` are appended to it.  A failed check at
-    a swept tau names that tau.
+    Warnings not yet in ``warnings`` are appended to it.  A failed check
+    that a swept tau causes names that tau; one that the same row at the
+    base scenario's tau fails alike is reported as it is.
     """
     try:
         scenario = make(**axis_values)
         found = check_scenario(scenario)
     except ConfigError as exc:
-        if "tau" not in axis_values:
+        others = {key: value for key, value in axis_values.items() if key != "tau"}
+        if "tau" not in axis_values or _refusal(make, others) == str(exc):
             raise
         raise ConfigError(
             f"every swept tau must give a valid run; tau={axis_values['tau']:g}: {exc}"
@@ -229,7 +271,7 @@ def _checked(make, axis_values: dict, warnings: list[str]) -> Scenario:
 
 
 def cmd_run(cfg: Config) -> int:
-    """One run; where it can fork, a second process writes snapshots.csv as it steps."""
+    """One run; where it can fork, a second process writes snapshots.csv alongside it."""
     scenario = cfg.scenario
     check_scenario(scenario)  # a configuration error leaves the outputs alone
     outdir = Path(cfg.out_dir)

@@ -31,14 +31,25 @@ probe of the decay rate of the delay-free feedback generator.
 ``run_scenario`` runs the boundary law its scenario's controller names,
 and ``run_delay_free_feedback`` the delay-free reference loop.  Both share
 one skeleton, ``_simulate``: ``_prepare`` makes every run check and
-resolves the initial data and input signals, then the solver's march loop
-(``solver._march``, which the solver oracles run too) advances the
-interiors of the fields in a recorder block row by one step and asks the
-law for the inflow pair.  The laws are the open-loop input signals, on
-either solver, and on the exact solver the observer-predictor above, the
-static (Sano) feedback, and the cross feedback on the current exits, which
-is both the delay-free reference loop and, started from the initial
-estimation error without warm-up, the error system.
+resolves the initial data and input signals.  The laws are the open-loop
+input signals, on either solver, and on the exact solver the
+observer-predictor above, the static (Sano) feedback, and the cross
+feedback on the current exits, which is both the delay-free reference
+loop and, started from the initial estimation error without warm-up, the
+error system.
+
+Both speeds are one, so on the exact solver the exit at step j is
+exp(A1 l) applied to the inlet pair of step j - n, and every law is a
+linear difference equation in the inlet pair (Artstein, IEEE TAC 1982):
+the cross feedback is u[j] = K exp(A1 l) u[j - n] with
+K = -[[0, k1], [k2, 0]], and Sano's u2[j] = -k exp(A1 l)[0, 1] u2[j - m - n].
+An exact run computes its inlet history by that recurrence, in blocks of
+at least a few hundred steps where the lag is shorter (``_lagged``, by
+powers of the lag map), and every column from the history and the
+initial fields (``_recur``, ``solver._Tube``).  The stepped loop (``_step``: the
+solver's march loop, ``solver._march``, advances every field in a
+recorder block row by one step and asks the law for the inflow pair)
+runs the upwind solver, and the exact one too as the recurrence's oracle.
 """
 
 from __future__ import annotations
@@ -50,12 +61,13 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .analysis import ConditionReport, DecayReport, condition_report, fit_decay
+from .coupling import coupling_matrix
 from .errors import ConfigError
 from .grid import Grid, _l2, check_field
 from .observer import _cross_law, _exit_propagator, _inject, _predict_exit
 from .params import Params, SanoReport
 from .profiles import input_function, profile_array
-from .solver import Recorder, Trajectory, _march, _physical_memory
+from .solver import Recorder, Trajectory, _march, _physical_memory, _snapshot_steps, _Tube
 
 
 @dataclass
@@ -182,8 +194,13 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
         raise ConfigError(f"run.cfl must lie in (0, 1], got {scenario.cfl}")
     if scenario.seed < 0:
         raise ConfigError(f"run.seed must be >= 0, got {scenario.seed}")
-    m, tau_used, tau_snapped = grid.snap_tau(scenario.params.tau)
     dt = scenario.cfl * grid.dx if upwind else grid.dt
+    cell = "params.l / grid.n_cells"
+    for key, value, of, unit in (("params.tau", scenario.params.tau, grid.dt, cell),
+                                 ("run.T", scenario.T, dt, cell + " * run.cfl" * upwind)):
+        if not math.isfinite(value / of):
+            raise ConfigError(f"{key}={value:g} is too many steps of dt = {unit} = {of:g} to count")
+    m, tau_used, tau_snapped = grid.snap_tau(scenario.params.tau)
     n_steps, T_used, T_snapped = grid.snap_steps(scenario.T, dt=dt)
     if n_steps == 0:
         raise ConfigError(f"run.T={scenario.T:g} must cover at least half a step (dt={dt:g})")
@@ -192,6 +209,8 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
             f"run.T={scenario.T:g} must exceed the delay tau={tau_used:g} for controlled runs"
         )
     need = Recorder.bytes_needed(grid.n_cells + 1, n_steps, dt, scenario.snapshot_stride)
+    if not upwind:  # the recurrence's tubes, inlet histories and norm sums
+        need += _Tube.BYTES_PER_STEP * (n_steps + 1)
     memory = _physical_memory()
     if need > memory:
         raise ConfigError(
@@ -343,23 +362,180 @@ def _open_loop(scenario, run, rec):
     return (run.theta0,), lambda j, row: u(j * dt)
 
 
-def _simulate(scenario: Scenario, on_snapshots=None, delay_free: bool = False) -> RunResult:
-    """The run skeleton every boundary law shares: each step fills its block row.
-
-    The law's set-up and the steps run with numpy's overflow and
-    invalid-value warnings off: a run that overflows is reported by
-    ``Trajectory.is_finite`` instead, and ``pfhx run`` names its first
-    non-finite value.  ``on_snapshots`` goes to the ``Recorder``.
-    """
-    start = time.perf_counter()
-    run = _prepare(scenario, delay_free)
+def _step(scenario: Scenario, run: _Run, on_snapshots) -> Trajectory:
+    """The stepped loop: each step fills its block row (the upwind solver, and the oracle)."""
     rec = Recorder(run.grid, run.n_steps, run.dt, scenario.snapshot_stride,
                    obs_lag=run.m if run.with_observer else None, on_snapshots=on_snapshots)
     cfl = scenario.cfl if scenario.solver == "upwind" else None
+    fields, inflow = run.law(scenario, run, rec)
+    rec.first()[...] = np.stack(fields, axis=1)
+    return _march(rec, scenario.params, cfl, inflow)
+
+
+# A recurrence is called as recurrence(scenario, run, tube) and feeds the
+# plant's tube (``solver._Tube``, made from run.theta0) its inlet history.
+# It returns the observer error's tube, if the law runs an observer, and the
+# exit prediction error of every step, or None where it is zero.
+
+_BLOCK_STEPS = 256  # the steps a block of ``_lagged`` spans at least, where the run has them
+
+
+def _lagged(x: np.ndarray, start: int, lag: int, step: np.ndarray) -> None:
+    """x[j] = step @ x[j - lag] for each row j from ``start`` on, in place.
+
+    A block spans as many lags as make ``_BLOCK_STEPS`` steps, its p-th lag
+    the (p + 1)-th power of ``step`` applied to the lag before the block,
+    so a coarse grid makes a few rounds of numpy calls, not one per lag.
+    Powers stop before the first that overflows: a block of an unstable
+    loop may be a single lag, so no 0 * inf makes a nan that stepping
+    would not.
+    """
+    powers = [step]
+    while len(powers) * lag < min(_BLOCK_STEPS, len(x) - start):
+        power = step @ powers[-1]
+        if not np.all(np.isfinite(power)):
+            break
+        powers.append(power)
+    powers, span = np.array(powers), len(powers) * lag
+    for j0 in range(start, len(x), span):
+        block = np.einsum("pab,rb->pra", powers, x[j0 - lag:j0]).reshape(span, -1)
+        x[j0:j0 + span] = block[:len(x) - j0]
+
+
+def _cross_map(p: Params) -> np.ndarray:
+    """The cross feedback across a tube: u[j] = K exp(A1 l) u[j - n], K = -[[0, k1], [k2, 0]]."""
+    return -np.array([[0.0, p.k1], [p.k2, 0.0]]) @ coupling_matrix(p.l, p.h1, p.h2)
+
+
+def _inputs(signal, rows: np.ndarray, j0: int, dt: float) -> None:
+    """Fill ``rows`` with an input pair signal at steps j0, j0 + 1, ..."""
+    for i in range(len(rows)):
+        rows[i] = signal((j0 + i) * dt)
+
+
+def _recur_cross(run: _Run, tube: _Tube, p: Params, wait: int) -> None:
+    """The warm-up input to step ``wait``, then u[j] = K exit[j].
+
+    The exits to step n read the initial field; from then on the loop is
+    the cross feedback across the tube.
+    """
+    n, end = run.grid.n_cells, run.n_steps + 1
+    u = np.zeros((end, 2))
+    wait = min(wait, run.n_steps)
+    _inputs(run.warmup_u, u[1:wait + 1], 1, run.dt)
+    seed = min(max(wait + 1, n + 1), end)
+    u[wait + 1:seed] = _cross_law(p.k1, p.k2, tube.exits(wait + 1, seed).T).T
+    _lagged(u, seed, n, _cross_map(p))
+    tube.feed(u)
+
+
+def _recur_observer_predictor(scenario, run, tube):
+    """The error system, and the plant's inlet from the observer's exit.
+
+    For tau > l the predicted exit exp(A1 l) u[j - n] is the plant's exit
+    itself, so the loop is the cross feedback after the delay.  For
+    tau <= l it is the exit of the observer, whose inlet is u + e with e
+    the error system's inlet, so u[j] = K exp(A1 l) (u + e)[j - n] once
+    that exit reads an inlet; before, it is the exit of observer0.  The
+    prediction error is then the error system's exit.
+    """
+    p, m, n, end = scenario.params, run.m, run.grid.n_cells, run.n_steps + 1
+    err = _Tube(run.observer0 - run.theta0, run.n_steps, p, run.dt)
+    if m > n:
+        _recur_cross(run, err, p, 0)
+        _recur_cross(run, tube, p, m)
+        return err, None
+    ue = np.zeros((end, 4))  # the rows (u, e)
+    u, e = ue[:, :2], ue[:, 2:]
+    seed = min(n + 1, end)
+    e[1:seed] = _cross_law(p.k1, p.k2, err.exits(1, seed).T).T
+    _inputs(run.warmup_u, u[1:m + 1], 1, run.dt)
+    observer = _Tube(run.observer0, 0, p, run.dt)
+    u[m + 1:seed] = _cross_law(p.k1, p.k2, observer.exits(m + 1, seed).T).T
+    cross = _cross_map(p)
+    _lagged(ue, seed, n, np.block([[cross, cross], [np.zeros((2, 2)), cross]]))
+    tube.feed(u)
+    err.feed(e)
+    pred_err = np.zeros((end, 2))
+    pred_err[m + 1:] = err.exits(m + 1, end)
+    return err, pred_err
+
+
+def _recur_static(scenario, run, tube):
+    """u1 = 0 and u2[j] = -k exit1[j - m] from step m on: -k exp(A1 l)[0, 1] u2[j - m - n]."""
+    p, k, m, end = scenario.params, scenario.sano_k, run.m, run.n_steps + 1
+    lag = m + run.grid.n_cells
+    u = np.zeros((end, 2))
+    first, seed = min(max(m, 1), end), min(lag + 1, end)
+    u[first:seed, 1] = -k * tube.exits(first - m, seed - m)[:, 0]
+    _lagged(u[:, 1:], seed, lag, np.array([[-k * coupling_matrix(p.l, p.h1, p.h2)[0, 1]]]))
+    tube.feed(u)
+    return None, None
+
+
+def _recur_feedback(scenario, run, tube):
+    """The delay-free loop after its warm-up, or the error system from the first step."""
+    _recur_cross(run, tube, scenario.params, run.m if run.delayed else 0)
+    return None, None
+
+
+def _recur_open_loop(scenario, run, tube):
+    u = np.zeros((run.n_steps + 1, 2))
+    _inputs(run.u_open, u[1:], 1, run.dt)
+    tube.feed(u)
+    return None, None
+
+
+def _recur(scenario: Scenario, run: _Run, on_snapshots) -> Trajectory:
+    """The exact solver by boundary recurrence: the inlet history, then every column from it.
+
+    The snapshots are gathered and handed to ``on_snapshots`` at once,
+    before the norms are summed.
+    """
+    n_steps, dt = run.n_steps, run.dt
+    field0 = run.observer0 - run.theta0 if run.controller == "error_system" else run.theta0
+    tube = _Tube(field0, n_steps, scenario.params, dt)
+    err, pred_err = _RECURRENCES[run.controller](scenario, run, tube)
+    steps = _snapshot_steps(n_steps, dt, scenario.snapshot_stride)
+    snapshot_t, snapshots = steps * dt, tube.fields(steps)
+    if on_snapshots is not None:
+        on_snapshots(snapshot_t, snapshots)
+    obs_err_l2 = np.zeros(n_steps + 1)
+    if err is not None:  # the error of observer time s is normed at step s + m
+        obs_err_l2[run.m:] = err.norms(n_steps + 1 - run.m)
+        obs_err_l2[:run.m] = _l2(err.field0, run.grid.dx)  # the initial error, until then
+    return Trajectory(
+        t=np.arange(n_steps + 1) * dt,
+        plant_l2=tube.norms(n_steps + 1),
+        obs_err_l2=obs_err_l2,
+        pred_err_at_l=np.zeros((n_steps + 1, 2)) if pred_err is None else pred_err,
+        u=tube.u,
+        exit_values=tube.exits(0, n_steps + 1),
+        snapshot_t=snapshot_t,
+        snapshots=snapshots,
+        dt=dt,
+    )
+
+
+def _simulate(scenario: Scenario, on_snapshots=None, delay_free: bool = False,
+              stepped: bool = False) -> RunResult:
+    """The run skeleton every boundary law shares.
+
+    On the exact solver the run is its boundary recurrence (``_recur``);
+    the upwind solver, and with ``stepped`` the exact one too, steps every
+    field (``_step``), which is the recurrence's oracle.  The law's set-up
+    and the run go with numpy's overflow and invalid-value warnings off: a
+    run that overflows is reported by ``Trajectory.is_finite`` instead,
+    and ``pfhx run`` names its first non-finite value.  ``on_snapshots``
+    is ``run_scenario``'s.
+    """
+    start = time.perf_counter()
+    run = _prepare(scenario, delay_free)
     with np.errstate(over="ignore", invalid="ignore"):
-        fields, inflow = run.law(scenario, run, rec)
-        rec.first()[...] = np.stack(fields, axis=1)
-        traj = _march(rec, scenario.params, cfl, inflow)
+        if stepped or scenario.solver == "upwind":
+            traj = _step(scenario, run, on_snapshots)
+        else:
+            traj = _recur(scenario, run, on_snapshots)
     return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start))
 
 
@@ -372,6 +548,14 @@ _CONTROLLERS = {
 }
 # the reference loop: a law to compare against, not a controller a scenario names
 _DELAY_FREE = (_cross_feedback, True, False)
+# the name a run reports -> its boundary recurrence on the exact solver
+_RECURRENCES = {
+    "observer_predictor": _recur_observer_predictor,
+    "sano_static": _recur_static,
+    "open_loop": _recur_open_loop,
+    "error_system": _recur_feedback,
+    "delay_free": _recur_feedback,
+}
 
 
 def run_delay_free_feedback(scenario: Scenario) -> RunResult:
@@ -398,7 +582,9 @@ def run_scenario(scenario: Scenario, on_snapshots=None) -> RunResult:
     """Run the boundary law the scenario's controller names.
 
     A scenario that fails a run check raises ConfigError, as in
-    ``check_scenario``, before anything is recorded.  ``on_snapshots(t, fields)``, if given, receives the snapshots in order
-    as they are recorded, a batch at a time (``solver.Recorder``).
+    ``check_scenario``, before anything is recorded.  ``on_snapshots(t,
+    fields)``, if given, receives the snapshots in order: an exact run
+    passes all of them at once, before it sums the norms, and the upwind
+    solver a block at a time as it steps (``solver.Recorder``).
     """
     return _simulate(scenario, on_snapshots)

@@ -101,6 +101,121 @@ def _block_rows(n_nodes: int) -> int:
     return max(8, _NORM_BLOCK_BYTES // (16 * n_nodes))
 
 
+def _snapshot_steps(n_steps: int, dt: float, snapshot_stride: float) -> np.ndarray:
+    """The steps a run keeps a snapshot of: step 0, then the step nearest each stride mark."""
+    if 2 * snapshot_stride < dt:  # a mark in every half step: every step, however many marks
+        return np.arange(n_steps + 1)
+    marks = int(np.floor(n_steps * dt / snapshot_stride + 1e-9))  # the marks after t = 0
+    if snapshot_stride <= dt:  # marks at most a step apart reach every step to the last
+        return np.arange(min(n_steps, round(marks * snapshot_stride / dt)) + 1)
+    steps = np.round(np.arange(1, marks + 1) * snapshot_stride / dt)
+    return np.unique(np.append(0, np.minimum(n_steps, steps).astype(int)))
+
+
+class _Tube:
+    """One field of a run held as its inlet history: the exact solver without stepping.
+
+    Both speeds are one, so at step j node i carries exp(A1 s) o[j - i] with
+    s = min(i, j) dt.  The origin o[k] is the inlet pair ``u[k]`` for k >= 1
+    and the initial field's node -k for k <= 0.  exp(A1 s) keeps the mean
+    w = b v1 + a v2 and scales the difference d = v1 - v2 by
+    e^{-(h1 + h2) s}, with a = h1 / (h1 + h2) and b = h2 / (h1 + h2) (both
+    1/2 when nothing mixes), so the node is (w + a e d, w - b e d).  The
+    origins are kept as (w, d), ``w[k + n]`` and ``d[k + n]``.  Until the run
+    feeds the inlet history, the exits of steps 0 .. n, which read the
+    initial field only, are known.
+    """
+
+    # What an exact run allocates per step beyond a Recorder's columns: its
+    # tubes' origins, the inlet histories and the norm sums' terms.
+    BYTES_PER_STEP = 104.0
+
+    def __init__(self, field0: np.ndarray, n_steps: int, params: Params, dx: float):
+        self.n = n = len(field0) - 1
+        self.dx, self.field0 = dx, field0
+        rate = params.h1 + params.h2
+        self.a, self.b = (params.h1 / rate, params.h2 / rate) if rate else (0.5, 0.5)
+        self.decay = np.exp(-rate * (dx * np.arange(n + 1)))  # e at s = i dx
+        self.decay[0] = 1.0  # also when rate is infinite
+        self.w, self.d = np.empty(n_steps + n + 1), np.empty(n_steps + n + 1)
+        self._origins(0, field0[::-1])
+
+    def _origins(self, index: int, pairs: np.ndarray) -> None:
+        v1, v2 = pairs[:, 0], pairs[:, 1]
+        end = index + len(pairs)
+        np.add(self.b * v1, self.a * v2, out=self.w[index:end])
+        np.subtract(v1, v2, out=self.d[index:end])
+
+    def feed(self, u: np.ndarray) -> None:
+        """The inlet pair of every step, kept as ``u``; u[0] is not read (step 0 carries field0)."""
+        self.u = u
+        self._origins(self.n + 1, u[1:])
+
+    def _values(self, k, e, out=None) -> np.ndarray:
+        """The pairs that origins ``k`` (indices or a slice) become after the decays ``e``."""
+        w, ed = self.w[k], e * self.d[k]
+        if out is None:
+            out = np.empty(ed.shape + (2,))
+        np.add(w, self.a * ed, out=out[..., 0])
+        np.subtract(w, self.b * ed, out=out[..., 1])
+        return out
+
+    def exits(self, j0: int, j1: int) -> np.ndarray:
+        """The exit pairs of steps j0 .. j1 - 1, from the origins n steps earlier."""
+        out = np.empty((max(0, j1 - j0), 2))
+        head = min(max(j0, self.n), j1)  # the steps before it read the initial field only
+        self._values(slice(head, j1), self.decay[-1], out[head - j0:])
+        j = np.arange(j0, head)
+        self._values(j, self.decay[j], out[:head - j0])
+        if j0 == 0 < j1:
+            out[0] = self.field0[-1]
+        return out
+
+    def fields(self, steps: np.ndarray) -> np.ndarray:
+        """The fields at ``steps``, a gather of their origins a few snapshots at a time."""
+        n = self.n
+        out = np.empty((len(steps), n + 1, 2))
+        nodes = np.arange(n + 1)
+        chunk = max(1, 2**15 // (n + 1))
+        for lo in range(0, len(steps), chunk):
+            j = steps[lo:lo + chunk, None]
+            out[lo:lo + chunk] = self._values(j - nodes + n, self.decay[np.minimum(nodes, j)])
+        out[:, 0] = self.u[steps]  # node 0 carries the inlet pair itself
+        if len(steps) and steps[0] == 0:
+            out[0] = self.field0
+        return out
+
+    def norms(self, count: int) -> np.ndarray:
+        """The trapezoid L2 norms of the fields of steps 0 .. count - 1.
+
+        At a node |v|^2 = 2 w^2 + 2 (a - b) e w d + (a^2 + b^2) e^2 d^2, a
+        form whose conditioning depends on h1 / h2 alone, so a sum of its
+        terms never rounds below zero.  The nodes that read the inlet make
+        three direct convolutions of w^2, w d and d^2 with the weighted
+        kernels; in the first n steps the nodes i > j still carry the
+        initial field, all with the decay of j steps, and add prefix sums.
+        Direct, not by FFT, whose rounding would scale with the run's
+        largest value rather than with each step's own.
+        """
+        n, dx, a, b = self.n, self.dx, self.a, self.b
+        weight = np.full(n + 1, dx)
+        weight[[0, -1]] = dx / 2
+
+        def modes(e):
+            return np.full_like(e, 2.0), 2 * (a - b) * e, (a * a + b * b) * (e * e)
+
+        w, d = self.w[n:n + count], self.d[n:n + count]
+        total = np.zeros(count)
+        for (x, y), coef in zip(((w, w), (w, d), (d, d)), modes(self.decay)):
+            total += np.convolve(x * y, weight * coef)[:count]
+        head = min(n, count)
+        w, d = self.w[n - 1::-1], self.d[n - 1::-1]  # the initial field's nodes 1 .. n
+        rest = n - np.arange(head)  # the nodes of step j that still do, the last weighted 1/2
+        for x, coef in zip((w * w, w * d, d * d), modes(self.decay[:head])):
+            total[:head] += dx * coef * (np.cumsum(x)[rest - 1] - x[rest - 1] / 2)
+        return np.sqrt(total)
+
+
 class Recorder:
     """Preallocated collector filling a Trajectory a block of steps at a time.
 
@@ -137,12 +252,7 @@ class Recorder:
         self.pred_err_at_l = np.zeros((total, 2))
         self.u = np.zeros((total, 2))
         self.exit_values = np.zeros((total, 2))
-        marks = int(np.floor(n_steps * dt / snapshot_stride + 1e-9))  # the marks after t = 0
-        if snapshot_stride <= dt:  # marks at most a step apart reach every step to the last
-            self._snap_steps = np.arange(min(n_steps, round(marks * snapshot_stride / dt)) + 1)
-        else:
-            steps = np.round(np.arange(1, marks + 1) * snapshot_stride / dt)
-            self._snap_steps = np.unique(np.append(0, np.minimum(n_steps, steps).astype(int)))
+        self._snap_steps = _snapshot_steps(n_steps, dt, snapshot_stride)
         self.snapshots = np.zeros((len(self._snap_steps), grid.n_cells + 1, 2))
         rows = _block_rows(grid.n_cells + 1)
         self.block = np.empty((rows, grid.n_cells + 1, 1 if obs_lag is None else 2, 2))
@@ -154,7 +264,7 @@ class Recorder:
     @staticmethod
     def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float) -> float:
         """What a Recorder with an observer allocates, from arithmetic alone."""
-        snaps = min(n_steps, math.floor(n_steps * dt / snapshot_stride + 1e-9)) + 1
+        snaps = math.floor(min(n_steps, n_steps * dt / snapshot_stride + 1e-9)) + 1
         per_step = 72.0  # t, both norms, and the pred_err_at_l, u and exit pairs
         return per_step * (n_steps + 1) + 16.0 * n_nodes * (snaps + 3 * _block_rows(n_nodes))
 

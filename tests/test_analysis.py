@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,11 @@ from pfhx import (
     transfer_function,
     zero_field,
 )
-from pfhx.analysis import render_condition
+from pfhx.analysis import _exchange_gain, render_condition
+from pfhx.config import parse_config
+from pfhx.loop import run_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def make_params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=0.5, k2=0.5):
@@ -132,6 +138,20 @@ def test_tiny_cfl_gives_the_semi_discrete_response(cfl):
         cell = np.linalg.inv(np.eye(2) + grid.dx * (1j * omega * np.eye(2) - a1))
         expected = np.linalg.matrix_power(cell, grid.n_cells)[::-1]
         assert np.linalg.norm(gain - expected) <= 1e-12 * np.linalg.norm(expected), omega
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h1", [1e3, 1e4, 1.39e4, 1.5e4, 1e308])  # (h1 + h2) dt = 50 .. 5e306
+def test_fast_mode_weight_past_the_exponent_range(h1):
+    # e^{(h1 + h2) dt} overflows from about 709 on, and the fast mode's weight is
+    # then taken in the log domain; on either side it is zero to rounding, so the
+    # gain is the mean mode's alone, whose weight the unmixed response shows; from
+    # about 355 on |w|^2 overflows in the log1p, which must raise no warning
+    omegas, grid = [0.0, 1.0, 5.0], Grid(10, 1.0)
+    unmixed = discrete_response(omegas, make_params(h1=0.0, h2=0.0), grid)[:, 0, 1]
+    expected = _exchange_gain(unmixed, np.zeros_like(unmixed), h1, 2.0)
+    gains = discrete_response(omegas, make_params(h1=h1), grid)
+    np.testing.assert_allclose(gains, expected, rtol=1e-15, atol=0)
 
 
 def test_exact_scheme_response_is_the_pure_delay():
@@ -317,6 +337,52 @@ def test_fit_decay_needs_enough_samples():
     t = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="at least 10"):
         fit_decay(t, np.exp(-t))
+
+
+def _lstsq_fit(t, values, window, floor_rel=1e-13):
+    """fit_decay's line as numpy's least-squares solver fits it: (gamma_hat, r_squared)."""
+    sel = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
+    tw, vw = t[sel], values[sel]
+    keep = vw > (floor_rel * values[0] if values[0] > 0 else 0.0)
+    if not keep.any():
+        return math.inf, math.nan
+    y = np.log(vw[keep])
+    design = np.column_stack([tw[keep], np.ones(keep.sum())])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    residuals, centered = y - design @ coef, y - y.mean()
+    return -coef[0], 1.0 - np.dot(residuals, residuals) / np.dot(centered, centered)
+
+
+def _shipped_series():
+    """Every norm series the shipped configs fit, with its window: runs and sweep rows."""
+    for name in ("theorem_run", "tau_sweep", "sano_baseline"):
+        cfg = parse_config((ROOT / "configs" / f"{name}.ini").read_text())
+        axes = cfg.sweep_axes
+        for combo in itertools.product(*axes.values()) if axes else [()]:
+            result = run_scenario(cfg.to_scenario(**dict(zip(axes, combo))))
+            traj, summary = result.trajectory, result.summary
+            yield traj.t, traj.plant_l2, summary.plant_decay
+            if summary.obs_err_decay is not None:
+                yield traj.t, traj.obs_err_l2, summary.obs_err_decay
+
+
+def test_fit_decay_matches_least_squares_on_the_shipped_windows():
+    # the closed-form regression on centred sums calls no BLAS; it must fit as lstsq did
+    t = np.linspace(0.0, 10.0, 1001)
+    floor = (t, np.exp(-10.0 * t) + 1e-16, None)
+    extinct = (t, np.where(t < 1.0, 1.0, 0.0), (2.0, 10.0))
+    cases = [(t, v, fit_decay(t, v, window=w)) for t, v, w in (floor, extinct)]
+    seen = {"floor": 0, "extinct": 0}
+    for t, values, fit in [*cases, *_shipped_series()]:
+        gamma, r_squared = _lstsq_fit(t, values, fit.window)
+        seen["floor"] += fit.floor_hit and not fit.extinct
+        seen["extinct"] += fit.extinct
+        if fit.extinct:
+            assert gamma == fit.gamma_hat == math.inf and math.isnan(fit.r_squared)
+            continue
+        assert fit.gamma_hat == pytest.approx(gamma, rel=1e-12, abs=0)
+        assert fit.r_squared == pytest.approx(r_squared, rel=1e-12, abs=0)
+    assert seen["floor"] >= 7 and seen["extinct"] >= 4  # the sano rows hit the floor
 
 
 def test_condition_report_regimes():

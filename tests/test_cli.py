@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing.connection
 import os
 import signal
 import subprocess
@@ -251,7 +252,7 @@ def test_recording_beyond_physical_memory_is_config_error(tmp_path, capsys):
 
 
 def test_runner_checks_recording_size_before_allocating(monkeypatch):
-    # 101 nodes over 10,000 steps record about 3.1 MB: more than 1 MB of memory
+    # 101 nodes over 10,000 steps record just under 4 MiB: more than 1 MiB of memory
     monkeypatch.setattr(loop, "_physical_memory", lambda: 2**20)
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
     scenario = Scenario(params=params, n_cells=100, T=100.0)
@@ -271,15 +272,15 @@ def test_io_failure_exit_code(tmp_path):
 
 @pytest.mark.parametrize("name", ["norms.csv", "snapshots.csv", "summary.txt"])
 def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch, name):
-    marched = []
-    monkeypatch.setattr(loop, "_march", lambda *args: marched.append(args))
+    ran = []
+    monkeypatch.setattr(loop, "_simulate", lambda *args: ran.append(args))
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     assert main(["run", "-c", cfg, "-o", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("I/O error: ") and str(out / name) in err
-    assert marched == []
+    assert ran == []
 
 
 def _cli(*args):
@@ -311,6 +312,9 @@ def test_overflowing_runner_raises_no_numpy_warning():
         warnings.simplefilter("error")
         assert not run_scenario(scenario).summary.finite
 
+
+# the upwind open loop still steps, and sends its snapshots a block at a time
+UPWIND = ["--controller", "open_loop", "--solver", "upwind"]
 
 WRITER_CASES = {
     "one cell": {"grid.n_cells": 1},
@@ -348,10 +352,11 @@ def test_run_writes_what_the_writers_make_of_its_result(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("args, stopped", [
-    # one batch of 61 snapshots fits in the pipe: the run ends, then joins the failed writer
+    # an exact run sends its 61 snapshots at once: the run ends, then joins the failed writer
     (["--snapshot-stride", "0.1"], False),
-    # batches of 321 snapshots, 262 KB each, do not: the run stops at the broken pipe
-    (["--snapshot-stride", "1e-9", "--T", "60"], True),
+    # the stepped upwind loop sends batches of 321 snapshots, 262 KB each, which do
+    # not fit in the pipe: the run stops at the broken pipe
+    (UPWIND + ["--snapshot-stride", "1e-9", "--T", "60"], True),
 ], ids=["at join", "mid-run"])
 def test_failing_writer_is_an_io_error_and_leaves_no_process(tmp_path, capsys, monkeypatch, args,
                                                              stopped):
@@ -381,7 +386,7 @@ def test_failing_run_still_joins_the_writer(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("args", [["--snapshot-stride", "0.1"],
-                                  ["--snapshot-stride", "1e-9", "--T", "60"]],
+                                  UPWIND + ["--snapshot-stride", "1e-9", "--T", "60"]],
                          ids=["at join", "mid-run"])
 def test_killed_writer_reports_its_exit_code(tmp_path, capsys, monkeypatch, args):
     # the writer dies once the run has queued more input: a socket reset by
@@ -398,10 +403,29 @@ def test_killed_writer_reports_its_exit_code(tmp_path, capsys, monkeypatch, args
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_writer_receives_an_exact_runs_snapshots_in_bounded_pieces(tmp_path, monkeypatch):
+    # an exact run hands over all 61 snapshots at once; the writer must not
+    # hold a second copy of them all, so they go over the pipe 4 at a time
+    sizes = []
+    send_bytes = multiprocessing.connection.Connection.send_bytes
+    monkeypatch.setattr(multiprocessing.connection.Connection, "send_bytes",
+                        lambda conn, buf: (sizes.append(len(memoryview(buf).cast("B"))),
+                                           send_bytes(conn, buf))[1])
+    monkeypatch.setattr(cli._SnapshotWriter, "PIECE_BYTES", 4 * 51 * 16)
+    cfg = write_config(tmp_path, BASE)
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 0
+    assert sum(sizes) == 61 * 51 * 16 and max(sizes) == 4 * 51 * 16 and len(sizes) == 16
+    result = run_scenario(parse_config(Path(cfg).read_text()).scenario)
+    _write_snapshots(tmp_path / "snapshots.csv", result, Grid(50, 1.0))
+    assert (tmp_path / "out" / "snapshots.csv").read_bytes() == (
+        tmp_path / "snapshots.csv").read_bytes()
+
+
 def test_writer_ends_when_the_run_dies(tmp_path):
     # a run that dies never sends the end marker: closing its end must end the input
     writer = cli._SnapshotWriter(tmp_path / "snapshots.csv", Grid(4, 1.0))
     writer.send(np.zeros(1), np.zeros((1, 5, 2)))
+    writer._sent()
     writer.conn.close()
     writer.process.join(timeout=30)
     try:
@@ -645,7 +669,21 @@ def test_sweep_checks_its_rows_as_they_run(tmp_path, monkeypatch, capsys):
     assert "physical memory" in capsys.readouterr().err
     monkeypatch.setattr(loop, "_physical_memory", lambda: row / 2)
     assert main(["sweep", *argv]) == 2
-    assert "every swept tau must give a valid run; tau=1.5" in capsys.readouterr().err
+    err = capsys.readouterr().err  # the rows' memory does not depend on tau
+    assert err.startswith("configuration error: run.T=6 ") and "physical memory" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n-cells", "0"], "grid.n_cells must be >= 1 and whole, got 0"),
+    (["--solver", "bogus"], "run.solver must be exact or upwind, got 'bogus'"),
+    (["--T", "1"], "every swept tau must give a valid run; tau=1: run.T=1 must exceed the delay"),
+    (["--T", "1", "--n-cells", "0"], "grid.n_cells must be >= 1 and whole, got 0"),
+])
+def test_sweep_row_errors_name_tau_only_when_tau_is_the_cause(tmp_path, capsys, flags, message):
+    argv = ["sweep", "-c", str(ROOT / "configs" / "tau_sweep.ini"), "-o", str(tmp_path), *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {message}")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_check_prints_condition_report(tmp_path, capsys):

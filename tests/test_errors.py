@@ -26,7 +26,8 @@ FREQRESP = str(ROOT / "configs" / "freqresp.ini")
 
 RUN_FLAGS = ["--h1", "--h2", "--l", "--tau", "--k1", "--k2", "--T", "--cfl",
              "--snapshot-stride", "--sano-k", "--n-cells", "--seed"]
-VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-300", "-0.5", "2.5"]
+# 1e308 and 1e-320 make step counts, snapshot marks and exchange weights overflow
+VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-300", "-0.5", "2.5", "1e308", "1e-320"]
 # name -> (the command line before the flag under test, the flags it takes)
 COMMANDS = {
     "check": (["check", "-c", THEOREM], RUN_FLAGS),
@@ -141,3 +142,31 @@ def test_commands_that_make_runs_ignore_the_freqresp_section(tmp_path, capfd, co
     config.write_text(Path(THEOREM).read_text() + "\n[freqresp]\nomega = nan\ncfl = 7\n")
     argv = [command, "-c", str(config), "--n-cells", "10", "--T", "4"]
     assert _exits_cleanly(argv, tmp_path / "out", capfd)[0] == 0
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("--tau=1e308", "params.tau"), ("--T=1e308", "run.T"), ("--l=1e-320", "params.l")])
+def test_a_step_count_that_is_not_finite_is_refused_by_name(tmp_path, capfd, flag, key):
+    argv = ["run", "-c", THEOREM, "--n-cells", "10", "--T", "4", flag]
+    rc, err = _exits_cleanly(argv, tmp_path / "out", capfd)
+    assert rc == 2 and key in err and "to count" in err
+
+
+def test_a_stride_too_small_to_count_its_marks_snapshots_every_step(tmp_path, capfd):
+    # T / stride overflows; a stride at or below the step keeps every step (docs/config.md)
+    argv = ["run", "-c", THEOREM, "--n-cells", "10", "--T", "4", "--snapshot-stride=1e-320"]
+    assert _exits_cleanly(argv, tmp_path, capfd)[0] == 0
+    times = [line.split(",")[0] for line in (tmp_path / "snapshots.csv").read_text().splitlines()]
+    assert len(set(times[1:])) == 41
+
+
+@pytest.mark.parametrize("flag", ["--h1=1e308", "--h2=1e308", "--l=1e308"])
+def test_freqresp_past_the_exponent_range_writes_its_table(tmp_path, capfd, flag):
+    # the fast mode's weight e^{(h1 + h2) dt} overflows; a phase omega l that
+    # overflows leaves the formula without a value, as a sine input's
+    rc, _ = _exits_cleanly(["freqresp", "-c", FREQRESP, flag], tmp_path, capfd)
+    rows = (tmp_path / "freqresp.csv").read_text().splitlines()[1:]
+    assert rc == 0 and len(rows) == 3
+    if flag != "--l=1e308":
+        measured = [float(v) for row in rows for v in row.split(",")[3:17:4]]
+        assert all(math.isfinite(v) for v in measured)

@@ -21,7 +21,7 @@ from pfhx import (
 )
 from pfhx.coupling import coupling_matrix
 from pfhx.history import as_trace
-from pfhx.loop import check_scenario
+from pfhx.loop import _simulate, check_scenario
 from pfhx.solver import _advance_exact, _mix_operand
 
 
@@ -363,6 +363,11 @@ def _index_scenario(tau: float, controller: str = "observer_predictor", **kw) ->
                     warmup_u=("sine(1, 4)", "constant(0.5)"), **kw)
 
 
+def _stepped(sc: Scenario, delay_free: bool = False):
+    """The stepped loop, the oracle of the boundary recurrence that exact runs make."""
+    return _simulate(sc, delay_free=delay_free, stepped=True).trajectory
+
+
 def _reference_closed_loop(sc: Scenario) -> dict:
     """The observer-predictor loop built from the public, separately tested pieces."""
     p = sc.params
@@ -411,7 +416,7 @@ DELAY_EDGES = [0.02, 0.98, 1.0, 1.02, 1.5]  # dt, l - dt, l, l + dt, 1.5 l at n_
 @pytest.mark.parametrize("tau", DELAY_EDGES)
 def test_closed_loop_matches_reference_loop_at_delay_edges(tau):
     sc = _index_scenario(tau)
-    traj = run_scenario(sc).trajectory
+    traj = _stepped(sc)
     expected = _reference_closed_loop(sc)
     for name, values in expected.items():
         assert np.array_equal(getattr(traj, name), values), name
@@ -422,7 +427,7 @@ def test_closed_loop_matches_reference_loop_at_delay_edges(tau):
 def test_sano_baseline_matches_reference_loop(tau):
     k = 0.8
     sc = _index_scenario(tau, controller="sano_static", sano_k=k)
-    traj = run_scenario(sc).trajectory
+    traj = _stepped(sc)
     grid = Grid(sc.n_cells, sc.params.l)
     m, _, _ = grid.snap_tau(tau)
     n_steps, _, _ = grid.snap_steps(sc.T)
@@ -447,7 +452,7 @@ def test_sano_baseline_matches_reference_loop(tau):
 @pytest.mark.parametrize("tau", DELAY_EDGES)
 def test_delay_free_feedback_matches_reference_loop(tau):
     sc = _index_scenario(tau)
-    traj = run_delay_free_feedback(sc).trajectory
+    traj = _stepped(sc, delay_free=True)
     p = sc.params
     grid = Grid(sc.n_cells, p.l)
     m, tau_used, _ = grid.snap_tau(tau)
@@ -475,7 +480,7 @@ def test_delay_free_feedback_matches_reference_loop(tau):
 def test_error_system_matches_reference_loop(tau):
     # the estimation error is the observer of a zero plant under zero input
     sc = _index_scenario(tau, controller="error_system")
-    traj = run_scenario(sc).trajectory
+    traj = _stepped(sc)
     grid = Grid(sc.n_cells, sc.params.l)
     n_steps, _, _ = grid.snap_steps(sc.T)
     err = sc.observer0 - sc.theta0

@@ -14,6 +14,8 @@ observer advanced tau late against a deque of the last m + 1 plant fields.
 Both must give the same bits, sign bits, inf and nan included.  That holds
 at n_cells = 1 too: there each field's single node row goes to BLAS gemv,
 where the contiguous operand or a stacked dgemm would round differently.
+Exact runs are a boundary recurrence (tests/test_recurrence.py), so the
+stepped loop is reached here through ``loop._simulate(..., stepped=True)``.
 """
 
 import dataclasses
@@ -26,7 +28,7 @@ import pytest
 from pfhx import Grid, Params, Scenario, loop, solver
 from pfhx.coupling import coupling_matrix
 from pfhx.grid import _l2
-from pfhx.loop import run_delay_free_feedback, run_scenario
+from pfhx.loop import run_scenario
 from pfhx.profiles import input_function
 from pfhx.solver import Recorder, Trajectory, _block_l2, solve_exact, solve_upwind
 
@@ -218,19 +220,24 @@ def _error_system(sc):
     return dataclasses.replace(sc, controller="error_system")
 
 
+def _stepped(sc, delay_free=False):
+    """A run through the stepped loop, which exact runs keep as their oracle."""
+    return loop._simulate(sc, delay_free=delay_free, stepped=True).trajectory
+
+
 def _trajectories(n_cells, tau, n_steps, gain):
-    """Every runner and both solver oracles on one scenario."""
+    """Every law through the stepped loop, and both solver oracles, on one scenario."""
     sc = _scenario(n_cells, tau, n_steps, gain)
     grid = Grid(n_cells, 1.0)
     theta0, u_fn = _oracle_inputs(grid)
     return {
-        "open_loop_exact": run_scenario(_open_loop(sc)).trajectory,
+        "open_loop_exact": _stepped(_open_loop(sc)),
         "open_loop_upwind": run_scenario(
             dataclasses.replace(_open_loop(sc), solver="upwind", cfl=0.5)).trajectory,
-        "observer_predictor": run_scenario(sc).trajectory,
-        "sano_static": run_scenario(_sano(sc, gain)).trajectory,
-        "delay_free": run_delay_free_feedback(sc).trajectory,
-        "error_system": run_scenario(_error_system(sc)).trajectory,
+        "observer_predictor": _stepped(sc),
+        "sano_static": _stepped(_sano(sc, gain)),
+        "delay_free": _stepped(sc, delay_free=True),
+        "error_system": _stepped(_error_system(sc)),
         "solve_exact": solve_exact(theta0, u_fn, sc.T, sc.params, grid, snapshot_stride=0.3, t0=0.5),
         "solve_upwind": solve_upwind(theta0, u_fn, sc.T, sc.params, grid, cfl=0.5, snapshot_stride=0.3),
     }
@@ -350,25 +357,29 @@ def test_snapshot_steps_match_per_mark_set(n_cells, n_steps, ratio):
 def test_snapshot_stride_far_below_a_step_snaps_every_step():
     # a per-mark loop would take 1e12 iterations here
     sc = dataclasses.replace(_scenario(10, 0.5, 10, 0.5), snapshot_stride=1e-12)
-    traj = run_scenario(sc).trajectory
-    assert len(traj.t) == 11
-    assert np.array_equal(traj.snapshot_t, traj.t)
-    assert np.array_equal(traj.snapshots[:, -1], traj.exit_values)
+    for traj in (run_scenario(sc).trajectory, _stepped(sc)):
+        assert len(traj.t) == 11
+        assert np.array_equal(traj.snapshot_t, traj.t)
+        assert np.array_equal(traj.snapshots[:, -1], traj.exit_values)
+        assert np.array_equal(traj.snapshots[1:, 0], traj.u[1:])
 
 
 @pytest.mark.parametrize("n_cells, n_steps, stride",
                          [(1, 9000, 7.0), (7, 5000, 0.05), (50, 1000, 1e-9), (200, 1200, 0.37)])
 def test_snapshot_callback_sees_each_snapshot_once_in_order(n_cells, n_steps, stride):
-    # together the batches are the trajectory's snapshots, each passed as its block is read out
+    # together the batches are the trajectory's snapshots: the stepped loop passes
+    # each as its block is read out, an exact run all of them at once
     sc = dataclasses.replace(_scenario(n_cells, 0.5, n_steps, 0.5), snapshot_stride=stride)
-    batches = []
-    traj = loop.run_scenario(
-        sc, on_snapshots=lambda t, fields: batches.append((t.copy(), fields.copy()))
-    ).trajectory
-    assert len(batches) > 1
-    assert all(len(t) == len(fields) > 0 for t, fields in batches)
-    assert _same_bits(np.concatenate([t for t, _ in batches]), traj.snapshot_t)
-    assert _same_bits(np.concatenate([fields for _, fields in batches]), traj.snapshots)
+    for stepped in (True, False):
+        batches = []
+        traj = loop._simulate(
+            sc, on_snapshots=lambda t, fields: batches.append((t.copy(), fields.copy())),
+            stepped=stepped,
+        ).trajectory
+        assert len(batches) > 1 if stepped else len(batches) == 1
+        assert all(len(t) == len(fields) > 0 for t, fields in batches)
+        assert _same_bits(np.concatenate([t for t, _ in batches]), traj.snapshot_t)
+        assert _same_bits(np.concatenate([fields for _, fields in batches]), traj.snapshots)
 
 
 def test_infinite_snapshot_stride_keeps_the_initial_field_only():
@@ -434,11 +445,12 @@ def test_closed_loop_holds_no_plant_history():
     p = Params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=0.5, k2=0.5)
     sc = Scenario(params=p, n_cells=1000, T=6.0, theta0=("step(0.5, 1.0, 0.0)", "zero"),
                   observer0=("random(0.5)", "random(0.5)"), warmup_u=("sine(1, 4)", "constant(0.5)"))
-    tracemalloc.start()
-    try:
-        result = run_scenario(sc)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert result.summary.finite
-    assert peak < 8 * 2**20
+    for stepped in (True, False):
+        tracemalloc.start()
+        try:
+            result = loop._simulate(sc, stepped=stepped)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.summary.finite
+        assert peak < 8 * 2**20
