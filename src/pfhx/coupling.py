@@ -23,6 +23,18 @@ import math
 import numpy as np
 
 
+def finite_rates(h1: float, h2: float) -> tuple[float, float, float]:
+    """(h1, h2, h1 + h2), all halved when the sum overflows.
+
+    The mixing weights h1 / (h1 + h2) and h2 / (h1 + h2) do not change, and
+    a sum that overflows would make them zero.  A finite sum is kept as it is.
+    """
+    rate = h1 + h2
+    if math.isfinite(rate):
+        return h1, h2, rate
+    return h1 / 2, h2 / 2, h1 / 2 + h2 / 2
+
+
 def coupling_matrix(s: float, h1: float, h2: float) -> np.ndarray:
     """Return exp(A1 s) as a 2x2 array.  Requires s >= 0 and h1, h2 >= 0."""
     if not s >= 0.0:
@@ -30,7 +42,8 @@ def coupling_matrix(s: float, h1: float, h2: float) -> np.ndarray:
     rate = h1 + h2
     if rate == 0.0:
         return np.eye(2)
-    decay = math.exp(-rate * s)
+    decay = math.exp(-rate * s) if s else 1.0
+    h1, h2, rate = finite_rates(h1, h2)
     return np.array(
         [
             [(h2 + h1 * decay) / rate, h1 * (1.0 - decay) / rate],

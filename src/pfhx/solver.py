@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import coupling_matrix
+from .coupling import coupling_matrix, finite_rates
 from .grid import Grid, check_field
 from .history import as_trace
 from .params import Params
@@ -134,7 +134,8 @@ class _Tube:
         self.n = n = len(field0) - 1
         self.dx, self.field0 = dx, field0
         rate = params.h1 + params.h2
-        self.a, self.b = (params.h1 / rate, params.h2 / rate) if rate else (0.5, 0.5)
+        h1, h2, total = finite_rates(params.h1, params.h2)
+        self.a, self.b = (h1 / total, h2 / total) if rate else (0.5, 0.5)
         self.decay = np.exp(-rate * (dx * np.arange(n + 1)))  # e at s = i dx
         self.decay[0] = 1.0  # also when rate is infinite
         self.w, self.d = np.empty(n_steps + n + 1), np.empty(n_steps + n + 1)

@@ -305,6 +305,21 @@ def test_overflowing_run_prints_one_line(tmp_path):
         "numerical failure: first non-finite value at step 51 (t=2.55) in plant_l2\n")
 
 
+def test_rates_whose_sum_overflows_mix_and_decay_at_the_analytic_rate(tmp_path):
+    # h1 = h2 = 1e308: h1 + h2 overflows, yet E(l) mixes to [[.5, .5], [.5, .5]],
+    # so K E(l) has rho = k / 2 + k / 2 = 1/2 and gamma = -ln(rho) / l = ln 2
+    args = ["run", "-c", "configs/theorem_run.ini", "--h1", "1e308", "--h2", "1e308",
+            "--n-cells", "20"]
+    done = _cli(*args, "-o", str(tmp_path / "short"), "--T", "4")
+    assert done.returncode == 0
+    summary = (tmp_path / "short" / "summary.txt").read_text()
+    assert "extinct=false" in summary and "extinct=true" not in summary
+    assert _cli(*args, "-o", str(tmp_path / "long"), "--T", "25").returncode == 0
+    plant = (tmp_path / "long" / "summary.txt").read_text().split("plant decay: ")[1]
+    gamma = float(plant.split("gamma_hat=")[1].split(",")[0])
+    assert "extinct=false" in plant and abs(gamma - math.log(2.0)) < 1e-3
+
+
 def test_overflowing_runner_raises_no_numpy_warning():
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=1e150, k2=1e150)
     scenario = Scenario(params=params, n_cells=20, T=4.0, warmup_u=("sine(1, 4)", "zero"))
@@ -363,7 +378,7 @@ def test_failing_writer_is_an_io_error_and_leaves_no_process(tmp_path, capsys, m
     def full_disk(*args):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "_snapshot_block", full_disk)
+    monkeypatch.setattr(cli, "_snapshot_rows", full_disk)
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "out"
     assert main(["run", "-c", cfg, "-o", str(out), *args]) == 4
@@ -395,7 +410,7 @@ def test_killed_writer_reports_its_exit_code(tmp_path, capsys, monkeypatch, args
         time.sleep(0.3)
         os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(cli, "_snapshot_block", killed)
+    monkeypatch.setattr(cli, "_snapshot_rows", killed)
     cfg = write_config(tmp_path, BASE)
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "out"), *args]) == 4
     assert "snapshot writer ended with" in capsys.readouterr().err
@@ -440,7 +455,7 @@ def test_unpicklable_writer_error_is_a_runtime_error(tmp_path, monkeypatch):
     def unpicklable(*args):
         raise ValueError(lambda: None)
 
-    monkeypatch.setattr(cli, "_snapshot_block", unpicklable)
+    monkeypatch.setattr(cli, "_snapshot_rows", unpicklable)
     cfg = write_config(tmp_path, BASE)
     with pytest.raises(RuntimeError, match="snapshot writer failed"):
         main(["run", "-c", cfg, "-o", str(tmp_path / "out")])

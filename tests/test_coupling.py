@@ -96,3 +96,13 @@ def test_matches_ode_oracle_randomized():
         np.testing.assert_allclose(
             coupling_matrix(s, h1, h2), ode_oracle(h1, h2, s), rtol=0, atol=1e-10
         )
+
+
+def test_rates_whose_sum_overflows_still_mix():
+    # h1 + h2 = inf: the weights come from h1/2 and h2/2, not from inf/inf or h/inf = 0
+    assert np.array_equal(coupling_matrix(0.1, 1e308, 1e308), np.full((2, 2), 0.5))
+    assert np.array_equal(coupling_matrix(0.0, 1e308, 1e308), np.eye(2))
+    assert np.array_equal(coupling_matrix(0.1, 1.5 * 2.0**1023, 0.5 * 2.0**1023),
+                          [[0.25, 0.75], [0.25, 0.75]])
+    # a finite sum keeps its bits
+    assert np.array_equal(coupling_matrix(0.1, 8e307, 8e307), np.full((2, 2), 0.5))

@@ -1,0 +1,152 @@
+"""The CSV number kernel ``cli._e16`` against ``'%.16e' % x``, its oracle.
+
+The kernel must spell every double as ``'%.16e' % x`` does, byte for byte.
+Elements its fast path cannot settle go to ``'%.16e' % x`` itself; the
+last test checks that on the headline run almost none do, so that these
+comparisons test the fast path and not the fallback.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pfhx import Grid, Params, Scenario, cli, run_scenario
+from pfhx.config import parse_config
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def kernel_text(values) -> str:
+    records = cli._e16(np.array(values, dtype=float), b"\n")
+    return bytes(cli._joined(records)).decode() if len(records) else ""
+
+
+def oracle_text(values) -> str:
+    return "\n".join("%.16e" % float(v) for v in values)
+
+
+def fallbacks(values, monkeypatch) -> int:
+    """How many of ``values`` the kernel formats by ``%``."""
+    count = []
+    real = cli._e16_chunk
+    monkeypatch.setattr(cli, "_e16_chunk", lambda x, out: count.append(real(x, out)) or count[-1])
+    kernel_text(values)
+    return sum(count)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=200))
+def test_raw_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(float)
+    assert kernel_text(values) == oracle_text(values)
+
+
+def test_random_bit_patterns_across_chunks():
+    values = np.random.default_rng(7).integers(0, 2**64, 3 * cli._CHUNK_VALUES + 5,
+                                               dtype=np.uint64).view(float)
+    assert kernel_text(values) == oracle_text(values)
+
+
+def test_every_power_of_ten_within_four_ulps():
+    values = []
+    for k in range(-323, 309):
+        power = float(f"1e{k}")
+        values += [power, -power]
+        for direction in (0.0, math.inf):
+            x = power
+            for _ in range(4):
+                x = math.nextafter(x, direction)
+                values += [x, -x]
+    assert kernel_text(values) == oracle_text(values)
+
+
+def test_ties_take_the_fallback_and_round_half_even(monkeypatch):
+    ties = [1e15 + 0.25, 1e15 + 0.75, -(1e15 + 0.25), 1.0 + 2.0**-17, 0.5 + 2.0**-18]
+    assert kernel_text(ties) == oracle_text(ties)
+    assert kernel_text(ties[:2]) == "1.0000000000000002e+15\n1.0000000000000008e+15"
+    assert fallbacks(ties, monkeypatch) == len(ties)
+
+
+def test_signed_zeros_subnormals_non_finite_and_wide_exponents(monkeypatch):
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+              math.inf, -math.inf, math.nan, -math.nan, 1e-280, 9.999999999999999e-281, 1e300,
+              1.0000000000000001e300, 1.7976931348623157e308, 1.5e-200, -7.25e123, 1e100, 3e-100,
+              1e-99, 9.99999999999999e99]
+    assert kernel_text(values) == oracle_text(values)
+    # zero and the bounds of [1e-280, 1e300] are the fast path's; the rest are not
+    assert fallbacks([0.0, -0.0, 1e-280, 1e300, 1.5e-200, 1e100], monkeypatch) == 0
+
+
+def test_chunk_seams(monkeypatch):
+    rng = np.random.default_rng(11)
+    size = 2 * cli._CHUNK_VALUES + 3
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+    for seam in (cli._CHUNK_VALUES, 2 * cli._CHUNK_VALUES):
+        values[seam - 1:seam + 2] = [math.nan, -0.0, 5e-324]
+    assert kernel_text(values) == oracle_text(values)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 100])
+def test_writers_cut_rows_at_any_chunk_size(tmp_path, monkeypatch, chunk):
+    # the writers' pieces end at whole rows, whatever the chunk, and join up
+    # to what one piece gives; a chunk below one row still writes whole rows
+    params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
+    scenario = Scenario(params=params, n_cells=6, T=3.0, snapshot_stride=0.3,
+                        theta0=("step(0.5, 1.0, 0.0)", "sine(1, 1)"))
+    result = run_scenario(scenario)
+    grid = Grid(6, 1.0)
+    whole = {}
+    for name, write in (("norms.csv", lambda p: cli._write_norms(p, result)),
+                        ("snapshots.csv", lambda p: cli._write_snapshots(p, result, grid))):
+        write(tmp_path / name)
+        whole[name] = (tmp_path / name).read_bytes()
+    monkeypatch.setattr(cli, "_CHUNK_VALUES", chunk)
+    cli._write_norms(tmp_path / "norms.csv", result)
+    cli._write_snapshots(tmp_path / "snapshots.csv", result, grid)
+    for name, data in whole.items():
+        assert (tmp_path / name).read_bytes() == data
+    traj = result.trajectory
+    assert whole["snapshots.csv"].count(b"\n") == 1 + len(traj.snapshot_t) * 7
+    assert whole["norms.csv"].count(b"\n") == 1 + len(traj.t)
+
+
+def test_power_table_is_correctly_rounded():
+    hi, hi_hi, hi_lo, lo = cli._e16_tables()[:4]
+    assert len(hi) == cli._P[1] - cli._P[0] + 1
+    for p, h, l in zip(range(cli._P[0], cli._P[1] + 1), hi.tolist(), lo.tolist()):
+        exact = Fraction(10) ** (16 - p)
+        assert h == float(exact) and l == float(exact - Fraction(h)), k
+    assert np.array_equal(hi_hi + hi_lo, hi)
+    assert not np.any(np.asarray(hi_hi).view(np.uint64) & np.uint64(2**27 - 1))
+
+
+def test_theorem_run_takes_the_fast_path(tmp_path, monkeypatch):
+    # the benchmark's headline run at its full size: 728,763 values formatted
+    text = (ROOT / "configs" / "theorem_run.ini").read_text()
+    scenario = parse_config(text, overrides={"grid.n_cells": "1000"}).scenario
+    result = run_scenario(scenario)
+    counts = []
+    real = cli._e16_chunk
+    monkeypatch.setattr(cli, "_e16_chunk",
+                        lambda x, out: counts.append((len(x), real(x, out))) or counts[-1][1])
+    cli._write_norms(tmp_path / "norms.csv", result)
+    cli._write_snapshots(tmp_path / "snapshots.csv", result, Grid(1000, 1.0))
+    values, slow = (sum(column) for column in zip(*counts))
+    traj = result.trajectory
+    assert values == 9 * len(traj.t) + traj.snapshots.size + len(traj.snapshot_t) + 1001
+    assert slow < values * 1e-5
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    code = "import sys, pfhx.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.stdout == "False\n"
