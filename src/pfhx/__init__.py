@@ -22,6 +22,16 @@ parameter sweeps, and frequency-response comparisons with deterministic
 CSV output.
 """
 
+import os
+
+# One OpenBLAS thread unless the user sets another count.  pfhx's BLAS calls
+# multiply by the 2x2 and 4x4 coupling and lag maps: on grids of a few
+# thousand cells that work stays below OpenBLAS's threading threshold, and
+# the snapshot writer and sweep workers are forked processes, so a thread
+# pool would only spin.  numpy reads the variable when it is first imported,
+# so this comes before any submodule imports it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .params import Params, GainReport, SanoReport, validate_gains, sano_window
 from .coupling import coupling_matrix
 from .grid import (

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coupling import finite_rates
 from .errors import ConfigError
 from .grid import Grid
 from .params import GainReport, Params, SanoReport, sano_window, validate_gains
@@ -48,8 +49,9 @@ def _exchange_gain(a, b, h1: float, h2: float) -> np.ndarray:
     (h1, -h2); exp(A1 l) weights them by 1 and e^{-(h1+h2) l}.  Scalar
     weights give a (2, 2) matrix, weight arrays of shape (k,) a (k, 2, 2)
     stack.  With h1 = h2 = 0 both eigenvalues are 0 and ``a`` weighs both.
+    A sum h1 + h2 that overflows mixes by the same weights h1/2 over (h1 + h2)/2.
     """
-    rate = h1 + h2
+    h1, h2, rate = finite_rates(h1, h2)
     if rate == 0.0:
         zero = np.zeros_like(a, dtype=complex)
         return np.stack([np.stack(row, -1) for row in ((zero, a), (a, zero))], -2)
@@ -103,14 +105,17 @@ def discrete_response(omegas, params: Params, grid: Grid, cfl: float = 0.5) -> n
     half = omegas * dt / 2
     advance = 1j * omegas * np.sinc(half / math.pi) * np.exp(1j * half)  # (z - 1) / dt
     decay = (h1 + h2) * dt
-    exchange = (h1 + h2) * (-math.expm1(-decay) / decay if decay else 1.0)  # (1 - mu) / dt
     # past |w| = e^355 |w|^2 overflows in _log1p, and the weight rounds to 0 silently
     with np.errstate(over="ignore", invalid="ignore"):
         logs = [_log1p(dx * advance)]
-        try:
-            logs.append(_log1p(dx * (advance + exchange) * math.exp(decay)))
-        except OverflowError:  # e^decay overflows: log1p(w) is log(w) to rounding
-            logs.append(np.log(dx * (advance + exchange)) + decay)
+        if math.isinf(decay):  # (h1 + h2) dt overflows: mu = 0 and w is infinite
+            logs.append(np.full(len(omegas), math.inf))
+        else:
+            exchange = (h1 + h2) * (-math.expm1(-decay) / decay if decay else 1.0)  # (1 - mu) / dt
+            try:
+                logs.append(_log1p(dx * (advance + exchange) * math.exp(decay)))
+            except OverflowError:  # e^decay overflows: log1p(w) is log(w) to rounding
+                logs.append(np.log(dx * (advance + exchange)) + decay)
         return _exchange_gain(*(np.exp(-grid.n_cells * log) for log in logs), h1, h2)
 
 
@@ -177,8 +182,8 @@ def fit_decay(
         raise ValueError(
             f"need at least 10 samples above the floor in the window, got {len(tw)}"
         )
-    # the two-parameter regression in closed form on centred sums: no BLAS call,
-    # whose threads would wake for each fit
+    # the two-parameter regression in closed form on centred sums: a few
+    # element-wise passes in place of lstsq's LAPACK call
     centered_t = tw - tw.mean()
     centered = np.log(vw)
     centered -= centered.mean()

@@ -18,7 +18,6 @@ import contextlib
 import functools
 import itertools
 import math
-import multiprocessing
 import os
 import sys
 import threading
@@ -295,14 +294,15 @@ class _SnapshotWriter:
     every snapshot at once, so the writer formats them while the run formats
     norms.csv; the upwind loop sends them a block at a time as it steps.
     The fields must stay unchanged until they are sent.  The writer formats
-    them as ``_write_snapshots`` does and never calls BLAS, whose threads a
-    forked process lacks.  ``join`` ends the input, waits for the writer and
-    raises what stopped it.
+    them as ``_write_snapshots`` does and calls no BLAS routine.  ``join``
+    ends the input, waits for the writer and raises what stopped it.
     """
 
     PIECE_BYTES = 2**20
 
     def __init__(self, path: Path, grid: Grid):
+        import multiprocessing  # here, so that freqresp and check never load it
+
         self.conn, writer_end = multiprocessing.Pipe()
         self.process = multiprocessing.get_context("fork").Process(
             target=_writer_process, args=(path, grid, writer_end, self.conn))
@@ -493,8 +493,9 @@ def _sweep_line(index: int, row: dict) -> str:
     return template % values
 
 
-# concurrent.futures.ProcessPoolExecutor, imported by the first sweep: run,
-# freqresp and check never load concurrent.futures and the logging it imports.
+# concurrent.futures.ProcessPoolExecutor, imported by the first sweep on a pool:
+# run, freqresp, check and a one-worker sweep never load concurrent.futures
+# and the logging it imports.
 # It stays a module attribute, which benchmarks/tracer.py replaces with a timed pool.
 ProcessPoolExecutor = None
 
@@ -502,8 +503,6 @@ ProcessPoolExecutor = None
 def cmd_sweep(cfg: Config) -> int:
     """Every row is checked before the pool starts; the rows run in declaration order."""
     global ProcessPoolExecutor
-    if ProcessPoolExecutor is None:
-        from concurrent.futures import ProcessPoolExecutor
     names, warnings = list(cfg.sweep_axes), []
     payloads = [
         (index, _checked(cfg.sweep_row, dict(zip(names, combo)), warnings))
@@ -517,6 +516,8 @@ def cmd_sweep(cfg: Config) -> int:
     if workers <= 1:
         results = [_sweep_worker(payload) for payload in payloads]
     else:
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, payloads))
     results.sort(key=lambda item: item[0])

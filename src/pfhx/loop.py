@@ -66,7 +66,7 @@ from .errors import ConfigError
 from .grid import Grid, _l2, check_field
 from .observer import _cross_law, _exit_propagator, _inject, _predict_exit
 from .params import Params, SanoReport
-from .profiles import input_function, profile_array
+from .profiles import _draws, input_function, profile_array
 from .solver import Recorder, Trajectory, _march, _physical_memory, _snapshot_steps, _Tube
 
 
@@ -122,7 +122,7 @@ class RunResult:
     summary: RunSummary
 
 
-def _resolve_field(grid: Grid, spec, rng: np.random.Generator) -> np.ndarray:
+def _resolve_field(grid: Grid, spec, rng: np.random.Generator | None) -> np.ndarray:
     if isinstance(spec, np.ndarray):
         return check_field(spec, grid).copy()
     return np.column_stack([profile_array(component, grid, rng) for component in spec])
@@ -226,7 +226,10 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
         )
     if T_snapped:
         warnings.append(f"T snapped from {scenario.T:g} to {T_used:g}")
-    rng = np.random.default_rng(scenario.seed)
+    # numpy.random is imported only by a run whose profiles draw from it
+    draws = any(_draws(component) for spec in (scenario.theta0, scenario.observer0)
+                if not isinstance(spec, np.ndarray) for component in spec)
+    rng = np.random.default_rng(scenario.seed) if draws else None
     theta0 = _resolve_field(grid, scenario.theta0, rng)
     observer0 = _resolve_field(grid, scenario.observer0, rng)
     return _Run(controller, law, delayed, with_observer, grid, m, tau_used, tau_snapped, dt,

@@ -40,6 +40,13 @@ def _require(args: list[float], count: int, spec: str) -> None:
         raise ConfigError(f"{spec!r} takes {count} argument(s), got {len(args)}")
 
 
+def _draws(spec) -> bool:
+    """Whether ``profile_array`` draws from its generator for ``spec``; one it
+    cannot parse draws nothing, and profile_array refuses it."""
+    m = _CALL.match(spec) if isinstance(spec, str) else None
+    return m is not None and m.group(1).lower() == "random"
+
+
 def profile_array(spec: str, grid: Grid, rng: np.random.Generator | None = None) -> np.ndarray:
     """Evaluate a spatial profile spec at the grid nodes.
 

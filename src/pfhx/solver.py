@@ -109,7 +109,9 @@ def _snapshot_steps(n_steps: int, dt: float, snapshot_stride: float) -> np.ndarr
     if snapshot_stride <= dt:  # marks at most a step apart reach every step to the last
         return np.arange(min(n_steps, round(marks * snapshot_stride / dt)) + 1)
     steps = np.round(np.arange(1, marks + 1) * snapshot_stride / dt)
-    return np.unique(np.append(0, np.minimum(n_steps, steps).astype(int)))
+    steps = np.append(0, np.minimum(n_steps, steps).astype(int))
+    # non-decreasing: dropping repeats is np.unique, without the numpy.ma it imports
+    return steps[np.append(True, steps[1:] != steps[:-1])]
 
 
 class _Tube:

@@ -154,6 +154,29 @@ def test_fast_mode_weight_past_the_exponent_range(h1):
     np.testing.assert_allclose(gains, expected, rtol=1e-15, atol=0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("h1, h2, l, n_cells", [
+    (1e308, 1e308, 1.0, 20),  # h1 + h2 overflows
+    (1.7e308, 5e307, 1.0, 10),  # an overflowing sum of unequal rates
+    (1e300, 1e300, 1e10, 1),  # a finite sum whose step (h1 + h2) dt overflows
+])
+def test_rates_whose_sum_or_step_overflows_still_mix(h1, h2, l, n_cells):
+    # the fast mode is gone, so G and the measured gain keep the mean mode alone,
+    # weighted h2 : h1 as at any finite sum: |g_i1| = h2 / (h1 + h2), |g_i2| =
+    # h1 / (h1 + h2), and 1/2 each at h1 = h2
+    omegas, grid = [0.0, 0.5, 1.0, 2.0], Grid(n_cells, l)
+    params = make_params(h1=h1, h2=h2, l=l)
+    unmixed = discrete_response(omegas, make_params(h1=0.0, h2=0.0, l=l), grid)[:, 0, 1]
+    gains = discrete_response(omegas, params, grid)
+    assert np.all(np.isfinite(gains))
+    np.testing.assert_allclose(gains, _exchange_gain(unmixed, np.zeros_like(unmixed), h1, h2),
+                               rtol=1e-15, atol=0)
+    weights = np.array([h2 / 2, h1 / 2]) / (h1 / 2 + h2 / 2)
+    for omega in omegas:
+        formula = transfer_function(1j * omega, params).matrix
+        np.testing.assert_allclose(np.abs(formula), [weights, weights], rtol=1e-15, atol=0)
+
+
 def test_exact_scheme_response_is_the_pure_delay():
     # at CFL 1 the upwind step is the exact shift: the gain is G(i omega) to rounding
     params = make_params()

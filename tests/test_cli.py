@@ -320,6 +320,17 @@ def test_rates_whose_sum_overflows_mix_and_decay_at_the_analytic_rate(tmp_path):
     assert "extinct=false" in plant and abs(gamma - math.log(2.0)) < 1e-3
 
 
+def test_freqresp_at_rates_whose_sum_overflows_is_finite(tmp_path):
+    # formula gains of |g_ij| = 1/2, measured gains and rel_err all finite
+    done = _cli("freqresp", "-c", "configs/freqresp.ini", "--h1", "1e308", "--h2", "1e308",
+                "--n-cells", "20", "-o", str(tmp_path))
+    assert done.returncode == 0
+    rows = np.loadtxt(tmp_path / "freqresp.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert np.all(np.isfinite(rows))
+    formula = rows[:, 1:17].reshape(-1, 4, 2, 2)[:, :, 0]  # (re, im) of each g_ij's formula
+    np.testing.assert_allclose(np.hypot(*np.moveaxis(formula, -1, 0)), 0.5, rtol=1e-15)
+
+
 def test_overflowing_runner_raises_no_numpy_warning():
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=1e150, k2=1e150)
     scenario = Scenario(params=params, n_cells=20, T=4.0, warmup_u=("sine(1, 4)", "zero"))

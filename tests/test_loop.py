@@ -14,8 +14,10 @@ from pfhx import (
     fit_decay,
     input_function,
     l2_norm,
+    loop,
     observer_step,
     predict_exit,
+    profile_array,
     run_delay_free_feedback,
     run_scenario,
 )
@@ -83,6 +85,29 @@ def test_error_system_draws_random_profiles_in_closed_loop_order():
     closed_series = closed.trajectory.obs_err_l2[m:]
     standalone = err.trajectory.plant_l2[: len(closed_series)]
     assert np.abs(closed_series - standalone).max() <= 1e-10
+
+
+@pytest.mark.parametrize("theta0, observer0", [
+    (("random(1.0)", "zero"), ("zero", "zero")),
+    (("zero", "random(1.0)"), ("random(0.5)", "sine(1, 1)")),
+    (("step(0.5, 1.0, 0.0)", "zero"), ("random(0.5)", "random(0.25)")),
+    (("random(1.0)", "random(2.0)"), ("random(0.5)", "random(0.5)")),
+    ("array", ("zero", "random(0.5)")),
+])
+def test_random_profiles_draw_as_from_an_eager_generator(theta0, observer0):
+    # the generator is made only when a profile draws, but from the same seed and
+    # in the same order: theta0 first, then the observer start
+    grid = Grid(30, 1.0)
+    sc = scenario_with(tau=0.5, T=4.0, n=30, seed=11)
+    sc.theta0 = field_from(grid, 0.5, -1.0) if theta0 == "array" else theta0
+    sc.observer0 = observer0
+    run = loop._prepare(sc)
+    rng = np.random.default_rng(11)
+    expected = [spec if isinstance(spec, np.ndarray)
+                else np.column_stack([profile_array(c, grid, rng) for c in spec])
+                for spec in (sc.theta0, sc.observer0)]
+    assert np.array_equal(run.theta0, expected[0])
+    assert np.array_equal(run.observer0, expected[1])
 
 
 def test_exact_compensation_boundary_identity():

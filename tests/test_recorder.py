@@ -19,6 +19,7 @@ stepped loop is reached here through ``loop._simulate(..., stepped=True)``.
 """
 
 import dataclasses
+import math
 import tracemalloc
 from collections import deque
 
@@ -352,6 +353,22 @@ def test_snapshot_steps_match_per_mark_set(n_cells, n_steps, ratio):
         for stride in (ratio * dt, np.nextafter(ratio * dt, 0), np.nextafter(ratio * dt, 1)):
             steps = Recorder(grid, n_steps, dt, stride)._snap_steps
             assert steps.tolist() == _PerStepRecorder(grid, n_steps, dt, stride)._snap_steps
+
+
+@pytest.mark.parametrize("n_steps", [1, 7, 100, 4001])
+@pytest.mark.parametrize("ratio", [1 + 1e-12, 1.0000001, 1.25, 4 / 3, 1.5, 1.9999999, 2.5,
+                                   math.pi, 7.01, 99.5, 5000.3])
+def test_snapshot_steps_drop_repeats_as_np_unique(n_steps, ratio):
+    # at a stride above the step the rounded marks are non-decreasing, so dropping
+    # consecutive repeats must give np.unique's steps, dtype included
+    for dt in (0.01, 0.3 / 7, 1 / 3):
+        stride = ratio * dt
+        marks = int(np.floor(n_steps * dt / stride + 1e-9))
+        rounded = np.round(np.arange(1, marks + 1) * stride / dt)
+        expected = np.unique(np.append(0, np.minimum(n_steps, rounded).astype(int)))
+        steps = solver._snapshot_steps(n_steps, dt, stride)
+        assert steps.dtype == expected.dtype
+        assert np.array_equal(steps, expected)
 
 
 def test_snapshot_stride_far_below_a_step_snaps_every_step():
