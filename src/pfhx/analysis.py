@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import finite_rates
+from .coupling import fast_exponent, finite_rates
 from .errors import ConfigError
 from .grid import Grid
 from .params import GainReport, Params, SanoReport, sano_window, validate_gains
@@ -64,7 +64,10 @@ def transfer_function(s: complex, params: Params) -> TransferEval:
     h1, h2, l = params.h1, params.h2, params.l
     try:
         a = cmath.exp(-s * l)
-        b = cmath.exp(-(h1 + h2 + s) * l)
+        if math.isfinite(h1 + h2):
+            b = cmath.exp(-(h1 + h2 + s) * l)
+        else:  # the sum overflows, and (h1 + h2) l may not
+            b = cmath.exp(-fast_exponent(h1, h2, l) - s * l)
     except ValueError:  # a phase Im(s) l that overflows has no value, as a sine input's
         a = b = complex(math.nan, math.nan)
     return TransferEval(s=s, matrix=_exchange_gain(a, b, h1, h2))
@@ -104,18 +107,23 @@ def discrete_response(omegas, params: Params, grid: Grid, cfl: float = 0.5) -> n
     dt = cfl * dx
     half = omegas * dt / 2
     advance = 1j * omegas * np.sinc(half / math.pi) * np.exp(1j * half)  # (z - 1) / dt
-    decay = (h1 + h2) * dt
+    decay = fast_exponent(h1, h2, dt)
     # past |w| = e^355 |w|^2 overflows in _log1p, and the weight rounds to 0 silently
     with np.errstate(over="ignore", invalid="ignore"):
         logs = [_log1p(dx * advance)]
         if math.isinf(decay):  # (h1 + h2) dt overflows: mu = 0 and w is infinite
             logs.append(np.full(len(omegas), math.inf))
         else:
-            exchange = (h1 + h2) * (-math.expm1(-decay) / decay if decay else 1.0)  # (1 - mu) / dt
+            mixed = -math.expm1(-decay) / decay if decay else 1.0  # (1 - mu) / ((h1 + h2) dt)
+            # w mu = (z - mu) / c = dx ((z - 1) / dt + (1 - mu) / dt)
+            if math.isfinite(h1 + h2):
+                w_mu = dx * (advance + (h1 + h2) * mixed)
+            else:  # (1 - mu) / dt may overflow where dx (1 - mu) / dt does not
+                w_mu = dx * advance + fast_exponent(h1, h2, dx) * mixed
             try:
-                logs.append(_log1p(dx * (advance + exchange) * math.exp(decay)))
+                logs.append(_log1p(w_mu * math.exp(decay)))
             except OverflowError:  # e^decay overflows: log1p(w) is log(w) to rounding
-                logs.append(np.log(dx * (advance + exchange)) + decay)
+                logs.append(np.log(w_mu) + decay)
         return _exchange_gain(*(np.exp(-grid.n_cells * log) for log in logs), h1, h2)
 
 

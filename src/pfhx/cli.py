@@ -14,15 +14,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import itertools
 import math
 import os
 import sys
-import threading
 import time
-import warnings
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -47,19 +44,15 @@ def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _put_lines(handle, lines: Iterable) -> None:
+def _write_lines(path: Path, lines: Iterable) -> None:
     """Write each item followed by a newline: text in UTF-8, or the bytes of a buffer.
 
     An item may span several lines.
     """
-    for line in lines:
-        handle.write(line.encode() if isinstance(line, str) else line)
-        handle.write(b"\n")
-
-
-def _write_lines(path: Path, lines: Iterable) -> None:
     with open(path, "wb") as handle:
-        _put_lines(handle, lines)
+        for line in lines:
+            handle.write(line.encode() if isinstance(line, str) else line)
+            handle.write(b"\n")
 
 
 @functools.cache
@@ -223,14 +216,14 @@ def _first_non_finite(result: RunResult) -> str:
     return f"step {j} (t={columns[0][j]:g}) in {_NORMS_HEADER.split(',')[int(np.argmax(bad[j]))]}"
 
 
-def _snapshot_rows(times: np.ndarray, fields: np.ndarray, x_records: np.ndarray
-                   ) -> Iterator[np.ndarray]:
-    """The snapshots.csv rows of one batch of snapshots, in pieces.
+def _snapshot_rows(times: np.ndarray, fields: np.ndarray, x: np.ndarray) -> Iterator[np.ndarray]:
+    """The snapshots.csv rows, in pieces.
 
-    ``x_records`` are the nodes' records; t is formatted once per snapshot
-    and repeated down its rows, like x.
+    t is formatted once per snapshot and x once per run, and each is
+    repeated down the rows.
     """
-    nodes = len(x_records)
+    nodes = len(x)
+    x_records = _e16(x, b",")
     t_records = _e16(times, b",")
     theta = fields.reshape(-1, 2)
     step = max(1, _CHUNK_VALUES // 2)
@@ -243,116 +236,10 @@ def _snapshot_rows(times: np.ndarray, fields: np.ndarray, x_records: np.ndarray
         yield _joined(block)
 
 
-def _snapshot_text(grid: Grid, batches) -> Iterable:
-    """snapshots.csv as items for ``_put_lines``: the header, then pieces of rows.
-
-    ``batches`` yields ``(times, fields)`` pairs, the snapshots in order.
-    """
-    x_records = _e16(grid.nodes, b",")  # x is formatted once per run
-    yield "t,x,theta1,theta2"
-    for times, fields in batches:
-        yield from _snapshot_rows(times, fields, x_records)
-
-
 def _write_snapshots(path: Path, result: RunResult, grid: Grid) -> None:
     traj = result.trajectory
-    _write_lines(path, _snapshot_text(grid, [(traj.snapshot_t, traj.snapshots)]))
-
-
-def _received(conn, grid: Grid):
-    """The batches a ``_SnapshotWriter`` sends: the times, then the fields' bytes."""
-    while (times := conn.recv()) is not None:
-        yield times, np.frombuffer(conn.recv_bytes()).reshape(len(times), grid.n_cells + 1, 2)
-
-
-def _writer_process(path: Path, grid: Grid, conn, run_end) -> None:
-    """The writer process: snapshots.csv from the batches ``conn`` receives.
-
-    What stops it, interrupts included, goes back over ``conn`` for the run
-    to raise.  It closes its copy of the run's end first, so that a run that
-    dies ends its input.
-    """
-    run_end.close()
-    try:
-        _write_lines(path, _snapshot_text(grid, _received(conn, grid)))
-    except BaseException as exc:
-        try:
-            conn.send(exc)
-        except OSError:  # the run is gone: there is no one to tell
-            pass
-        except Exception:  # it will not pickle
-            conn.send(RuntimeError(f"snapshot writer failed: {exc!r}"))
-
-
-class _SnapshotWriter:
-    """snapshots.csv, written by a forked process while the run goes on.
-
-    ``send`` is a run's ``on_snapshots``: a thread passes its batch over a
-    pipe, in pieces of at most ``PIECE_BYTES`` of fields sent as their bytes,
-    so the writer holds one piece at a time and the run goes on meanwhile.
-    A batch waits for the one before it to be sent.  An exact run sends
-    every snapshot at once, so the writer formats them while the run formats
-    norms.csv; the upwind loop sends them a block at a time as it steps.
-    The fields must stay unchanged until they are sent.  The writer formats
-    them as ``_write_snapshots`` does and calls no BLAS routine.  ``join``
-    ends the input, waits for the writer and raises what stopped it.
-    """
-
-    PIECE_BYTES = 2**20
-
-    def __init__(self, path: Path, grid: Grid):
-        import multiprocessing  # here, so that freqresp and check never load it
-
-        self.conn, writer_end = multiprocessing.Pipe()
-        self.process = multiprocessing.get_context("fork").Process(
-            target=_writer_process, args=(path, grid, writer_end, self.conn))
-        with warnings.catch_warnings():
-            # Python 3.12 warns on forking a process with threads; the writer needs none
-            warnings.simplefilter("ignore", DeprecationWarning)
-            self.process.start()
-        writer_end.close()
-        self.rows = max(1, self.PIECE_BYTES // (16 * (grid.n_cells + 1)))  # snapshots a piece
-        self.sender, self.broken = None, False
-
-    def _send(self, times: np.ndarray, fields: np.ndarray) -> None:
-        try:
-            for lo in range(0, len(times), self.rows):
-                self.conn.send(times[lo:lo + self.rows])
-                self.conn.send_bytes(np.ascontiguousarray(fields[lo:lo + self.rows]))
-        except OSError:  # the writer stopped; join raises what stopped it
-            self.broken = True
-
-    def _sent(self) -> None:
-        """Wait until the batch in flight is sent."""
-        if self.sender is not None:
-            self.sender.join()
-            self.sender = None
-
-    def send(self, times: np.ndarray, fields: np.ndarray) -> None:
-        self._sent()
-        if self.broken:
-            self.join()
-            raise OSError("the snapshot writer stopped")
-        self.sender = threading.Thread(target=self._send, args=(times, fields), daemon=True)
-        self.sender.start()
-
-    def join(self) -> None:
-        if self.process is None:
-            return
-        self._sent()
-        process, self.process = self.process, None
-        with contextlib.suppress(OSError):  # a writer that stopped reads no more
-            self.conn.send(None)
-        try:
-            error = self.conn.recv()
-        except (EOFError, OSError):  # nothing to report, or killed mid-run
-            error = None
-        self.conn.close()
-        process.join()
-        if error is not None:
-            raise error
-        if process.exitcode:
-            raise OSError(f"snapshot writer ended with exit code {process.exitcode}")
+    rows = _snapshot_rows(traj.snapshot_t, traj.snapshots, grid.nodes)
+    _write_lines(path, itertools.chain(["t,x,theta1,theta2"], rows))
 
 
 def _decay_text(label: str, decay) -> str:
@@ -421,26 +308,19 @@ def _checked(make, axis_values: dict, warnings: list[str]) -> Scenario:
 
 
 def cmd_run(cfg: Config) -> int:
-    """One run; where it can fork, a second process writes snapshots.csv alongside it."""
+    """One run, then its three outputs, all in this process."""
     scenario = cfg.scenario
     check_scenario(scenario)  # a configuration error leaves the outputs alone
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = Grid(scenario.n_cells, scenario.params.l)
     norms, snapshots, summary = (outdir / f for f in ("norms.csv", "snapshots.csv", "summary.txt"))
     for path in (norms, snapshots, summary):
         open(path, "w").close()  # an unwritable output fails before the run
-    writer = _SnapshotWriter(snapshots, grid) if hasattr(os, "fork") else None
-    try:
-        result = run_scenario(scenario, on_snapshots=None if writer is None else writer.send)
-        run_warnings = result.summary.warnings  # the run's own tau/T snapping included
-        _write_norms(norms, result)
-        if writer is None:
-            _write_snapshots(snapshots, result, grid)
-        _write_summary(summary, result, run_warnings)
-    finally:
-        if writer is not None:
-            writer.join()
+    result = run_scenario(scenario)
+    run_warnings = result.summary.warnings  # the run's own tau/T snapping included
+    _write_norms(norms, result)
+    _write_snapshots(snapshots, result, Grid(scenario.n_cells, scenario.params.l))
+    _write_summary(summary, result, run_warnings)
     _emit_warnings(run_warnings)
     if not result.summary.finite:
         print(f"numerical failure: first non-finite value at {_first_non_finite(result)}",

@@ -35,14 +35,25 @@ def finite_rates(h1: float, h2: float) -> tuple[float, float, float]:
     return h1 / 2, h2 / 2, h1 / 2 + h2 / 2
 
 
+def fast_exponent(h1: float, h2: float, s):
+    """(h1 + h2) s, the exponent of the fast mode's factor E = exp(-(h1 + h2) s).
+
+    When the sum overflows, the product is formed as 2 ((h1/2 + h2/2) s),
+    which is finite wherever the product is.  A finite sum is used as it is.
+    """
+    rate = h1 + h2
+    if math.isfinite(rate):
+        return rate * s
+    return 2 * (finite_rates(h1, h2)[2] * s)
+
+
 def coupling_matrix(s: float, h1: float, h2: float) -> np.ndarray:
     """Return exp(A1 s) as a 2x2 array.  Requires s >= 0 and h1, h2 >= 0."""
     if not s >= 0.0:
         raise ValueError(f"elapsed characteristic time must be nonnegative, got {s}")
-    rate = h1 + h2
-    if rate == 0.0:
+    if h1 + h2 == 0.0:
         return np.eye(2)
-    decay = math.exp(-rate * s) if s else 1.0
+    decay = math.exp(-fast_exponent(h1, h2, s)) if s else 1.0
     h1, h2, rate = finite_rates(h1, h2)
     return np.array(
         [

@@ -365,10 +365,10 @@ def _open_loop(scenario, run, rec):
     return (run.theta0,), lambda j, row: u(j * dt)
 
 
-def _step(scenario: Scenario, run: _Run, on_snapshots) -> Trajectory:
+def _step(scenario: Scenario, run: _Run) -> Trajectory:
     """The stepped loop: each step fills its block row (the upwind solver, and the oracle)."""
     rec = Recorder(run.grid, run.n_steps, run.dt, scenario.snapshot_stride,
-                   obs_lag=run.m if run.with_observer else None, on_snapshots=on_snapshots)
+                   obs_lag=run.m if run.with_observer else None)
     cfl = scenario.cfl if scenario.solver == "upwind" else None
     fields, inflow = run.law(scenario, run, rec)
     rec.first()[...] = np.stack(fields, axis=1)
@@ -489,20 +489,14 @@ def _recur_open_loop(scenario, run, tube):
     return None, None
 
 
-def _recur(scenario: Scenario, run: _Run, on_snapshots) -> Trajectory:
-    """The exact solver by boundary recurrence: the inlet history, then every column from it.
-
-    The snapshots are gathered and handed to ``on_snapshots`` at once,
-    before the norms are summed.
-    """
+def _recur(scenario: Scenario, run: _Run) -> Trajectory:
+    """The exact solver by boundary recurrence: the inlet history, then every column from it."""
     n_steps, dt = run.n_steps, run.dt
     field0 = run.observer0 - run.theta0 if run.controller == "error_system" else run.theta0
     tube = _Tube(field0, n_steps, scenario.params, dt)
     err, pred_err = _RECURRENCES[run.controller](scenario, run, tube)
     steps = _snapshot_steps(n_steps, dt, scenario.snapshot_stride)
     snapshot_t, snapshots = steps * dt, tube.fields(steps)
-    if on_snapshots is not None:
-        on_snapshots(snapshot_t, snapshots)
     obs_err_l2 = np.zeros(n_steps + 1)
     if err is not None:  # the error of observer time s is normed at step s + m
         obs_err_l2[run.m:] = err.norms(n_steps + 1 - run.m)
@@ -520,8 +514,7 @@ def _recur(scenario: Scenario, run: _Run, on_snapshots) -> Trajectory:
     )
 
 
-def _simulate(scenario: Scenario, on_snapshots=None, delay_free: bool = False,
-              stepped: bool = False) -> RunResult:
+def _simulate(scenario: Scenario, delay_free: bool = False, stepped: bool = False) -> RunResult:
     """The run skeleton every boundary law shares.
 
     On the exact solver the run is its boundary recurrence (``_recur``);
@@ -529,16 +522,15 @@ def _simulate(scenario: Scenario, on_snapshots=None, delay_free: bool = False,
     field (``_step``), which is the recurrence's oracle.  The law's set-up
     and the run go with numpy's overflow and invalid-value warnings off: a
     run that overflows is reported by ``Trajectory.is_finite`` instead,
-    and ``pfhx run`` names its first non-finite value.  ``on_snapshots``
-    is ``run_scenario``'s.
+    and ``pfhx run`` names its first non-finite value.
     """
     start = time.perf_counter()
     run = _prepare(scenario, delay_free)
     with np.errstate(over="ignore", invalid="ignore"):
         if stepped or scenario.solver == "upwind":
-            traj = _step(scenario, run, on_snapshots)
+            traj = _step(scenario, run)
         else:
-            traj = _recur(scenario, run, on_snapshots)
+            traj = _recur(scenario, run)
     return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start))
 
 
@@ -581,13 +573,11 @@ def check_scenario(scenario: Scenario) -> list[str]:
     return _prepare(scenario).warnings
 
 
-def run_scenario(scenario: Scenario, on_snapshots=None) -> RunResult:
+def run_scenario(scenario: Scenario) -> RunResult:
     """Run the boundary law the scenario's controller names.
 
     A scenario that fails a run check raises ConfigError, as in
-    ``check_scenario``, before anything is recorded.  ``on_snapshots(t,
-    fields)``, if given, receives the snapshots in order: an exact run
-    passes all of them at once, before it sums the norms, and the upwind
-    solver a block at a time as it steps (``solver.Recorder``).
+    ``check_scenario``, before anything is recorded.  The result holds
+    every snapshot, which ``pfhx run`` writes once the run is over.
     """
-    return _simulate(scenario, on_snapshots)
+    return _simulate(scenario)

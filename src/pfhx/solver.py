@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import coupling_matrix, finite_rates
+from .coupling import coupling_matrix, fast_exponent, finite_rates
 from .grid import Grid, check_field
 from .history import as_trace
 from .params import Params
@@ -135,11 +135,10 @@ class _Tube:
     def __init__(self, field0: np.ndarray, n_steps: int, params: Params, dx: float):
         self.n = n = len(field0) - 1
         self.dx, self.field0 = dx, field0
-        rate = params.h1 + params.h2
-        h1, h2, total = finite_rates(params.h1, params.h2)
-        self.a, self.b = (h1 / total, h2 / total) if rate else (0.5, 0.5)
-        self.decay = np.exp(-rate * (dx * np.arange(n + 1)))  # e at s = i dx
-        self.decay[0] = 1.0  # also when rate is infinite
+        h1, h2, rate = finite_rates(params.h1, params.h2)
+        self.a, self.b = (h1 / rate, h2 / rate) if rate else (0.5, 0.5)
+        # e at s = i dx
+        self.decay = np.exp(-fast_exponent(params.h1, params.h2, dx * np.arange(n + 1)))
         self.w, self.d = np.empty(n_steps + n + 1), np.empty(n_steps + n + 1)
         self._origins(0, field0[::-1])
 
@@ -231,23 +230,16 @@ class Recorder:
     error obs(s) - theta(s) is normed into ``obs_err_l2[s + obs_lag]``.
     The block's last row carries over to the next block.  The run writes
     ``u``, ``pred_err_at_l`` and the first ``obs_lag`` observer errors
-    itself.  Steps arrive in order, from ``first`` on.  Given
-    ``on_snapshots``, each read-out that copies snapshots calls
-    ``on_snapshots(t, fields)`` with their times and fields, in order,
-    so a consumer can take them while the run steps on; ``fields`` is a
-    view of ``snapshots``.
+    itself.  Steps arrive in order, from ``first`` on.
     """
 
-    def __init__(
-        self, grid: Grid, n_steps: int, dt: float, snapshot_stride: float,
-        obs_lag: int | None = None, on_snapshots=None,
-    ):
+    def __init__(self, grid: Grid, n_steps: int, dt: float, snapshot_stride: float,
+                 obs_lag: int | None = None):
         if snapshot_stride <= 0:
             raise ValueError("snapshot stride must be positive")
         self.dt = dt
         self.dx = grid.dx
         self.obs_lag = obs_lag
-        self.on_snapshots = on_snapshots
         total = n_steps + 1
         self.t = np.arange(total) * dt
         self.plant_l2 = np.zeros(total)
@@ -300,8 +292,6 @@ class Recorder:
         self.exit_values[lo:hi] = plant[:, -1]
         a, b = np.searchsorted(self._snap_steps, (lo, hi))
         self.snapshots[a:b] = self.block[self._snap_steps[a:b] - self.start, :, 0]
-        if b > a and self.on_snapshots is not None:
-            self.on_snapshots(self._snap_steps[a:b] * self.dt, self.snapshots[a:b])
         # the observer error of step s is obs_err_l2[s + obs_lag], which may run past the end
         live = 0 if self.obs_lag is None else min(hi, len(self.t) - self.obs_lag) - lo
         if live > 0:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from pfhx import (
     Grid,
@@ -175,6 +176,26 @@ def test_rates_whose_sum_or_step_overflows_still_mix(h1, h2, l, n_cells):
     for omega in omegas:
         formula = transfer_function(1j * omega, params).matrix
         np.testing.assert_allclose(np.abs(formula), [weights, weights], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("h", [8.9e307, 1e308])  # a finite sum, and one that overflows
+def test_fast_mode_where_the_sum_overflows_but_its_product_does_not(h):
+    # (h1 + h2) l = 0.0178 and 0.02: the fast mode's factor is near 1, not 0, and
+    # A1 l and A1 dt are finite, so expm gives G(i omega) = e^{-i omega l} exp(A1 l)
+    # with its rows swapped, and the scheme's T(z) = c (z I - (1 - c) M)^-1 M
+    l, cfl = 1e-310, 0.5
+    params, grid = make_params(h1=h, h2=h, l=l), Grid(1, l)
+    a1 = np.array([[-h, h], [h, -h]])
+    dt = cfl * grid.dx
+    step = expm(a1 * dt)
+    omegas = [0.0, 0.5, 2.0]
+    for omega, gain in zip(omegas, discrete_response(omegas, params, grid, cfl=cfl)):
+        formula = transfer_function(1j * omega, params).matrix
+        np.testing.assert_allclose(formula, np.exp(-1j * omega * l) * expm(a1 * l)[::-1],
+                                   rtol=1e-14, atol=0)
+        z = np.exp(1j * omega * dt)
+        cell = cfl * np.linalg.solve(z * np.eye(2) - (1 - cfl) * step, step)
+        np.testing.assert_allclose(gain, cell[::-1], rtol=1e-12, atol=0)
 
 
 def test_exact_scheme_response_is_the_pure_delay():

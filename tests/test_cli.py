@@ -1,17 +1,15 @@
 import dataclasses
 import math
-import multiprocessing.connection
 import os
-import signal
 import subprocess
 import sys
-import time
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from pfhx import (
     ConfigError,
@@ -320,6 +318,24 @@ def test_rates_whose_sum_overflows_mix_and_decay_at_the_analytic_rate(tmp_path):
     assert "extinct=false" in plant and abs(gamma - math.log(2.0)) < 1e-3
 
 
+def test_run_where_the_sum_overflows_but_its_product_does_not(tmp_path):
+    # h1 = h2 = 1e308 at l = 1e-310: (h1 + h2) l = 0.02, so one cell's exit is
+    # M = exp(A1 l), not the full mix, applied to the origin it reads: node 0 of
+    # the initial field at step 1, the inlet pair of step j - 1 after that
+    text = BASE.replace("step(0.5, 1.0, 0.0)", "constant(1)\nu1 = constant(2)\nu2 = constant(-1)")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", "-c", cfg, "-o", str(out), "--controller", "open_loop", "--n-cells", "1",
+                 "--h1", "1e308", "--h2", "1e308", "--l", "1e-310", "--tau", "2e-310",
+                 "--T", "4e-310"]) == 0
+    rows = np.loadtxt(out / "norms.csv", delimiter=",", skiprows=1)
+    u, exits = rows[:, 5:7], rows[:, 7:9]
+    m = expm(np.array([[-1e308, 1e308], [1e308, -1e308]]) * 1e-310)
+    origins = np.vstack([[1.0, 0.0], u[1:-1]])
+    assert len(exits) == 5 and np.all(u[1:] == [2.0, -1.0])
+    np.testing.assert_allclose(exits[1:], origins @ m.T, rtol=1e-14, atol=0)
+
+
 def test_freqresp_at_rates_whose_sum_overflows_is_finite(tmp_path):
     # formula gains of |g_ij| = 1/2, measured gains and rel_err all finite
     done = _cli("freqresp", "-c", "configs/freqresp.ini", "--h1", "1e308", "--h2", "1e308",
@@ -339,7 +355,7 @@ def test_overflowing_runner_raises_no_numpy_warning():
         assert not run_scenario(scenario).summary.finite
 
 
-# the upwind open loop still steps, and sends its snapshots a block at a time
+# the upwind open loop still steps
 UPWIND = ["--controller", "open_loop", "--solver", "upwind"]
 
 WRITER_CASES = {
@@ -355,13 +371,9 @@ WRITER_CASES = {
 }
 
 
-@pytest.mark.parametrize("fork", [True, False], ids=["forked", "in-process"])
 @pytest.mark.parametrize("case", list(WRITER_CASES))
-def test_run_writes_what_the_writers_make_of_its_result(tmp_path, monkeypatch, case, fork):
-    # the run's CSVs are the writers' bytes for the same scenario, from the
-    # forked writer or, without os.fork, from this process after the run
-    if not fork:
-        monkeypatch.delattr(os, "fork")
+def test_run_writes_what_the_writers_make_of_its_result(tmp_path, case):
+    # the run's CSVs are the writers' bytes for the same scenario
     text = BASE + "warmup_u1 = sine(1, 4)\n"
     cfg = write_config(tmp_path, text)
     overrides = WRITER_CASES[case]
@@ -377,15 +389,11 @@ def test_run_writes_what_the_writers_make_of_its_result(tmp_path, monkeypatch, c
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
-@pytest.mark.parametrize("args, stopped", [
-    # an exact run sends its 61 snapshots at once: the run ends, then joins the failed writer
-    (["--snapshot-stride", "0.1"], False),
-    # the stepped upwind loop sends batches of 321 snapshots, 262 KB each, which do
-    # not fit in the pipe: the run stops at the broken pipe
-    (UPWIND + ["--snapshot-stride", "1e-9", "--T", "60"], True),
-], ids=["at join", "mid-run"])
-def test_failing_writer_is_an_io_error_and_leaves_no_process(tmp_path, capsys, monkeypatch, args,
-                                                             stopped):
+@pytest.mark.parametrize("args", [["--snapshot-stride", "0.1"],
+                                  UPWIND + ["--snapshot-stride", "1e-9", "--T", "60"]],
+                         ids=["exact", "upwind"])
+def test_failing_writer_is_an_io_error_and_leaves_no_process(tmp_path, capsys, monkeypatch, args):
+    # snapshots.csv fails after norms.csv is written, and no process is left behind
     def full_disk(*args):
         raise OSError(28, "No space left on device")
 
@@ -394,82 +402,8 @@ def test_failing_writer_is_an_io_error_and_leaves_no_process(tmp_path, capsys, m
     out = tmp_path / "out"
     assert main(["run", "-c", cfg, "-o", str(out), *args]) == 4
     assert capsys.readouterr().err == "I/O error: [Errno 28] No space left on device\n"
-    assert ((out / "norms.csv").stat().st_size == 0) == stopped
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_failing_run_still_joins_the_writer(tmp_path, monkeypatch):
-    def broken(*args):
-        raise RuntimeError("not an output failure")
-
-    monkeypatch.setattr(cli, "_write_norms", broken)
-    cfg = write_config(tmp_path, BASE)
-    with pytest.raises(RuntimeError, match="not an output failure"):
-        main(["run", "-c", cfg, "-o", str(tmp_path / "out")])
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("args", [["--snapshot-stride", "0.1"],
-                                  UPWIND + ["--snapshot-stride", "1e-9", "--T", "60"]],
-                         ids=["at join", "mid-run"])
-def test_killed_writer_reports_its_exit_code(tmp_path, capsys, monkeypatch, args):
-    # the writer dies once the run has queued more input: a socket reset by
-    # the killed writer reads as its end, and its exit code is the error
-    def killed(*args):
-        time.sleep(0.3)
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(cli, "_snapshot_rows", killed)
-    cfg = write_config(tmp_path, BASE)
-    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out"), *args]) == 4
-    assert "snapshot writer ended with" in capsys.readouterr().err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_writer_receives_an_exact_runs_snapshots_in_bounded_pieces(tmp_path, monkeypatch):
-    # an exact run hands over all 61 snapshots at once; the writer must not
-    # hold a second copy of them all, so they go over the pipe 4 at a time
-    sizes = []
-    send_bytes = multiprocessing.connection.Connection.send_bytes
-    monkeypatch.setattr(multiprocessing.connection.Connection, "send_bytes",
-                        lambda conn, buf: (sizes.append(len(memoryview(buf).cast("B"))),
-                                           send_bytes(conn, buf))[1])
-    monkeypatch.setattr(cli._SnapshotWriter, "PIECE_BYTES", 4 * 51 * 16)
-    cfg = write_config(tmp_path, BASE)
-    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 0
-    assert sum(sizes) == 61 * 51 * 16 and max(sizes) == 4 * 51 * 16 and len(sizes) == 16
-    result = run_scenario(parse_config(Path(cfg).read_text()).scenario)
-    _write_snapshots(tmp_path / "snapshots.csv", result, Grid(50, 1.0))
-    assert (tmp_path / "out" / "snapshots.csv").read_bytes() == (
-        tmp_path / "snapshots.csv").read_bytes()
-
-
-def test_writer_ends_when_the_run_dies(tmp_path):
-    # a run that dies never sends the end marker: closing its end must end the input
-    writer = cli._SnapshotWriter(tmp_path / "snapshots.csv", Grid(4, 1.0))
-    writer.send(np.zeros(1), np.zeros((1, 5, 2)))
-    writer._sent()
-    writer.conn.close()
-    writer.process.join(timeout=30)
-    try:
-        assert writer.process.exitcode == 0
-    finally:
-        writer.process.kill()
-        writer.process.join()
-    assert len((tmp_path / "snapshots.csv").read_text().splitlines()) == 1 + 5
-
-
-def test_unpicklable_writer_error_is_a_runtime_error(tmp_path, monkeypatch):
-    def unpicklable(*args):
-        raise ValueError(lambda: None)
-
-    monkeypatch.setattr(cli, "_snapshot_rows", unpicklable)
-    cfg = write_config(tmp_path, BASE)
-    with pytest.raises(RuntimeError, match="snapshot writer failed"):
-        main(["run", "-c", cfg, "-o", str(tmp_path / "out")])
+    assert (out / "norms.csv").stat().st_size > 0
+    assert (out / "summary.txt").stat().st_size == 0
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

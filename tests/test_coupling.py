@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from pfhx.coupling import coupling_matrix
 
@@ -106,3 +107,10 @@ def test_rates_whose_sum_overflows_still_mix():
                           [[0.25, 0.75], [0.25, 0.75]])
     # a finite sum keeps its bits
     assert np.array_equal(coupling_matrix(0.1, 8e307, 8e307), np.full((2, 2), 0.5))
+
+
+def test_fast_mode_of_rates_whose_sum_overflows():
+    # h1 + h2 = inf, yet (h1 + h2) s = 0.02: E = e^-0.02, not 0, and A1 s is finite
+    a1_s = np.array([[-1e308, 1e308], [1e308, -1e308]]) * 1e-310
+    np.testing.assert_allclose(coupling_matrix(1e-310, 1e308, 1e308), expm(a1_s),
+                               rtol=1e-14, atol=0)

@@ -381,24 +381,6 @@ def test_snapshot_stride_far_below_a_step_snaps_every_step():
         assert np.array_equal(traj.snapshots[1:, 0], traj.u[1:])
 
 
-@pytest.mark.parametrize("n_cells, n_steps, stride",
-                         [(1, 9000, 7.0), (7, 5000, 0.05), (50, 1000, 1e-9), (200, 1200, 0.37)])
-def test_snapshot_callback_sees_each_snapshot_once_in_order(n_cells, n_steps, stride):
-    # together the batches are the trajectory's snapshots: the stepped loop passes
-    # each as its block is read out, an exact run all of them at once
-    sc = dataclasses.replace(_scenario(n_cells, 0.5, n_steps, 0.5), snapshot_stride=stride)
-    for stepped in (True, False):
-        batches = []
-        traj = loop._simulate(
-            sc, on_snapshots=lambda t, fields: batches.append((t.copy(), fields.copy())),
-            stepped=stepped,
-        ).trajectory
-        assert len(batches) > 1 if stepped else len(batches) == 1
-        assert all(len(t) == len(fields) > 0 for t, fields in batches)
-        assert _same_bits(np.concatenate([t for t, _ in batches]), traj.snapshot_t)
-        assert _same_bits(np.concatenate([fields for _, fields in batches]), traj.snapshots)
-
-
 def test_infinite_snapshot_stride_keeps_the_initial_field_only():
     assert Recorder(Grid(10, 1.0), 10, 0.1, np.inf)._snap_steps.tolist() == [0]
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from conftest import field_from, random_field
 from pfhx import (
@@ -13,6 +14,7 @@ from pfhx import (
     step_exact,
     zero_field,
 )
+from pfhx.solver import _Tube
 
 
 def params_with(h1=1.0, h2=2.0, k1=0.5, k2=0.5, l=1.0, tau=0.5):
@@ -224,3 +226,14 @@ def test_missing_boundary_value_names_time():
     inputs = np.zeros((4, 2))  # covers t <= 0.3
     with pytest.raises(ValueError, match="0.4"):
         step_exact(zero_field(grid), 0.3, inputs, params_with(), grid)
+
+
+def test_tube_fast_mode_of_rates_whose_sum_overflows():
+    # h1 + h2 = inf, yet (h1 + h2) i dx = 0.02 i: node i's difference mode decays by
+    # e^(-0.02 i), the E = M00 - M10 of M = exp(A1 i dx), and A1 i dx is finite
+    params, dx = params_with(h1=1e308, h2=1e308, l=4e-310, tau=2e-310), 1e-310
+    tube = _Tube(np.zeros((5, 2)), 4, params, dx)
+    a1 = np.array([[-1e308, 1e308], [1e308, -1e308]])
+    expected = [m[0, 0] - m[1, 0] for m in (expm(a1 * (i * dx)) for i in range(5))]
+    np.testing.assert_allclose(tube.decay, expected, rtol=1e-14, atol=0)
+    assert tube.a == tube.b == 0.5

@@ -3,7 +3,7 @@
 A short run or sweep is mostly process start-up, so every command leaves
 out what it never uses: ``numpy.ma`` (which ``np.unique`` imports),
 ``numpy.random`` unless a profile draws from it, and ``multiprocessing``
-unless a run forks its snapshot writer or a sweep starts its pool.
+unless a sweep starts its pool.
 ``import pfhx`` also limits OpenBLAS to one thread unless
 ``OPENBLAS_NUM_THREADS`` is already set.
 """
@@ -46,7 +46,7 @@ def loaded(*args: str) -> dict:
 def test_run_and_sweep_leave_out_numpy_ma_and_numpy_random(args, tmp_path):
     found = loaded(*args, "-o", str(tmp_path))
     assert found["rc"] == 0
-    assert not found["numpy.ma"] and not found["numpy.random"]
+    assert not found["numpy.ma"] and not found["numpy.random"] and not found["multiprocessing"]
 
 
 @pytest.mark.parametrize("args", [
