@@ -50,13 +50,7 @@ from .solver import (
     solve_upwind,
     step_exact,
 )
-from .observer import (
-    control_law,
-    observer_step,
-    predict,
-    predict_by_resolve,
-    predict_exit,
-)
+from .observer import predict
 from .loop import (
     RunResult,
     RunSummary,
@@ -96,17 +90,13 @@ __all__ = [
     "closed_form_state",
     "compatibility_check",
     "condition_report",
-    "control_law",
     "coupling_matrix",
     "discrete_response",
     "fit_decay",
     "input_function",
     "l2_norm",
     "make_field",
-    "observer_step",
     "predict",
-    "predict_by_resolve",
-    "predict_exit",
     "profile_array",
     "run_delay_free_feedback",
     "run_scenario",

@@ -13,8 +13,8 @@ entry rolls off like e^{-Re(s) l} for large positive real part.
 
 ``discrete_response`` gives the gain that a measurement of the upwind
 scheme would read: the steady response of its linear, time-invariant step
-to a sinusoidal inlet, solved exactly in the z-domain instead of stepped
-until the transient flushes.  It deliberately models the dissipative upwind
+to a sinusoidal inlet, solved exactly in the z-domain instead of run step
+by step until the transient flushes.  It deliberately models the dissipative upwind
 scheme at CFL < 1: the characteristic solver reproduces G to rounding and
 would make the comparison a tautology, while the upwind route has an honest
 O(dx) discretization error that must shrink under grid refinement.
@@ -88,7 +88,7 @@ def discrete_response(omegas, params: Params, grid: Grid, cfl: float = 0.5) -> n
     z^j T(z)^i at node i, where T(z) = c (z I - (1 - c) M)^{-1} M, so the
     exit gain is T(z)^n_cells with its rows swapped, because output row i
     observes the opposite stream.  This is what fitting sinusoids to the
-    stepped exit values gives once the transient has flushed, and it keeps
+    exit values of a run gives once the transient has flushed, and it keeps
     the scheme's O(dx) error against G(i omega).  omega = 0 is z = 1.
 
     T(z) shares M's eigenvectors, which are A1's: an eigenvalue mu of M

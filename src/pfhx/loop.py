@@ -16,13 +16,6 @@ at t uses only information available strictly before t plus the
 measurement that arrives at t.  While t <= tau no measurement exists and
 the input is an optional open-loop warm-up signal (zero by default).
 
-The simulation does the same arithmetic in another order: the observer
-runs in its own time, in step with the plant.  Simulation step s advances
-the plant to s, sets its inflow u(s), then advances the observer to s,
-whose inflow needs y(s) and u(s), both known by then.  The prediction for
-step s + m is made from obs(s) and kept until that step.  So u(t) still
-reads obs(t - tau) only, and no plant field from tau ago is kept.
-
 The estimation error evolves autonomously (its boundary condition is the
 homogeneous cross coupling), so the ``error_system`` controller simulates
 it directly; it doubles as the decoupling oracle and as the empirical
@@ -46,10 +39,12 @@ K = -[[0, k1], [k2, 0]], and Sano's u2[j] = -k exp(A1 l)[0, 1] u2[j - m - n].
 An exact run computes its inlet history by that recurrence, in blocks of
 at least a few hundred steps where the lag is shorter (``_lagged``, by
 powers of the lag map), and every column from the history and the
-initial fields (``_recur``, ``solver._Tube``).  The stepped loop (``_step``: the
-solver's march loop, ``solver._march``, advances every field in a
-recorder block row by one step and asks the law for the inflow pair)
-runs the upwind solver, and the exact one too as the recurrence's oracle.
+initial fields (``_recur``, ``solver._Tube``), with no field advanced
+step by step.  The observer's error of observer time s is normed at step
+s + m, when its measurement arrives.  The upwind solver runs the open loop
+only, one step at a time (``solver._solve``).  tests/oracle.py advances
+every exact law one step at a time, field by field: the recurrence's
+oracle.
 """
 
 from __future__ import annotations
@@ -64,10 +59,10 @@ from .analysis import ConditionReport, DecayReport, condition_report, fit_decay
 from .coupling import coupling_matrix
 from .errors import ConfigError
 from .grid import Grid, _l2, check_field
-from .observer import _cross_law, _exit_propagator, _inject, _predict_exit
+from .observer import _cross_law
 from .params import Params, SanoReport
 from .profiles import _draws, input_function, profile_array
-from .solver import Recorder, Trajectory, _march, _physical_memory, _snapshot_steps, _Tube
+from .solver import Recorder, Trajectory, _physical_memory, _snapshot_steps, _solve, _Tube
 
 
 @dataclass
@@ -136,10 +131,9 @@ def _input_pair(specs: tuple[str, str]):
 
 @dataclass
 class _Run:
-    """A checked scenario: its law, its grid with tau and T snapped, its initial data and inputs."""
+    """A checked scenario: its grid with tau and T snapped, its initial data and inputs."""
 
-    controller: str  # the name the summary reports
-    law: object
+    controller: str  # the name the summary reports, which names its recurrence
     delayed: bool  # the law acts on delayed measurements: T > tau, fit from tau + 2l
     with_observer: bool
     grid: Grid
@@ -167,10 +161,10 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
     the input specs parsed.
     """
     if delay_free:
-        controller, (law, delayed, with_observer) = "delay_free", _DELAY_FREE
+        controller, (delayed, with_observer) = "delay_free", _DELAY_FREE
     elif scenario.controller in _CONTROLLERS:
         controller = scenario.controller
-        law, delayed, with_observer = _CONTROLLERS[controller]
+        delayed, with_observer = _CONTROLLERS[controller]
     else:
         raise ConfigError(
             f"unknown controller {scenario.controller!r} "
@@ -232,7 +226,7 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
     rng = np.random.default_rng(scenario.seed) if draws else None
     theta0 = _resolve_field(grid, scenario.theta0, rng)
     observer0 = _resolve_field(grid, scenario.observer0, rng)
-    return _Run(controller, law, delayed, with_observer, grid, m, tau_used, tau_snapped, dt,
+    return _Run(controller, delayed, with_observer, grid, m, tau_used, tau_snapped, dt,
                 n_steps, T_used, warnings, theta0, observer0,
                 _input_pair(scenario.u_open), _input_pair(scenario.warmup_u))
 
@@ -284,95 +278,6 @@ def _summarize(scenario: Scenario, traj: Trajectory, run: _Run, start: float) ->
         wall_time_s=wall,
         warnings=warnings,
     )
-
-
-# A boundary law is called as law(scenario, run, rec) and returns the
-# fields to evolve, made from run.theta0 and run.observer0 and stacked in
-# that order in each block row, and inflow(jn, row): the plant's pair to
-# impose at x = 0 at step jn, given the row with every interior already
-# advanced.  inflow sets the inflow of any other field itself.
-
-
-def _observer_predictor(scenario, run, rec):
-    """Observer in its own time, closed-form exit prediction, cross feedback on it.
-
-    Each row holds the plant and the observer at the same step s.  Once the
-    law knows u(s), the observer takes its inflow from y(s), the plant exits
-    in that row, and u(s).  The recorder keeps u at every step index and
-    norms obs(s) - theta(s) into ``obs_err_l2[s + m]``.  At step s the
-    predictor kernel makes the exit prediction for step s + min(m, n): for
-    m <= n from obs(s), for m > n from u(s); it is kept until then.
-    """
-    p, m, n = scenario.params, run.m, run.grid.n_cells
-    k1, k2, dt = p.k1, p.k2, run.dt
-    prop = _exit_propagator(m, n, run.tau_used, p)
-    warm, theta0, observer0 = run.warmup_u, run.theta0, run.observer0
-    rec.obs_err_l2[:m] = _l2(observer0 - theta0, run.grid.dx)
-    lead = min(m, n)
-    ahead = np.empty((lead, 2))  # step s reads, then refills, row s % lead
-
-    def inflow(s, row):
-        if s > m:
-            pred_exit = ahead[s % lead]
-            rec.pred_err_at_l[s] = pred_exit - row[-1, 0]
-            u_new = _cross_law(k1, k2, pred_exit)
-        else:
-            u_new = warm(s * dt)
-        obs = row[:, 1]
-        _inject(obs, k1, k2, row[-1, 0, ::-1], u_new)  # y(s) is the swapped plant exit pair
-        ahead[s % lead] = _predict_exit(obs, u_new, m, prop)
-        return u_new
-
-    return (theta0, observer0), inflow
-
-
-def _static_feedback(scenario, run, rec):
-    """Sano's static delayed output feedback u1 = 0, u2(t) = -k * theta1(t - tau, l)."""
-    k, m = scenario.sano_k, run.m
-
-    def inflow(jn, row):
-        if jn >= m:
-            return np.array([0.0, -k * rec.exit_at(jn - m)[0]])
-        return np.zeros(2)
-
-    return (run.theta0,), inflow
-
-
-def _cross_feedback(scenario, run, rec):
-    """Cross feedback on the current exits, u1 = -k1 theta2(t, l), u2 = -k2 theta1(t, l).
-
-    In a delayed run it is the delay-free reference loop, which applies the
-    warm-up input while t <= tau; otherwise it is the error system, which
-    evolves observer0 - theta0 under the feedback from the first step.  Its
-    plant_l2 column then holds the error norm and its u columns the
-    boundary values the error system generates for itself; with zero gains
-    the error flushes to exactly zero strictly after t = l.
-    """
-    k1, k2, dt, warm = scenario.params.k1, scenario.params.k2, run.dt, run.warmup_u
-    wait = run.m if run.delayed else 0
-
-    def inflow(jn, row):
-        if jn > wait:
-            return _cross_law(k1, k2, row[-1, 0])
-        return warm(jn * dt)
-
-    return (run.theta0 if run.delayed else run.observer0 - run.theta0,), inflow
-
-
-def _open_loop(scenario, run, rec):
-    """The configured open-loop input signals."""
-    u, dt = run.u_open, run.dt
-    return (run.theta0,), lambda j, row: u(j * dt)
-
-
-def _step(scenario: Scenario, run: _Run) -> Trajectory:
-    """The stepped loop: each step fills its block row (the upwind solver, and the oracle)."""
-    rec = Recorder(run.grid, run.n_steps, run.dt, scenario.snapshot_stride,
-                   obs_lag=run.m if run.with_observer else None)
-    cfl = scenario.cfl if scenario.solver == "upwind" else None
-    fields, inflow = run.law(scenario, run, rec)
-    rec.first()[...] = np.stack(fields, axis=1)
-    return _march(rec, scenario.params, cfl, inflow)
 
 
 # A recurrence is called as recurrence(scenario, run, tube) and feeds the
@@ -477,7 +382,15 @@ def _recur_static(scenario, run, tube):
 
 
 def _recur_feedback(scenario, run, tube):
-    """The delay-free loop after its warm-up, or the error system from the first step."""
+    """The cross feedback on the current exits, u1 = -k1 theta2(t, l), u2 = -k2 theta1(t, l).
+
+    In a delayed run it is the delay-free reference loop, which applies the
+    warm-up input while t <= tau; otherwise it is the error system, which
+    evolves observer0 - theta0 under the feedback from the first step.  Its
+    plant_l2 column then holds the error norm and its u columns the
+    boundary values the error system generates for itself; with zero gains
+    the error flushes to exactly zero strictly after t = l.
+    """
     _recur_cross(run, tube, scenario.params, run.m if run.delayed else 0)
     return None, None
 
@@ -514,35 +427,35 @@ def _recur(scenario: Scenario, run: _Run) -> Trajectory:
     )
 
 
-def _simulate(scenario: Scenario, delay_free: bool = False, stepped: bool = False) -> RunResult:
+def _simulate(scenario: Scenario, delay_free: bool = False) -> RunResult:
     """The run skeleton every boundary law shares.
 
     On the exact solver the run is its boundary recurrence (``_recur``);
-    the upwind solver, and with ``stepped`` the exact one too, steps every
-    field (``_step``), which is the recurrence's oracle.  The law's set-up
-    and the run go with numpy's overflow and invalid-value warnings off: a
-    run that overflows is reported by ``Trajectory.is_finite`` instead,
-    and ``pfhx run`` names its first non-finite value.
+    the upwind solver steps the open loop.  The run goes with numpy's
+    overflow and invalid-value warnings off: a run that overflows is
+    reported by ``Trajectory.is_finite`` instead, and ``pfhx run`` names
+    its first non-finite value.
     """
     start = time.perf_counter()
     run = _prepare(scenario, delay_free)
     with np.errstate(over="ignore", invalid="ignore"):
-        if stepped or scenario.solver == "upwind":
-            traj = _step(scenario, run)
+        if scenario.solver == "upwind":
+            traj = _solve(run.theta0, run.u_open, run.n_steps, scenario.params, run.grid,
+                          scenario.cfl, scenario.snapshot_stride, 0.0)
         else:
             traj = _recur(scenario, run)
     return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start))
 
 
-# controller -> (boundary law, whether the run must outlast the delay, whether it runs an observer)
+# controller -> (whether the run must outlast the delay, whether it runs an observer)
 _CONTROLLERS = {
-    "observer_predictor": (_observer_predictor, True, True),
-    "sano_static": (_static_feedback, True, False),
-    "open_loop": (_open_loop, False, False),
-    "error_system": (_cross_feedback, False, False),
+    "observer_predictor": (True, True),
+    "sano_static": (True, False),
+    "open_loop": (False, False),
+    "error_system": (False, False),
 }
 # the reference loop: a law to compare against, not a controller a scenario names
-_DELAY_FREE = (_cross_feedback, True, False)
+_DELAY_FREE = (True, False)
 # the name a run reports -> its boundary recurrence on the exact solver
 _RECURRENCES = {
     "observer_predictor": _recur_observer_predictor,

@@ -104,9 +104,11 @@ def validate_gains(params: Params) -> GainReport:
 class SanoReport:
     """Delay window for the static output feedback u1 = 0, u2 = -k*y2.
 
-    That controller is known to stabilize the plant when k^2 < h2/h1 and
-    h1*l < tau < h2*l/k^2; outside the window stability is an open
-    question, so membership is reported without any stability claim.
+    The literature's sufficient condition for that controller to stabilize
+    the plant is k^2 < h2/h1 and h1*l < tau < h2*l/k^2.  It is sufficient,
+    not necessary: runs decay outside it too (on h1 = 1, h2 = 2, l = 1, at
+    tau = 0.5 with k = 1, 2 and 3), so membership is reported without any
+    claim about a run outside the window.
     """
 
     applicable: bool
@@ -118,7 +120,11 @@ class SanoReport:
 
 
 def sano_window(params: Params, k: float) -> SanoReport:
-    """Evaluate the static-feedback delay window h1*l < tau < h2*l/k^2."""
+    """Evaluate the static-feedback delay window h1*l < tau < h2*l/k^2.
+
+    The window, with k^2 < h2/h1, is the literature's sufficient condition
+    for stability (``SanoReport``), not a necessary one.
+    """
     if params.h1 <= 0 or params.h2 <= 0:
         return SanoReport(
             applicable=False,

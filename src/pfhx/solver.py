@@ -223,50 +223,41 @@ class Recorder:
 
     The step kernel writes each new field straight into a row of a
     cache-sized block: ``rows`` hands out the rows of steps j - 1 and j.
-    A row has shape (n_cells + 1, fields, 2): the plant, and given an
-    ``obs_lag`` the observer at the same step.  When the block is full,
-    and at ``finish``, it is read once to fill ``plant_l2``,
-    ``exit_values`` and the snapshots due in it; with an observer, the
-    error obs(s) - theta(s) is normed into ``obs_err_l2[s + obs_lag]``.
-    The block's last row carries over to the next block.  The run writes
-    ``u``, ``pred_err_at_l`` and the first ``obs_lag`` observer errors
-    itself.  Steps arrive in order, from ``first`` on.
+    A row has shape (n_cells + 1, 2).  When the block is full, and at
+    ``finish``, it is read once to fill ``plant_l2``, ``exit_values`` and
+    the snapshots due in it.  The block's last row carries over to the
+    next block.  The run writes step 0's field into ``block[0]``, and ``u``
+    itself.  Steps arrive in order.
     """
 
-    def __init__(self, grid: Grid, n_steps: int, dt: float, snapshot_stride: float,
-                 obs_lag: int | None = None):
+    def __init__(self, grid: Grid, n_steps: int, dt: float, snapshot_stride: float):
         if snapshot_stride <= 0:
             raise ValueError("snapshot stride must be positive")
         self.dt = dt
         self.dx = grid.dx
-        self.obs_lag = obs_lag
         total = n_steps + 1
         self.t = np.arange(total) * dt
         self.plant_l2 = np.zeros(total)
-        self.obs_err_l2 = np.zeros(total)
-        self.pred_err_at_l = np.zeros((total, 2))
         self.u = np.zeros((total, 2))
         self.exit_values = np.zeros((total, 2))
         self._snap_steps = _snapshot_steps(n_steps, dt, snapshot_stride)
         self.snapshots = np.zeros((len(self._snap_steps), grid.n_cells + 1, 2))
         rows = _block_rows(grid.n_cells + 1)
-        self.block = np.empty((rows, grid.n_cells + 1, 1 if obs_lag is None else 2, 2))
+        self.block = np.empty((rows, grid.n_cells + 1, 2))
         self._work = np.empty((2, rows, grid.n_cells + 1))
         self.start = 0  # the step in block row 0
-        self.used = 0  # rows written
+        self.used = 1  # rows written, step 0's included
         self.fresh = 0  # the first row not yet read out
 
     @staticmethod
     def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float) -> float:
-        """What a Recorder with an observer allocates, from arithmetic alone."""
+        """An upper bound on what a run records, from arithmetic alone.
+
+        Its columns, its snapshots, and three blocks' worth of node rows.
+        """
         snaps = math.floor(min(n_steps, n_steps * dt / snapshot_stride + 1e-9)) + 1
         per_step = 72.0  # t, both norms, and the pred_err_at_l, u and exit pairs
         return per_step * (n_steps + 1) + 16.0 * n_nodes * (snaps + 3 * _block_rows(n_nodes))
-
-    def first(self) -> np.ndarray:
-        """The row that step 0 is written into."""
-        self.used = 1
-        return self.block[0]
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows of the previous step and of the next step, which the kernel fills."""
@@ -278,38 +269,23 @@ class Recorder:
         self.used += 1
         return self.block[self.used - 2], self.block[self.used - 1]
 
-    def exit_at(self, j: int) -> np.ndarray:
-        """The plant's exit pair at step j, which may still be in the block."""
-        if j >= self.start:
-            return self.block[j - self.start, -1, 0]
-        return self.exit_values[j]
-
     def _read_block(self) -> None:
         lo, hi = self.start + self.fresh, self.start + self.used
         blk = self.block[self.fresh:self.used]
-        plant = blk[:, :, 0]
-        _block_l2(plant[..., 0], plant[..., 1], self.dx, self.plant_l2[lo:hi], self._work)
-        self.exit_values[lo:hi] = plant[:, -1]
+        _block_l2(blk[..., 0], blk[..., 1], self.dx, self.plant_l2[lo:hi], self._work)
+        self.exit_values[lo:hi] = blk[:, -1]
         a, b = np.searchsorted(self._snap_steps, (lo, hi))
-        self.snapshots[a:b] = self.block[self._snap_steps[a:b] - self.start, :, 0]
-        # the observer error of step s is obs_err_l2[s + obs_lag], which may run past the end
-        live = 0 if self.obs_lag is None else min(hi, len(self.t) - self.obs_lag) - lo
-        if live > 0:
-            obs, plant = blk[:live, :, 1], plant[:live]
-            d1, d2 = self._work[0][:live], self._work[1][:live]
-            np.subtract(obs[..., 0], plant[..., 0], out=d1)
-            np.subtract(obs[..., 1], plant[..., 1], out=d2)
-            lag = lo + self.obs_lag
-            _block_l2(d1, d2, self.dx, self.obs_err_l2[lag:lag + live], self._work)
+        self.snapshots[a:b] = self.block[self._snap_steps[a:b] - self.start]
         self.fresh = self.used
 
     def finish(self) -> Trajectory:
         self._read_block()
+        total = len(self.t)
         return Trajectory(
             t=self.t,
             plant_l2=self.plant_l2,
-            obs_err_l2=self.obs_err_l2,
-            pred_err_at_l=self.pred_err_at_l,
+            obs_err_l2=np.zeros(total),
+            pred_err_at_l=np.zeros((total, 2)),
             u=self.u,
             exit_values=self.exit_values,
             snapshot_t=self._snap_steps * self.dt,
@@ -334,23 +310,20 @@ def _mix_operand(step_matrix: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _advance_exact(field: np.ndarray, mix: np.ndarray, u_new, out=None) -> np.ndarray:
-    """One exact characteristic step of a field of shape (n_cells+1, ..., 2).
+    """One exact characteristic step of a field of shape (n_cells+1, 2).
 
     Node i + 1 takes the step matrix applied to node i and node 0 takes
-    ``u_new``.  The axes between the node and the stream axis stack
-    independent fields, mixed by one matmul over every (node, field) row;
-    ``mix`` is ``_mix_operand(step_matrix, n_cells)``, made once per run.
-    With one node row per field each field's row goes to gemv on its own,
-    so that stacking keeps the bits of an unstacked step.  ``out``, a
-    C-contiguous buffer of the field's shape, receives the new field, which
-    is returned.
+    ``u_new``; ``mix`` is ``_mix_operand(step_matrix, n_cells)``, made once
+    per run.  At n_cells = 1 the node row is a stack of one, which numpy
+    hands to gemv.  ``out``, a C-contiguous buffer of the field's shape,
+    receives the new field, which is returned.
     """
     if out is None:
         out = np.empty(field.shape)
     if len(field) == 2:
         np.matmul(field[0].reshape(-1, 1, 2), mix, out=out[1].reshape(-1, 1, 2))
     else:
-        np.matmul(field[:-1].reshape(-1, 2), mix, out=out[1:].reshape(-1, 2))
+        np.matmul(field[:-1], mix, out=out[1:])
     out[0] = u_new
     return out
 
@@ -359,42 +332,37 @@ def _advance_upwind(field: np.ndarray, out: np.ndarray, adv: np.ndarray, mix: np
                     cfl: float) -> None:
     """One split upwind step from ``field`` into ``out``, with ``adv`` as scratch.
 
-    The three are C-contiguous buffers of one shape (n_cells+1, ..., 2).
-    Every node of ``out`` but node 0, which the caller sets to the inflow,
-    receives the new field.  The axes between the node and the stream axis
-    stack independent runs that share the grid, CFL and coupling; they are
-    flattened, so the advection works on 2-D (node, column) slices and the
-    mixing is one 2-D matmul over every (node, run) row.  ``mix`` is
-    ``_mix_operand(step_matrix, n_cells + 1)``, made once per run.
+    The three are C-contiguous buffers of shape (n_cells+1, 2).  Every node
+    of ``out`` but node 0, which the caller sets to the inflow, receives
+    the new field.  ``mix`` is ``_mix_operand(step_matrix, n_cells + 1)``,
+    made once per run.
     """
-    f, o, a = (np.reshape(b, (len(b), -1)) for b in (field, out, adv))
-    np.multiply(f[1:], 1.0 - cfl, out=a[1:])
-    np.multiply(f[:-1], cfl, out=o[1:])
-    np.add(a[1:], o[1:], out=a[1:])
-    a[0] = f[0]
-    np.matmul(a.reshape(-1, 2), mix, out=o.reshape(-1, 2))
+    np.multiply(field[1:], 1.0 - cfl, out=adv[1:])
+    np.multiply(field[:-1], cfl, out=out[1:])
+    np.add(adv[1:], out[1:], out=adv[1:])
+    adv[0] = field[0]
+    np.matmul(adv, mix, out=out)
 
 
 def _march(rec: Recorder, params: Params, cfl: float | None, inflow) -> Trajectory:
     """The one loop that steps a Recorder, from its first row to its last.
 
-    Each step advances every field of the row by one exact step (``cfl``
-    None) or one split upwind step at ``cfl``, with zero inflow; then
-    ``inflow(j, row)`` returns the plant's inflow pair at step j and sets
-    that of any other field itself.  The kernels are looked up at each
-    call, where the benchmark's tracer wraps them.
+    Each step advances the field by one exact step (``cfl`` None) or one
+    split upwind step at ``cfl``, and sets its node 0 to ``inflow(j)``, the
+    inflow pair at step j.  The kernels are looked up at each call, where
+    the benchmark's tracer wraps them.
     """
     n = rec.block.shape[1] - 1
     mix = _mix_operand(coupling_matrix(rec.dt, params.h1, params.h2), n if cfl is None else n + 1)
     adv = np.empty(rec.block.shape[1:])
     for j in range(1, len(rec.t)):
         prev, row = rec.rows()
+        rec.u[j] = u = inflow(j)
         if cfl is None:
-            _advance_exact(prev, mix, 0.0, row)
+            _advance_exact(prev, mix, u, row)
         else:
             _advance_upwind(prev, row, adv, mix, cfl)
-            row[0] = 0.0
-        row[0, 0] = rec.u[j] = inflow(j, row)
+            row[0] = u
     return rec.finish()
 
 
@@ -418,7 +386,9 @@ def solve_exact(
     t0: float = 0.0,
 ) -> Trajectory:
     """Run the exact solver from t0 to t0 + T and record the trajectory."""
-    return _solve(theta0, inputs, grid.snap_steps(T)[0], params, grid, None, snapshot_stride, t0)
+    n_steps = grid.snap_steps(T)[0]
+    return _solve(check_field(theta0, grid), inputs, n_steps, params, grid, None, snapshot_stride,
+                  t0)
 
 
 def solve_upwind(
@@ -437,17 +407,22 @@ def solve_upwind(
     n_steps, _, changed = grid.snap_steps(T, dt=cfl * grid.dx)
     if changed:
         raise ValueError(f"final time {T} is not a whole number of steps dt={cfl * grid.dx}")
-    return _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0)
+    return _solve(check_field(theta0, grid), inputs, n_steps, params, grid, cfl, snapshot_stride,
+                  t0)
 
 
 def _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0) -> Trajectory:
-    """An oracle run: theta0 at t0, then the inputs at each step's time."""
+    """A run step by step: theta0 at t0, then the inputs at each step's time.
+
+    The exact solver at ``cfl`` None, else the upwind scheme, whose step is
+    cfl * dx: the solver oracles, and the upwind open loop.
+    """
     dt = grid.dt if cfl is None else cfl * grid.dx
     trace = as_trace(inputs, dt)
     rec = Recorder(grid, n_steps, dt, snapshot_stride)
     rec.t = rec.t + t0
-    rec.first()[:, 0] = check_field(theta0, grid)
-    return _march(rec, params, cfl, lambda j, row: trace(t0 + j * dt))
+    rec.block[0] = theta0
+    return _march(rec, params, cfl, lambda j: trace(t0 + j * dt))
 
 
 def closed_form_state(
@@ -458,7 +433,7 @@ def closed_form_state(
     theta(t, x) = exp(A1 t) theta0(x - t) where the characteristic reaches
     back to the initial data (x >= t), and exp(A1 x) u(t - x) where it
     reaches back to the boundary (x < t).  Used as an independent check of
-    the stepped solver, both agreeing to rounding, and started at t - tau
+    ``solve_exact``, both agreeing to rounding, and started at t - tau
     from the estimate, it is the predictor (``observer.predict``).
     """
     trace = as_trace(inputs, grid.dt)

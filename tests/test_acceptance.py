@@ -15,6 +15,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import field_from, random_field
+from oracle import predict_by_resolve
 from pfhx import (
     Grid,
     Params,
@@ -24,7 +25,6 @@ from pfhx import (
     fit_decay,
     l2_norm,
     predict,
-    predict_by_resolve,
     run_scenario,
     solve_exact,
     solve_upwind,

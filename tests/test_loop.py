@@ -4,26 +4,25 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracle
 from conftest import field_from
+from oracle import control_law, observer_step, predict_exit
 from pfhx import (
     ConfigError,
     Grid,
     Params,
     Scenario,
-    control_law,
     fit_decay,
     input_function,
     l2_norm,
     loop,
-    observer_step,
-    predict_exit,
     profile_array,
     run_delay_free_feedback,
     run_scenario,
 )
 from pfhx.coupling import coupling_matrix
 from pfhx.history import as_trace
-from pfhx.loop import _simulate, check_scenario
+from pfhx.loop import check_scenario
 from pfhx.solver import _advance_exact, _mix_operand
 
 
@@ -388,13 +387,8 @@ def _index_scenario(tau: float, controller: str = "observer_predictor", **kw) ->
                     warmup_u=("sine(1, 4)", "constant(0.5)"), **kw)
 
 
-def _stepped(sc: Scenario, delay_free: bool = False):
-    """The stepped loop, the oracle of the boundary recurrence that exact runs make."""
-    return _simulate(sc, delay_free=delay_free, stepped=True).trajectory
-
-
 def _reference_closed_loop(sc: Scenario) -> dict:
-    """The observer-predictor loop built from the public, separately tested pieces."""
+    """The observer-predictor loop built from the oracle's separately tested pieces."""
     p = sc.params
     grid = Grid(sc.n_cells, p.l)
     m, tau_used, _ = grid.snap_tau(p.tau)
@@ -441,7 +435,7 @@ DELAY_EDGES = [0.02, 0.98, 1.0, 1.02, 1.5]  # dt, l - dt, l, l + dt, 1.5 l at n_
 @pytest.mark.parametrize("tau", DELAY_EDGES)
 def test_closed_loop_matches_reference_loop_at_delay_edges(tau):
     sc = _index_scenario(tau)
-    traj = _stepped(sc)
+    traj = oracle.simulate(sc)
     expected = _reference_closed_loop(sc)
     for name, values in expected.items():
         assert np.array_equal(getattr(traj, name), values), name
@@ -452,7 +446,7 @@ def test_closed_loop_matches_reference_loop_at_delay_edges(tau):
 def test_sano_baseline_matches_reference_loop(tau):
     k = 0.8
     sc = _index_scenario(tau, controller="sano_static", sano_k=k)
-    traj = _stepped(sc)
+    traj = oracle.simulate(sc)
     grid = Grid(sc.n_cells, sc.params.l)
     m, _, _ = grid.snap_tau(tau)
     n_steps, _, _ = grid.snap_steps(sc.T)
@@ -477,7 +471,7 @@ def test_sano_baseline_matches_reference_loop(tau):
 @pytest.mark.parametrize("tau", DELAY_EDGES)
 def test_delay_free_feedback_matches_reference_loop(tau):
     sc = _index_scenario(tau)
-    traj = _stepped(sc, delay_free=True)
+    traj = oracle.simulate(sc, delay_free=True)
     p = sc.params
     grid = Grid(sc.n_cells, p.l)
     m, tau_used, _ = grid.snap_tau(tau)
@@ -505,7 +499,7 @@ def test_delay_free_feedback_matches_reference_loop(tau):
 def test_error_system_matches_reference_loop(tau):
     # the estimation error is the observer of a zero plant under zero input
     sc = _index_scenario(tau, controller="error_system")
-    traj = _stepped(sc)
+    traj = oracle.simulate(sc)
     grid = Grid(sc.n_cells, sc.params.l)
     n_steps, _, _ = grid.snap_steps(sc.T)
     err = sc.observer0 - sc.theta0

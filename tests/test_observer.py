@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import random_field
-from pfhx import (
-    Grid,
-    Params,
-    control_law,
-    observer_step,
-    predict,
-    predict_by_resolve,
-    predict_exit,
-    step_exact,
-    zero_field,
-)
+from oracle import control_law, observer_step, predict_by_resolve, predict_exit
+from pfhx import Grid, Params, predict, step_exact, zero_field
 from pfhx.coupling import coupling_matrix
 
 

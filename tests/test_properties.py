@@ -7,15 +7,24 @@ field or an inlet pair u[k] with k <= j; the upwind scheme also mixes
 neighbouring nodes convexly.  So every snapshot and exit value of a run is
 bounded by max(|theta0|, max |u| so far), up to a few ulps of rounding,
 whatever the gains, inside the theorem's bounds or outside them.
+
+Linearity: every exact law is linear in the initial data and the input
+signals, so a run is linear in array initial data (theta0, observer0)
+under zero inputs, and scaling the initial data and the input signals'
+amplitude by a scales u, the exits, the prediction errors and the
+snapshots by a and the norms by |a|.  Both hold to the rounding bounds the
+recurrence keeps against its oracle (tests/test_recurrence.py), checked
+with no oracle at all.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfhx import Grid, Params, Scenario
+from pfhx import Grid, Params, Scenario, run_delay_free_feedback
 from pfhx.loop import run_scenario
 from pfhx.profiles import profile_array
+from test_recurrence import NORM_RTOL, VALUE_RTOL
 
 ULPS = 4 * np.finfo(float).eps
 # (theta0, u_open): mixed data, and data at the bound everywhere, where a
@@ -80,3 +89,85 @@ def test_every_value_stays_in_the_hull_of_the_data_so_far(run, data, h1, h2, l, 
     assert np.all(np.abs(traj.exit_values).max(axis=1) <= bound)
     snapshot_steps = np.rint(traj.snapshot_t / traj.dt).astype(int)
     assert np.all(np.abs(traj.snapshots).max(axis=(1, 2)) <= bound[snapshot_steps])
+
+
+# every exact law: the four controllers and the delay-free reference loop
+EXACT = ["observer_predictor", "sano_static", "error_system", "open_loop", "delay_free"]
+VALUES = ("u", "exit_values", "pred_err_at_l", "snapshots")
+NORMS = ("plant_l2", "obs_err_l2")
+# zero, or a magnitude in [1/16, 4]: a scale far below one takes the data to
+# where its squares underflow in the norm, or coefficients to subnormals,
+# whose relative precision is lost in any floating-point sum
+COEF = st.one_of(st.just(0.0), st.floats(1 / 16, 4.0), st.floats(-4.0, -1 / 16))
+
+
+def _exact_run(controller, p, n_cells, theta0, observer0, amplitude):
+    """An exact run from array initial data, its input signals' amplitude scaled."""
+    a = amplitude
+    sc = Scenario(params=p, n_cells=n_cells, T=p.tau + 4 * p.l, sano_k=p.k1,
+                  controller="observer_predictor" if controller == "delay_free" else controller,
+                  theta0=theta0, observer0=observer0,
+                  warmup_u=(f"sine({a!r}, 3)", f"constant({-0.7 * a!r})"),
+                  u_open=(f"sine({2 * a!r}, 2)", f"constant({0.5 * a!r})"),
+                  snapshot_stride=0.25 * p.l)
+    runner = run_delay_free_feedback if controller == "delay_free" else run_scenario
+    return runner(sc).trajectory
+
+
+def _scale(traj) -> float:
+    return max(np.abs(getattr(traj, name)).max() for name in ("u", "exit_values", "snapshots"))
+
+
+def _norm_scale(traj) -> float:
+    return max(traj.plant_l2.max(), traj.obs_err_l2.max())
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    controller=st.sampled_from(EXACT),
+    h1=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    h2=st.floats(0.0, 20.0),
+    l=st.floats(0.5, 2.0),
+    n_cells=st.one_of(st.just(1), st.integers(1, 30)),
+    # the delay in steps: a named edge, or any count up to twice the tube
+    delay=st.one_of(st.sampled_from(["dt", "l-dt", "l", "l+dt"]), st.floats(0.0, 2.0)),
+    k1=st.floats(-1.5, 1.5),
+    k2=st.floats(-1.5, 1.5),
+    c1=COEF,
+    c2=COEF,
+    a=COEF,
+    seed=st.integers(0, 2**16),
+)
+@example(controller="observer_predictor", h1=1.0, h2=2.0, l=1.0, n_cells=7, delay="l-dt", k1=0.5,
+         k2=0.5, c1=0.7, c2=-3.0, a=-2.5, seed=1)
+@example(controller="observer_predictor", h1=1.0, h2=2.0, l=1.0, n_cells=1, delay="l+dt", k1=0.5,
+         k2=0.5, c1=1.5, c2=2.0, a=0.3, seed=2)
+@example(controller="sano_static", h1=0.0, h2=2.0, l=1.0, n_cells=5, delay="dt", k1=1.2, k2=0.5,
+         c1=-1.0, c2=0.25, a=3.0, seed=3)
+def test_exact_runs_are_linear_in_their_data(controller, h1, h2, l, n_cells, delay, k1, k2, c1, c2,
+                                             a, seed):
+    dt = l / n_cells
+    named = {"dt": 1, "l-dt": max(1, n_cells - 1), "l": n_cells, "l+dt": n_cells + 1}
+    steps = named[delay] if delay in named else max(1, round(delay * n_cells))
+    p = Params(h1=h1, h2=h2, l=l, tau=steps * dt, k1=k1, k2=k2)
+    rng = np.random.default_rng(seed)
+    theta_a, obs_a, theta_b, obs_b = rng.standard_normal((4, n_cells + 1, 2))
+
+    def run(theta0, observer0, amplitude=0.0):
+        return _exact_run(controller, p, n_cells, theta0, observer0, amplitude)
+
+    # superposition under zero inputs; the norms are not additive
+    one, two = run(theta_a, obs_a), run(theta_b, obs_b)
+    both = run(c1 * theta_a + c2 * theta_b, c1 * obs_a + c2 * obs_b)
+    scale = abs(c1) * _scale(one) + abs(c2) * _scale(two)
+    for name in VALUES:
+        gap = np.abs(getattr(both, name) - (c1 * getattr(one, name) + c2 * getattr(two, name)))
+        assert gap.max() <= VALUE_RTOL * scale, (name, gap.max(), scale)
+    # homogeneity, the input signals scaled with the initial data
+    base, scaled = run(theta_a, obs_a, 1.0), run(a * theta_a, a * obs_a, a)
+    for name in VALUES:
+        gap = np.abs(getattr(scaled, name) - a * getattr(base, name)).max()
+        assert gap <= VALUE_RTOL * abs(a) * _scale(base), (name, gap)
+    for name in NORMS:
+        gap = np.abs(getattr(scaled, name) - abs(a) * getattr(base, name)).max()
+        assert gap <= NORM_RTOL * abs(a) * _norm_scale(base), (name, gap)

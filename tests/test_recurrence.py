@@ -1,11 +1,11 @@
-"""Exact runs by boundary recurrence against the stepped loop, their oracle.
+"""Exact runs by boundary recurrence against the per-step oracle.
 
 An exact-solver run computes its inlet history by a lag-n recurrence and
 every column from that history and the initial fields (``loop._recur``);
-``loop._simulate(..., stepped=True)`` steps every field instead, as the
-upwind solver still does.  The two round differently, because exp(A1 dt)
-applied n times is not exp(A1 l) and the norms are summed in another
-order, so they agree to rounding, with these bounds:
+``oracle.simulate`` steps every field instead, one exact step at a time.
+The two round differently, because exp(A1 dt) applied n times is not
+exp(A1 l) and the norms are summed in another order, so they agree to
+rounding, with these bounds:
 
 - ``u``, ``exit_values``, ``pred_err_at_l`` and the snapshots within
   ``VALUE_RTOL`` of the run's largest value (u, exits, snapshots);
@@ -18,19 +18,25 @@ order, so they agree to rounding, with these bounds:
 Rounding grows with n_cells in the stepped loop: at the benchmark's
 n_cells = 1000 the worst is 2.2e-14 of the scale and 1.1e-13 pointwise.
 On coarse grids a recurrence block spans several lags by powers of the lag
-map (``loop._lagged``), checked here against one lag at a time.
+map (``loop._lagged``), checked here against one lag at a time.  The
+oracle shares no arithmetic with the recurrence, which
+``test_oracle_imports_nothing_of_the_recurrence`` checks.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfhx import Params, Scenario
+import oracle
+from pfhx import Params, Scenario, run_delay_free_feedback, run_scenario
 from pfhx.cli import _first_non_finite
-from pfhx.loop import _BLOCK_STEPS, _lagged, _simulate
+from pfhx.loop import _BLOCK_STEPS, _lagged
 
 VALUE_RTOL = 1e-13
 NORM_RTOL = 1e-13
@@ -58,13 +64,15 @@ def _scenario(controller, n_cells, tau, T=6.0, h1=1.0, h2=2.0, gain=0.5, **kw):
 
 
 def _both(sc, controller):
+    """The run, and the oracle's trajectory of it."""
     delay_free = controller == "delay_free"
-    return (_simulate(sc, delay_free=delay_free),
-            _simulate(sc, delay_free=delay_free, stepped=True))
+    run = run_delay_free_feedback if delay_free else run_scenario
+    return run(sc), oracle.simulate(sc, delay_free=delay_free)
 
 
 def _assert_agrees(sc, controller, pointwise=True):
-    exact, stepped = (r.trajectory for r in _both(sc, controller))
+    result, stepped = _both(sc, controller)
+    exact = result.trajectory
     assert np.array_equal(exact.t, stepped.t)
     assert np.array_equal(exact.snapshot_t, stepped.snapshot_t)
     scale = max(np.abs(c).max() for c in (stepped.u, stepped.exit_values, stepped.snapshots))
@@ -169,8 +177,8 @@ def test_overflow_is_reported_at_the_same_first_value(controller, n_cells, edge)
     tau = TAU_EDGES[edge](1.0 / n_cells)
     sc = _scenario(controller, n_cells, tau, T=20.0, gain=1e150)
     exact, stepped = _both(sc, controller)
-    assert not exact.summary.finite and not stepped.summary.finite
-    assert _first_non_finite(exact) == _first_non_finite(stepped)
+    assert not exact.summary.finite and not stepped.is_finite()
+    assert _first_non_finite(exact) == _first_non_finite(SimpleNamespace(trajectory=stepped))
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -204,3 +212,32 @@ def test_recurrence_matches_stepped_oracle_property(controller, h1, h2, l, n_cel
                   observer0=("random(0.5)", "zero"), warmup_u=("sine(1, 3)", "constant(0.5)"),
                   u_open=("sine(1, 2)", "constant(-0.5)"), snapshot_stride=0.25, seed=7)
     _assert_agrees(sc, controller)
+
+
+# what the oracle may not use: the recurrence and the runs made by it
+RECURRENCE_NAMES = {"_Tube", "_lagged", "_RECURRENCES", "_cross_map", "run_scenario", "_simulate"}
+
+
+def _recurrence_names(tree: ast.AST) -> set[str]:
+    """The names of the recurrence that a module imports, reads as attributes or spells."""
+    seen = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            seen.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        elif isinstance(node, ast.Name):
+            seen.add(node.id)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            seen.add(node.value)
+    return {name for name in seen if name in RECURRENCE_NAMES or name.startswith("_recur")}
+
+
+def test_oracle_imports_nothing_of_the_recurrence():
+    # the stepped kernel and loop._prepare's set-up are allowed
+    source = (Path(__file__).parent / "oracle.py").read_text()
+    assert _recurrence_names(ast.parse(source)) == set()
+    for line in ("from pfhx.loop import _lagged", "from pfhx.solver import _Tube as T",
+                 "loop._recur(sc, run)", "getattr(loop, '_RECURRENCES')",
+                 "import pfhx.loop._cross_map"):
+        assert _recurrence_names(ast.parse(line)), line
