@@ -20,8 +20,12 @@ and analysis tools (transfer function, the upwind scheme's exact
 frequency response, decay-rate fitting).  A CLI drives single runs,
 parameter sweeps, and frequency-response comparisons with deterministic
 CSV output.
+
+``import pfhx`` loads none of its submodules: each public name is imported
+from its home module the first time it is used.
 """
 
+import importlib
 import os
 
 # One OpenBLAS thread unless the user sets another count.  pfhx's BLAS calls
@@ -32,79 +36,35 @@ import os
 # any submodule imports it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .params import Params, GainReport, SanoReport, validate_gains, sano_window
-from .coupling import coupling_matrix
-from .grid import (
-    Grid,
-    CompatibilityReport,
-    compatibility_check,
-    l2_norm,
-    make_field,
-    zero_field,
-)
-from .profiles import input_function, profile_array
-from .solver import (
-    Trajectory,
-    closed_form_state,
-    solve_exact,
-    solve_upwind,
-    step_exact,
-)
-from .observer import predict
-from .loop import (
-    RunResult,
-    RunSummary,
-    Scenario,
-    check_scenario,
-    run_delay_free_feedback,
-    run_scenario,
-)
-from .analysis import (
-    ConditionReport,
-    DecayReport,
-    TransferEval,
-    condition_report,
-    discrete_response,
-    fit_decay,
-    transfer_function,
-)
-from .errors import ConfigError
+# Each public name's home submodule, imported on the name's first use (PEP 562).
+_HOMES = {
+    "params": ("GainReport", "Params", "SanoReport", "Scenario", "sano_window", "validate_gains"),
+    "coupling": ("coupling_matrix",),
+    "grid": ("CompatibilityReport", "Grid", "compatibility_check", "l2_norm", "make_field",
+             "zero_field"),
+    "profiles": ("input_function", "profile_array"),
+    "solver": ("Trajectory", "closed_form_state", "solve_exact", "solve_upwind", "step_exact"),
+    "observer": ("predict",),
+    "loop": ("RunResult", "RunSummary", "check_scenario", "run_delay_free_feedback",
+             "run_scenario"),
+    "analysis": ("ConditionReport", "DecayReport", "TransferEval", "condition_report",
+                 "discrete_response", "fit_decay", "transfer_function"),
+    "errors": ("ConfigError",),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CompatibilityReport",
-    "ConditionReport",
-    "ConfigError",
-    "DecayReport",
-    "GainReport",
-    "Grid",
-    "Params",
-    "RunResult",
-    "RunSummary",
-    "SanoReport",
-    "Scenario",
-    "Trajectory",
-    "TransferEval",
-    "check_scenario",
-    "closed_form_state",
-    "compatibility_check",
-    "condition_report",
-    "coupling_matrix",
-    "discrete_response",
-    "fit_decay",
-    "input_function",
-    "l2_norm",
-    "make_field",
-    "predict",
-    "profile_array",
-    "run_delay_free_feedback",
-    "run_scenario",
-    "sano_window",
-    "solve_exact",
-    "solve_upwind",
-    "step_exact",
-    "transfer_function",
-    "validate_gains",
-    "zero_field",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

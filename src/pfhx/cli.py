@@ -9,12 +9,21 @@ a time; a value it cannot settle, a near tie or one outside [1e-280,
 1e300], inf and nan among them, is formatted by ``'%.16e' % x`` itself.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (non-finite values), 4 output I/O failure.
+
+A command loads only what it runs: the engine (``loop`` and the solver,
+profiles and observer it imports) is imported by the code that checks or
+runs a scenario, so ``freqresp`` never loads it.  ``main`` also has
+``gc.freeze`` run at exit, so that finalization does not collect the
+about 22k objects numpy and pfhx leave tracked; every output is closed by
+its ``with`` block before ``main`` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
+import gc
 import itertools
 import math
 import os
@@ -22,6 +31,7 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,7 +39,10 @@ from .analysis import condition_report, discrete_response, render_condition, tra
 from .config import Config, parse_config
 from .errors import ConfigError
 from .grid import Grid
-from .loop import RunResult, Scenario, check_scenario, run_scenario
+
+if TYPE_CHECKING:  # annotations only: the engine loads in the code that runs it
+    from .loop import RunResult
+    from .params import Scenario
 
 # The kernel formats at most this many values at a time, so that its
 # temporaries stay near 2 MB whatever the size of the run.
@@ -279,6 +292,8 @@ def _emit_warnings(warnings: list[str]) -> None:
 
 def _refusal(make, axis_values: dict) -> str | None:
     """Why ``make(**axis_values)``'s scenario fails the run checks, or None if it passes."""
+    from .loop import check_scenario
+
     try:
         check_scenario(make(**axis_values))
     except ConfigError as exc:
@@ -293,6 +308,8 @@ def _checked(make, axis_values: dict, warnings: list[str]) -> Scenario:
     that a swept tau causes names that tau; one that the same row at the
     base scenario's tau fails alike is reported as it is.
     """
+    from .loop import check_scenario
+
     try:
         scenario = make(**axis_values)
         found = check_scenario(scenario)
@@ -309,6 +326,8 @@ def _checked(make, axis_values: dict, warnings: list[str]) -> Scenario:
 
 def cmd_run(cfg: Config) -> int:
     """One run, then its three outputs, all in this process."""
+    from .loop import check_scenario, run_scenario
+
     scenario = cfg.scenario
     check_scenario(scenario)  # a configuration error leaves the outputs alone
     outdir = Path(cfg.out_dir)
@@ -330,6 +349,8 @@ def cmd_run(cfg: Config) -> int:
 
 
 def _sweep_worker(payload: tuple[int, Scenario]) -> tuple[int, dict]:
+    from .loop import run_scenario
+
     index, scenario = payload
     result = run_scenario(scenario)
     s = result.summary
@@ -503,6 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    atexit.unregister(gc.freeze)  # registered once per process, however often main runs
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     overrides = {key: value for key, value in vars(args).items()
                  if "." in key and value is not None}

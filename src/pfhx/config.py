@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .loop import Scenario
-from .params import Params
+from .params import Params, Scenario
 
 # section -> key -> type tag
 _SCHEMA: dict[str, dict[str, str]] = {

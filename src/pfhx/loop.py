@@ -22,7 +22,9 @@ it directly; it doubles as the decoupling oracle and as the empirical
 probe of the decay rate of the delay-free feedback generator.
 
 ``run_scenario`` runs the boundary law its scenario's controller names,
-and ``run_delay_free_feedback`` the delay-free reference loop.  Both share
+and ``run_delay_free_feedback`` the delay-free reference loop.  (A
+``Scenario`` lives in ``params``, so that reading a config loads no
+engine; it is re-exported here.)  Both share
 one skeleton, ``_simulate``: ``_prepare`` makes every run check and
 resolves the initial data and input signals.  The laws are the open-loop
 input signals, on either solver, and on the exact solver the
@@ -60,36 +62,9 @@ from .coupling import coupling_matrix
 from .errors import ConfigError
 from .grid import Grid, _l2, check_field
 from .observer import _cross_law
-from .params import Params, SanoReport
+from .params import Params, SanoReport, Scenario
 from .profiles import _draws, input_function, profile_array
 from .solver import Recorder, Trajectory, _physical_memory, _snapshot_steps, _solve, _Tube
-
-
-@dataclass
-class Scenario:
-    """Everything needed to reproduce one run.
-
-    ``theta0`` and ``observer0`` are per-component profile specs (or ready
-    ``(n_cells + 1, 2)`` arrays); ``u_open`` gives the open-loop input
-    signals and ``warmup_u`` the optional input applied while t <= tau in
-    controlled runs.  ``controller`` is one of ``observer_predictor``,
-    ``sano_static`` (needs ``sano_k``), ``open_loop``, or ``error_system``.
-    The defaults are the config file's defaults (docs/config.md).
-    """
-
-    params: Params
-    n_cells: int
-    T: float
-    controller: str = "observer_predictor"
-    theta0: object = ("zero", "zero")
-    observer0: object = ("zero", "zero")
-    sano_k: float | None = None
-    u_open: tuple[str, str] = ("zero", "zero")
-    warmup_u: tuple[str, str] = ("zero", "zero")
-    solver: str = "exact"
-    cfl: float = 0.5
-    snapshot_stride: float = 0.1
-    seed: int = 0
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Physical and control parameters, with gain and delay-window checks."""
+"""Physical and control parameters, with gain and delay-window checks, and the
+scenario of one run."""
 
 from __future__ import annotations
 
@@ -36,6 +37,33 @@ class Params:
                 raise ConfigError(f"params.{name} must be nonnegative, got {value!r}")
             if value <= 0 and name in ("l", "tau"):
                 raise ConfigError(f"params.{name} must be positive, got {value!r}")
+
+
+@dataclass
+class Scenario:
+    """Everything needed to reproduce one run.
+
+    ``theta0`` and ``observer0`` are per-component profile specs (or ready
+    ``(n_cells + 1, 2)`` arrays); ``u_open`` gives the open-loop input
+    signals and ``warmup_u`` the optional input applied while t <= tau in
+    controlled runs.  ``controller`` is one of ``observer_predictor``,
+    ``sano_static`` (needs ``sano_k``), ``open_loop``, or ``error_system``.
+    The defaults are the config file's defaults (docs/config.md).
+    """
+
+    params: Params
+    n_cells: int
+    T: float
+    controller: str = "observer_predictor"
+    theta0: object = ("zero", "zero")
+    observer0: object = ("zero", "zero")
+    sano_k: float | None = None
+    u_open: tuple[str, str] = ("zero", "zero")
+    warmup_u: tuple[str, str] = ("zero", "zero")
+    solver: str = "exact"
+    cfl: float = 0.5
+    snapshot_stride: float = 0.1
+    seed: int = 0
 
 
 @dataclass(frozen=True)

@@ -495,7 +495,7 @@ def test_sweep_rows_keep_no_snapshots_and_the_same_bytes(tmp_path, monkeypatch, 
     cfg = ROOT / "configs" / name
     stride = parse_config(cfg.read_text()).scenario.snapshot_stride
     argv = ["sweep", "-c", str(cfg), "--n-cells", "20", "--workers", "1", "-o"]
-    run = cli.run_scenario
+    run = loop.run_scenario  # cli imports it from loop when a row runs
     kept = []
 
     def counting(scenario):
@@ -503,10 +503,10 @@ def test_sweep_rows_keep_no_snapshots_and_the_same_bytes(tmp_path, monkeypatch, 
         kept.append((scenario.snapshot_stride, len(result.trajectory.snapshot_t)))
         return result
 
-    monkeypatch.setattr(cli, "run_scenario", counting)
+    monkeypatch.setattr(loop, "run_scenario", counting)
     assert main([*argv, str(tmp_path / "rows")]) == 0
     assert kept == [(math.inf, 1)] * 6
-    monkeypatch.setattr(cli, "run_scenario",
+    monkeypatch.setattr(loop, "run_scenario",
                         lambda scenario: run(dataclasses.replace(scenario, snapshot_stride=stride)))
     assert main([*argv, str(tmp_path / "strided")]) == 0
     assert (tmp_path / "rows" / "sweep.csv").read_bytes() == (

@@ -123,7 +123,7 @@ def test_power_table_is_correctly_rounded():
     assert len(hi) == cli._P[1] - cli._P[0] + 1
     for p, h, l in zip(range(cli._P[0], cli._P[1] + 1), hi.tolist(), lo.tolist()):
         exact = Fraction(10) ** (16 - p)
-        assert h == float(exact) and l == float(exact - Fraction(h)), k
+        assert h == float(exact) and l == float(exact - Fraction(h)), p
     assert np.array_equal(hi_hi + hi_lo, hi)
     assert not np.any(np.asarray(hi_hi).view(np.uint64) & np.uint64(2**27 - 1))
 

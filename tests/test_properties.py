@@ -14,7 +14,8 @@ under zero inputs, and scaling the initial data and the input signals'
 amplitude by a scales u, the exits, the prediction errors and the
 snapshots by a and the norms by |a|.  Both hold to the rounding bounds the
 recurrence keeps against its oracle (tests/test_recurrence.py), checked
-with no oracle at all.
+with no oracle at all.  The upwind open loop is linear in (theta0, u) as
+well, to a rounding bound that grows with its step count.
 """
 
 import numpy as np
@@ -171,3 +172,59 @@ def test_exact_runs_are_linear_in_their_data(controller, h1, h2, l, n_cells, del
     for name in NORMS:
         gap = np.abs(getattr(scaled, name) - abs(a) * getattr(base, name)).max()
         assert gap <= NORM_RTOL * abs(a) * _norm_scale(base), (name, gap)
+
+
+# An upwind step rounds each value by at most 2 eps of the run's largest
+# value, and it passes earlier errors on without growth (every step mixes
+# convexly), so after N steps a run is within 2 N eps of its exact value.
+# Superposition compares three runs, hence 4 eps a step.  A norm of an
+# error field is at most sqrt(2 l) times its largest value, and the
+# trapezoid sum adds about n_cells eps of the norm.
+UPWIND_STEP_RTOL = 4 * np.finfo(float).eps
+UPWIND_VALUES = ("u", "exit_values", "snapshots")
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    h1=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    h2=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    l=st.floats(0.5, 2.0),
+    n_cells=st.one_of(st.just(1), st.integers(1, 30)),
+    cfl=st.floats(0.05, 1.0),
+    c1=COEF,
+    c2=COEF,
+    a=COEF,
+    seed=st.integers(0, 2**16),
+)
+@example(h1=0.0, h2=2.0, l=1.0, n_cells=1, cfl=0.3, c1=0.7, c2=-3.0, a=-2.5, seed=1)
+@example(h1=1.0, h2=0.0, l=1.0, n_cells=7, cfl=1.0, c1=1.5, c2=2.0, a=0.3, seed=2)
+@example(h1=0.0, h2=0.0, l=1.0, n_cells=1, cfl=0.5, c1=-1.0, c2=0.25, a=3.0, seed=3)
+def test_upwind_open_loop_is_linear_in_its_data(h1, h2, l, n_cells, cfl, c1, c2, a, seed):
+    p = Params(h1=h1, h2=h2, l=l, tau=l)
+    rng = np.random.default_rng(seed)
+    theta_a, theta_b = rng.standard_normal((2, n_cells + 1, 2))
+    (s_a, s_b), (b_a, b_b) = rng.standard_normal((2, 2)).tolist()
+
+    def run(theta0, sine, constant):
+        sc = Scenario(params=p, n_cells=n_cells, T=3 * l, controller="open_loop",
+                      solver="upwind", cfl=cfl, theta0=theta0,
+                      u_open=(f"sine({sine!r}, 2)", f"constant({constant!r})"),
+                      snapshot_stride=0.25 * l)
+        return run_scenario(sc).trajectory
+
+    # superposition in (theta0, u): the inputs' amplitudes add
+    one, two = run(theta_a, s_a, b_a), run(theta_b, s_b, b_b)
+    both = run(c1 * theta_a + c2 * theta_b, c1 * s_a + c2 * s_b, c1 * b_a + c2 * b_b)
+    steps = len(one.t)
+    scale = abs(c1) * _scale(one) + abs(c2) * _scale(two)
+    for name in UPWIND_VALUES:
+        gap = np.abs(getattr(both, name) - (c1 * getattr(one, name) + c2 * getattr(two, name)))
+        assert gap.max() <= UPWIND_STEP_RTOL * steps * scale, (name, gap.max(), scale)
+    # homogeneity in the input amplitude, with the initial data scaled alike
+    scaled = run(a * theta_a, a * s_a, a * b_a)
+    for name in UPWIND_VALUES:
+        gap = np.abs(getattr(scaled, name) - a * getattr(one, name)).max()
+        assert gap <= UPWIND_STEP_RTOL * steps * abs(a) * _scale(one), (name, gap)
+    gap = np.abs(scaled.plant_l2 - abs(a) * one.plant_l2).max()
+    bound = UPWIND_STEP_RTOL * (steps + n_cells) * np.sqrt(2 * l) * abs(a) * _scale(one)
+    assert gap <= bound, gap

@@ -3,7 +3,11 @@
 A short run or sweep is mostly process start-up, so every command leaves
 out what it never uses: ``numpy.ma`` (which ``np.unique`` imports),
 ``numpy.random`` unless a profile draws from it, and ``multiprocessing``
-unless a sweep starts its pool.
+unless a sweep starts its pool.  The engine (``loop``, ``solver``,
+``profiles``, ``observer`` and ``history``) loads only in a command that
+checks or runs a scenario, so ``freqresp`` and a bare ``import pfhx.cli``
+never load it, and ``import pfhx`` loads no submodule until one of its
+names is used.
 ``import pfhx`` also limits OpenBLAS to one thread unless
 ``OPENBLAS_NUM_THREADS`` is already set.
 """
@@ -17,7 +21,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-WATCHED = ("numpy.ma", "numpy.random", "multiprocessing")
+LEAN = ("numpy.ma", "numpy.random", "multiprocessing")
+ENGINE = ("pfhx.loop", "pfhx.solver", "pfhx.profiles", "pfhx.observer", "pfhx.history")
+WATCHED = LEAN + ENGINE
 # the command in a fresh interpreter, then which of WATCHED it loaded, as JSON
 LOADED = (
     "import json, sys\n"
@@ -45,17 +51,47 @@ def loaded(*args: str) -> dict:
 ], ids=["run", "sweep"])
 def test_run_and_sweep_leave_out_numpy_ma_and_numpy_random(args, tmp_path):
     found = loaded(*args, "-o", str(tmp_path))
-    assert found["rc"] == 0
-    assert not found["numpy.ma"] and not found["numpy.random"] and not found["multiprocessing"]
+    assert found == {"rc": 0, **{module: module in ENGINE for module in WATCHED}}
 
 
-@pytest.mark.parametrize("args", [
-    ("freqresp", "-c", "configs/freqresp.ini", "--n-cells", "20"),
-    ("check", "-c", "configs/theorem_run.ini"),
+@pytest.mark.parametrize("args, engine", [
+    (("freqresp", "-c", "configs/freqresp.ini", "--n-cells", "20"), False),
+    (("check", "-c", "configs/theorem_run.ini"), True),
 ], ids=["freqresp", "check"])
-def test_freqresp_and_check_leave_out_multiprocessing(args, tmp_path):
+def test_freqresp_and_check_leave_out_multiprocessing(args, engine, tmp_path):
     found = loaded(*args, "-o", str(tmp_path))
-    assert found == {"rc": 0, **{module: False for module in WATCHED}}
+    assert found == {"rc": 0, **{module: engine and module in ENGINE for module in WATCHED}}
+
+
+def test_import_pfhx_cli_loads_no_engine():
+    code = f"import json, sys, pfhx.cli; print(json.dumps([m in sys.modules for m in {ENGINE!r}]))"
+    assert not any(json.loads(python(code)))
+
+
+def test_import_pfhx_loads_a_submodule_only_when_a_name_is_used():
+    code = (
+        "import json, sys, pfhx\n"
+        "def submodules(): return sorted(m for m in sys.modules if m.startswith('pfhx.'))\n"
+        "before, listed = submodules(), set(pfhx.__all__) <= set(dir(pfhx))\n"
+        "pfhx.Grid\n"
+        "print(json.dumps([before, listed, submodules()]))"
+    )
+    before, listed, after = json.loads(python(code))
+    assert before == [] and listed
+    assert after == ["pfhx.errors", "pfhx.grid"]
+
+
+def test_every_public_name_is_its_home_modules_object():
+    code = (
+        "import json, sys, pfhx\n"
+        "names = {n: getattr(pfhx, n) for n in pfhx.__all__}\n"
+        "print(json.dumps({n: [v.__module__, getattr(sys.modules[v.__module__], n) is v]\n"
+        "                  for n, v in names.items()}))"
+    )
+    homes = json.loads(python(code))
+    assert all(same for _, same in homes.values()), homes
+    assert homes["Scenario"][0] == "pfhx.params"
+    assert homes["run_scenario"][0] == "pfhx.loop"
 
 
 def test_import_pfhx_sets_one_blas_thread_unless_set():
