@@ -18,6 +18,12 @@ by step until the transient flushes.  It deliberately models the dissipative upw
 scheme at CFL < 1: the characteristic solver reproduces G to rounding and
 would make the comparison a tautology, while the upwind route has an honest
 O(dx) discretization error that must shrink under grid refinement.
+
+Both gains are computed one frequency at a time with ``cmath`` and
+``math``, as 2x2 nested tuples (``_transfer``, ``_upwind_gain``), which
+``pfhx freqresp`` formats as they are.  ``transfer_function`` and
+``discrete_response`` wrap them in arrays, and import numpy to do so, as
+``fit_decay`` does; importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -25,13 +31,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coupling import fast_exponent, finite_rates
 from .errors import ConfigError
 from .grid import Grid
 from .params import GainReport, Params, SanoReport, sano_window, validate_gains
+
+if TYPE_CHECKING:  # annotations only: numpy loads in the functions that build arrays
+    import numpy as np
+
+# A 2x2 gain as nested tuples, row by row: ((g11, g12), (g21, g22)).
+Gain = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
 @dataclass(frozen=True)
@@ -42,25 +53,31 @@ class TransferEval:
     matrix: np.ndarray
 
 
-def _exchange_gain(a, b, h1: float, h2: float) -> np.ndarray:
+def _mix(a: complex, b: complex, h1: float, h2: float) -> Gain:
     """exp(A1 l) with its rows swapped and its two modes weighted by ``a`` and ``b``.
 
     A1 has the eigenvalue 0 with eigenvector (1, 1) and -(h1 + h2) with
-    (h1, -h2); exp(A1 l) weights them by 1 and e^{-(h1+h2) l}.  Scalar
-    weights give a (2, 2) matrix, weight arrays of shape (k,) a (k, 2, 2)
-    stack.  With h1 = h2 = 0 both eigenvalues are 0 and ``a`` weighs both.
-    A sum h1 + h2 that overflows mixes by the same weights h1/2 over (h1 + h2)/2.
+    (h1, -h2); exp(A1 l) weights them by 1 and e^{-(h1+h2) l}.  With
+    h1 = h2 = 0 both eigenvalues are 0 and ``a`` weighs both.  A sum
+    h1 + h2 that overflows mixes by the same weights h1/2 over (h1 + h2)/2.
     """
     h1, h2, rate = finite_rates(h1, h2)
     if rate == 0.0:
-        zero = np.zeros_like(a, dtype=complex)
-        return np.stack([np.stack(row, -1) for row in ((zero, a), (a, zero))], -2)
-    rows = ((h2 * a - h2 * b, h2 * b + h1 * a), (h2 * a + h1 * b, -h1 * b + h1 * a))
-    return np.stack([np.stack(row, -1) for row in rows], -2) / rate
+        return ((0j, a), (a, 0j))
+    return (((h2 * a - h2 * b) / rate, (h2 * b + h1 * a) / rate),
+            ((h2 * a + h1 * b) / rate, (-h1 * b + h1 * a) / rate))
 
 
-def transfer_function(s: complex, params: Params) -> TransferEval:
-    """Evaluate the delay-free transfer matrix G(s)."""
+def _exchange_gain(a, b, h1: float, h2: float) -> np.ndarray:
+    """``_mix`` as an array: (2, 2) at scalar weights, (k, 2, 2) at k weights each."""
+    import numpy as np
+
+    gains = [_mix(x, y, h1, h2) for x, y in zip(np.ravel(a).tolist(), np.ravel(b).tolist())]
+    return np.array(gains, dtype=complex).reshape(np.shape(a) + (2, 2))
+
+
+def _transfer_weights(s: complex, params: Params) -> tuple[complex, complex]:
+    """G(s)'s mode weights e^{-sl} and e^{-(h1+h2+s)l}."""
     h1, h2, l = params.h1, params.h2, params.l
     try:
         a = cmath.exp(-s * l)
@@ -70,13 +87,68 @@ def transfer_function(s: complex, params: Params) -> TransferEval:
             b = cmath.exp(-fast_exponent(h1, h2, l) - s * l)
     except ValueError:  # a phase Im(s) l that overflows has no value, as a sine input's
         a = b = complex(math.nan, math.nan)
-    return TransferEval(s=s, matrix=_exchange_gain(a, b, h1, h2))
+    return a, b
 
 
-def _log1p(w: np.ndarray) -> np.ndarray:
-    """log(1 + w) for complex w, accurate for small |w|."""
+def _transfer(s: complex, params: Params) -> Gain:
+    """The delay-free transfer matrix G(s)."""
+    return _mix(*_transfer_weights(s, params), params.h1, params.h2)
+
+
+def transfer_function(s: complex, params: Params) -> TransferEval:
+    """Evaluate the delay-free transfer matrix G(s)."""
+    matrix = _exchange_gain(*_transfer_weights(s, params), params.h1, params.h2)
+    return TransferEval(s=s, matrix=matrix)
+
+
+def _log1p(w: complex) -> complex:
+    """log(1 + w) for complex w, accurate for small |w|; a |w|^2 that overflows gives inf."""
     re, im = w.real, w.imag
-    return 0.5 * np.log1p(re * (2.0 + re) + im * im) + 1j * np.arctan2(im, 1.0 + re)
+    return complex(0.5 * math.log1p(re * (2.0 + re) + im * im), math.atan2(im, 1.0 + re))
+
+
+def _checked_omegas(omegas, cfl: float) -> list[float]:
+    """The omegas as floats, once each omega and the CFL are valid."""
+    omegas = [float(omega) for omega in omegas]
+    for omega in omegas:
+        if not (math.isfinite(omega) and omega >= 0):
+            raise ConfigError(f"freqresp.omega must be finite and nonnegative, got {omega}")
+    if not 0.0 < cfl <= 1.0:
+        raise ConfigError(f"freqresp.cfl must lie in (0, 1], got {cfl}")
+    return omegas
+
+
+def _upwind_weights(omega: float, params: Params, grid: Grid,
+                    cfl: float) -> tuple[complex, complex]:
+    """The scheme's two mode weights at a checked omega: (1 + w)^-n_cells for each mu."""
+    h1, h2, dx = params.h1, params.h2, grid.dx
+    dt = cfl * dx
+    half = omega * dt / 2
+    try:  # (z - 1) / dt = i omega sinc(omega dt / 2) e^{i omega dt / 2}, which cancels nothing
+        advance = 1j * omega * (math.sin(half) / half if half else 1.0) * cmath.exp(1j * half)
+    except ValueError:  # a phase omega dt that overflows has no value, as in G
+        return complex(math.nan, math.nan), complex(math.nan, math.nan)
+    slow = _log1p(dx * advance)  # mu = 1
+    decay = fast_exponent(h1, h2, dt)
+    if math.isinf(decay):  # (h1 + h2) dt overflows: mu = 0 and w is infinite
+        fast = math.inf
+    else:
+        mixed = -math.expm1(-decay) / decay if decay else 1.0  # (1 - mu) / ((h1 + h2) dt)
+        # w mu = (z - mu) / c = dx ((z - 1) / dt + (1 - mu) / dt)
+        if math.isfinite(h1 + h2):
+            w_mu = dx * (advance + (h1 + h2) * mixed)
+        else:  # (1 - mu) / dt may overflow where dx (1 - mu) / dt does not
+            w_mu = dx * advance + fast_exponent(h1, h2, dx) * mixed
+        try:
+            fast = _log1p(w_mu * math.exp(decay))
+        except OverflowError:  # e^decay overflows: log1p(w) is log(w) to rounding
+            fast = cmath.log(w_mu) + decay
+    return cmath.exp(-grid.n_cells * slow), cmath.exp(-grid.n_cells * fast)
+
+
+def _upwind_gain(omega: float, params: Params, grid: Grid, cfl: float) -> Gain:
+    """The upwind scheme's exact steady gain at one checked omega (see ``discrete_response``)."""
+    return _mix(*_upwind_weights(omega, params, grid, cfl), params.h1, params.h2)
 
 
 def discrete_response(omegas, params: Params, grid: Grid, cfl: float = 0.5) -> np.ndarray:
@@ -96,35 +168,10 @@ def discrete_response(omegas, params: Params, grid: Grid, cfl: float = 0.5) -> n
     with the mode weights e^{-i omega l} and e^{-(h1+h2+i omega) l} replaced
     by (1 + w)^-n_cells, taken as exp(-n_cells log1p(w)): the rounding then
     does not grow with n_cells, and a tiny omega or CFL cancels nothing.
+    Each omega's gain is computed on its own, in scalar arithmetic.
     """
-    omegas = np.array([float(omega) for omega in omegas])
-    for omega in omegas:
-        if not (math.isfinite(omega) and omega >= 0):
-            raise ConfigError(f"freqresp.omega must be finite and nonnegative, got {omega}")
-    if not 0.0 < cfl <= 1.0:
-        raise ConfigError(f"freqresp.cfl must lie in (0, 1], got {cfl}")
-    h1, h2, dx = params.h1, params.h2, grid.dx
-    dt = cfl * dx
-    half = omegas * dt / 2
-    advance = 1j * omegas * np.sinc(half / math.pi) * np.exp(1j * half)  # (z - 1) / dt
-    decay = fast_exponent(h1, h2, dt)
-    # past |w| = e^355 |w|^2 overflows in _log1p, and the weight rounds to 0 silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        logs = [_log1p(dx * advance)]
-        if math.isinf(decay):  # (h1 + h2) dt overflows: mu = 0 and w is infinite
-            logs.append(np.full(len(omegas), math.inf))
-        else:
-            mixed = -math.expm1(-decay) / decay if decay else 1.0  # (1 - mu) / ((h1 + h2) dt)
-            # w mu = (z - mu) / c = dx ((z - 1) / dt + (1 - mu) / dt)
-            if math.isfinite(h1 + h2):
-                w_mu = dx * (advance + (h1 + h2) * mixed)
-            else:  # (1 - mu) / dt may overflow where dx (1 - mu) / dt does not
-                w_mu = dx * advance + fast_exponent(h1, h2, dx) * mixed
-            try:
-                logs.append(_log1p(w_mu * math.exp(decay)))
-            except OverflowError:  # e^decay overflows: log1p(w) is log(w) to rounding
-                logs.append(np.log(w_mu) + decay)
-        return _exchange_gain(*(np.exp(-grid.n_cells * log) for log in logs), h1, h2)
+    weights = [_upwind_weights(omega, params, grid, cfl) for omega in _checked_omegas(omegas, cfl)]
+    return _exchange_gain([a for a, _ in weights], [b for _, b in weights], params.h1, params.h2)
 
 
 @dataclass(frozen=True)
@@ -158,6 +205,8 @@ def fit_decay(
     flagged via ``floor_hit``.  Requires at least 10 usable samples unless
     the whole window is below the floor, which yields the extinct report.
     """
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     norms = np.asarray(norms, dtype=float)
     if t.shape != norms.shape or t.ndim != 1:

@@ -19,8 +19,10 @@ temperatures.  The weighted sum h2*v1 + h1*v2 is conserved exactly.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotations only: numpy loads in the function that builds the matrix
+    import numpy as np
 
 
 def finite_rates(h1: float, h2: float) -> tuple[float, float, float]:
@@ -49,6 +51,8 @@ def fast_exponent(h1: float, h2: float, s):
 
 def coupling_matrix(s: float, h1: float, h2: float) -> np.ndarray:
     """Return exp(A1 s) as a 2x2 array.  Requires s >= 0 and h1, h2 >= 0."""
+    import numpy as np
+
     if not s >= 0.0:
         raise ValueError(f"elapsed characteristic time must be nonnegative, got {s}")
     if h1 + h2 == 0.0:

@@ -10,12 +10,15 @@ nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:  # annotations only: numpy loads in the functions that build arrays
+    import numpy as np
 
 _ALIGN_RTOL = 1e-9
 
@@ -30,7 +33,7 @@ class Grid:
     def __post_init__(self) -> None:
         if not (self.n_cells >= 1 and float(self.n_cells).is_integer()):
             raise ConfigError(f"grid.n_cells must be >= 1 and whole, got {self.n_cells}")
-        if not np.isfinite(self.l) or self.l <= 0:
+        if not math.isfinite(self.l) or self.l <= 0:
             raise ValueError(f"tube length l must be positive, got {self.l}")
 
     @property
@@ -44,6 +47,8 @@ class Grid:
 
     @cached_property
     def nodes(self) -> np.ndarray:
+        import numpy as np
+
         return np.linspace(0.0, self.l, self.n_cells + 1)
 
     def snap_steps(
@@ -65,6 +70,8 @@ class Grid:
 
 
 def zero_field(grid: Grid) -> np.ndarray:
+    import numpy as np
+
     return np.zeros((grid.n_cells + 1, 2))
 
 
@@ -74,6 +81,8 @@ def make_field(grid: Grid, theta1, theta2) -> np.ndarray:
     Each component may be a scalar, an array over the nodes, or a callable
     evaluated at the node positions.
     """
+    import numpy as np
+
     field = np.empty((grid.n_cells + 1, 2))
     for col, comp in enumerate((theta1, theta2)):
         if callable(comp):
@@ -86,6 +95,8 @@ def make_field(grid: Grid, theta1, theta2) -> np.ndarray:
 
 def check_field(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Validate shape and finiteness of a field against its grid."""
+    import numpy as np
+
     field = np.asarray(field, dtype=float)
     expected = (grid.n_cells + 1, 2)
     if field.shape != expected:
@@ -96,6 +107,8 @@ def check_field(field: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _l2(field: np.ndarray, dx: float) -> float:
+    import numpy as np
+
     return float(np.sqrt(np.trapezoid(field[:, 0] ** 2 + field[:, 1] ** 2, dx=dx)))
 
 
@@ -137,6 +150,8 @@ def compatibility_check(
     that jumps on otherwise flat profiles are still caught; pass ``jump_abs``
     to override the threshold outright.
     """
+    import numpy as np
+
     w = check_field(w, grid)
     n = grid.n_cells
     residual1 = abs(w[0, 0] + params.k1 * w[n, 1])

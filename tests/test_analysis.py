@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -198,13 +198,25 @@ def test_fast_mode_where_the_sum_overflows_but_its_product_does_not(h):
         np.testing.assert_allclose(gain, cell[::-1], rtol=1e-12, atol=0)
 
 
-def test_exact_scheme_response_is_the_pure_delay():
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    h1=st.floats(0.0, 4.0),
+    h2=st.floats(0.0, 4.0),
+    l=st.floats(0.05, 2.0),
+    n_cells=st.integers(1, 64),
+    # the phase error of both sides grows like eps omega l: omega l stays below 16
+    omega=st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+)
+@example(h1=1.0, h2=2.0, l=1.0, n_cells=37, omega=7.0)
+@example(h1=0.0, h2=0.0, l=1.0, n_cells=5, omega=0.5)
+@example(h1=1.0, h2=2.0, l=1.0, n_cells=1, omega=3.0)
+@example(h1=0.0, h2=0.0, l=2.0, n_cells=1, omega=0.0)
+def test_exact_scheme_response_is_the_pure_delay(h1, h2, l, n_cells, omega):
     # at CFL 1 the upwind step is the exact shift: the gain is G(i omega) to rounding
-    params = make_params()
-    for omega, gain in zip([0.0, 0.5, 7.0], discrete_response([0.0, 0.5, 7.0], params,
-                                                                Grid(37, 1.0), cfl=1.0)):
-        formula = transfer_function(1j * omega, params).matrix
-        np.testing.assert_allclose(gain, formula, rtol=0, atol=1e-14)
+    params = make_params(h1=h1, h2=h2, l=l)
+    gain = discrete_response([omega], params, Grid(n_cells, l), cfl=1.0)[0]
+    formula = transfer_function(1j * omega, params).matrix
+    np.testing.assert_allclose(gain, formula, rtol=0, atol=1e-14)
 
 
 # The measurement as it was first written: one upwind run per omega and

@@ -16,10 +16,12 @@ from pfhx import (
     Grid,
     Params,
     Scenario,
+    discrete_response,
     loop,
     run_scenario,
+    transfer_function,
 )
-from pfhx import cli
+from pfhx import cli, e16
 from pfhx.config import parse_config
 from pfhx.loop import check_scenario
 from pfhx.cli import _sweep_line, _sweep_worker, _write_norms, _write_snapshots, main
@@ -397,7 +399,7 @@ def test_failing_writer_is_an_io_error_and_leaves_no_process(tmp_path, capsys, m
     def full_disk(*args):
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(cli, "_snapshot_rows", full_disk)
+    monkeypatch.setattr(e16, "_snapshot_rows", full_disk)
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "out"
     assert main(["run", "-c", cfg, "-o", str(out), *args]) == 4
@@ -458,6 +460,35 @@ def test_freqresp_writes_formula_and_measurement(tmp_path):
     assert len(rows) == 1
     rel_err = float(rows[0].split(",")[header.index("rel_err")])
     assert rel_err < 0.05  # coarse grid (n=50), still close
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"grid.n_cells": "1", "freqresp.omega": "0, 1"},
+    {"freqresp.cfl": "1.0", "freqresp.omega": "0, 3, 1e-12"},
+    {"params.h1": "0", "params.h2": "0"},
+    {"params.h1": "1e308", "params.h2": "1e308"},
+    {"params.l": "1e308", "freqresp.omega": "0.5, 1, 2, 1e308"},
+], ids=["shipped", "one-cell", "cfl-1", "no-exchange", "rates-overflow", "phases-overflow"])
+def test_freqresp_rows_are_the_library_gains(tmp_path, overrides):
+    # the CLI computes each omega in scalar arithmetic; every row must be the
+    # public arrays' bits, with rel_err their Frobenius ratio
+    path = ROOT / "configs" / "freqresp.ini"
+    flag = {key: flags[-1] for flags, key, *_ in cli._FLAGS}
+    argv = [f"{flag[key]}={value}" for key, value in overrides.items()]
+    assert main(["freqresp", "-c", str(path), "-o", str(tmp_path), *argv]) == 0
+    cfg = parse_config(path.read_text(), overrides=overrides)
+    params, grid = cfg.scenario.params, Grid(cfg.scenario.n_cells, cfg.scenario.params.l)
+    measured = discrete_response(cfg.freq_omegas, params, grid, cfl=cfg.freq_cfl)
+    header, rows = read_csv(tmp_path / "freqresp.csv")
+    assert len(rows) == len(cfg.freq_omegas) == len(measured)
+    for row, omega, gain in zip(rows, cfg.freq_omegas, measured):
+        formula = transfer_function(1j * omega, params).matrix
+        # in header order: for each g_ij, formula re, im, then measured re, im
+        entries = np.stack([formula, gain], axis=-1).view(float).ravel().tolist()
+        rel_err = (math.hypot(*(gain - formula).view(float).ravel().tolist())
+                   / math.hypot(*formula.view(float).ravel().tolist()))
+        assert row == ",".join("%.16e" % value for value in [omega, *entries, rel_err])
 
 
 def test_cfl_flag_sets_the_freqresp_cfl(tmp_path, capsys):

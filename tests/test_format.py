@@ -1,4 +1,4 @@
-"""The CSV number kernel ``cli._e16`` against ``'%.16e' % x``, its oracle.
+"""The CSV number kernel ``e16._e16`` against ``'%.16e' % x``, its oracle.
 
 The kernel must spell every double as ``'%.16e' % x`` does, byte for byte.
 Elements its fast path cannot settle go to ``'%.16e' % x`` itself; the
@@ -18,15 +18,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfhx import Grid, Params, Scenario, cli, run_scenario
+from pfhx import Grid, Params, Scenario, cli, e16, run_scenario
 from pfhx.config import parse_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def kernel_text(values) -> str:
-    records = cli._e16(np.array(values, dtype=float), b"\n")
-    return bytes(cli._joined(records)).decode() if len(records) else ""
+    records = e16._e16(np.array(values, dtype=float), b"\n")
+    return bytes(e16._joined(records)).decode() if len(records) else ""
 
 
 def oracle_text(values) -> str:
@@ -36,8 +36,8 @@ def oracle_text(values) -> str:
 def fallbacks(values, monkeypatch) -> int:
     """How many of ``values`` the kernel formats by ``%``."""
     count = []
-    real = cli._e16_chunk
-    monkeypatch.setattr(cli, "_e16_chunk", lambda x, out: count.append(real(x, out)) or count[-1])
+    real = e16._e16_chunk
+    monkeypatch.setattr(e16, "_e16_chunk", lambda x, out: count.append(real(x, out)) or count[-1])
     kernel_text(values)
     return sum(count)
 
@@ -50,7 +50,7 @@ def test_raw_bit_patterns(bits):
 
 
 def test_random_bit_patterns_across_chunks():
-    values = np.random.default_rng(7).integers(0, 2**64, 3 * cli._CHUNK_VALUES + 5,
+    values = np.random.default_rng(7).integers(0, 2**64, 3 * e16._CHUNK_VALUES + 5,
                                                dtype=np.uint64).view(float)
     assert kernel_text(values) == oracle_text(values)
 
@@ -87,9 +87,9 @@ def test_signed_zeros_subnormals_non_finite_and_wide_exponents(monkeypatch):
 
 def test_chunk_seams(monkeypatch):
     rng = np.random.default_rng(11)
-    size = 2 * cli._CHUNK_VALUES + 3
+    size = 2 * e16._CHUNK_VALUES + 3
     values = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
-    for seam in (cli._CHUNK_VALUES, 2 * cli._CHUNK_VALUES):
+    for seam in (e16._CHUNK_VALUES, 2 * e16._CHUNK_VALUES):
         values[seam - 1:seam + 2] = [math.nan, -0.0, 5e-324]
     assert kernel_text(values) == oracle_text(values)
 
@@ -108,7 +108,7 @@ def test_writers_cut_rows_at_any_chunk_size(tmp_path, monkeypatch, chunk):
                         ("snapshots.csv", lambda p: cli._write_snapshots(p, result, grid))):
         write(tmp_path / name)
         whole[name] = (tmp_path / name).read_bytes()
-    monkeypatch.setattr(cli, "_CHUNK_VALUES", chunk)
+    monkeypatch.setattr(e16, "_CHUNK_VALUES", chunk)
     cli._write_norms(tmp_path / "norms.csv", result)
     cli._write_snapshots(tmp_path / "snapshots.csv", result, grid)
     for name, data in whole.items():
@@ -119,9 +119,9 @@ def test_writers_cut_rows_at_any_chunk_size(tmp_path, monkeypatch, chunk):
 
 
 def test_power_table_is_correctly_rounded():
-    hi, hi_hi, hi_lo, lo = cli._e16_tables()[:4]
-    assert len(hi) == cli._P[1] - cli._P[0] + 1
-    for p, h, l in zip(range(cli._P[0], cli._P[1] + 1), hi.tolist(), lo.tolist()):
+    hi, hi_hi, hi_lo, lo = e16._e16_tables()[:4]
+    assert len(hi) == e16._P[1] - e16._P[0] + 1
+    for p, h, l in zip(range(e16._P[0], e16._P[1] + 1), hi.tolist(), lo.tolist()):
         exact = Fraction(10) ** (16 - p)
         assert h == float(exact) and l == float(exact - Fraction(h)), p
     assert np.array_equal(hi_hi + hi_lo, hi)
@@ -134,8 +134,8 @@ def test_theorem_run_takes_the_fast_path(tmp_path, monkeypatch):
     scenario = parse_config(text, overrides={"grid.n_cells": "1000"}).scenario
     result = run_scenario(scenario)
     counts = []
-    real = cli._e16_chunk
-    monkeypatch.setattr(cli, "_e16_chunk",
+    real = e16._e16_chunk
+    monkeypatch.setattr(e16, "_e16_chunk",
                         lambda x, out: counts.append((len(x), real(x, out))) or counts[-1][1])
     cli._write_norms(tmp_path / "norms.csv", result)
     cli._write_snapshots(tmp_path / "snapshots.csv", result, Grid(1000, 1.0))

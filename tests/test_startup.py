@@ -4,10 +4,10 @@ A short run or sweep is mostly process start-up, so every command leaves
 out what it never uses: ``numpy.ma`` (which ``np.unique`` imports),
 ``numpy.random`` unless a profile draws from it, and ``multiprocessing``
 unless a sweep starts its pool.  The engine (``loop``, ``solver``,
-``profiles``, ``observer`` and ``history``) loads only in a command that
-checks or runs a scenario, so ``freqresp`` and a bare ``import pfhx.cli``
-never load it, and ``import pfhx`` loads no submodule until one of its
-names is used.
+``profiles``, ``observer`` and ``history``) and numpy load only in a
+command that checks or runs a scenario, so ``freqresp`` and a bare
+``import pfhx.cli`` never load them, and ``import pfhx`` loads no
+submodule until one of its names is used.
 ``import pfhx`` also limits OpenBLAS to one thread unless
 ``OPENBLAS_NUM_THREADS`` is already set.
 """
@@ -22,7 +22,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 LEAN = ("numpy.ma", "numpy.random", "multiprocessing")
-ENGINE = ("pfhx.loop", "pfhx.solver", "pfhx.profiles", "pfhx.observer", "pfhx.history")
+# the engine, and numpy, which loads with it
+ENGINE = ("pfhx.loop", "pfhx.solver", "pfhx.profiles", "pfhx.observer", "pfhx.history", "numpy")
 WATCHED = LEAN + ENGINE
 # the command in a fresh interpreter, then which of WATCHED it loaded, as JSON
 LOADED = (
@@ -66,6 +67,18 @@ def test_freqresp_and_check_leave_out_multiprocessing(args, engine, tmp_path):
 def test_import_pfhx_cli_loads_no_engine():
     code = f"import json, sys, pfhx.cli; print(json.dumps([m in sys.modules for m in {ENGINE!r}]))"
     assert not any(json.loads(python(code)))
+
+
+def test_freqresp_runs_where_numpy_cannot_be_imported(tmp_path):
+    # a None entry in sys.modules makes every ``import numpy`` raise ImportError
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from pfhx.cli import main\n"
+        "print(main(sys.argv[1:]))\n"
+    )
+    assert python(code, "freqresp", "-c", "configs/freqresp.ini", "-o", str(tmp_path)) == "0"
+    assert len((tmp_path / "freqresp.csv").read_text().splitlines()) == 1 + 3
 
 
 def test_import_pfhx_loads_a_submodule_only_when_a_name_is_used():
