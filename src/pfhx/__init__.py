@@ -43,7 +43,7 @@ _HOMES = {
     "grid": ("CompatibilityReport", "Grid", "compatibility_check", "l2_norm", "make_field",
              "zero_field"),
     "profiles": ("input_function", "profile_array"),
-    "solver": ("Trajectory", "closed_form_state", "solve_exact", "solve_upwind", "step_exact"),
+    "solver": ("Trajectory", "closed_form_state", "solve_exact", "solve_upwind"),
     "observer": ("predict",),
     "loop": ("RunResult", "RunSummary", "check_scenario", "run_delay_free_feedback",
              "run_scenario"),

@@ -90,15 +90,31 @@ def _transfer_weights(s: complex, params: Params) -> tuple[complex, complex]:
     return a, b
 
 
+def _times_exp(x: float, r: float) -> float:
+    """x e^r: +-inf where that overflows, and x itself where x is 0 or not finite."""
+    if x == 0.0 or not math.isfinite(x):
+        return x
+    try:
+        return math.copysign(math.exp(r + math.log(abs(x))), x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def _transfer(s: complex, params: Params) -> Gain:
     """The delay-free transfer matrix G(s)."""
-    return _mix(*_transfer_weights(s, params), params.h1, params.h2)
+    try:
+        return _mix(*_transfer_weights(s, params), params.h1, params.h2)
+    except OverflowError:  # e^{-sl} overflows: G(s) is e^{-Re(s) l} G(i Im(s)), entry by entry
+        r = -s.real * params.l
+        return tuple(tuple(complex(_times_exp(g.real, r), _times_exp(g.imag, r)) for g in row)
+                     for row in _transfer(complex(0.0, s.imag), params))
 
 
 def transfer_function(s: complex, params: Params) -> TransferEval:
     """Evaluate the delay-free transfer matrix G(s)."""
-    matrix = _exchange_gain(*_transfer_weights(s, params), params.h1, params.h2)
-    return TransferEval(s=s, matrix=matrix)
+    import numpy as np
+
+    return TransferEval(s=s, matrix=np.array(_transfer(s, params), dtype=complex))
 
 
 def _log1p(w: complex) -> complex:

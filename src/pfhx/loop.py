@@ -42,7 +42,8 @@ An exact run computes its inlet history by that recurrence, in blocks of
 at least a few hundred steps where the lag is shorter (``_lagged``, by
 powers of the lag map), and every column from the history and the
 initial fields (``_recur``, ``solver._Tube``), with no field advanced
-step by step.  The observer's error of observer time s is normed at step
+step by step; ``solver.solve_exact`` and ``closed_form_state`` read the
+same tube.  The observer's error of observer time s is normed at step
 s + m, when its measurement arrives.  The upwind solver runs the open loop
 only, one step at a time (``solver._solve``).  tests/oracle.py advances
 every exact law one step at a time, field by field: the recurrence's
@@ -64,7 +65,7 @@ from .grid import Grid, _l2, check_field
 from .observer import _cross_law
 from .params import Params, SanoReport, Scenario
 from .profiles import _draws, input_function, profile_array
-from .solver import Recorder, Trajectory, _physical_memory, _snapshot_steps, _solve, _Tube
+from .solver import Recorder, Trajectory, _inputs, _physical_memory, _solve, _Tube
 
 
 @dataclass
@@ -290,12 +291,6 @@ def _cross_map(p: Params) -> np.ndarray:
     return -np.array([[0.0, p.k1], [p.k2, 0.0]]) @ coupling_matrix(p.l, p.h1, p.h2)
 
 
-def _inputs(signal, rows: np.ndarray, j0: int, dt: float) -> None:
-    """Fill ``rows`` with an input pair signal at steps j0, j0 + 1, ..."""
-    for i in range(len(rows)):
-        rows[i] = signal((j0 + i) * dt)
-
-
 def _recur_cross(run: _Run, tube: _Tube, p: Params, wait: int) -> None:
     """The warm-up input to step ``wait``, then u[j] = K exit[j].
 
@@ -371,9 +366,7 @@ def _recur_feedback(scenario, run, tube):
 
 
 def _recur_open_loop(scenario, run, tube):
-    u = np.zeros((run.n_steps + 1, 2))
-    _inputs(run.u_open, u[1:], 1, run.dt)
-    tube.feed(u)
+    tube.feed_signal(run.u_open)
     return None, None
 
 
@@ -383,23 +376,13 @@ def _recur(scenario: Scenario, run: _Run) -> Trajectory:
     field0 = run.observer0 - run.theta0 if run.controller == "error_system" else run.theta0
     tube = _Tube(field0, n_steps, scenario.params, dt)
     err, pred_err = _RECURRENCES[run.controller](scenario, run, tube)
-    steps = _snapshot_steps(n_steps, dt, scenario.snapshot_stride)
-    snapshot_t, snapshots = steps * dt, tube.fields(steps)
-    obs_err_l2 = np.zeros(n_steps + 1)
+    traj = tube.trajectory(scenario.snapshot_stride)
     if err is not None:  # the error of observer time s is normed at step s + m
-        obs_err_l2[run.m:] = err.norms(n_steps + 1 - run.m)
-        obs_err_l2[:run.m] = _l2(err.field0, run.grid.dx)  # the initial error, until then
-    return Trajectory(
-        t=np.arange(n_steps + 1) * dt,
-        plant_l2=tube.norms(n_steps + 1),
-        obs_err_l2=obs_err_l2,
-        pred_err_at_l=np.zeros((n_steps + 1, 2)) if pred_err is None else pred_err,
-        u=tube.u,
-        exit_values=tube.exits(0, n_steps + 1),
-        snapshot_t=snapshot_t,
-        snapshots=snapshots,
-        dt=dt,
-    )
+        traj.obs_err_l2[run.m:] = err.norms(n_steps + 1 - run.m)
+        traj.obs_err_l2[:run.m] = _l2(err.field0, run.grid.dx)  # the initial error, until then
+    if pred_err is not None:
+        traj.pred_err_at_l = pred_err
+    return traj
 
 
 def _simulate(scenario: Scenario, delay_free: bool = False) -> RunResult:

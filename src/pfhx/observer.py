@@ -31,8 +31,8 @@ and u = 0 while t <= tau (no measurement has arrived yet).
 On the exact solver the whole loop, observer included, is one lag
 difference equation in the inlet pair (``loop._recur_observer_predictor``).
 This module holds the closed-form predictor ``predict``, which gives the
-whole predicted field, and the feedback kernel ``_cross_law`` that the
-recurrence applies.
+whole predicted field from the same tube the runs use (``solver._Tube``),
+and the feedback kernel ``_cross_law`` that the recurrence applies.
 """
 
 from __future__ import annotations
@@ -52,11 +52,12 @@ def predict(
 
     ``obs_field`` is the observer estimate at time t - tau and ``inputs``
     (see ``history.as_trace``) must cover [t - tau, t] at step resolution.
-    It is the plant's closed form (``solver.closed_form_state``) run for
-    tau from the estimate at t - tau: node i takes exp(A1 tau) applied to
-    the estimate one delay upstream when x_i >= tau, and exp(A1 x_i)
-    applied to the input u(t - x_i) when x_i < tau.  The predicted exit
-    pair is the field's last row.
+    It is the plant's closed form (``solver.closed_form_state``, the tube's
+    field at one step) run for tau from the estimate at t - tau: node i
+    takes exp(A1 tau) applied to the estimate one delay upstream when
+    x_i >= tau, and exp(A1 x_i) applied to the input u(t - x_i) when
+    x_i < tau, which reads the inputs at no more than n_cells + 1 steps.
+    The predicted exit pair is the field's last row.
     """
     tau_used = grid.snap_tau(params.tau)[1]
     trace, start = as_trace(inputs, grid.dt), t - tau_used

@@ -1,15 +1,22 @@
 """Solution operators for the coupled transport system.
 
-``step_exact`` advances one time step of size dt = dx by the method of
-characteristics: the characteristic through (t + dt, x_i) passes through
-(t, x_{i-1}), and along it the coupling ODE is solved exactly by the
-closed-form matrix exponential.  The update is therefore exact at the
-nodes, with no discretization error beyond floating-point rounding.
+The exact solution is held by ``_Tube``: both speeds are one, so each
+node carries the closed form exp(A1 s) applied to the pair its
+characteristic starts from, a node of the initial field or an inlet pair.
+The characteristic through (t, x_i) reaches back to (t - x_i, 0) or to
+(0, x_i - t), and along it the coupling ODE is solved exactly.  A tube fed
+with its inlet pairs gives any step's exits, any snapshot and every
+step's norm with no field advanced step by step, and with no
+discretization error beyond floating-point rounding.  It is the exact
+solver of every run (``loop._recur``), of ``solve_exact`` and of
+``closed_form_state``, the field at one time, which is also the
+predictor (``observer.predict``).
 
 ``solve_upwind`` runs an independent first-order scheme (upwind advection
 at CFL <= 1, then exact coupling at each node, i.e. operator splitting)
 used to cross-validate the exact solver.  At CFL = 1 the split update
-reduces algebraically to the characteristic update.
+reduces algebraically to the characteristic update.  It is the one
+solver that steps: ``_solve`` writes each new field into a ``Recorder``.
 
 Every solver reads its boundary input through ``history.as_trace``: zero,
 a callable, or a step-indexed array such as a recorded ``Trajectory.u``.
@@ -153,6 +160,12 @@ class _Tube:
         self.u = u
         self._origins(self.n + 1, u[1:])
 
+    def feed_signal(self, signal, first: int = 1) -> None:
+        """Feed an input pair signal: step k >= 1 takes signal((first + k - 1) dt), u[0] zero."""
+        u = np.zeros((len(self.w) - self.n, 2))
+        _inputs(signal, u[1:], first, self.dx)
+        self.feed(u)
+
     def _values(self, k, e, out=None) -> np.ndarray:
         """The pairs that origins ``k`` (indices or a slice) become after the decays ``e``."""
         w, ed = self.w[k], e * self.d[k]
@@ -216,6 +229,31 @@ class _Tube:
         for x, coef in zip((w * w, w * d, d * d), modes(self.decay[:head])):
             total[:head] += dx * coef * (np.cumsum(x)[rest - 1] - x[rest - 1] / 2)
         return np.sqrt(total)
+
+    def trajectory(self, snapshot_stride: float) -> Trajectory:
+        """The columns of the run the fed tube holds: its norms, exits and snapshots.
+
+        The observer columns are zero; a run that has an observer fills them.
+        """
+        total, dt = len(self.u), self.dx
+        steps = _snapshot_steps(total - 1, dt, snapshot_stride)
+        return Trajectory(
+            t=np.arange(total) * dt,
+            plant_l2=self.norms(total),
+            obs_err_l2=np.zeros(total),
+            pred_err_at_l=np.zeros((total, 2)),
+            u=self.u,
+            exit_values=self.exits(0, total),
+            snapshot_t=steps * dt,
+            snapshots=self.fields(steps),
+            dt=dt,
+        )
+
+
+def _inputs(signal, rows: np.ndarray, j0: int, dt: float) -> None:
+    """Fill ``rows`` with an input pair signal at steps j0, j0 + 1, ..."""
+    for i in range(len(rows)):
+        rows[i] = signal((j0 + i) * dt)
 
 
 class Recorder:
@@ -294,88 +332,6 @@ class Recorder:
         )
 
 
-def _mix_operand(step_matrix: np.ndarray, rows: int) -> np.ndarray:
-    """Right operand that maps each of ``rows`` node rows r to step_matrix @ r.
-
-    A C-contiguous copy of ``step_matrix.T``: BLAS then skips its
-    transposed path, which at these shapes is two to three times slower,
-    and the products are the same bits.  A single row keeps the transposed
-    view: numpy hands one row to BLAS gemv, where the two layouts round
-    differently by a few ulp (tests/test_recorder.py compares against the
-    transposed view).
-    """
-    if rows == 1:
-        return step_matrix.T
-    return np.ascontiguousarray(step_matrix.T)
-
-
-def _advance_exact(field: np.ndarray, mix: np.ndarray, u_new, out=None) -> np.ndarray:
-    """One exact characteristic step of a field of shape (n_cells+1, 2).
-
-    Node i + 1 takes the step matrix applied to node i and node 0 takes
-    ``u_new``; ``mix`` is ``_mix_operand(step_matrix, n_cells)``, made once
-    per run.  At n_cells = 1 the node row is a stack of one, which numpy
-    hands to gemv.  ``out``, a C-contiguous buffer of the field's shape,
-    receives the new field, which is returned.
-    """
-    if out is None:
-        out = np.empty(field.shape)
-    if len(field) == 2:
-        np.matmul(field[0].reshape(-1, 1, 2), mix, out=out[1].reshape(-1, 1, 2))
-    else:
-        np.matmul(field[:-1], mix, out=out[1:])
-    out[0] = u_new
-    return out
-
-
-def _advance_upwind(field: np.ndarray, out: np.ndarray, adv: np.ndarray, mix: np.ndarray,
-                    cfl: float) -> None:
-    """One split upwind step from ``field`` into ``out``, with ``adv`` as scratch.
-
-    The three are C-contiguous buffers of shape (n_cells+1, 2).  Every node
-    of ``out`` but node 0, which the caller sets to the inflow, receives
-    the new field.  ``mix`` is ``_mix_operand(step_matrix, n_cells + 1)``,
-    made once per run.
-    """
-    np.multiply(field[1:], 1.0 - cfl, out=adv[1:])
-    np.multiply(field[:-1], cfl, out=out[1:])
-    np.add(adv[1:], out[1:], out=adv[1:])
-    adv[0] = field[0]
-    np.matmul(adv, mix, out=out)
-
-
-def _march(rec: Recorder, params: Params, cfl: float | None, inflow) -> Trajectory:
-    """The one loop that steps a Recorder, from its first row to its last.
-
-    Each step advances the field by one exact step (``cfl`` None) or one
-    split upwind step at ``cfl``, and sets its node 0 to ``inflow(j)``, the
-    inflow pair at step j.  The kernels are looked up at each call, where
-    the benchmark's tracer wraps them.
-    """
-    n = rec.block.shape[1] - 1
-    mix = _mix_operand(coupling_matrix(rec.dt, params.h1, params.h2), n if cfl is None else n + 1)
-    adv = np.empty(rec.block.shape[1:])
-    for j in range(1, len(rec.t)):
-        prev, row = rec.rows()
-        rec.u[j] = u = inflow(j)
-        if cfl is None:
-            _advance_exact(prev, mix, u, row)
-        else:
-            _advance_upwind(prev, row, adv, mix, cfl)
-            row[0] = u
-    return rec.finish()
-
-
-def step_exact(field: np.ndarray, t: float, inputs, params: Params, grid: Grid) -> np.ndarray:
-    """Advance a field from time t by one exact characteristic step of size dt = dx.
-
-    Returns the new field; its node 0 carries the input u(t + dt).
-    """
-    dt = grid.dt
-    mix = _mix_operand(coupling_matrix(dt, params.h1, params.h2), grid.n_cells)
-    return _advance_exact(check_field(field, grid), mix, as_trace(inputs, dt)(t + dt))
-
-
 def solve_exact(
     theta0: np.ndarray,
     inputs,
@@ -385,10 +341,20 @@ def solve_exact(
     snapshot_stride: float = 0.1,
     t0: float = 0.0,
 ) -> Trajectory:
-    """Run the exact solver from t0 to t0 + T and record the trajectory."""
-    n_steps = grid.snap_steps(T)[0]
-    return _solve(check_field(theta0, grid), inputs, n_steps, params, grid, None, snapshot_stride,
-                  t0)
+    """Run the exact solver from t0 to t0 + T and record the trajectory.
+
+    A tube fed with the inputs at t0 + j dt.  ``t`` counts from t0, and
+    ``snapshot_t`` from 0, as in ``solve_upwind``.
+    """
+    if not snapshot_stride > 0:
+        raise ValueError("snapshot stride must be positive")
+    n_steps, dt = grid.snap_steps(T)[0], grid.dt
+    trace = as_trace(inputs, dt)
+    tube = _Tube(check_field(theta0, grid), n_steps, params, dt)
+    tube.feed_signal(lambda s: trace(t0 + s))
+    traj = tube.trajectory(snapshot_stride)
+    traj.t = traj.t + t0
+    return traj
 
 
 def solve_upwind(
@@ -412,17 +378,31 @@ def solve_upwind(
 
 
 def _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0) -> Trajectory:
-    """A run step by step: theta0 at t0, then the inputs at each step's time.
+    """The split upwind scheme at ``cfl``: theta0 at t0, then the inputs at each step's time.
 
-    The exact solver at ``cfl`` None, else the upwind scheme, whose step is
-    cfl * dx: the solver oracles, and the upwind open loop.
+    The one loop that steps a Recorder, from its first row to its last,
+    for the upwind solver and the upwind open loop.  Each step mixes
+    neighbouring nodes into ``adv``, then couples every node into the
+    Recorder's next row by the step matrix's transpose, made once as a
+    C-contiguous copy: BLAS then skips its transposed path, which at these
+    shapes is two to three times slower, for the same bits.
     """
-    dt = grid.dt if cfl is None else cfl * grid.dx
+    dt = cfl * grid.dx
     trace = as_trace(inputs, dt)
     rec = Recorder(grid, n_steps, dt, snapshot_stride)
     rec.t = rec.t + t0
     rec.block[0] = theta0
-    return _march(rec, params, cfl, lambda j: trace(t0 + j * dt))
+    mix = np.ascontiguousarray(coupling_matrix(dt, params.h1, params.h2).T)
+    adv = np.empty(rec.block.shape[1:])
+    for j in range(1, n_steps + 1):
+        prev, row = rec.rows()
+        np.multiply(prev[1:], 1.0 - cfl, out=adv[1:])
+        np.multiply(prev[:-1], cfl, out=row[1:])
+        np.add(adv[1:], row[1:], out=adv[1:])
+        adv[0] = prev[0]
+        np.matmul(adv, mix, out=row)
+        row[0] = rec.u[j] = trace(t0 + j * dt)
+    return rec.finish()
 
 
 def closed_form_state(
@@ -432,21 +412,18 @@ def closed_form_state(
 
     theta(t, x) = exp(A1 t) theta0(x - t) where the characteristic reaches
     back to the initial data (x >= t), and exp(A1 x) u(t - x) where it
-    reaches back to the boundary (x < t).  Used as an independent check of
-    ``solve_exact``, both agreeing to rounding, and started at t - tau
-    from the estimate, it is the predictor (``observer.predict``).
+    reaches back to the boundary (x < t): the tube's field at one step.
+    The tube holds only the last n_cells + 1 inlet pairs, the ones the
+    field still carries, so the input source is read at most n_cells + 1
+    times, however late t is.  Started at t - tau from the estimate, it is
+    the predictor (``observer.predict``).
     """
     trace = as_trace(inputs, grid.dt)
     theta0 = check_field(theta0, grid)
-    j, t_snapped, changed = grid.snap_steps(t)
+    j, _, changed = grid.snap_steps(t)
     if changed:
         raise ValueError(f"time {t} is not aligned to the step grid (dt={grid.dt})")
-    n = grid.n_cells
-    k = min(j, n + 1)  # the nodes whose characteristic reaches back to the boundary
-    field = np.empty((n + 1, 2))
-    for i in range(k):
-        field[i] = coupling_matrix(i * grid.dx, params.h1, params.h2) @ np.asarray(
-            trace((j - i) * grid.dt), dtype=float
-        )
-    field[k:] = theta0[: n + 1 - k] @ coupling_matrix(t_snapped, params.h1, params.h2).T
-    return field
+    gone = max(0, j - grid.n_cells - 1)  # the steps whose inlet pairs have left the tube
+    tube = _Tube(theta0, j - gone, params, grid.dt)
+    tube.feed_signal(trace, gone + 1)
+    return tube.fields(np.array([j - gone]))[0]

@@ -7,12 +7,16 @@ every field advances one exact characteristic step at a time, by
 columns, and the observer runs tau late against a deque of the last m + 1
 plant fields: ``simulate`` for every exact law, ``solve`` for the solver
 oracles and the upwind scheme.  From ``pfhx`` it takes only the run
-set-up (``loop._prepare``), the step matrix, ``_l2`` and ``step_exact``;
-tests/test_recurrence.py checks that it uses nothing of the recurrence.
+set-up (``loop._prepare``), the step matrix, ``_l2`` and ``as_trace``;
+tests/test_recurrence.py checks that it uses nothing of the recurrence or
+of the tube, which is also ``solve_exact`` and ``closed_form_state``.
 
-The per-step pieces of the observer-predictor loop, each tested on its
-own (tests/test_observer.py), are here too: ``observer_step``,
-``predict_exit``, ``control_law`` and the brute-force ``predict_by_resolve``.
+Two references of the exact solution at one time are here as well, each
+independent of the tube: ``step_exact``, one exact step of a field, and
+``closed_form_by_node``, the closed form with one exp(A1 s) per node.  So
+are the per-step pieces of the observer-predictor loop, each tested on its
+own (tests/test_observer.py): ``observer_step``, ``predict_exit``,
+``control_law`` and the brute-force ``predict_by_resolve``.
 """
 
 from collections import deque
@@ -24,7 +28,7 @@ from pfhx.coupling import coupling_matrix
 from pfhx.grid import _ALIGN_RTOL, Grid, _l2, check_field
 from pfhx.history import as_trace
 from pfhx.params import Params
-from pfhx.solver import Trajectory, step_exact
+from pfhx.solver import Trajectory
 
 
 class PerStepRecorder:
@@ -207,6 +211,40 @@ def solve(theta0, u_fn, n_steps, p, grid, dt, advance, snapshot_stride, t0=0.0) 
         field = advance(field, step_matrix, u_new)
         rec.record(j, field, u_new)
     return rec.finish()
+
+
+def step_exact(field: np.ndarray, t: float, inputs, params: Params, grid: Grid) -> np.ndarray:
+    """Advance a field from time t by one exact characteristic step of size dt = dx.
+
+    Returns the new field; its node 0 carries the input u(t + dt).
+    """
+    dt = grid.dt
+    step_matrix = coupling_matrix(dt, params.h1, params.h2)
+    return advance_exact(check_field(field, grid), step_matrix, as_trace(inputs, dt)(t + dt))
+
+
+def closed_form_by_node(theta0: np.ndarray, inputs, t: float, params: Params,
+                        grid: Grid) -> np.ndarray:
+    """The field at step-aligned time t, node by node from one exp(A1 s) each.
+
+    Node i takes exp(A1 x_i) u(t - x_i) where its characteristic reaches
+    back to the boundary (x_i < t), and exp(A1 t) theta0(x_i - t) where it
+    reaches back to the initial data.
+    """
+    trace = as_trace(inputs, grid.dt)
+    theta0 = check_field(theta0, grid)
+    j, t_snapped, changed = grid.snap_steps(t)
+    if changed:
+        raise ValueError(f"time {t} is not aligned to the step grid (dt={grid.dt})")
+    n = grid.n_cells
+    k = min(j, n + 1)  # the nodes whose characteristic reaches back to the boundary
+    field = np.empty((n + 1, 2))
+    for i in range(k):
+        field[i] = coupling_matrix(i * grid.dx, params.h1, params.h2) @ np.asarray(
+            trace((j - i) * grid.dt), dtype=float
+        )
+    field[k:] = theta0[: n + 1 - k] @ coupling_matrix(t_snapped, params.h1, params.h2).T
+    return field
 
 
 def observer_step(field: np.ndarray, y, u, params: Params, grid: Grid) -> np.ndarray:

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import field_from, random_field
-from oracle import predict_by_resolve
+from oracle import predict_by_resolve, step_exact
 from pfhx import (
     Grid,
     Params,
@@ -28,7 +28,6 @@ from pfhx import (
     run_scenario,
     solve_exact,
     solve_upwind,
-    step_exact,
     transfer_function,
 )
 from pfhx.cli import main

@@ -63,6 +63,25 @@ def test_transfer_high_frequency_rolloff():
         assert peak >= math.exp(-s * params.l) / (params.h1 + params.h2 + 1.0)
 
 
+def test_transfer_gain_that_overflows_is_infinite_not_an_error():
+    # e^{-sl} = e^1000 overflows a double: G's entries are e^{-Re(s) l} G(i Im(s))
+    params = make_params()
+    g = transfer_function(-1000.0, params).matrix
+    assert np.all(g == np.inf) and not np.isnan(g).any()
+    phase = transfer_function(1j, params).matrix  # e^{-i l} times a positive matrix
+    g = transfer_function(-1000.0 + 1j, params).matrix
+    assert not np.isnan(g).any()
+    assert np.array_equal(np.sign(g.real), np.sign(phase.real)) and np.isinf(g.real).all()
+    assert np.array_equal(np.sign(g.imag), np.sign(phase.imag)) and np.isinf(g.imag).all()
+    # just past the overflow of e^{-sl}, G itself is still finite: e^{710} G(0)
+    g = transfer_function(-710.0, params).matrix
+    expected = transfer_function(0.0, params).matrix.real * np.exp(355.0) * np.exp(355.0)
+    np.testing.assert_allclose(g.real, expected, rtol=1e-12, atol=0)
+    # an entry whose mode weight is zero stays zero: G22 = h1 (...) with h1 = 0
+    g = transfer_function(-1000.0, make_params(h1=0.0)).matrix
+    assert g[1, 1] == 0 and np.all(np.delete(g.ravel(), 3) == np.inf)
+
+
 def test_transfer_matches_steady_state_simulation():
     # constant input (1, 0) with the exact solver: exits converge to column 1
     params = make_params()

@@ -23,7 +23,6 @@ from pfhx import (
 from pfhx.coupling import coupling_matrix
 from pfhx.history import as_trace
 from pfhx.loop import check_scenario
-from pfhx.solver import _advance_exact, _mix_operand
 
 
 def scenario_with(tau=0.5, T=20.0, n=100, controller="observer_predictor", **kw):
@@ -378,6 +377,22 @@ def test_runners_leave_scenario_unchanged(runner, controller, kwargs):
             assert now == value, name
 
 
+def _advance(field, mix, u_new):
+    """One exact characteristic step: node i + 1 takes node i times ``mix``, node 0 u_new.
+
+    ``mix`` is a C-contiguous copy of the transposed step matrix (``_mix``);
+    the oracle multiplies by the transposed view, for the same bits here.
+    """
+    out = np.empty_like(field)
+    np.matmul(field[:-1], mix, out=out[1:])
+    out[0] = u_new
+    return out
+
+
+def _mix(dt, p):
+    return np.ascontiguousarray(coupling_matrix(dt, p.h1, p.h2).T)
+
+
 def _index_scenario(tau: float, controller: str = "observer_predictor", **kw) -> Scenario:
     grid = Grid(50, 1.0)
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=tau, k1=0.5, k2=0.5)
@@ -394,7 +409,7 @@ def _reference_closed_loop(sc: Scenario) -> dict:
     m, tau_used, _ = grid.snap_tau(p.tau)
     n_steps, _, _ = grid.snap_steps(sc.T)
     n, dt = grid.n_cells, grid.dt
-    mix = _mix_operand(coupling_matrix(dt, p.h1, p.h2), n)
+    mix = _mix(dt, p)
     warm = [input_function(spec) for spec in sc.warmup_u]
     plant = sc.theta0.copy()
     obs = sc.observer0.copy()
@@ -416,7 +431,7 @@ def _reference_closed_loop(sc: Scenario) -> dict:
             u = control_law(pred, p, t, tau=tau_used)
         else:
             u = np.array([warm[0](t), warm[1](t)])
-        plant = _advance_exact(plant, mix, u)
+        plant = _advance(plant, mix, u)
         plants.append(plant)
         u_hist[jn] = u
         exit_hist[jn] = plant[n]
@@ -451,7 +466,7 @@ def test_sano_baseline_matches_reference_loop(tau):
     m, _, _ = grid.snap_tau(tau)
     n_steps, _, _ = grid.snap_steps(sc.T)
     n, dt = grid.n_cells, grid.dt
-    mix = _mix_operand(coupling_matrix(dt, sc.params.h1, sc.params.h2), n)
+    mix = _mix(dt, sc.params)
     plant = sc.theta0.copy()
     exit_hist = np.zeros((n_steps + 1, 2))
     exit_hist[0] = plant[n]
@@ -460,7 +475,7 @@ def test_sano_baseline_matches_reference_loop(tau):
         u = np.zeros(2)
         if jn >= m:
             u[1] = -k * as_trace(exit_hist[:jn], dt)((jn - m) * dt)[0]
-        plant = _advance_exact(plant, mix, u)
+        plant = _advance(plant, mix, u)
         exit_hist[jn] = plant[n]
         u_ref.append(u)
         exits_ref.append(plant[n])
@@ -476,13 +491,13 @@ def test_delay_free_feedback_matches_reference_loop(tau):
     grid = Grid(sc.n_cells, p.l)
     m, tau_used, _ = grid.snap_tau(tau)
     n_steps, _, _ = grid.snap_steps(sc.T)
-    mix = _mix_operand(coupling_matrix(grid.dt, p.h1, p.h2), grid.n_cells)
+    mix = _mix(grid.dt, p)
     warm = [input_function(spec) for spec in sc.warmup_u]
     plant = sc.theta0.copy()
     u_ref, exits_ref, norms_ref = [np.zeros(2)], [plant[-1]], [l2_norm(plant, grid)]
     for jn in range(1, n_steps + 1):
         t = jn * grid.dt
-        plant = _advance_exact(plant, mix, np.zeros(2))
+        plant = _advance(plant, mix, np.zeros(2))
         if jn > m:
             plant[0] = control_law(plant[-1], p, t, tau=tau_used)  # the current exits
         else:

@@ -16,15 +16,23 @@ snapshots by a and the norms by |a|.  Both hold to the rounding bounds the
 recurrence keeps against its oracle (tests/test_recurrence.py), checked
 with no oracle at all.  The upwind open loop is linear in (theta0, u) as
 well, to a rounding bound that grows with its step count.
+
+Time-shift invariance: the plant's coefficients do not depend on time, so
+a solve from t0 is the solve from 0 of the input shifted by t0, with its
+times offset by t0.  Both solvers read the input at t0 + j dt either way,
+so the two agree bit for bit.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfhx import Grid, Params, Scenario, run_delay_free_feedback
+from pfhx import Grid, Params, Scenario, run_delay_free_feedback, solve_exact, solve_upwind
 from pfhx.loop import run_scenario
 from pfhx.profiles import profile_array
+from test_recorder import _same_bits
 from test_recurrence import NORM_RTOL, VALUE_RTOL
 
 ULPS = 4 * np.finfo(float).eps
@@ -228,3 +236,38 @@ def test_upwind_open_loop_is_linear_in_its_data(h1, h2, l, n_cells, cfl, c1, c2,
     gap = np.abs(scaled.plant_l2 - abs(a) * one.plant_l2).max()
     bound = UPWIND_STEP_RTOL * (steps + n_cells) * np.sqrt(2 * l) * abs(a) * _scale(one)
     assert gap <= bound, gap
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    h1=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    h2=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+    l=st.floats(0.5, 2.0),
+    n_cells=st.one_of(st.just(1), st.integers(1, 40)),
+    steps=st.integers(1, 120),  # T in steps
+    cfl=st.floats(0.05, 1.0),
+    t0=st.floats(-100.0, 100.0),
+)
+@example(h1=1.0, h2=2.0, l=1.0, n_cells=1, steps=9, cfl=0.3, t0=5.0)
+@example(h1=0.0, h2=0.0, l=1.0, n_cells=7, steps=30, cfl=1.0, t0=-2.5)
+@example(h1=0.0, h2=0.0, l=1.0, n_cells=1, steps=1, cfl=0.5, t0=0.1)
+def test_solvers_are_invariant_under_a_time_shift(h1, h2, l, n_cells, steps, cfl, t0):
+    p = Params(h1=h1, h2=h2, l=l, tau=l)
+    grid = Grid(n_cells, l)
+    theta0 = np.column_stack([np.sin(3 * grid.nodes + 1), np.cos(grid.nodes) - 0.5])
+    u = lambda t: np.array([np.sin(2 * t), np.cos(0.7 * t) ** 2])
+    shifted = lambda s: u(t0 + s)
+    runs = {
+        "solve_exact": lambda inputs, start: solve_exact(
+            theta0, inputs, steps * grid.dt, p, grid, snapshot_stride=0.25 * l, t0=start),
+        "solve_upwind": lambda inputs, start: solve_upwind(
+            theta0, inputs, steps * (cfl * grid.dx), p, grid, cfl=cfl, snapshot_stride=0.25 * l,
+            t0=start),
+    }
+    for name, solve in runs.items():
+        late, base = solve(u, t0), solve(shifted, 0.0)
+        assert _same_bits(late.t, base.t + t0), name
+        for column in dataclasses.fields(base):
+            if column.name != "t":
+                assert _same_bits(getattr(late, column.name), getattr(base, column.name)), (
+                    name, column.name)

@@ -1,17 +1,16 @@
 """Block-stepped runs against the per-step loop.
 
-The stepped solvers (``solve_exact``, ``solve_upwind`` and the upwind open
-loop) write each new field straight into a row of the recorder's
-cache-sized block, and the recorder reads a whole block at once for the
-norms, exits and snapshots.  The exact-step kernels multiply by a
-contiguous copy of the transposed step matrix, made once per run.
+The upwind scheme (``solve_upwind`` and the upwind open loop) is the one
+stepped solver: it writes each new field straight into a row of the
+recorder's cache-sized block, and the recorder reads a whole block at once
+for the norms, exits and snapshots.  Its step multiplies by a contiguous
+copy of the transposed step matrix, made once per run.
 
 The reference here is the oracle's per-step loop (``oracle.solve``):
-transposed-view kernels and one ``_l2`` call per field.  Both must give the
-same bits, sign bits, inf and nan included.  That holds at n_cells = 1
-too: there the single node row goes to BLAS gemv, where the contiguous
-operand would round differently.  Exact runs are a boundary recurrence,
-checked against the oracle in tests/test_recurrence.py.
+a transposed-view kernel and one ``_l2`` call per field.  Both must give
+the same bits, sign bits, inf and nan included.  Exact runs and
+``solve_exact`` are a tube, checked against the oracle in
+tests/test_recurrence.py.
 """
 
 import dataclasses
@@ -21,14 +20,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracle import PerStepRecorder, advance_exact, advance_upwind, solve
+from oracle import PerStepRecorder, advance_upwind, solve
 from pfhx import Grid, Params, Scenario, loop, solver
-from pfhx.coupling import coupling_matrix
 from pfhx.grid import _l2
 from pfhx.loop import run_scenario
 from pfhx.profiles import input_function
 from pfhx.solver import Recorder, Trajectory, _block_l2, solve_exact, solve_upwind
-from test_recurrence import TAU_EDGES
+from test_recurrence import TAU_EDGES, _overflowing_inputs
 
 
 def _same_bits(a, b) -> bool:
@@ -40,22 +38,13 @@ def _block_rows(n_cells: int) -> int:
     return len(Recorder(Grid(n_cells, 1.0), 1, 1.0 / n_cells, 1.0).block)
 
 
-def _overflowing_inputs(dt, start, t0=0.0):
-    """Zero inflow, then (1e300, -1e300) at step ``start``, whose squares overflow, then
-    (inf, -inf), which the coupling mixes into nan."""
-    def u(t):
-        j = round((t - t0) / dt) - start
-        return np.array([1.0, -1.0]) * np.float64(1e300) ** (j + 1) if j >= 0 else np.zeros(2)
-    return u
-
-
 def _run_pairs(n_cells, n_steps, overflow_at=None):
     """Each block-stepped run with the same run through the per-step loop.
 
-    The runs last n_steps exact steps, 2 n_steps upwind steps at cfl 0.5.
-    With ``overflow_at`` the solver oracles' inflow overflows at that step
-    of the run, and the upwind open loop, whose signals are config specs,
-    takes the constant inflow (1e300, -1e300) throughout.
+    The runs last 2 n_steps upwind steps at cfl 0.5.  With ``overflow_at``
+    the upwind solver's inflow overflows at that step of the run, and the
+    upwind open loop, whose signals are config specs, takes the constant
+    inflow (1e300, -1e300) throughout.
     """
     grid = Grid(n_cells, 1.0)
     p = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
@@ -68,9 +57,9 @@ def _run_pairs(n_cells, n_steps, overflow_at=None):
     ol_theta0 = loop._resolve_field(grid, sc.theta0, np.random.default_rng(sc.seed))
     theta0 = np.column_stack([np.sin(grid.nodes), -0.0 * grid.nodes])
 
-    def inputs(dt, t0=0.0):
+    def inputs(dt):
         if overflow_at:
-            return _overflowing_inputs(dt, overflow_at, t0)
+            return _overflowing_inputs(dt, overflow_at)
         f1, f2 = input_function("sine(1, 2)"), input_function("constant(1)")
         return lambda t: np.array([f1(t), f2(t)])
 
@@ -79,10 +68,6 @@ def _run_pairs(n_cells, n_steps, overflow_at=None):
         "open_loop_upwind": (
             run_scenario(sc).trajectory,
             solve(ol_theta0, loop._input_pair(u_open), 2 * n_steps, p, grid, up, upwind, 0.3)),
-        "solve_exact": (
-            solve_exact(theta0, inputs(grid.dt, 0.5), T, p, grid, snapshot_stride=0.3, t0=0.5),
-            solve(theta0, inputs(grid.dt, 0.5), n_steps, p, grid, grid.dt, advance_exact, 0.3,
-                  t0=0.5)),
         "solve_upwind": (
             solve_upwind(theta0, inputs(up), T, p, grid, cfl=0.5, snapshot_stride=0.3),
             solve(theta0, inputs(up), 2 * n_steps, p, grid, up, upwind, 0.3)),
@@ -136,8 +121,8 @@ def test_overflowing_runs_match_per_step_path(monkeypatch, n_cells, edge):
     rows = _small_blocks(monkeypatch, n_cells, tau)
     runs = _assert_matches_per_step_path(n_cells, 4 * (rows + n_cells) + 5, rows + n_cells)
     assert np.isinf(runs["open_loop_upwind"].plant_l2[1:]).all()
-    for runner in ("solve_exact", "solve_upwind"):
-        assert np.isinf(runs[runner].plant_l2).any() and np.isnan(runs[runner].exit_values).any()
+    assert np.isinf(runs["solve_upwind"].plant_l2).any()
+    assert np.isnan(runs["solve_upwind"].exit_values).any()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -145,10 +130,10 @@ def test_overflow_starts_inside_a_block(monkeypatch):
     rows = _small_blocks(monkeypatch, 7, 1.5)
     start = rows + rows // 2
     runs = _assert_matches_per_step_path(7, 4 * rows + 5, start)
-    for runner in ("solve_exact", "solve_upwind"):
-        first = int(np.argmax(~np.isfinite(runs[runner].plant_l2)))
-        assert first == start and first % rows not in (0, rows - 1), runner
-        assert np.isnan(runs[runner].plant_l2).any()  # inf - inf
+    plant_l2 = runs["solve_upwind"].plant_l2
+    first = int(np.argmax(~np.isfinite(plant_l2)))
+    assert first == start and first % rows not in (0, rows - 1)
+    assert np.isnan(plant_l2).any()  # inf - inf
 
 
 @pytest.mark.parametrize("n_cells, case", [
@@ -192,9 +177,9 @@ def test_snapshot_stride_far_below_a_step_snaps_every_step():
     p = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
     sc = Scenario(params=p, n_cells=10, T=1.0, theta0=("sine(1, 1)", "random(0.5)"),
                   warmup_u=("sine(1, 4)", "constant(0.5)"), snapshot_stride=1e-12)
-    stepped = solve_exact(np.full((11, 2), 0.5), lambda t: np.array([np.sin(t), 1.0]), 1.0, p,
-                          Grid(10, 1.0), snapshot_stride=1e-12)
-    for traj in (run_scenario(sc).trajectory, stepped):
+    solved = solve_exact(np.full((11, 2), 0.5), lambda t: np.array([np.sin(t), 1.0]), 1.0, p,
+                         Grid(10, 1.0), snapshot_stride=1e-12)
+    for traj in (run_scenario(sc).trajectory, solved):
         assert len(traj.t) == 11
         assert np.array_equal(traj.snapshot_t, traj.t)
         assert np.array_equal(traj.snapshots[:, -1], traj.exit_values)
@@ -225,18 +210,6 @@ def test_block_norms_match_per_field_l2(n_cells):
     norms, work = np.zeros(len(fields)), np.empty((2, 50, n_cells + 1))
     _block_l2(fields[..., 0], fields[..., 1], 0.37, norms, work)
     assert _same_bits(norms, expected)
-
-
-def test_single_row_keeps_transposed_view_bits():
-    # one node row: BLAS gemv rounds the contiguous operand differently
-    rng = np.random.default_rng(0)
-    step_matrix = coupling_matrix(0.3, 1.0, 2.0)
-    for rows in (1, 2, 3, 50, 1001):
-        mix = solver._mix_operand(step_matrix, rows)
-        for _ in range(200 if rows == 1 else 5):
-            field = rng.standard_normal((rows + 1, 2))
-            ref = advance_exact(field, step_matrix, (1.0, 2.0))
-            assert _same_bits(solver._advance_exact(field, mix, (1.0, 2.0)), ref)
 
 
 def test_closed_loop_holds_no_plant_history():

@@ -3,6 +3,8 @@
 An exact-solver run computes its inlet history by a lag-n recurrence and
 every column from that history and the initial fields (``loop._recur``);
 ``oracle.simulate`` steps every field instead, one exact step at a time.
+``solve_exact`` is the same tube fed with its inputs, checked here against
+the oracle's per-step solve (``oracle.solve``) at the same bounds.
 The two round differently, because exp(A1 dt) applied n times is not
 exp(A1 l) and the norms are summed in another order, so they agree to
 rounding, with these bounds:
@@ -34,9 +36,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from pfhx import Params, Scenario, run_delay_free_feedback, run_scenario
+from pfhx import Grid, Params, Scenario, run_delay_free_feedback, run_scenario, solve_exact
 from pfhx.cli import _first_non_finite
 from pfhx.loop import _BLOCK_STEPS, _lagged
+from pfhx.profiles import input_function
 
 VALUE_RTOL = 1e-13
 NORM_RTOL = 1e-13
@@ -72,7 +75,11 @@ def _both(sc, controller):
 
 def _assert_agrees(sc, controller, pointwise=True):
     result, stepped = _both(sc, controller)
-    exact = result.trajectory
+    return _assert_close(result.trajectory, stepped, pointwise)
+
+
+def _assert_close(exact, stepped, pointwise=True):
+    """A tube's trajectory against the oracle's stepped one, at the module's bounds."""
     assert np.array_equal(exact.t, stepped.t)
     assert np.array_equal(exact.snapshot_t, stepped.snapshot_t)
     scale = max(np.abs(c).max() for c in (stepped.u, stepped.exit_values, stepped.snapshots))
@@ -113,6 +120,49 @@ def test_recurrence_matches_stepped_oracle_on_short_runs(controller, steps):
 def test_recurrence_matches_stepped_oracle_on_long_coarse_runs(controller, n_cells, tau):
     # 900 steps: blocks of several lags, each a power of the lag map
     _assert_agrees(_scenario(controller, n_cells, tau, T=900 / n_cells), controller)
+
+
+def _overflowing_inputs(dt, start, t0=0.0):
+    """Zero inflow, then (1e300, -1e300) at step ``start``, whose squares overflow, then
+    (inf, -inf), which the coupling mixes into nan."""
+    def u(t):
+        j = round((t - t0) / dt) - start
+        return np.array([1.0, -1.0]) * np.float64(1e300) ** (j + 1) if j >= 0 else np.zeros(2)
+    return u
+
+
+def _solver_pair(n_cells, n_steps, inputs, t0):
+    """``solve_exact`` from t0, and the oracle's per-step exact solve of the same data."""
+    grid = Grid(n_cells, 1.0)
+    p = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
+    theta0 = np.column_stack([np.sin(grid.nodes), -0.0 * grid.nodes])
+    solved = solve_exact(theta0, inputs, n_steps * grid.dt, p, grid, snapshot_stride=0.3, t0=t0)
+    stepped = oracle.solve(theta0, inputs, n_steps, p, grid, grid.dt, oracle.advance_exact, 0.3,
+                           t0=t0)
+    return solved, stepped
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 6, 7, 8, 49, 50, 51, 300])
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 50])
+def test_solve_exact_matches_stepped_oracle(n_cells, n_steps):
+    # runs shorter than the tube, as long as it, one step longer and many tubes long
+    f1, f2 = input_function("sine(1, 2)"), input_function("constant(1)")
+    _assert_close(*_solver_pair(n_cells, n_steps, lambda t: np.array([f1(t), f2(t)]), 0.5))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 50])
+def test_solve_exact_overflow_is_reported_at_the_same_first_value(n_cells):
+    # the norms overflow at step n_cells + 3, and the fields then turn nan
+    start = n_cells + 3
+    grid = Grid(n_cells, 1.0)
+    solved, stepped = _solver_pair(n_cells, 4 * n_cells + 20,
+                                   _overflowing_inputs(grid.dt, start, 0.5), 0.5)
+    assert not solved.is_finite() and not stepped.is_finite()
+    assert np.isnan(solved.exit_values).any() and np.isnan(stepped.exit_values).any()
+    first = _first_non_finite(SimpleNamespace(trajectory=solved))
+    assert first == _first_non_finite(SimpleNamespace(trajectory=stepped))
+    assert first.startswith(f"step {start} ")
 
 
 def _one_lag_at_a_time(x, start, lag, step):
@@ -214,8 +264,11 @@ def test_recurrence_matches_stepped_oracle_property(controller, h1, h2, l, n_cel
     _assert_agrees(sc, controller)
 
 
-# what the oracle may not use: the recurrence and the runs made by it
-RECURRENCE_NAMES = {"_Tube", "_lagged", "_RECURRENCES", "_cross_map", "run_scenario", "_simulate"}
+# what the oracle may not use: the recurrence, the runs made by it, and the tube's other
+# uses, the exact solver and the closed form (with the predictor) and their helpers
+RECURRENCE_NAMES = {"_Tube", "_lagged", "_RECURRENCES", "_cross_map", "run_scenario", "_simulate",
+                    "solve_exact", "closed_form_state", "predict", "trajectory", "feed_signal",
+                    "_inputs"}
 
 
 def _recurrence_names(tree: ast.AST) -> set[str]:
@@ -239,5 +292,7 @@ def test_oracle_imports_nothing_of_the_recurrence():
     assert _recurrence_names(ast.parse(source)) == set()
     for line in ("from pfhx.loop import _lagged", "from pfhx.solver import _Tube as T",
                  "loop._recur(sc, run)", "getattr(loop, '_RECURRENCES')",
-                 "import pfhx.loop._cross_map"):
+                 "import pfhx.loop._cross_map", "from pfhx import solve_exact",
+                 "pfhx.closed_form_state(f, u, t, p, g)", "from pfhx.observer import predict",
+                 "tube.trajectory(0.1)", "tube.feed_signal(u)", "from pfhx.solver import _inputs"):
         assert _recurrence_names(ast.parse(line)), line

@@ -4,6 +4,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from conftest import field_from, random_field
+from oracle import closed_form_by_node, step_exact
 from pfhx import (
     Grid,
     Params,
@@ -11,10 +12,10 @@ from pfhx import (
     l2_norm,
     solve_exact,
     solve_upwind,
-    step_exact,
     zero_field,
 )
 from pfhx.solver import _Tube
+from test_recurrence import VALUE_RTOL
 
 
 def params_with(h1=1.0, h2=2.0, k1=0.5, k2=0.5, l=1.0, tau=0.5):
@@ -103,6 +104,37 @@ def test_closed_form_agrees_with_stepping():
             field = step_exact(field, q * grid.dt, u, params, grid)
         direct = closed_form_state(theta0, u, t_snapped, params, grid)
         np.testing.assert_allclose(field, direct, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h1, h2", [(1.0, 2.0), (0.0, 2.0), (0.0, 0.0)])
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 50])
+def test_closed_form_matches_per_node_closed_form(n_cells, h1, h2):
+    # before, at and after the step n_cells at which the initial field has left the tube
+    grid = Grid(n_cells, 1.0)
+    params = params_with(h1=h1, h2=h2)
+    theta0 = random_field(grid, np.random.default_rng(n_cells))
+    u = lambda t: np.array([np.sin(3.0 * t), np.cos(2.0 * t)])
+    for j in sorted({0, 1, n_cells - 1, n_cells, n_cells + 1, n_cells + 2, 3 * n_cells + 5}):
+        ours = closed_form_state(theta0, u, j * grid.dt, params, grid)
+        theirs = closed_form_by_node(theta0, u, j * grid.dt, params, grid)
+        assert np.abs(ours - theirs).max() <= VALUE_RTOL * np.abs(theirs).max(), j
+
+
+def test_closed_form_reads_only_the_inputs_the_field_carries():
+    # t = 1000 l is 10^4 steps; the field at t carries the inputs of its last n_cells + 1
+    grid = Grid(10, 1.0)
+    params = params_with()
+    times = []
+
+    def u(t):
+        times.append(t)
+        return np.array([np.sin(t), np.cos(t)])
+
+    theta0 = random_field(grid, np.random.default_rng(14))
+    field = closed_form_state(theta0, u, 1000.0, params, grid)
+    assert len(times) <= grid.n_cells + 1
+    expected = closed_form_by_node(theta0, u, 1000.0, params, grid)
+    assert np.abs(field - expected).max() <= VALUE_RTOL * np.abs(expected).max()
 
 
 def test_linearity_of_solution_operator():
@@ -207,6 +239,14 @@ def test_upwind_cfl_validation():
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError, match="cfl"):
             solve_upwind(zero_field(grid), None, 1.0, params_with(), grid, cfl=bad)
+
+
+def test_snapshot_stride_must_be_positive():
+    grid = Grid(10, 1.0)
+    for solve in (solve_exact, solve_upwind):
+        for bad in (0.0, -0.1):
+            with pytest.raises(ValueError, match="stride"):
+                solve(zero_field(grid), None, 1.0, params_with(), grid, snapshot_stride=bad)
 
 
 def test_time_shift_invariance():
