@@ -45,7 +45,7 @@ initial fields (``_recur``, ``solver._Tube``), with no field advanced
 step by step; ``solver.solve_exact`` and ``closed_form_state`` read the
 same tube.  The observer's error of observer time s is normed at step
 s + m, when its measurement arrives.  The upwind solver runs the open loop
-only, one step at a time (``solver._solve``).  tests/oracle.py advances
+only, one field at a time (``solver._solve``).  tests/oracle.py advances
 every exact law one step at a time, field by field: the recurrence's
 oracle.
 """
@@ -65,7 +65,7 @@ from .grid import Grid, _l2, check_field
 from .observer import _cross_law
 from .params import Params, SanoReport, Scenario
 from .profiles import _draws, input_function, profile_array
-from .solver import Recorder, Trajectory, _inputs, _physical_memory, _solve, _Tube
+from .solver import Trajectory, _inputs, _physical_memory, _solve, _Tube, bytes_needed
 
 
 @dataclass
@@ -132,9 +132,9 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
     The law is the one scenario.controller names, or with ``delay_free``
     the reference loop.  The step is cfl * dx on the upwind solver, which
     only the open loop runs.  T must be finite and cover at least half a
-    step, a delayed run must outlast its delay, and the recording must fit
-    in physical memory.  The profiles are then drawn, theta0 first, and
-    the input specs parsed.
+    step, a delayed run must outlast its delay, and the recording
+    (``solver.bytes_needed``) must fit in physical memory.  The profiles
+    are then drawn, theta0 first, and the input specs parsed.
     """
     if delay_free:
         controller, (delayed, with_observer) = "delay_free", _DELAY_FREE
@@ -178,7 +178,7 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
         raise ConfigError(
             f"run.T={scenario.T:g} must exceed the delay tau={tau_used:g} for controlled runs"
         )
-    need = Recorder.bytes_needed(grid.n_cells + 1, n_steps, dt, scenario.snapshot_stride)
+    need = bytes_needed(grid.n_cells + 1, n_steps, dt, scenario.snapshot_stride)
     if not upwind:  # the recurrence's tubes, inlet histories and norm sums
         need += _Tube.BYTES_PER_STEP * (n_steps + 1)
     memory = _physical_memory()

@@ -16,7 +16,8 @@ predictor (``observer.predict``).
 at CFL <= 1, then exact coupling at each node, i.e. operator splitting)
 used to cross-validate the exact solver.  At CFL = 1 the split update
 reduces algebraically to the characteristic update.  It is the one
-solver that steps: ``_solve`` writes each new field into a ``Recorder``.
+solver that steps: ``_solve`` holds two fields and writes each step's
+norm, exit pair and any due snapshot straight into the run's columns.
 
 Every solver reads its boundary input through ``history.as_trace``: zero,
 a callable, or a step-indexed array such as a recorded ``Trajectory.u``.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import coupling_matrix, fast_exponent, finite_rates
-from .grid import Grid, check_field
+from .grid import Grid, _l2, check_field
 from .history import as_trace
 from .params import Params
 
@@ -71,10 +72,6 @@ class Trajectory:
         )
 
 
-# A block holds about 256 KB of plant fields: it stays in cache while it fills.
-_NORM_BLOCK_BYTES = 2**18
-
-
 def _physical_memory() -> float:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -82,30 +79,14 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _block_l2(theta1: np.ndarray, theta2: np.ndarray, dx: float, out: np.ndarray, work: np.ndarray):
-    """Write the trapezoid L2 norm of each field of a block into ``out``.
+def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float) -> float:
+    """An upper bound on what a run records, from arithmetic alone.
 
-    Field k has the streams ``theta1[k]`` and ``theta2[k]``, each over the
-    nodes.  The arithmetic is ``_l2``'s, so each norm has the same bits,
-    which a fused weighted dot would not give.  ``work`` holds two arrays
-    of the streams' shape, which may be the streams themselves; reusing it
-    keeps the heap from shrinking and regrowing, with its page faults, at
-    every block.
+    Its per-step columns, its snapshots, and the upwind step's three rows.
     """
-    s, t = work[0][: len(out)], work[1][: len(out)]
-    np.square(theta1, out=s)
-    np.square(theta2, out=t)
-    np.add(s, t, out=s)
-    t = t[:, :-1]
-    np.add(s[:, 1:], s[:, :-1], out=t)  # np.trapezoid: (dx * (y[1:] + y[:-1]) / 2.0).sum()
-    np.multiply(dx, t, out=t)
-    np.divide(t, 2.0, out=t)
-    np.sum(t, axis=-1, out=out)
-    np.sqrt(out, out=out)
-
-
-def _block_rows(n_nodes: int) -> int:
-    return max(8, _NORM_BLOCK_BYTES // (16 * n_nodes))
+    snaps = math.floor(min(n_steps, n_steps * dt / snapshot_stride + 1e-9)) + 1
+    per_step = 72.0  # t, both norms, and the pred_err_at_l, u and exit pairs
+    return per_step * (n_steps + 1) + 16.0 * n_nodes * (snaps + 3)
 
 
 def _snapshot_steps(n_steps: int, dt: float, snapshot_stride: float) -> np.ndarray:
@@ -135,7 +116,7 @@ class _Tube:
     initial field only, are known.
     """
 
-    # What an exact run allocates per step beyond a Recorder's columns: its
+    # What an exact run allocates per step beyond ``bytes_needed``'s columns: its
     # tubes' origins, the inlet histories and the norm sums' terms.
     BYTES_PER_STEP = 104.0
 
@@ -210,7 +191,10 @@ class _Tube:
         kernels; in the first n steps the nodes i > j still carry the
         initial field, all with the decay of j steps, and add prefix sums.
         Direct, not by FFT, whose rounding would scale with the run's
-        largest value rather than with each step's own.
+        largest value rather than with each step's own.  A term that
+        overflows makes inf - inf or inf * 0, a nan where |v|^2 is +inf: a
+        step is nan only where a node it reads is, node 0 the inlet pair
+        and node i the origin j - i, as a step-by-step norm is.
         """
         n, dx, a, b = self.n, self.dx, self.a, self.b
         weight = np.full(n + 1, dx)
@@ -228,108 +212,39 @@ class _Tube:
         rest = n - np.arange(head)  # the nodes of step j that still do, the last weighted 1/2
         for x, coef in zip((w * w, w * d, d * d), modes(self.decay[:head])):
             total[:head] += dx * coef * (np.cumsum(x)[rest - 1] - x[rest - 1] / 2)
-        return np.sqrt(total)
+        norms = np.sqrt(total)
+        lost = np.isnan(norms)
+        if lost.any():  # nodes 1 .. n mix the origins j - n .. j - 1, node 0 is u[j] itself
+            nan = np.isnan(self.w[:count + n]) | np.isnan(self.d[:count + n])
+            reads = np.cumsum(np.append(0, nan))  # the nan origins before each index
+            lost &= reads[n:n + count] == reads[:count]
+            lost[1:] &= ~np.isnan(self.u[1:count]).any(axis=1)
+            norms[lost] = np.inf
+        return norms
 
-    def trajectory(self, snapshot_stride: float) -> Trajectory:
-        """The columns of the run the fed tube holds: its norms, exits and snapshots.
-
-        The observer columns are zero; a run that has an observer fills them.
-        """
+    def trajectory(self, snapshot_stride: float, t0: float = 0.0) -> Trajectory:
+        """The columns of the run the fed tube holds, from t0: its norms, exits and snapshots."""
         total, dt = len(self.u), self.dx
         steps = _snapshot_steps(total - 1, dt, snapshot_stride)
-        return Trajectory(
-            t=np.arange(total) * dt,
-            plant_l2=self.norms(total),
-            obs_err_l2=np.zeros(total),
-            pred_err_at_l=np.zeros((total, 2)),
-            u=self.u,
-            exit_values=self.exits(0, total),
-            snapshot_t=steps * dt,
-            snapshots=self.fields(steps),
-            dt=dt,
-        )
+        return _plant_trajectory(dt, t0, self.norms(total), self.u, self.exits(0, total), steps,
+                                 self.fields(steps))
+
+
+def _plant_trajectory(dt, t0, plant_l2, u, exit_values, steps, snapshots) -> Trajectory:
+    """A run's columns from t0, from its plant's and the ``steps`` its snapshots are of.
+
+    The observer columns are zero; a run that has an observer fills them.
+    """
+    total = len(u)
+    return Trajectory(t=np.arange(total) * dt + t0, plant_l2=plant_l2, obs_err_l2=np.zeros(total),
+                      pred_err_at_l=np.zeros((total, 2)), u=u, exit_values=exit_values,
+                      snapshot_t=steps * dt + t0, snapshots=snapshots, dt=dt)
 
 
 def _inputs(signal, rows: np.ndarray, j0: int, dt: float) -> None:
     """Fill ``rows`` with an input pair signal at steps j0, j0 + 1, ..."""
     for i in range(len(rows)):
         rows[i] = signal((j0 + i) * dt)
-
-
-class Recorder:
-    """Preallocated collector filling a Trajectory a block of steps at a time.
-
-    The step kernel writes each new field straight into a row of a
-    cache-sized block: ``rows`` hands out the rows of steps j - 1 and j.
-    A row has shape (n_cells + 1, 2).  When the block is full, and at
-    ``finish``, it is read once to fill ``plant_l2``, ``exit_values`` and
-    the snapshots due in it.  The block's last row carries over to the
-    next block.  The run writes step 0's field into ``block[0]``, and ``u``
-    itself.  Steps arrive in order.
-    """
-
-    def __init__(self, grid: Grid, n_steps: int, dt: float, snapshot_stride: float):
-        if snapshot_stride <= 0:
-            raise ValueError("snapshot stride must be positive")
-        self.dt = dt
-        self.dx = grid.dx
-        total = n_steps + 1
-        self.t = np.arange(total) * dt
-        self.plant_l2 = np.zeros(total)
-        self.u = np.zeros((total, 2))
-        self.exit_values = np.zeros((total, 2))
-        self._snap_steps = _snapshot_steps(n_steps, dt, snapshot_stride)
-        self.snapshots = np.zeros((len(self._snap_steps), grid.n_cells + 1, 2))
-        rows = _block_rows(grid.n_cells + 1)
-        self.block = np.empty((rows, grid.n_cells + 1, 2))
-        self._work = np.empty((2, rows, grid.n_cells + 1))
-        self.start = 0  # the step in block row 0
-        self.used = 1  # rows written, step 0's included
-        self.fresh = 0  # the first row not yet read out
-
-    @staticmethod
-    def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float) -> float:
-        """An upper bound on what a run records, from arithmetic alone.
-
-        Its columns, its snapshots, and three blocks' worth of node rows.
-        """
-        snaps = math.floor(min(n_steps, n_steps * dt / snapshot_stride + 1e-9)) + 1
-        per_step = 72.0  # t, both norms, and the pred_err_at_l, u and exit pairs
-        return per_step * (n_steps + 1) + 16.0 * n_nodes * (snaps + 3 * _block_rows(n_nodes))
-
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of the previous step and of the next step, which the kernel fills."""
-        if self.used == len(self.block):
-            self._read_block()
-            self.block[0] = self.block[-1]
-            self.start += self.used - 1
-            self.used = self.fresh = 1
-        self.used += 1
-        return self.block[self.used - 2], self.block[self.used - 1]
-
-    def _read_block(self) -> None:
-        lo, hi = self.start + self.fresh, self.start + self.used
-        blk = self.block[self.fresh:self.used]
-        _block_l2(blk[..., 0], blk[..., 1], self.dx, self.plant_l2[lo:hi], self._work)
-        self.exit_values[lo:hi] = blk[:, -1]
-        a, b = np.searchsorted(self._snap_steps, (lo, hi))
-        self.snapshots[a:b] = self.block[self._snap_steps[a:b] - self.start]
-        self.fresh = self.used
-
-    def finish(self) -> Trajectory:
-        self._read_block()
-        total = len(self.t)
-        return Trajectory(
-            t=self.t,
-            plant_l2=self.plant_l2,
-            obs_err_l2=np.zeros(total),
-            pred_err_at_l=np.zeros((total, 2)),
-            u=self.u,
-            exit_values=self.exit_values,
-            snapshot_t=self._snap_steps * self.dt,
-            snapshots=self.snapshots,
-            dt=self.dt,
-        )
 
 
 def solve_exact(
@@ -343,8 +258,8 @@ def solve_exact(
 ) -> Trajectory:
     """Run the exact solver from t0 to t0 + T and record the trajectory.
 
-    A tube fed with the inputs at t0 + j dt.  ``t`` counts from t0, and
-    ``snapshot_t`` from 0, as in ``solve_upwind``.
+    A tube fed with the inputs at t0 + j dt.  ``t`` and ``snapshot_t``
+    count from t0, as in ``solve_upwind``.
     """
     if not snapshot_stride > 0:
         raise ValueError("snapshot stride must be positive")
@@ -352,9 +267,7 @@ def solve_exact(
     trace = as_trace(inputs, dt)
     tube = _Tube(check_field(theta0, grid), n_steps, params, dt)
     tube.feed_signal(lambda s: trace(t0 + s))
-    traj = tube.trajectory(snapshot_stride)
-    traj.t = traj.t + t0
-    return traj
+    return tube.trajectory(snapshot_stride, t0)
 
 
 def solve_upwind(
@@ -367,12 +280,17 @@ def solve_upwind(
     snapshot_stride: float = 0.1,
     t0: float = 0.0,
 ) -> Trajectory:
-    """Run the split upwind solver from t0 to t0 + T at the given CFL."""
+    """Run the split upwind solver from t0 to t0 + T at the given CFL.
+
+    ``t`` and ``snapshot_t`` count from t0, as in ``solve_exact``.
+    """
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
     n_steps, _, changed = grid.snap_steps(T, dt=cfl * grid.dx)
     if changed:
         raise ValueError(f"final time {T} is not a whole number of steps dt={cfl * grid.dx}")
+    if not snapshot_stride > 0:
+        raise ValueError("snapshot stride must be positive")
     return _solve(check_field(theta0, grid), inputs, n_steps, params, grid, cfl, snapshot_stride,
                   t0)
 
@@ -380,29 +298,36 @@ def solve_upwind(
 def _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0) -> Trajectory:
     """The split upwind scheme at ``cfl``: theta0 at t0, then the inputs at each step's time.
 
-    The one loop that steps a Recorder, from its first row to its last,
-    for the upwind solver and the upwind open loop.  Each step mixes
-    neighbouring nodes into ``adv``, then couples every node into the
-    Recorder's next row by the step matrix's transpose, made once as a
-    C-contiguous copy: BLAS then skips its transposed path, which at these
-    shapes is two to three times slower, for the same bits.
+    The one loop that steps, for the upwind solver and the upwind open
+    loop.  It holds two fields: each step mixes neighbouring nodes of
+    ``field`` into ``adv``, then couples every node into ``spare`` by the
+    step matrix's transpose, made once as a C-contiguous copy: BLAS then
+    skips its transposed path, which at these shapes is two to three times
+    slower, for the same bits.  The new field's norm, exit pair and any due
+    snapshot go straight into the columns.
     """
-    dt = cfl * grid.dx
+    dt, dx, total = cfl * grid.dx, grid.dx, n_steps + 1
     trace = as_trace(inputs, dt)
-    rec = Recorder(grid, n_steps, dt, snapshot_stride)
-    rec.t = rec.t + t0
-    rec.block[0] = theta0
+    plant_l2, u, exit_values = np.empty(total), np.zeros((total, 2)), np.empty((total, 2))
+    steps = _snapshot_steps(n_steps, dt, snapshot_stride)
+    snapshots = np.empty((len(steps),) + theta0.shape)
+    due = dict(zip(steps.tolist(), range(len(steps))))  # step -> its snapshot
     mix = np.ascontiguousarray(coupling_matrix(dt, params.h1, params.h2).T)
-    adv = np.empty(rec.block.shape[1:])
-    for j in range(1, n_steps + 1):
-        prev, row = rec.rows()
-        np.multiply(prev[1:], 1.0 - cfl, out=adv[1:])
-        np.multiply(prev[:-1], cfl, out=row[1:])
-        np.add(adv[1:], row[1:], out=adv[1:])
-        adv[0] = prev[0]
-        np.matmul(adv, mix, out=row)
-        row[0] = rec.u[j] = trace(t0 + j * dt)
-    return rec.finish()
+    field, spare, adv = theta0.copy(), np.empty_like(theta0), np.empty_like(theta0)
+    for j in range(total):
+        if j:
+            np.multiply(field[1:], 1.0 - cfl, out=adv[1:])
+            np.multiply(field[:-1], cfl, out=spare[1:])
+            np.add(adv[1:], spare[1:], out=adv[1:])
+            adv[0] = field[0]
+            np.matmul(adv, mix, out=spare)
+            spare[0] = u[j] = trace(t0 + j * dt)
+            field, spare = spare, field
+        plant_l2[j] = _l2(field, dx)
+        exit_values[j] = field[-1]
+        if j in due:
+            snapshots[due[j]] = field
+    return _plant_trajectory(dt, t0, plant_l2, u, exit_values, steps, snapshots)
 
 
 def closed_form_state(

@@ -34,13 +34,13 @@ from pfhx.solver import Trajectory
 class PerStepRecorder:
     """The run's columns, filled one step at a time: one ``_l2`` call per recorded field."""
 
-    def __init__(self, grid, n_steps, dt, snapshot_stride):
+    def __init__(self, grid, n_steps, dt, snapshot_stride, t0=0.0):
         if snapshot_stride <= 0:
             raise ValueError("snapshot stride must be positive")
-        self.dt = dt
+        self.dt, self.t0 = dt, t0
         self.dx = grid.dx
         total = n_steps + 1
-        self.t = np.arange(total) * dt
+        self.t = np.arange(total) * dt + t0
         self.plant_l2 = np.zeros(total)
         self.obs_err_l2 = np.zeros(total)
         self.pred_err_at_l = np.zeros((total, 2))
@@ -68,7 +68,7 @@ class PerStepRecorder:
         return Trajectory(
             t=self.t, plant_l2=self.plant_l2, obs_err_l2=self.obs_err_l2,
             pred_err_at_l=self.pred_err_at_l, u=self.u, exit_values=self.exit_values,
-            snapshot_t=np.asarray(self.snap_steps) * self.dt, snapshots=self.snapshots,
+            snapshot_t=np.asarray(self.snap_steps) * self.dt + self.t0, snapshots=self.snapshots,
             dt=self.dt,
         )
 
@@ -202,8 +202,7 @@ def solve(theta0, u_fn, n_steps, p, grid, dt, advance, snapshot_stride, t0=0.0) 
     ``advance(field, step_matrix, u_new)`` is one step of the scheme at ``dt``.
     """
     step_matrix = coupling_matrix(dt, p.h1, p.h2)
-    rec = PerStepRecorder(grid, n_steps, dt, snapshot_stride)
-    rec.t = rec.t + t0
+    rec = PerStepRecorder(grid, n_steps, dt, snapshot_stride, t0)
     field = theta0.copy()
     rec.record(0, field, np.zeros(2))
     for j in range(1, n_steps + 1):

@@ -24,6 +24,7 @@ from pfhx import (
 from pfhx import cli, e16
 from pfhx.config import parse_config
 from pfhx.loop import check_scenario
+from pfhx.solver import bytes_needed
 from pfhx.cli import _sweep_line, _sweep_worker, _write_norms, _write_snapshots, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -252,7 +253,7 @@ def test_recording_beyond_physical_memory_is_config_error(tmp_path, capsys):
 
 
 def test_runner_checks_recording_size_before_allocating(monkeypatch):
-    # 101 nodes over 10,000 steps record just under 4 MiB: more than 1 MiB of memory
+    # 101 nodes over 10,000 steps record about 3.2 MiB: more than 1 MiB of memory
     monkeypatch.setattr(loop, "_physical_memory", lambda: 2**20)
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
     scenario = Scenario(params=params, n_cells=100, T=100.0)
@@ -650,7 +651,7 @@ def test_sweep_checks_its_rows_as_they_run(tmp_path, monkeypatch, capsys):
     text = BASE.replace("seed = 3", "seed = 3\nsnapshot_stride = 1e-9") + "\n[sweep]\ntau = 1.5, 2.0\n"
     cfg = write_config(tmp_path, text)
     dt = 1.0 / 50
-    row, base = (loop.Recorder.bytes_needed(51, 300, dt, stride) for stride in (math.inf, 1e-9))
+    row, base = (bytes_needed(51, 300, dt, stride) for stride in (math.inf, 1e-9))
     monkeypatch.setattr(loop, "_physical_memory", lambda: (row + base) / 2)
     argv = ["-c", cfg, "-o", str(tmp_path / "sweep"), "--workers", "1"]
     assert main(["sweep", *argv]) == 0

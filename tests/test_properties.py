@@ -267,7 +267,8 @@ def test_solvers_are_invariant_under_a_time_shift(h1, h2, l, n_cells, steps, cfl
     for name, solve in runs.items():
         late, base = solve(u, t0), solve(shifted, 0.0)
         assert _same_bits(late.t, base.t + t0), name
+        assert _same_bits(late.snapshot_t, base.snapshot_t + t0), name
         for column in dataclasses.fields(base):
-            if column.name != "t":
+            if column.name not in ("t", "snapshot_t"):
                 assert _same_bits(getattr(late, column.name), getattr(base, column.name)), (
                     name, column.name)

@@ -165,6 +165,34 @@ def test_solve_exact_overflow_is_reported_at_the_same_first_value(n_cells):
     assert first.startswith(f"step {start} ")
 
 
+def _nan_after_overflow(dt, start, t0):
+    """``_overflowing_inputs``, with (nan, nan) in place of (inf, -inf)."""
+    u = _overflowing_inputs(dt, start, t0)
+    return lambda t: np.where(np.isinf(u(t)), np.nan, u(t))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("signal", [_overflowing_inputs, _nan_after_overflow], ids=["inf", "nan"])
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 50])
+def test_overflowing_norms_match_stepped_oracle_element_by_element(n_cells, signal):
+    # the squares of (1e300, -1e300) overflow: the norm is +inf, as the stepped
+    # one is, until node 0 carries a nan, or a node reads the nan that (inf, -inf)
+    # mixes into
+    start = n_cells + 3
+    grid = Grid(n_cells, 1.0)
+    solved, stepped = _solver_pair(n_cells, 4 * n_cells + 20, signal(grid.dt, start, 0.5), 0.5)
+    for name in ("plant_l2", "obs_err_l2"):
+        ours, theirs = getattr(solved, name), getattr(stepped, name)
+        assert np.array_equal(np.isnan(ours), np.isnan(theirs)), name
+        assert np.array_equal(np.isposinf(ours), np.isposinf(theirs)), name
+        live = np.isfinite(theirs)
+        assert np.all(np.isfinite(ours[live])), name
+        gap = np.abs(ours[live] - theirs[live]).max()
+        assert gap <= NORM_RTOL * theirs[live].max(), (name, gap)
+    assert np.isposinf(solved.plant_l2[start])
+    assert np.isnan(solved.plant_l2).any()
+
+
 def _one_lag_at_a_time(x, start, lag, step):
     for j in range(start, len(x)):
         x[j] = step @ x[j - lag]
@@ -268,7 +296,8 @@ def test_recurrence_matches_stepped_oracle_property(controller, h1, h2, l, n_cel
 # uses, the exact solver and the closed form (with the predictor) and their helpers
 RECURRENCE_NAMES = {"_Tube", "_lagged", "_RECURRENCES", "_cross_map", "run_scenario", "_simulate",
                     "solve_exact", "closed_form_state", "predict", "trajectory", "feed_signal",
-                    "_inputs"}
+                    "_inputs", "_plant_trajectory",
+                    "_solve", "solve_upwind"}  # the upwind loop, which the oracle checks too
 
 
 def _recurrence_names(tree: ast.AST) -> set[str]:
@@ -294,5 +323,6 @@ def test_oracle_imports_nothing_of_the_recurrence():
                  "loop._recur(sc, run)", "getattr(loop, '_RECURRENCES')",
                  "import pfhx.loop._cross_map", "from pfhx import solve_exact",
                  "pfhx.closed_form_state(f, u, t, p, g)", "from pfhx.observer import predict",
-                 "tube.trajectory(0.1)", "tube.feed_signal(u)", "from pfhx.solver import _inputs"):
+                 "tube.trajectory(0.1)", "tube.feed_signal(u)", "from pfhx.solver import _inputs",
+                 "solver._solve(f, u, 9, p, g, 0.5, 0.1, 0.0)", "from pfhx import solve_upwind"):
         assert _recurrence_names(ast.parse(line)), line
