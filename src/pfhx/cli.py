@@ -4,8 +4,9 @@ All numeric CSV output uses scientific notation with 17 significant
 digits (lossless for doubles), comma separation, '.' decimals, and LF
 line endings, so identical configurations produce byte-identical files.
 Each number is exactly what ``'%.16e' % x`` makes of it.  The numpy
-kernel of ``e16`` formats the run CSVs a few thousand values at a time;
-sweep.csv and freqresp.csv rows are each one ``%`` operation.
+kernel of ``e16`` formats the run CSVs a few thousand values at a time,
+and its one row assembler, ``e16._csv``, writes both norms.csv and
+snapshots.csv; sweep.csv and freqresp.csv rows are each one ``%`` operation.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (non-finite values), 4 output I/O failure.
 
@@ -71,10 +72,10 @@ def _norms_columns(traj) -> list[np.ndarray]:
 def _write_norms(path: Path, result: RunResult) -> None:
     import numpy as np
 
-    from .e16 import _format_rows
+    from .e16 import _csv
 
     block = np.column_stack(_norms_columns(result.trajectory))
-    _write_lines(path, itertools.chain([_NORMS_HEADER], _format_rows(block)))
+    _write_lines(path, itertools.chain([_NORMS_HEADER], _csv(block[:, None])))
 
 
 def _first_non_finite(result: RunResult) -> str:
@@ -88,10 +89,11 @@ def _first_non_finite(result: RunResult) -> str:
 
 
 def _write_snapshots(path: Path, result: RunResult, grid: Grid) -> None:
-    from .e16 import _snapshot_rows
+    """A row per snapshot and node: t repeats down a snapshot's rows, x down every snapshot."""
+    from .e16 import _csv
 
     traj = result.trajectory
-    rows = _snapshot_rows(traj.snapshot_t, traj.snapshots, grid.nodes)
+    rows = _csv(traj.snapshot_t[:, None, None], grid.nodes[None, :, None], traj.snapshots)
     _write_lines(path, itertools.chain(["t,x,theta1,theta2"], rows))
 
 

@@ -4,9 +4,11 @@
 too many to format one ``%`` at a time.  ``_e16`` computes the 17 digits
 of a few thousand values at a time; a value it cannot settle, a near tie
 or one outside [1e-280, 1e300], inf and nan among them, is formatted by
-``'%.16e' % x`` itself, which is the kernel's oracle.  ``cli`` imports
-this module only when it writes a run's outputs, so a command that writes
-none never loads numpy.
+``'%.16e' % x`` itself, which is the kernel's oracle.  ``_csv`` writes
+both files' rows: it lays the records of broadcast groups of columns into
+25-byte slots, each ending in its separator, and drops the padding with one
+``bytes.replace`` per piece.  ``cli`` imports this module only when it
+writes a run's outputs, so a command that writes none never loads numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 # The kernel formats at most this many values at a time, so that its
 # temporaries stay near 2 MB whatever the size of the run.
 _CHUNK_VALUES = 2**14
-_SLOTS = 25  # a record: the longest '%.16e' text, '-1.2345678901234567e-308', then a separator
+_SLOTS = 25  # a CSV slot: the longest '%.16e' text, '-1.2345678901234567e-308', then a separator
 # The decimal exponents p = floor(log10 |x|) of |x| in [1e-280, 1e300], the
 # kernel's fast path, with one to spare at each end for a mend or a carry.
 _P = (-282, 302)
@@ -132,55 +134,44 @@ def _e16_chunk(x: np.ndarray, out: np.ndarray) -> int:
     return len(fallback)
 
 
-def _e16(values: np.ndarray, separators: bytes) -> np.ndarray:
-    """Each value as a record: ``'%.16e' % v``, zero-padded to 24 bytes, then a separator.
+def _e16(values: np.ndarray) -> np.ndarray:
+    """Each value as a 24-byte record: ``'%.16e' % v``, zero bytes where its text is shorter.
 
-    The separators follow in turn, value after value, so ``b",\n"`` makes
-    rows of two; the records' shape is (number of values, ``_SLOTS``).
+    The records' shape is the values' shape, then 24.
     """
     x = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    out = np.empty((len(x), _SLOTS), np.uint8)
+    out = np.empty((len(x), 24), np.uint8)
     for lo in range(0, len(x), _CHUNK_VALUES):
         _e16_chunk(x[lo:lo + _CHUNK_VALUES], out[lo:lo + _CHUNK_VALUES])
-    out.reshape(-1, len(separators), _SLOTS)[:, :, -1] = np.frombuffer(separators, np.uint8)
-    return out
+    return out.reshape(*np.shape(values), 24)
 
 
-def _joined(records: np.ndarray) -> np.ndarray:
-    """The records' text as one byte array, without their padding and last separator."""
-    flat = records.reshape(-1)
-    flat[-1] = 0
-    return flat[flat != 0]
+def _csv(*groups: np.ndarray) -> Iterator[bytes]:
+    """CSV text of groups of columns side by side, every value as ``'%.16e' % x`` spells it.
 
-
-def _format_rows(block: np.ndarray) -> Iterator[np.ndarray]:
-    """CSV text of a 2-D block, every value as ``'%.16e' % x`` spells it.
-
-    The text comes in pieces of whole rows, each without its last newline.
+    Each group has shape (a, b, columns); its a * b rows, in order, are
+    broadcast against the other groups' as numpy broadcasts, so a group of
+    length one along a or b repeats down the rows.  A group that repeats
+    along a is formatted once.  The text comes in pieces of whole rows,
+    each without its last newline and of about ``_CHUNK_VALUES`` values at
+    most: a piece holds whole runs of b rows, or part of one if b rows hold
+    more values than that.
     """
-    rows, cols = block.shape
+    a, b = np.broadcast_shapes(*(g.shape[:2] for g in groups))
+    cols = sum(g.shape[2] for g in groups)
     step = max(1, _CHUNK_VALUES // cols)
-    separators = b"," * (cols - 1) + b"\n"
-    for lo in range(0, rows, step):
-        yield _joined(_e16(block[lo:lo + step], separators))
-
-
-
-def _snapshot_rows(times: np.ndarray, fields: np.ndarray, x: np.ndarray) -> Iterator[np.ndarray]:
-    """The snapshots.csv rows, in pieces.
-
-    t is formatted once per snapshot and x once per run, and each is
-    repeated down the rows.
-    """
-    nodes = len(x)
-    x_records = _e16(x, b",")
-    t_records = _e16(times, b",")
-    theta = fields.reshape(-1, 2)
-    step = max(1, _CHUNK_VALUES // 2)
-    for lo in range(0, len(theta), step):
-        rows = np.arange(lo, min(lo + step, len(theta)))
-        block = np.empty((len(rows), 4, _SLOTS), np.uint8)
-        block[:, 0] = t_records[rows // nodes]
-        block[:, 1] = x_records[rows % nodes]
-        block[:, 2:] = _e16(theta[lo:lo + step], b",\n").reshape(-1, 2, _SLOTS)
-        yield _joined(block)
+    da, db = max(1, step // b), min(b, step)
+    once = [_e16(g) if len(g) == 1 < a else None for g in groups]
+    for i in range(0, a, da):
+        for j in range(0, b, db):
+            block = np.empty((min(da, a - i), min(db, b - j), cols, _SLOTS), np.uint8)
+            c = 0
+            for g, records in zip(groups, once):
+                span = slice(j, j + db) if g.shape[1] > 1 else slice(None)
+                part = _e16(g[i:i + da, span]) if records is None else records[:, span]
+                block[:, :, c:c + g.shape[2], :-1] = part
+                c += g.shape[2]
+            block[..., -1] = ord(",")
+            block[:, :, -1, -1] = ord("\n")
+            block[-1, -1, -1, -1] = 0
+            yield block.tobytes().replace(b"\0", b"")

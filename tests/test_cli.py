@@ -392,15 +392,38 @@ def test_run_writes_what_the_writers_make_of_its_result(tmp_path, case):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+def test_snapshot_writer_memory_is_bounded_by_its_chunks(tmp_path):
+    # three snapshots of 40001 nodes, 240k values: the writer holds x's
+    # records and a piece at a time; a block per whole snapshot peaks near 17 MB
+    params = Params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=0.5, k2=0.5)
+    dx = 1.0 / 40000
+    scenario = Scenario(params=params, n_cells=40000, T=2 * dx, snapshot_stride=dx,
+                        controller="open_loop", theta0=("sine(1, 1)", "zero"))
+    result = run_scenario(scenario)
+    assert result.trajectory.snapshots.shape == (3, 40001, 2)
+    tracemalloc.start()
+    try:
+        _write_snapshots(tmp_path / "snapshots.csv", result, Grid(40000, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "snapshots.csv").read_bytes().count(b"\n") == 1 + 3 * 40001
+    assert peak < 6e6
+
+
 @pytest.mark.parametrize("args", [["--snapshot-stride", "0.1"],
                                   UPWIND + ["--snapshot-stride", "1e-9", "--T", "60"]],
                          ids=["exact", "upwind"])
 def test_failing_writer_is_an_io_error_and_leaves_no_process(tmp_path, capsys, monkeypatch, args):
     # snapshots.csv fails after norms.csv is written, and no process is left behind
-    def full_disk(*args):
-        raise OSError(28, "No space left on device")
+    real = e16._csv
 
-    monkeypatch.setattr(e16, "_snapshot_rows", full_disk)
+    def full_disk(*groups):  # snapshots.csv's three groups fail, norms.csv's one passes
+        if len(groups) > 1:
+            raise OSError(28, "No space left on device")
+        return real(*groups)
+
+    monkeypatch.setattr(e16, "_csv", full_disk)
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "out"
     assert main(["run", "-c", cfg, "-o", str(out), *args]) == 4
@@ -771,6 +794,7 @@ def test_sweep_line_matches_per_value_reference():
         (1, 6.0, 0.1),  # a single cell: two nodes, dt = 1
         (50, 6.0, 0.07),  # snapshot stride does not divide T
         (400, 11.0, 0.5),  # more norms rows than one write block
+        (50, 6.0, 7.0),  # a stride beyond T: one snapshot, its t formatted once
     ],
 )
 def test_writers_match_per_value_reference(tmp_path, n_cells, T, stride):

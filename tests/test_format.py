@@ -25,8 +25,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def kernel_text(values) -> str:
-    records = e16._e16(np.array(values, dtype=float), b"\n")
-    return bytes(e16._joined(records)).decode() if len(records) else ""
+    records = e16._e16(np.array(values, dtype=float))
+    return "\n".join(record.tobytes().replace(b"\0", b"").decode() for record in records)
 
 
 def oracle_text(values) -> str:

@@ -17,6 +17,11 @@ recurrence keeps against its oracle (tests/test_recurrence.py), checked
 with no oracle at all.  The upwind open loop is linear in (theta0, u) as
 well, to a rounding bound that grows with its step count.
 
+The upwind gain's error terms: at h1 = h2 = 0 the scheme's slow weight
+a(omega) at CFL c departs from G's e^{-i omega l} by the log ratio
+r = -l omega^2 (1 - c) dx / 2 + i l omega^3 (1 - c)(2 - c) dx^2 / 6, the
+leading terms of n_cells log(1 + (e^{i omega c dx} - 1) / c) past -i omega l.
+
 Time-shift invariance: the plant's coefficients do not depend on time, so
 a solve from t0 is the solve from 0 of the input shifted by t0, with its
 times offset by t0.  Both solvers read the input at t0 + j dt either way,
@@ -29,7 +34,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfhx import Grid, Params, Scenario, run_delay_free_feedback, solve_exact, solve_upwind
+from pfhx import (Grid, Params, Scenario, discrete_response, run_delay_free_feedback,
+                  solve_exact, solve_upwind, transfer_function)
 from pfhx.loop import run_scenario
 from pfhx.profiles import profile_array
 from test_recorder import _same_bits
@@ -272,3 +278,22 @@ def test_solvers_are_invariant_under_a_time_shift(h1, h2, l, n_cells, steps, cfl
             if column.name not in ("t", "snapshot_t"):
                 assert _same_bits(getattr(late, column.name), getattr(base, column.name)), (
                     name, column.name)
+
+
+def test_upwind_gain_error_terms_are_exact_in_dx():
+    # deterministic and scalar: each part's relative residual is of order
+    # (omega dx)^2, the expansion's next term, and falls about 4x per halving
+    p = Params(h1=0.0, h2=0.0, l=1.0, tau=1.0)
+    for c in (0.3, 0.5):
+        for omega in (0.5, 2.0):
+            residuals = []
+            for n_cells in (100, 200, 400, 800):
+                grid = Grid(n_cells, p.l)
+                a = discrete_response([omega], p, grid, cfl=c)[0, 0, 1]
+                r = np.log(a / transfer_function(1j * omega, p).matrix[0, 1])
+                real = -p.l * omega**2 * (1 - c) * grid.dx / 2
+                imag = p.l * omega**3 * (1 - c) * (2 - c) * grid.dx**2 / 6
+                residuals.append([abs(r.real / real - 1), abs(r.imag / imag - 1)])
+                assert max(residuals[-1]) < (omega * grid.dx) ** 2, (c, omega, n_cells, r)
+            ratios = np.array(residuals[:-1]) / np.array(residuals[1:])
+            assert np.all((3.5 < ratios) & (ratios < 4.5)), (c, omega, ratios)
