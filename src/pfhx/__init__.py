@@ -47,8 +47,8 @@ _HOMES = {
     "observer": ("predict",),
     "loop": ("RunResult", "RunSummary", "check_scenario", "run_delay_free_feedback",
              "run_scenario"),
-    "analysis": ("ConditionReport", "DecayReport", "TransferEval", "condition_report",
-                 "discrete_response", "fit_decay", "transfer_function"),
+    "analysis": ("ConditionReport", "DecayReport", "condition_report", "discrete_response",
+                 "fit_decay", "transfer_function"),
     "errors": ("ConfigError",),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -45,14 +45,6 @@ if TYPE_CHECKING:  # annotations only: numpy loads in the functions that build a
 Gain = tuple[tuple[complex, complex], tuple[complex, complex]]
 
 
-@dataclass(frozen=True)
-class TransferEval:
-    """G evaluated at one complex frequency."""
-
-    s: complex
-    matrix: np.ndarray
-
-
 def _mix(a: complex, b: complex, h1: float, h2: float) -> Gain:
     """exp(A1 l) with its rows swapped and its two modes weighted by ``a`` and ``b``.
 
@@ -66,14 +58,6 @@ def _mix(a: complex, b: complex, h1: float, h2: float) -> Gain:
         return ((0j, a), (a, 0j))
     return (((h2 * a - h2 * b) / rate, (h2 * b + h1 * a) / rate),
             ((h2 * a + h1 * b) / rate, (-h1 * b + h1 * a) / rate))
-
-
-def _exchange_gain(a, b, h1: float, h2: float) -> np.ndarray:
-    """``_mix`` as an array: (2, 2) at scalar weights, (k, 2, 2) at k weights each."""
-    import numpy as np
-
-    gains = [_mix(x, y, h1, h2) for x, y in zip(np.ravel(a).tolist(), np.ravel(b).tolist())]
-    return np.array(gains, dtype=complex).reshape(np.shape(a) + (2, 2))
 
 
 def _transfer_weights(s: complex, params: Params) -> tuple[complex, complex]:
@@ -110,11 +94,11 @@ def _transfer(s: complex, params: Params) -> Gain:
                      for row in _transfer(complex(0.0, s.imag), params))
 
 
-def transfer_function(s: complex, params: Params) -> TransferEval:
-    """Evaluate the delay-free transfer matrix G(s)."""
+def transfer_function(s: complex, params: Params) -> np.ndarray:
+    """The delay-free transfer matrix G(s), a (2, 2) complex array."""
     import numpy as np
 
-    return TransferEval(s=s, matrix=np.array(_transfer(s, params), dtype=complex))
+    return np.array(_transfer(s, params), dtype=complex)
 
 
 def _log1p(w: complex) -> complex:
@@ -186,8 +170,10 @@ def discrete_response(omegas, params: Params, grid: Grid, cfl: float = 0.5) -> n
     does not grow with n_cells, and a tiny omega or CFL cancels nothing.
     Each omega's gain is computed on its own, in scalar arithmetic.
     """
-    weights = [_upwind_weights(omega, params, grid, cfl) for omega in _checked_omegas(omegas, cfl)]
-    return _exchange_gain([a for a, _ in weights], [b for _, b in weights], params.h1, params.h2)
+    import numpy as np
+
+    gains = [_upwind_gain(omega, params, grid, cfl) for omega in _checked_omegas(omegas, cfl)]
+    return np.array(gains, dtype=complex).reshape(len(gains), 2, 2)
 
 
 @dataclass(frozen=True)
@@ -208,15 +194,13 @@ class DecayReport:
     n_used: int
 
 
-def fit_decay(
-    t,
-    norms,
-    window: tuple[float, float] | None = None,
-    floor_rel: float = 1e-13,
-) -> DecayReport:
+_FLOOR_REL = 1e-13  # the numerical floor of a norm series, relative to its initial value
+
+
+def fit_decay(t, norms, window: tuple[float, float] | None = None) -> DecayReport:
     """Least-squares line on (t, log norm) over a window.
 
-    Samples below ``floor_rel`` times the series' initial value (where
+    Samples below ``_FLOOR_REL`` times the series' initial value (where
     rounding and finite-time flush effects dominate) are excluded and
     flagged via ``floor_hit``.  Requires at least 10 usable samples unless
     the whole window is below the floor, which yields the extinct report.
@@ -237,7 +221,7 @@ def fit_decay(
         raise ValueError(f"window {window} contains no samples")
     tw = t[sel]
     vw = norms[sel]
-    floor = floor_rel * norms[0] if norms[0] > 0 else 0.0
+    floor = _FLOOR_REL * norms[0] if norms[0] > 0 else 0.0
     keep = vw > floor
     floor_hit = bool((~keep).any())
     tw = tw[keep]

@@ -106,22 +106,22 @@ def _decay_text(label: str, decay) -> str:
     )
 
 
-def _write_summary(path: Path, result: RunResult, warnings: list[str]) -> None:
+def _write_summary(path: Path, scenario: Scenario, result: RunResult) -> None:
     s = result.summary
     lines = [
         "run summary",
         f"controller: {s.controller}",
-        f"T: requested {s.T_requested:g}, used {s.T_used:g}",
-        f"tau: requested {s.tau_requested:g}, used {s.tau_used:g}"
+        f"T: requested {scenario.T:g}, used {s.T_used:g}",
+        f"tau: requested {scenario.params.tau:g}, used {s.tau_used:g}"
         + (" (snapped)" if s.tau_snapped else ""),
         render_condition(s.condition),
         _decay_text("plant decay", s.plant_decay),
     ]
     if s.obs_err_decay is not None:
         lines.append(_decay_text("observer-error decay", s.obs_err_decay))
-    if warnings:
+    if s.warnings:
         lines.append("warnings:")
-        lines.extend(f"  - {w}" for w in warnings)
+        lines.extend(f"  - {w}" for w in s.warnings)
     lines.append(f"finite: {_bool(s.finite)}")
     lines.append(f"wall time: {s.wall_time_s:.3f} s")
     _write_lines(path, lines)
@@ -178,11 +178,10 @@ def cmd_run(cfg: Config) -> int:
     for path in (norms, snapshots, summary):
         open(path, "w").close()  # an unwritable output fails before the run
     result = run_scenario(scenario)
-    run_warnings = result.summary.warnings  # the run's own tau/T snapping included
     _write_norms(norms, result)
     _write_snapshots(snapshots, result, Grid(scenario.n_cells, scenario.params.l))
-    _write_summary(summary, result, run_warnings)
-    _emit_warnings(run_warnings)
+    _write_summary(summary, scenario, result)
+    _emit_warnings(result.summary.warnings)  # the run's own tau/T snapping included
     if not result.summary.finite:
         print(f"numerical failure: first non-finite value at {_first_non_finite(result)}",
               file=sys.stderr)
@@ -197,7 +196,7 @@ def _sweep_worker(payload: tuple[int, Scenario]) -> tuple[int, dict]:
     result = run_scenario(scenario)
     s = result.summary
     p = scenario.params
-    sano = s.sano if scenario.controller == "sano_static" else None
+    sano = s.condition.sano if scenario.controller == "sano_static" else None
     return index, {
         "h1": p.h1,
         "h2": p.h2,
@@ -243,14 +242,22 @@ def _sweep_line(index: int, row: dict) -> str:
 ProcessPoolExecutor = None
 
 
+def _sweep_rows(cfg: Config, warnings: list[str]) -> list[Scenario]:
+    """Every sweep row's scenario in declaration order, each once it passes the run checks.
+
+    With no axis the one row is the base scenario.  Warnings not yet in
+    ``warnings`` are appended to it.
+    """
+    names = list(cfg.sweep_axes)
+    return [_checked(cfg.sweep_row, dict(zip(names, combo)), warnings)
+            for combo in itertools.product(*cfg.sweep_axes.values())]
+
+
 def cmd_sweep(cfg: Config) -> int:
     """Every row is checked before the pool starts; the rows run in declaration order."""
     global ProcessPoolExecutor
-    names, warnings = list(cfg.sweep_axes), []
-    payloads = [
-        (index, _checked(cfg.sweep_row, dict(zip(names, combo)), warnings))
-        for index, combo in enumerate(itertools.product(*cfg.sweep_axes.values()))
-    ]
+    warnings: list[str] = []
+    payloads = list(enumerate(_sweep_rows(cfg, warnings)))
     if not cfg.sweep_axes:  # its one row, the base scenario, is checked first
         raise ConfigError("sweep requires at least one non-empty axis in [sweep]")
 
@@ -316,10 +323,15 @@ def cmd_freqresp(cfg: Config) -> int:
 
 
 def cmd_check(cfg: Config) -> int:
-    """The condition report, once the base scenario and every swept tau pass the run checks."""
-    warnings: list[str] = []
-    for axis_values in [{}, *({"tau": tau} for tau in cfg.sweep_axes.get("tau", []))]:
-        _checked(cfg.to_scenario, axis_values, warnings)
+    """The condition report, once the base scenario and every sweep row pass the run checks.
+
+    The base scenario is checked as ``run`` makes it, and the rows as
+    ``sweep`` makes them, so ``check`` refuses what either command refuses.
+    """
+    from .loop import check_scenario
+
+    warnings = check_scenario(cfg.scenario)
+    _sweep_rows(cfg, warnings)
     report = condition_report(cfg.scenario.params, k_sano=cfg.scenario.sano_k)
     print(render_condition(report))
     _emit_warnings(warnings)

@@ -131,24 +131,16 @@ class CompatibilityReport:
     jump_threshold: float
 
 
-def compatibility_check(
-    w: np.ndarray,
-    params,
-    grid: Grid,
-    tol: float = 1e-9,
-    jump_factor: float = 10.0,
-    jump_abs: float | None = None,
-) -> CompatibilityReport:
+def compatibility_check(w: np.ndarray, params, grid: Grid) -> CompatibilityReport:
     """Check whether an initial observer-error profile is admissible.
 
     The boundary part mirrors the closed-loop boundary coupling: the profile
-    must satisfy w1(0) + k1*w2(l) = 0 and w2(0) + k2*w1(l) = 0 up to ``tol``.
+    must satisfy w1(0) + k1*w2(l) = 0 and w2(0) + k2*w1(l) = 0 up to 1e-9.
     The smoothness part is a discrete proxy for one weak derivative: the
     profile must not contain step discontinuities, detected as node-to-node
-    increments far larger than the typical increment.  The default threshold
-    is ``jump_factor * dx * median(|slope|)`` with a small absolute guard so
-    that jumps on otherwise flat profiles are still caught; pass ``jump_abs``
-    to override the threshold outright.
+    increments far larger than the typical increment.  The threshold is
+    ten times dx * median(|slope|), with a small absolute guard so that
+    jumps on otherwise flat profiles are still caught.
     """
     import numpy as np
 
@@ -156,17 +148,13 @@ def compatibility_check(
     n = grid.n_cells
     residual1 = abs(w[0, 0] + params.k1 * w[n, 1])
     residual2 = abs(w[0, 1] + params.k2 * w[n, 0])
-    boundary_ok = residual1 <= tol and residual2 <= tol
+    boundary_ok = residual1 <= 1e-9 and residual2 <= 1e-9
 
     diffs = np.abs(np.diff(w, axis=0))
     slopes = diffs / grid.dx
     max_slope = float(slopes.max()) if slopes.size else 0.0
-    if jump_abs is not None:
-        threshold = jump_abs
-    else:
-        scale = float(np.median(slopes))
-        guard = 1e-8 * max(1.0, float(np.abs(w).max()))
-        threshold = max(jump_factor * grid.dx * scale, guard)
+    guard = 1e-8 * max(1.0, float(np.abs(w).max()))
+    threshold = max(10.0 * grid.dx * float(np.median(slopes)), guard)
     jump_count = int(np.count_nonzero(diffs > threshold))
 
     return CompatibilityReport(

@@ -63,7 +63,7 @@ from .coupling import coupling_matrix
 from .errors import ConfigError
 from .grid import Grid, _l2, check_field
 from .observer import _cross_law
-from .params import Params, SanoReport, Scenario
+from .params import Params, Scenario
 from .profiles import _draws, input_function, profile_array
 from .solver import Trajectory, _inputs, _physical_memory, _solve, _Tube, bytes_needed
 
@@ -76,12 +76,9 @@ class RunSummary:
     condition: ConditionReport
     plant_decay: DecayReport
     obs_err_decay: DecayReport | None
-    tau_requested: float
     tau_used: float
     tau_snapped: bool
-    T_requested: float
     T_used: float
-    sano: SanoReport | None
     finite: bool
     wall_time_s: float
     warnings: list[str] = dataclass_field(default_factory=list)
@@ -111,7 +108,6 @@ class _Run:
 
     controller: str  # the name the summary reports, which names its recurrence
     delayed: bool  # the law acts on delayed measurements: T > tau, fit from tau + 2l
-    with_observer: bool
     grid: Grid
     m: int  # the delay in steps
     tau_used: float
@@ -136,16 +132,11 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
     (``solver.bytes_needed``) must fit in physical memory.  The profiles
     are then drawn, theta0 first, and the input specs parsed.
     """
-    if delay_free:
-        controller, (delayed, with_observer) = "delay_free", _DELAY_FREE
-    elif scenario.controller in _CONTROLLERS:
-        controller = scenario.controller
-        delayed, with_observer = _CONTROLLERS[controller]
-    else:
-        raise ConfigError(
-            f"unknown controller {scenario.controller!r} "
-            f"(expected one of {sorted(_CONTROLLERS)})"
-        )
+    controllers = sorted(set(_RECURRENCES) - {"delay_free"})  # the laws a scenario may name
+    controller = "delay_free" if delay_free else scenario.controller
+    if controller not in controllers and not delay_free:
+        raise ConfigError(f"unknown controller {controller!r} (expected one of {controllers})")
+    delayed = _RECURRENCES[controller][0]
     if controller == "sano_static" and scenario.sano_k is None:
         raise ConfigError("missing required key run.sano_k (needed by sano_static)")
     if scenario.sano_k is not None and not math.isfinite(scenario.sano_k):
@@ -202,7 +193,7 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
     rng = np.random.default_rng(scenario.seed) if draws else None
     theta0 = _resolve_field(grid, scenario.theta0, rng)
     observer0 = _resolve_field(grid, scenario.observer0, rng)
-    return _Run(controller, delayed, with_observer, grid, m, tau_used, tau_snapped, dt,
+    return _Run(controller, delayed, grid, m, tau_used, tau_snapped, dt,
                 n_steps, T_used, warnings, theta0, observer0,
                 _input_pair(scenario.u_open), _input_pair(scenario.warmup_u))
 
@@ -233,23 +224,20 @@ def _summarize(scenario: Scenario, traj: Trajectory, run: _Run, start: float) ->
     warnings = run.warnings
     window = _fit_window((run.tau_used if run.delayed else 0.0) + 2 * p.l, run.T_used, traj.dt)
     plant_decay = _safe_fit(traj.t, traj.plant_l2, window)
-    obs_decay = _safe_fit(traj.t, traj.obs_err_l2, window) if run.with_observer else None
+    obs_decay = (_safe_fit(traj.t, traj.obs_err_l2, window)
+                 if run.controller == "observer_predictor" else None)
     if plant_decay.floor_hit:
         warnings = warnings + ["decay fit: samples below the numerical floor were excluded"]
     if plant_decay.extinct:
         warnings = warnings + ["finite-time extinction: state norm at or below floor on the whole fit window"]
-    condition = condition_report(p, k_sano=scenario.sano_k)
     return RunSummary(
         controller=run.controller,
-        condition=condition,
+        condition=condition_report(p, k_sano=scenario.sano_k),
         plant_decay=plant_decay,
         obs_err_decay=obs_decay,
-        tau_requested=p.tau,
         tau_used=run.tau_used,
         tau_snapped=run.tau_snapped,
-        T_requested=scenario.T,
         T_used=run.T_used,
-        sano=condition.sano,
         finite=traj.is_finite(),
         wall_time_s=wall,
         warnings=warnings,
@@ -375,7 +363,7 @@ def _recur(scenario: Scenario, run: _Run) -> Trajectory:
     n_steps, dt = run.n_steps, run.dt
     field0 = run.observer0 - run.theta0 if run.controller == "error_system" else run.theta0
     tube = _Tube(field0, n_steps, scenario.params, dt)
-    err, pred_err = _RECURRENCES[run.controller](scenario, run, tube)
+    err, pred_err = _RECURRENCES[run.controller][1](scenario, run, tube)
     traj = tube.trajectory(scenario.snapshot_stride)
     if err is not None:  # the error of observer time s is normed at step s + m
         traj.obs_err_l2[run.m:] = err.norms(n_steps + 1 - run.m)
@@ -405,22 +393,15 @@ def _simulate(scenario: Scenario, delay_free: bool = False) -> RunResult:
     return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start))
 
 
-# controller -> (whether the run must outlast the delay, whether it runs an observer)
-_CONTROLLERS = {
-    "observer_predictor": (True, True),
-    "sano_static": (True, False),
-    "open_loop": (False, False),
-    "error_system": (False, False),
-}
-# the reference loop: a law to compare against, not a controller a scenario names
-_DELAY_FREE = (True, False)
-# the name a run reports -> its boundary recurrence on the exact solver
+# the name a run reports -> (whether the run must outlast the delay, its boundary
+# recurrence on the exact solver).  delay_free is the reference loop: a law to
+# compare against, not a controller a scenario names.
 _RECURRENCES = {
-    "observer_predictor": _recur_observer_predictor,
-    "sano_static": _recur_static,
-    "open_loop": _recur_open_loop,
-    "error_system": _recur_feedback,
-    "delay_free": _recur_feedback,
+    "observer_predictor": (True, _recur_observer_predictor),
+    "sano_static": (True, _recur_static),
+    "open_loop": (False, _recur_open_loop),
+    "error_system": (False, _recur_feedback),
+    "delay_free": (True, _recur_feedback),
 }
 
 

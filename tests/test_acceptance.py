@@ -197,7 +197,7 @@ def test_c08_transfer_function_vs_measurement():
     omegas = (0.5, 1.0, 2.0)
     worst_rel = 0.0
     for omega, measured in zip(omegas, discrete_response(omegas, params, grid)):
-        formula = transfer_function(1j * omega, params).matrix
+        formula = transfer_function(1j * omega, params)
         worst_rel = max(worst_rel, float(np.linalg.norm(measured - formula)
                                          / np.linalg.norm(formula)))
     rng = np.random.default_rng(45)
@@ -205,9 +205,9 @@ def test_c08_transfer_function_vs_measurement():
     for _ in range(30):
         p = Params(h1=rng.uniform(0.05, 4.0), h2=rng.uniform(0.05, 4.0),
                    l=rng.uniform(0.2, 3.0), tau=1.0)
-        rows = transfer_function(0.0, p).matrix.sum(axis=1)
+        rows = transfer_function(0.0, p).sum(axis=1)
         worst_rows = max(worst_rows, float(np.abs(rows - 1.0).max()))
-    rolloff = float(np.abs(transfer_function(40.0, params).matrix).max())
+    rolloff = float(np.abs(transfer_function(40.0, params)).max())
     ok = worst_rel < 0.02 and worst_rows <= 1e-12 and rolloff <= 1e-15
     report("C08 transfer function", ok,
            f"rel err={worst_rel:.4f}, G(0) rows={worst_rows:.2e}, |G(40)|={rolloff:.2e}")
@@ -217,14 +217,14 @@ def test_c09_sano_baseline_window():
     inside = Scenario(params=base_params(1.5), n_cells=200, T=40.0,
                       controller="sano_static", sano_k=1.0, theta0=STEP_DATA)
     res_in = run_scenario(inside)
-    in_ok = (res_in.summary.sano.in_window
+    in_ok = (res_in.summary.condition.sano.in_window
              and res_in.summary.plant_decay.gamma_hat > 0)
 
     outside = Scenario(params=base_params(3.0), n_cells=200, T=40.0,
                        controller="sano_static", sano_k=1.0, theta0=STEP_DATA)
     res_out = run_scenario(outside)
     # outside the window stability is an open question: report only
-    out_ok = (not res_out.summary.sano.in_window) and res_out.summary.finite
+    out_ok = (not res_out.summary.condition.sano.in_window) and res_out.summary.finite
     report("C09 static-feedback baseline", in_ok and out_ok,
            f"inside: gamma={res_in.summary.plant_decay.gamma_hat:.3f}; "
            f"outside: gamma={res_out.summary.plant_decay.gamma_hat:.3f} (report only)")

@@ -20,7 +20,7 @@ from pfhx import (
     transfer_function,
     zero_field,
 )
-from pfhx.analysis import _exchange_gain, render_condition
+from pfhx.analysis import _mix, render_condition
 from pfhx.config import parse_config
 from pfhx.loop import run_scenario
 
@@ -32,7 +32,7 @@ def make_params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=0.5, k2=0.5):
 
 
 def test_transfer_at_zero_frozen_values():
-    g = transfer_function(0.0, make_params(h1=1.0, h2=1.0)).matrix
+    g = transfer_function(0.0, make_params(h1=1.0, h2=1.0))
     e = math.exp(-2.0)
     expected = np.array([[(1 - e) / 2, (e + 1) / 2], [(1 + e) / 2, (1 - e) / 2]])
     np.testing.assert_allclose(g, expected, rtol=0, atol=1e-15)
@@ -47,18 +47,18 @@ def test_transfer_zero_rows_sum_to_one_randomized():
     for _ in range(50):
         params = make_params(h1=rng.uniform(0.05, 4), h2=rng.uniform(0.05, 4),
                              l=rng.uniform(0.2, 3))
-        g = transfer_function(0.0, params).matrix
+        g = transfer_function(0.0, params)
         np.testing.assert_allclose(g.sum(axis=1).real, [1.0, 1.0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(g.sum(axis=1).imag, [0.0, 0.0], rtol=0, atol=1e-12)
 
 
 def test_transfer_high_frequency_rolloff():
     params = make_params()
-    assert np.abs(transfer_function(40.0, params).matrix).max() <= 1e-15
+    assert np.abs(transfer_function(40.0, params)).max() <= 1e-15
     # entries scale like exp(-Re(s) l) for large positive real part
     for s in (10.0, 20.0, 40.0):
         bound = (params.h1 + params.h2 + 1.0) * math.exp(-s * params.l)
-        peak = np.abs(transfer_function(s, params).matrix).max()
+        peak = np.abs(transfer_function(s, params)).max()
         assert peak <= bound
         assert peak >= math.exp(-s * params.l) / (params.h1 + params.h2 + 1.0)
 
@@ -66,19 +66,19 @@ def test_transfer_high_frequency_rolloff():
 def test_transfer_gain_that_overflows_is_infinite_not_an_error():
     # e^{-sl} = e^1000 overflows a double: G's entries are e^{-Re(s) l} G(i Im(s))
     params = make_params()
-    g = transfer_function(-1000.0, params).matrix
+    g = transfer_function(-1000.0, params)
     assert np.all(g == np.inf) and not np.isnan(g).any()
-    phase = transfer_function(1j, params).matrix  # e^{-i l} times a positive matrix
-    g = transfer_function(-1000.0 + 1j, params).matrix
+    phase = transfer_function(1j, params)  # e^{-i l} times a positive matrix
+    g = transfer_function(-1000.0 + 1j, params)
     assert not np.isnan(g).any()
     assert np.array_equal(np.sign(g.real), np.sign(phase.real)) and np.isinf(g.real).all()
     assert np.array_equal(np.sign(g.imag), np.sign(phase.imag)) and np.isinf(g.imag).all()
     # just past the overflow of e^{-sl}, G itself is still finite: e^{710} G(0)
-    g = transfer_function(-710.0, params).matrix
-    expected = transfer_function(0.0, params).matrix.real * np.exp(355.0) * np.exp(355.0)
+    g = transfer_function(-710.0, params)
+    expected = transfer_function(0.0, params).real * np.exp(355.0) * np.exp(355.0)
     np.testing.assert_allclose(g.real, expected, rtol=1e-12, atol=0)
     # an entry whose mode weight is zero stays zero: G22 = h1 (...) with h1 = 0
-    g = transfer_function(-1000.0, make_params(h1=0.0)).matrix
+    g = transfer_function(-1000.0, make_params(h1=0.0))
     assert g[1, 1] == 0 and np.all(np.delete(g.ravel(), 3) == np.inf)
 
 
@@ -87,7 +87,7 @@ def test_transfer_matches_steady_state_simulation():
     params = make_params()
     grid = Grid(100, 1.0)
     traj = solve_exact(zero_field(grid), lambda t: np.array([1.0, 0.0]), 3.0, params, grid)
-    g0 = transfer_function(0.0, params).matrix.real
+    g0 = transfer_function(0.0, params).real
     # outputs are cross-measured: y = (theta2, theta1) at the exit
     np.testing.assert_allclose(traj.exit_values[-1][::-1], g0[:, 0], rtol=0, atol=1e-12)
 
@@ -95,7 +95,7 @@ def test_transfer_matches_steady_state_simulation():
 def test_measured_response_close_to_formula():
     params = make_params()
     grid = Grid(200, 1.0)
-    formula = transfer_function(1j * 1.0, params).matrix
+    formula = transfer_function(1j * 1.0, params)
     measured = discrete_response([1.0], params, grid)[0]
     rel = np.linalg.norm(measured - formula) / np.linalg.norm(formula)
     assert rel < 0.02
@@ -103,7 +103,7 @@ def test_measured_response_close_to_formula():
 
 def test_measured_response_error_halves_under_refinement():
     params = make_params()
-    formula = transfer_function(1j * 1.0, params).matrix
+    formula = transfer_function(1j * 1.0, params)
     errs = {}
     for n in (200, 800):
         measured = discrete_response([1.0], params, Grid(n, 1.0))[0]
@@ -114,7 +114,7 @@ def test_measured_response_error_halves_under_refinement():
 def test_measured_dc_gain_from_steady_state():
     params = make_params()
     measured = discrete_response([0.0], params, Grid(200, 1.0))[0]
-    g0 = transfer_function(0.0, params).matrix
+    g0 = transfer_function(0.0, params)
     assert np.abs(measured - g0).max() < 1e-2
 
 
@@ -169,7 +169,7 @@ def test_fast_mode_weight_past_the_exponent_range(h1):
     # about 355 on |w|^2 overflows in the log1p, which must raise no warning
     omegas, grid = [0.0, 1.0, 5.0], Grid(10, 1.0)
     unmixed = discrete_response(omegas, make_params(h1=0.0, h2=0.0), grid)[:, 0, 1]
-    expected = _exchange_gain(unmixed, np.zeros_like(unmixed), h1, 2.0)
+    expected = np.array([_mix(a, 0j, h1, 2.0) for a in unmixed.tolist()])
     gains = discrete_response(omegas, make_params(h1=h1), grid)
     np.testing.assert_allclose(gains, expected, rtol=1e-15, atol=0)
 
@@ -189,11 +189,11 @@ def test_rates_whose_sum_or_step_overflows_still_mix(h1, h2, l, n_cells):
     unmixed = discrete_response(omegas, make_params(h1=0.0, h2=0.0, l=l), grid)[:, 0, 1]
     gains = discrete_response(omegas, params, grid)
     assert np.all(np.isfinite(gains))
-    np.testing.assert_allclose(gains, _exchange_gain(unmixed, np.zeros_like(unmixed), h1, h2),
-                               rtol=1e-15, atol=0)
+    expected = np.array([_mix(a, 0j, h1, h2) for a in unmixed.tolist()])
+    np.testing.assert_allclose(gains, expected, rtol=1e-15, atol=0)
     weights = np.array([h2 / 2, h1 / 2]) / (h1 / 2 + h2 / 2)
     for omega in omegas:
-        formula = transfer_function(1j * omega, params).matrix
+        formula = transfer_function(1j * omega, params)
         np.testing.assert_allclose(np.abs(formula), [weights, weights], rtol=1e-15, atol=0)
 
 
@@ -209,7 +209,7 @@ def test_fast_mode_where_the_sum_overflows_but_its_product_does_not(h):
     step = expm(a1 * dt)
     omegas = [0.0, 0.5, 2.0]
     for omega, gain in zip(omegas, discrete_response(omegas, params, grid, cfl=cfl)):
-        formula = transfer_function(1j * omega, params).matrix
+        formula = transfer_function(1j * omega, params)
         np.testing.assert_allclose(formula, np.exp(-1j * omega * l) * expm(a1 * l)[::-1],
                                    rtol=1e-14, atol=0)
         z = np.exp(1j * omega * dt)
@@ -234,7 +234,7 @@ def test_exact_scheme_response_is_the_pure_delay(h1, h2, l, n_cells, omega):
     # at CFL 1 the upwind step is the exact shift: the gain is G(i omega) to rounding
     params = make_params(h1=h1, h2=h2, l=l)
     gain = discrete_response([omega], params, Grid(n_cells, l), cfl=1.0)[0]
-    formula = transfer_function(1j * omega, params).matrix
+    formula = transfer_function(1j * omega, params)
     np.testing.assert_allclose(gain, formula, rtol=0, atol=1e-14)
 
 
@@ -412,6 +412,16 @@ def test_fit_decay_needs_enough_samples():
     t = np.linspace(0.0, 1.0, 5)
     with pytest.raises(ValueError, match="at least 10"):
         fit_decay(t, np.exp(-t))
+
+
+@pytest.mark.parametrize("norms, message", [
+    ([1.0, 0.5], "t and norms must be 1-D arrays of equal length"),
+    ([1.0, 0.5, math.nan], "series contains non-finite values"),
+], ids=["shape", "nan"])
+def test_fit_decay_refuses_a_malformed_series(norms, message):
+    with pytest.raises(ValueError) as refused:
+        fit_decay([0.0, 1.0, 2.0], norms)
+    assert str(refused.value) == message
 
 
 def _lstsq_fit(t, values, window, floor_rel=1e-13):

@@ -507,7 +507,7 @@ def test_freqresp_rows_are_the_library_gains(tmp_path, overrides):
     header, rows = read_csv(tmp_path / "freqresp.csv")
     assert len(rows) == len(cfg.freq_omegas) == len(measured)
     for row, omega, gain in zip(rows, cfg.freq_omegas, measured):
-        formula = transfer_function(1j * omega, params).matrix
+        formula = transfer_function(1j * omega, params)
         # in header order: for each g_ij, formula re, im, then measured re, im
         entries = np.stack([formula, gain], axis=-1).view(float).ravel().tolist()
         rel_err = (math.hypot(*(gain - formula).view(float).ravel().tolist())
@@ -707,6 +707,36 @@ def test_check_prints_condition_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "theorem_valid = true" in out
     assert "tau inside: true" in out
+
+
+def test_check_refuses_a_sweep_row_that_sweep_refuses(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE + "\n[sweep]\nh1 = 1.0, -1.0\n")
+    for command in ("check", "sweep"):
+        assert main([command, "-c", cfg, "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: params.h1 must be nonnegative, got -1.0\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_non_finite_sweep_row_exits_3_after_writing_sweep_csv(tmp_path, capsys):
+    text = BASE.replace("n_cells = 50", "n_cells = 20") + "\n[sweep]\nk1 = 0.5, 1e150\nk2 = 1e150\n"
+    out = tmp_path / "out"
+    assert main(["sweep", "-c", write_config(tmp_path, text), "-o", str(out), "--workers", "1"]) == 3
+    assert capsys.readouterr().err == "numerical failure: at least one sweep row is non-finite\n"
+    _, rows = read_csv(out / "sweep.csv")
+    assert len(rows) == 2
+
+
+def test_delay_free_is_not_a_controller_a_scenario_names(tmp_path, capsys):
+    message = ("unknown controller 'delay_free' (expected one of "
+               "['error_system', 'observer_predictor', 'open_loop', 'sano_static'])")
+    scenario = parse_config(BASE).scenario
+    with pytest.raises(ConfigError) as refused:
+        run_scenario(dataclasses.replace(scenario, controller="delay_free"))
+    assert str(refused.value) == message
+    argv = ["run", "-c", write_config(tmp_path, BASE), "-o", str(tmp_path / "out")]
+    assert main([*argv, "--controller", "delay_free"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
 
 
 # Per-value writers as the CSV format was first defined: every number goes

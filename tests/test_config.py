@@ -1,3 +1,5 @@
+import configparser
+
 import pytest
 
 from pfhx import ConfigError, Params, Scenario
@@ -129,6 +131,19 @@ def test_overrides_beat_file_values():
     assert cfg.scenario.params.tau == 0.5 and cfg.scenario.seed == 7
     with pytest.raises(ConfigError, match="unknown override"):
         parse_config(MINIMAL, overrides={"params.bogus": 1})
+
+
+def test_config_refusals_and_an_empty_axis():
+    with pytest.raises(ConfigError) as refused:
+        parse_config(MINIMAL + "\n[sweep]\nworkers = -1\n")
+    assert str(refused.value) == "sweep.workers must be >= 0, got -1"
+    unparsed = "h1 = 1.0\n" + MINIMAL  # a key before any section header
+    with pytest.raises(configparser.Error) as cause:
+        configparser.ConfigParser(interpolation=None).read_string(unparsed)
+    with pytest.raises(ConfigError) as refused:
+        parse_config(unparsed)
+    assert str(refused.value) == f"cannot parse config: {cause.value}"
+    assert parse_config(MINIMAL + "\n[sweep]\ntau =\nk1 = 0.5\n").sweep_axes == {"k1": [0.5]}
 
 
 def test_scenario_assembly():

@@ -15,6 +15,7 @@ from pfhx import (
     check_scenario,
     discrete_response,
     input_function,
+    profile_array,
     run_scenario,
     sano_window,
 )
@@ -60,6 +61,22 @@ def test_every_numeric_flag_value_exits_cleanly(tmp_path, capfd, command, flag):
 
 def test_config_error_is_a_value_error():
     assert issubclass(ConfigError, ValueError)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda grid: profile_array("1bad", grid), "cannot parse profile spec '1bad'"),
+    (lambda grid: profile_array("sine(1, x)", grid), "non-numeric argument 'x' in 'sine(1, x)'"),
+    (lambda grid: profile_array("sine(1)", grid), "'sine(1)' takes 2 argument(s), got 1"),
+    (lambda grid: profile_array("gaussian(0.5, 0, 1)", grid),
+     "gaussian width must be positive in 'gaussian(0.5, 0, 1)'"),
+    (lambda grid: profile_array("random(1)", grid), "'random(1)' needs a seeded generator"),
+    (lambda grid: input_function("step(0.5, 1, 0)"),
+     "unknown input signal 'step' in 'step(0.5, 1, 0)'"),
+], ids=["unparseable", "non-numeric", "count", "width", "generator", "signal"])
+def test_a_profile_spec_is_refused_by_its_exact_message(build, message):
+    with pytest.raises(ConfigError) as refused:
+        build(Grid(10, 1.0))
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("build, key", [

@@ -290,7 +290,7 @@ def test_upwind_gain_error_terms_are_exact_in_dx():
             for n_cells in (100, 200, 400, 800):
                 grid = Grid(n_cells, p.l)
                 a = discrete_response([omega], p, grid, cfl=c)[0, 0, 1]
-                r = np.log(a / transfer_function(1j * omega, p).matrix[0, 1])
+                r = np.log(a / transfer_function(1j * omega, p)[0, 1])
                 real = -p.l * omega**2 * (1 - c) * grid.dx / 2
                 imag = p.l * omega**3 * (1 - c) * (2 - c) * grid.dx**2 / 6
                 residuals.append([abs(r.real / real - 1), abs(r.imag / imag - 1)])

@@ -249,6 +249,16 @@ def test_snapshot_stride_must_be_positive():
                 solve(zero_field(grid), None, 1.0, params_with(), grid, snapshot_stride=bad)
 
 
+def test_a_time_off_the_step_grid_is_refused():
+    grid = Grid(10, 1.0)
+    with pytest.raises(ValueError) as refused:
+        solve_upwind(zero_field(grid), None, 0.33, params_with(), grid, cfl=0.5)
+    assert str(refused.value) == "final time 0.33 is not a whole number of steps dt=0.05"
+    with pytest.raises(ValueError) as refused:
+        closed_form_state(zero_field(grid), None, 0.33, params_with(), grid)
+    assert str(refused.value) == "time 0.33 is not aligned to the step grid (dt=0.1)"
+
+
 def test_time_shift_invariance():
     grid = Grid(40, 1.0)
     params = params_with()
