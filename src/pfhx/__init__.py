@@ -38,17 +38,17 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Each public name's home submodule, imported on the name's first use (PEP 562).
 _HOMES = {
-    "params": ("GainReport", "Params", "SanoReport", "Scenario", "sano_window", "validate_gains"),
+    "params": ("CompatibilityReport", "ConditionReport", "GainReport", "Params", "SanoReport",
+               "Scenario", "compatibility_check", "condition_report", "sano_window",
+               "validate_gains"),
     "coupling": ("coupling_matrix",),
-    "grid": ("CompatibilityReport", "Grid", "compatibility_check", "l2_norm", "make_field",
-             "zero_field"),
+    "grid": ("Grid", "l2_norm", "make_field", "zero_field"),
     "profiles": ("input_function", "profile_array"),
     "solver": ("Trajectory", "closed_form_state", "solve_exact", "solve_upwind"),
     "observer": ("predict",),
     "loop": ("RunResult", "RunSummary", "check_scenario", "run_delay_free_feedback",
              "run_scenario"),
-    "analysis": ("ConditionReport", "DecayReport", "condition_report", "discrete_response",
-                 "fit_decay", "transfer_function"),
+    "analysis": ("DecayReport", "discrete_response", "fit_decay", "transfer_function"),
     "errors": ("ConfigError",),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

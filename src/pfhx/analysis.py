@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 from .coupling import fast_exponent, finite_rates
 from .errors import ConfigError
 from .grid import Grid
-from .params import GainReport, Params, SanoReport, sano_window, validate_gains
+from .params import Params
 
 if TYPE_CHECKING:  # annotations only: numpy loads in the functions that build arrays
     import numpy as np
@@ -258,57 +258,3 @@ def fit_decay(t, norms, window: tuple[float, float] | None = None) -> DecayRepor
         n_used=int(len(tw)),
     )
 
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Gain inequalities, delay regime, and optional static-feedback window."""
-
-    gains: GainReport
-    tau: float
-    l: float
-    regime: str
-    sano: SanoReport | None
-
-
-def condition_report(params: Params, k_sano: float | None = None) -> ConditionReport:
-    """Evaluate all stability-related conditions for a parameter set."""
-    regime = (
-        "tau>l (exact delay compensation, any initial value)"
-        if params.tau > params.l
-        else "tau<=l (requires a compatible initial observer error)"
-    )
-    return ConditionReport(
-        gains=validate_gains(params),
-        tau=params.tau,
-        l=params.l,
-        regime=regime,
-        sano=sano_window(params, k_sano) if k_sano is not None else None,
-    )
-
-
-def render_condition(report: ConditionReport) -> str:
-    """Plain-text rendering used by the CLI and run summaries."""
-    g = report.gains
-    lines = ["condition report:"]
-    if not g.applicable:
-        lines.append("  gain inequalities: not applicable (requires h1 > 0 and h2 > 0)")
-    else:
-        lines.append(
-            f"  theorem_valid = {str(g.theorem_valid).lower()}"
-            f"  [0 < k1 < {g.k1_upper:.6g}: {str(g.k1_ok).lower()}"
-            f" (margin {g.k1_margin:.6g}),"
-            f" 0 < k2 < {g.k2_upper:.6g}: {str(g.k2_ok).lower()}"
-            f" (margin {g.k2_margin:.6g})]"
-        )
-    lines.append(f"  delay regime: {report.regime} (tau={report.tau:g}, l={report.l:g})")
-    if report.sano is not None:
-        s = report.sano
-        if not s.applicable:
-            lines.append("  static-feedback window: not applicable (requires h1, h2 > 0)")
-        else:
-            lines.append(
-                f"  static-feedback window for k={s.k:g}: "
-                f"({s.window_low:g}, {s.window_high:g}), gain_ok={str(s.gain_ok).lower()}, "
-                f"tau inside: {str(s.in_window).lower()}"
-            )
-    return "\n".join(lines)

@@ -33,16 +33,17 @@ from collections.abc import Iterable
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .analysis import _checked_omegas, _transfer, _upwind_gain, condition_report, render_condition
+from .analysis import _checked_omegas, _transfer, _upwind_gain
 from .config import Config, parse_config
 from .errors import ConfigError
 from .grid import Grid
+from .params import condition_report
 
 if TYPE_CHECKING:  # annotations only: the engine and numpy load in the code that runs them
     import numpy as np
 
-    from .loop import RunResult
-    from .params import Scenario
+    from .loop import RunResult, RunSummary
+    from .params import ConditionReport, Params, Scenario
 
 
 def _bool(value: bool) -> str:
@@ -106,6 +107,34 @@ def _decay_text(label: str, decay) -> str:
     )
 
 
+def render_condition(report: ConditionReport, params: Params) -> str:
+    """The condition report as text, for ``check`` and for summary.txt."""
+    g = report.gains
+    lines = ["condition report:"]
+    if not g.applicable:
+        lines.append("  gain inequalities: not applicable (requires h1 > 0 and h2 > 0)")
+    else:
+        lines.append(
+            f"  theorem_valid = {_bool(g.theorem_valid)}"
+            f"  [0 < k1 < {g.k1_upper:.6g}: {_bool(g.k1_ok)}"
+            f" (margin {g.k1_margin:.6g}),"
+            f" 0 < k2 < {g.k2_upper:.6g}: {_bool(g.k2_ok)}"
+            f" (margin {g.k2_margin:.6g})]"
+        )
+    lines.append(f"  delay regime: {report.regime} (tau={params.tau:g}, l={params.l:g})")
+    if report.sano is not None:
+        s = report.sano
+        if not s.applicable:
+            lines.append("  static-feedback window: not applicable (requires h1, h2 > 0)")
+        else:
+            lines.append(
+                f"  static-feedback window for k={s.k:g}: "
+                f"({s.window_low:g}, {s.window_high:g}), gain_ok={_bool(s.gain_ok)}, "
+                f"tau inside: {_bool(s.in_window)}"
+            )
+    return "\n".join(lines)
+
+
 def _write_summary(path: Path, scenario: Scenario, result: RunResult) -> None:
     s = result.summary
     lines = [
@@ -114,7 +143,7 @@ def _write_summary(path: Path, scenario: Scenario, result: RunResult) -> None:
         f"T: requested {scenario.T:g}, used {s.T_used:g}",
         f"tau: requested {scenario.params.tau:g}, used {s.tau_used:g}"
         + (" (snapped)" if s.tau_snapped else ""),
-        render_condition(s.condition),
+        render_condition(s.condition, scenario.params),
         _decay_text("plant decay", s.plant_decay),
     ]
     if s.obs_err_decay is not None:
@@ -189,50 +218,36 @@ def cmd_run(cfg: Config) -> int:
     return 0
 
 
-def _sweep_worker(payload: tuple[int, Scenario]) -> tuple[int, dict]:
-    from .loop import run_scenario
-
-    index, scenario = payload
-    result = run_scenario(scenario)
-    s = result.summary
-    p = scenario.params
-    sano = s.condition.sano if scenario.controller == "sano_static" else None
-    return index, {
-        "h1": p.h1,
-        "h2": p.h2,
-        "l": p.l,
-        "tau": p.tau,
-        "k1": p.k1,
-        "k2": p.k2,
-        "n_cells": scenario.n_cells,
-        "T": scenario.T,
-        "controller": scenario.controller,
-        "sano_k": scenario.sano_k,
-        "theorem_valid": s.condition.gains.theorem_valid,
-        "sano_in_window": None if sano is None else sano.in_window,
-        "gamma_hat": s.plant_decay.gamma_hat,
-        "r_squared": s.plant_decay.r_squared,
-        "floor_hit": s.plant_decay.floor_hit,
-        "extinct": s.plant_decay.extinct,
-        "finite": s.finite,
-    }
+_SWEEP_HEADER = (
+    "index,h1,h2,l,tau,k1,k2,n_cells,T,controller,sano_k,theorem_valid,"
+    "sano_in_window,gamma_hat,r_squared,floor_hit,extinct"
+)
 
 
-def _sweep_line(index: int, row: dict) -> str:
-    """One sweep.csv row from a single ``%`` operation; floats as ``%.16e``."""
-    sano_k, in_window = row["sano_k"], row["sano_in_window"]
+def _sweep_line(index: int, scenario: Scenario, summary: RunSummary) -> str:
+    """Row ``index`` of sweep.csv from a single ``%`` operation; floats as ``%.16e``."""
+    p, decay, sano_k = scenario.params, summary.plant_decay, scenario.sano_k
+    sano = summary.condition.sano if scenario.controller == "sano_static" else None
     template = (
         "%s" + ",%.16e" * 6 + ",%s,%.16e,%s," + ("" if sano_k is None else "%.16e")
         + ",%s,%s,%.16e,%.16e,%s,%s"
     )
     values = (
-        index, row["h1"], row["h2"], row["l"], row["tau"], row["k1"], row["k2"],
-        row["n_cells"], row["T"], row["controller"],
-        *(() if sano_k is None else (sano_k,)),
-        _bool(row["theorem_valid"]), "" if in_window is None else _bool(in_window),
-        row["gamma_hat"], row["r_squared"], _bool(row["floor_hit"]), _bool(row["extinct"]),
+        index, p.h1, p.h2, p.l, p.tau, p.k1, p.k2, scenario.n_cells, scenario.T,
+        scenario.controller, *(() if sano_k is None else (sano_k,)),
+        _bool(summary.condition.gains.theorem_valid), "" if sano is None else _bool(sano.in_window),
+        decay.gamma_hat, decay.r_squared, _bool(decay.floor_hit), _bool(decay.extinct),
     )
     return template % values
+
+
+def _sweep_worker(payload: tuple[int, Scenario]) -> tuple[str, bool]:
+    """Run one sweep row: its sweep.csv line, and whether the run stayed finite."""
+    from .loop import run_scenario
+
+    index, scenario = payload
+    summary = run_scenario(scenario).summary
+    return _sweep_line(index, scenario, summary), summary.finite
 
 
 # concurrent.futures.ProcessPoolExecutor, imported by the first sweep on a pool:
@@ -264,25 +279,17 @@ def cmd_sweep(cfg: Config) -> int:
     workers = cfg.workers if cfg.workers > 0 else (os.cpu_count() or 1)
     workers = min(workers, len(payloads))
     if workers <= 1:
-        results = [_sweep_worker(payload) for payload in payloads]
+        rows = [_sweep_worker(payload) for payload in payloads]
     else:
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, payloads))
-    results.sort(key=lambda item: item[0])
-
-    header = (
-        "index,h1,h2,l,tau,k1,k2,n_cells,T,controller,sano_k,theorem_valid,"
-        "sano_in_window,gamma_hat,r_squared,floor_hit,extinct"
-    )
-    lines = [header] + [_sweep_line(index, row) for index, row in results]
-    all_finite = all(row["finite"] for _, row in results)
+            rows = list(pool.map(_sweep_worker, payloads))  # in the order of payloads
     outdir = Path(cfg.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_lines(outdir / "sweep.csv", lines)
+    _write_lines(outdir / "sweep.csv", [_SWEEP_HEADER, *(line for line, _ in rows)])
     _emit_warnings(warnings)
-    if not all_finite:
+    if not all(finite for _, finite in rows):
         print("numerical failure: at least one sweep row is non-finite", file=sys.stderr)
         return 3
     return 0
@@ -332,8 +339,8 @@ def cmd_check(cfg: Config) -> int:
 
     warnings = check_scenario(cfg.scenario)
     _sweep_rows(cfg, warnings)
-    report = condition_report(cfg.scenario.params, k_sano=cfg.scenario.sano_k)
-    print(render_condition(report))
+    params = cfg.scenario.params
+    print(render_condition(condition_report(params, k_sano=cfg.scenario.sano_k), params))
     _emit_warnings(warnings)
     return 0
 

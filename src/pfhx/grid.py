@@ -1,4 +1,4 @@
-"""Spatial grid, sampled temperature fields, norms, and compatibility checks.
+"""Spatial grid, sampled temperature fields, and norms.
 
 A field is a plain ``(n_cells + 1, 2)`` float array sampled at the uniform
 nodes ``x_i = i * dx``; column 0 holds theta1 and column 1 holds theta2.
@@ -117,52 +117,3 @@ def l2_norm(field: np.ndarray, grid: Grid) -> float:
     field = check_field(field, grid)
     return _l2(field, grid.dx)
 
-
-@dataclass(frozen=True)
-class CompatibilityReport:
-    """Boundary residuals and smoothness diagnostics of an error profile."""
-
-    compatible: bool
-    residual1: float
-    residual2: float
-    boundary_ok: bool
-    max_slope: float
-    jump_count: int
-    jump_threshold: float
-
-
-def compatibility_check(w: np.ndarray, params, grid: Grid) -> CompatibilityReport:
-    """Check whether an initial observer-error profile is admissible.
-
-    The boundary part mirrors the closed-loop boundary coupling: the profile
-    must satisfy w1(0) + k1*w2(l) = 0 and w2(0) + k2*w1(l) = 0 up to 1e-9.
-    The smoothness part is a discrete proxy for one weak derivative: the
-    profile must not contain step discontinuities, detected as node-to-node
-    increments far larger than the typical increment.  The threshold is
-    ten times dx * median(|slope|), with a small absolute guard so that
-    jumps on otherwise flat profiles are still caught.
-    """
-    import numpy as np
-
-    w = check_field(w, grid)
-    n = grid.n_cells
-    residual1 = abs(w[0, 0] + params.k1 * w[n, 1])
-    residual2 = abs(w[0, 1] + params.k2 * w[n, 0])
-    boundary_ok = residual1 <= 1e-9 and residual2 <= 1e-9
-
-    diffs = np.abs(np.diff(w, axis=0))
-    slopes = diffs / grid.dx
-    max_slope = float(slopes.max()) if slopes.size else 0.0
-    guard = 1e-8 * max(1.0, float(np.abs(w).max()))
-    threshold = max(10.0 * grid.dx * float(np.median(slopes)), guard)
-    jump_count = int(np.count_nonzero(diffs > threshold))
-
-    return CompatibilityReport(
-        compatible=boundary_ok and jump_count == 0,
-        residual1=residual1,
-        residual2=residual2,
-        boundary_ok=boundary_ok,
-        max_slope=max_slope,
-        jump_count=jump_count,
-        jump_threshold=threshold,
-    )

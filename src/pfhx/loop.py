@@ -58,12 +58,12 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .analysis import ConditionReport, DecayReport, condition_report, fit_decay
+from .analysis import DecayReport, fit_decay
 from .coupling import coupling_matrix
 from .errors import ConfigError
 from .grid import Grid, _l2, check_field
 from .observer import _cross_law
-from .params import Params, Scenario
+from .params import ConditionReport, Params, Scenario, condition_report
 from .profiles import _draws, input_function, profile_array
 from .solver import Trajectory, _inputs, _physical_memory, _solve, _Tube, bytes_needed
 

@@ -1,12 +1,26 @@
-"""Physical and control parameters, with gain and delay-window checks, and the
-scenario of one run."""
+"""Physical and control parameters, the scenario of one run, and the paper's
+conditions on them.
+
+The conditions are the gain bounds of the delay-free cross feedback
+(``validate_gains``), the static-feedback delay window (``sano_window``),
+the compatibility of an initial observer error (``compatibility_check``),
+and the report that gathers the first two with the delay regime
+(``condition_report``).  ``cli`` renders that report as text.  numpy loads
+only in ``compatibility_check``.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:  # annotations only: numpy loads in compatibility_check
+    import numpy as np
+
+    from .grid import Grid
 
 
 @dataclass(frozen=True)
@@ -78,8 +92,6 @@ class GainReport:
 
     applicable: bool
     theorem_valid: bool
-    k1_positive: bool
-    k2_positive: bool
     k1_upper: float
     k2_upper: float
     k1_margin: float
@@ -99,8 +111,6 @@ def validate_gains(params: Params) -> GainReport:
         return GainReport(
             applicable=False,
             theorem_valid=False,
-            k1_positive=params.k1 > 0,
-            k2_positive=params.k2 > 0,
             k1_upper=nan,
             k2_upper=nan,
             k1_margin=nan,
@@ -110,15 +120,11 @@ def validate_gains(params: Params) -> GainReport:
         )
     k1_upper = math.sqrt(params.h1 / params.h2)
     k2_upper = math.sqrt(params.h2 / params.h1)
-    k1_positive = params.k1 > 0
-    k2_positive = params.k2 > 0
-    k1_ok = k1_positive and params.k1 < k1_upper
-    k2_ok = k2_positive and params.k2 < k2_upper
+    k1_ok = 0 < params.k1 < k1_upper
+    k2_ok = 0 < params.k2 < k2_upper
     return GainReport(
         applicable=True,
         theorem_valid=k1_ok and k2_ok,
-        k1_positive=k1_positive,
-        k2_positive=k2_positive,
         k1_upper=k1_upper,
         k2_upper=k2_upper,
         k1_margin=k1_upper - params.k1,
@@ -172,4 +178,79 @@ def sano_window(params: Params, k: float) -> SanoReport:
         window_low=low,
         window_high=high,
         in_window=gain_ok and low < params.tau < high,
+    )
+
+
+@dataclass(frozen=True)
+class CompatibilityReport:
+    """Boundary residuals and smoothness diagnostics of an error profile."""
+
+    compatible: bool
+    residual1: float
+    residual2: float
+    boundary_ok: bool
+    max_slope: float
+    jump_count: int
+    jump_threshold: float
+
+
+def compatibility_check(w: np.ndarray, params: Params, grid: Grid) -> CompatibilityReport:
+    """Check whether an initial observer-error profile is admissible.
+
+    The boundary part mirrors the closed-loop boundary coupling: the profile
+    must satisfy w1(0) + k1*w2(l) = 0 and w2(0) + k2*w1(l) = 0 up to 1e-9.
+    The smoothness part is a discrete proxy for one weak derivative: the
+    profile must not contain step discontinuities, detected as node-to-node
+    increments far larger than the typical increment.  The threshold is
+    ten times dx * median(|slope|), with a small absolute guard so that
+    jumps on otherwise flat profiles are still caught.
+    """
+    import numpy as np
+
+    from .grid import check_field
+
+    w = check_field(w, grid)
+    n = grid.n_cells
+    residual1 = abs(w[0, 0] + params.k1 * w[n, 1])
+    residual2 = abs(w[0, 1] + params.k2 * w[n, 0])
+    boundary_ok = residual1 <= 1e-9 and residual2 <= 1e-9
+
+    diffs = np.abs(np.diff(w, axis=0))
+    slopes = diffs / grid.dx
+    max_slope = float(slopes.max()) if slopes.size else 0.0
+    guard = 1e-8 * max(1.0, float(np.abs(w).max()))
+    threshold = max(10.0 * grid.dx * float(np.median(slopes)), guard)
+    jump_count = int(np.count_nonzero(diffs > threshold))
+
+    return CompatibilityReport(
+        compatible=boundary_ok and jump_count == 0,
+        residual1=residual1,
+        residual2=residual2,
+        boundary_ok=boundary_ok,
+        max_slope=max_slope,
+        jump_count=jump_count,
+        jump_threshold=threshold,
+    )
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Gain inequalities, delay regime, and optional static-feedback window."""
+
+    gains: GainReport
+    regime: str
+    sano: SanoReport | None
+
+
+def condition_report(params: Params, k_sano: float | None = None) -> ConditionReport:
+    """Evaluate all stability-related conditions for a parameter set."""
+    regime = (
+        "tau>l (exact delay compensation, any initial value)"
+        if params.tau > params.l
+        else "tau<=l (requires a compatible initial observer error)"
+    )
+    return ConditionReport(
+        gains=validate_gains(params),
+        regime=regime,
+        sano=sano_window(params, k_sano) if k_sano is not None else None,
     )

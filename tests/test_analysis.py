@@ -20,7 +20,8 @@ from pfhx import (
     transfer_function,
     zero_field,
 )
-from pfhx.analysis import _mix, render_condition
+from pfhx.analysis import _mix
+from pfhx.cli import render_condition
 from pfhx.config import parse_config
 from pfhx.loop import run_scenario
 
@@ -414,6 +415,12 @@ def test_fit_decay_needs_enough_samples():
         fit_decay(t, np.exp(-t))
 
 
+def test_fit_decay_refuses_a_window_without_samples():
+    t = np.linspace(0.0, 1.0, 20)
+    with pytest.raises(ValueError, match=r"window \(2\.0, 3\.0\) contains no samples"):
+        fit_decay(t, np.exp(-t), window=(2.0, 3.0))
+
+
 @pytest.mark.parametrize("norms, message", [
     ([1.0, 0.5], "t and norms must be 1-D arrays of equal length"),
     ([1.0, 0.5, math.nan], "series contains non-finite values"),
@@ -475,9 +482,10 @@ def test_condition_report_regimes():
     assert report.gains.theorem_valid and report.regime.startswith("tau>l")
     report = condition_report(make_params(tau=0.5))
     assert report.regime.startswith("tau<=l")
-    report = condition_report(make_params(tau=1.5), k_sano=1.0)
+    params = make_params(tau=1.5)
+    report = condition_report(params, k_sano=1.0)
     assert report.sano is not None
     assert (report.sano.window_low, report.sano.window_high) == (1.0, 2.0)
     assert report.sano.in_window
-    text = render_condition(report)
+    text = render_condition(report, params)
     assert "theorem_valid = true" in text and "tau inside: true" in text

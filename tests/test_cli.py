@@ -771,26 +771,23 @@ def reference_write_snapshots(path, result, grid):
     _reference_write(path, lines)
 
 
-def reference_sweep_line(index, row):
+def reference_sweep_line(index, scenario, summary):
+    p, decay = scenario.params, summary.plant_decay
+    sano = summary.condition.sano if scenario.controller == "sano_static" else None
     return ",".join(
         [
             str(index),
-            _reference_fmt(row["h1"]),
-            _reference_fmt(row["h2"]),
-            _reference_fmt(row["l"]),
-            _reference_fmt(row["tau"]),
-            _reference_fmt(row["k1"]),
-            _reference_fmt(row["k2"]),
-            str(row["n_cells"]),
-            _reference_fmt(row["T"]),
-            row["controller"],
-            "" if row["sano_k"] is None else _reference_fmt(row["sano_k"]),
-            "true" if row["theorem_valid"] else "false",
-            "" if row["sano_in_window"] is None else ("true" if row["sano_in_window"] else "false"),
-            _reference_fmt(row["gamma_hat"]),
-            _reference_fmt(row["r_squared"]),
-            "true" if row["floor_hit"] else "false",
-            "true" if row["extinct"] else "false",
+            *(_reference_fmt(value) for value in (p.h1, p.h2, p.l, p.tau, p.k1, p.k2)),
+            str(scenario.n_cells),
+            _reference_fmt(scenario.T),
+            scenario.controller,
+            "" if scenario.sano_k is None else _reference_fmt(scenario.sano_k),
+            "true" if summary.condition.gains.theorem_valid else "false",
+            "" if sano is None else ("true" if sano.in_window else "false"),
+            _reference_fmt(decay.gamma_hat),
+            _reference_fmt(decay.r_squared),
+            "true" if decay.floor_hit else "false",
+            "true" if decay.extinct else "false",
         ]
     )
 
@@ -801,21 +798,32 @@ SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
 def test_sweep_line_matches_per_value_reference():
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
     base = Scenario(params=params, n_cells=20, T=4.0, theta0=("sine(1, 1)", "zero"))
-    rows = [
-        _sweep_worker((0, base))[1],
-        _sweep_worker((1, dataclasses.replace(base, controller="sano_static", sano_k=0.8)))[1],
-    ]
-    special = dict(rows[0], gamma_hat=np.inf, r_squared=np.nan, h1=-0.0, k2=5e-324,
-                   T=1.7976931348623157e308, sano_k=None, sano_in_window=None)
-    assert rows[0]["sano_k"] is None and rows[1]["sano_in_window"] is not None
-    for value in SPECIALS:
-        rows.append(dict(special, tau=value, sano_k=value, sano_in_window=False, extinct=True))
+    sano = dataclasses.replace(base, controller="sano_static", sano_k=0.8)
+    rows = [(scenario, run_scenario(scenario).summary) for scenario in (base, sano)]
+    for index, (scenario, summary) in enumerate(rows):
+        assert _sweep_worker((index, scenario)) == (_sweep_line(index, scenario, summary), True)
+    (_, summary), (_, sano_summary) = rows
+    assert base.sano_k is None and sano_summary.condition.sano is not None
+    decay = dataclasses.replace(summary.plant_decay, gamma_hat=np.inf, r_squared=np.nan)
+    special = (
+        dataclasses.replace(base, params=dataclasses.replace(params, h1=-0.0, k2=5e-324),
+                            T=1.7976931348623157e308),
+        dataclasses.replace(summary, plant_decay=decay),
+    )
+    extinct = dataclasses.replace(sano_summary,
+                                  plant_decay=dataclasses.replace(decay, extinct=True))
+    for value in SPECIALS:  # Params takes a finite positive tau only; Scenario checks nothing
+        tau = value if 0 < value < np.inf else params.tau
+        scenario = dataclasses.replace(sano, params=dataclasses.replace(params, tau=tau),
+                                       T=value, sano_k=value)
+        rows.append((scenario, extinct))
     rows.append(special)
-    for index, row in enumerate(rows):
-        assert _sweep_line(index, row) == reference_sweep_line(index, row)
-    assert _sweep_line(9, special).split(",")[10:16] == [
+    for index, (scenario, summary) in enumerate(rows):
+        assert _sweep_line(index, scenario, summary) == reference_sweep_line(index, scenario,
+                                                                             summary)
+    assert _sweep_line(9, *special).split(",")[10:16] == [
         "", "true", "", "inf", "nan", "false"]
-    assert ",-0.0000000000000000e+00," in _sweep_line(9, special)
+    assert ",-0.0000000000000000e+00," in _sweep_line(9, *special)
 
 
 @pytest.mark.parametrize(

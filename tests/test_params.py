@@ -39,7 +39,7 @@ def test_invalid_gain_example():
 
 def test_zero_gain_fails_strict_positivity():
     report = validate_gains(Params(h1=1.0, h2=2.0, l=1.0, tau=1.0, k1=0.0, k2=0.5))
-    assert not report.theorem_valid and not report.k1_positive
+    assert not report.theorem_valid and not report.k1_ok and report.k1_margin > 0  # 0 < k1 fails
 
 
 def test_gain_validity_monotone_toward_zero():

@@ -1,3 +1,6 @@
+import math
+import os
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -14,7 +17,7 @@ from pfhx import (
     solve_upwind,
     zero_field,
 )
-from pfhx.solver import _Tube
+from pfhx.solver import _physical_memory, _Tube
 from test_recurrence import VALUE_RTOL
 
 
@@ -287,3 +290,13 @@ def test_tube_fast_mode_of_rates_whose_sum_overflows():
     expected = [m[0, 0] - m[1, 0] for m in (expm(a1 * (i * dx)) for i in range(5))]
     np.testing.assert_allclose(tube.decay, expected, rtol=1e-14, atol=0)
     assert tube.a == tube.b == 0.5
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError])
+def test_physical_memory_is_unbounded_where_sysconf_cannot_tell(monkeypatch, error):
+    def sysconf(name):
+        raise error(name)
+
+    assert 0 < _physical_memory() < math.inf
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    assert _physical_memory() == math.inf

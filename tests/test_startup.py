@@ -9,7 +9,8 @@ command that checks or runs a scenario, so ``freqresp`` and a bare
 ``import pfhx.cli`` never load them, and ``import pfhx`` loads no
 submodule until one of its names is used.
 ``import pfhx`` also limits OpenBLAS to one thread unless
-``OPENBLAS_NUM_THREADS`` is already set.
+``OPENBLAS_NUM_THREADS`` is already set.  ``dir(pfhx)`` is also called in
+this process, where ``tools/linecov.py`` sees ``pfhx.__dir__`` run.
 """
 
 import json
@@ -92,6 +93,13 @@ def test_import_pfhx_loads_a_submodule_only_when_a_name_is_used():
     before, listed, after = json.loads(python(code))
     assert before == [] and listed
     assert after == ["pfhx.errors", "pfhx.grid"]
+
+
+def test_dir_lists_the_32_public_names():
+    import pfhx
+
+    assert len(pfhx.__all__) == 32 and set(pfhx.__all__) <= set(dir(pfhx))
+    assert dir(pfhx) == sorted(dir(pfhx))
 
 
 def test_every_public_name_is_its_home_modules_object():
