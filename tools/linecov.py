@@ -1,6 +1,6 @@
 """Line coverage of the tier-1 suite over ``src/pfhx``, from the standard library alone.
 
-Run it from anywhere, with any extra pytest arguments after it:
+Run it from anywhere:
 
     python tools/linecov.py
 
@@ -15,7 +15,9 @@ It exits 1 if a statement that never ran is not on the allowlist, with
 pytest's own exit code if the suite fails, and 0 otherwise.  The allowlist
 holds what a test process does not run:
 - the body of ``if TYPE_CHECKING:``, which holds imports for annotations;
-- ``global`` and ``nonlocal`` declarations, which compile to no code;
+- statements that compile to no code: ``global`` and ``nonlocal``
+  declarations, a bare annotation (``x: int``) inside a function, and a
+  string that stands as a statement after the first (a field docstring);
 - the console entry point: the body of ``def entry()`` and of
   ``if __name__ == "__main__":``.
 
@@ -49,6 +51,15 @@ def _is_docstring(node: ast.stmt, first: bool) -> bool:
             and isinstance(node.value.value, str))
 
 
+def _compiles_to_nothing(node: ast.stmt, in_function: bool) -> bool:
+    """A declaration, a bare annotation of a local, or a string standing as a statement."""
+    if isinstance(node, (ast.Global, ast.Nonlocal)):
+        return True
+    if isinstance(node, ast.AnnAssign) and node.value is None:
+        return in_function
+    return _is_docstring(node, True)
+
+
 def _is_main_guard(node: ast.stmt) -> bool:
     test = node.test if isinstance(node, ast.If) else None
     return (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
@@ -59,14 +70,15 @@ def statements(source: str) -> list[tuple[int, int, str | None]]:
     """(first line, last line, why it may go unrun or None) of each statement in a module."""
     found = []
 
-    def visit(body: list[ast.stmt], allowed: str | None, docstrings: bool) -> None:
+    def visit(body: list[ast.stmt], allowed: str | None, docstrings: bool,
+              in_function: bool) -> None:
         for index, node in enumerate(body):
             if _is_docstring(node, docstrings and index == 0):
                 continue
             first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
             why = allowed
-            if why is None and isinstance(node, (ast.Global, ast.Nonlocal)):
-                why = "declaration"
+            if why is None and _compiles_to_nothing(node, in_function):
+                why = "no code"
             found.append((first, _header_end(node), why))
             inner = allowed
             if isinstance(node, ast.If) and isinstance(node.test, ast.Name) \
@@ -75,19 +87,21 @@ def statements(source: str) -> list[tuple[int, int, str | None]]:
             if _is_main_guard(node) or (isinstance(node, ast.FunctionDef) and node.name == "entry"):
                 inner = inner or "entry point"
             defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            body_in_function = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                in_function and not isinstance(node, ast.ClassDef))
             for field in ("body", "orelse", "finalbody"):
                 visit(getattr(node, field, []), inner if field == "body" else allowed,
-                      defines and field == "body")
+                      defines and field == "body", body_in_function if field == "body" else in_function)
             for handler in getattr(node, "handlers", []):
-                visit(handler.body, allowed, False)
+                visit(handler.body, allowed, False, in_function)
             for case in getattr(node, "cases", []):
-                visit(case.body, allowed, False)
+                visit(case.body, allowed, False, in_function)
 
-    visit(ast.parse(source).body, None, True)
+    visit(ast.parse(source).body, None, True, False)
     return found
 
 
-def trace_suite(files: list[Path], pytest_args: list[str]) -> tuple[int, dict[str, set[int]]]:
+def trace_suite(files: list[Path]) -> tuple[int, dict[str, set[int]]]:
     """Run pytest in this process; return its exit code and the lines run in each file."""
     hits: dict[str, set[int]] = {str(path): set() for path in files}
 
@@ -114,17 +128,17 @@ def trace_suite(files: list[Path], pytest_args: list[str]) -> tuple[int, dict[st
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        code = int(pytest.main(["-q", "tests", *pytest_args]))
+        code = int(pytest.main(["-q", "tests"]))
     finally:
         sys.settrace(None)
         threading.settrace(None)
     return code, hits
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     os.chdir(ROOT)
     files = sorted(Path(os.path.realpath(path)) for path in PACKAGE.glob("*.py"))
-    code, hits = trace_suite(files, argv)
+    code, hits = trace_suite(files)
     if code != 0:
         print(f"linecov: the suite failed (pytest exit code {code}); no coverage verdict")
         return code
@@ -148,4 +162,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
