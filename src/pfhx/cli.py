@@ -121,7 +121,9 @@ def render_condition(report: ConditionReport, params: Params) -> str:
             f" 0 < k2 < {g.k2_upper:.6g}: {_bool(g.k2_ok)}"
             f" (margin {g.k2_margin:.6g})]"
         )
-    lines.append(f"  delay regime: {report.regime} (tau={params.tau:g}, l={params.l:g})")
+    needs = ("exact delay compensation, any initial value" if report.regime == "tau>l"
+             else "requires a compatible initial observer error")
+    lines.append(f"  delay regime: {report.regime} ({needs}) (tau={params.tau:g}, l={params.l:g})")
     if report.sano is not None:
         s = report.sano
         if not s.applicable:

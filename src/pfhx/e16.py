@@ -1,14 +1,16 @@
 """The numpy kernel that spells doubles as ``'%.16e' % x`` does, for the run CSVs.
 
 ``norms.csv`` and ``snapshots.csv`` hold hundreds of thousands of numbers,
-too many to format one ``%`` at a time.  ``_e16`` computes the 17 digits
-of a few thousand values at a time; a value it cannot settle, a near tie
-or one outside [1e-280, 1e300], inf and nan among them, is formatted by
-``'%.16e' % x`` itself, which is the kernel's oracle.  ``_csv`` writes
-both files' rows: it lays the records of broadcast groups of columns into
-25-byte slots, each ending in its separator, and drops the padding with one
-``bytes.replace`` per piece.  ``cli`` imports this module only when it
-writes a run's outputs, so a command that writes none never loads numpy.
+too many to format one ``%`` at a time.  ``_e16`` formats a few thousand
+values at a time in one pass: each value's exact decimal exponent, its 17
+digits, and its text as three 64-bit words.  A value it cannot settle, a
+near tie or one outside [1e-280, 1e300], inf and nan among them, is
+formatted by ``'%.16e' % x`` itself, which is the kernel's oracle.
+``_csv`` writes both files' rows: it lays the records of broadcast groups
+of columns into 25-byte slots, each ending in its separator, and drops the
+padding with one ``bytes.replace`` per piece.  ``cli`` imports this module
+only when it writes a run's outputs, so a command that writes none never
+loads numpy.
 """
 
 from __future__ import annotations
@@ -23,114 +25,96 @@ import numpy as np
 # temporaries stay near 2 MB whatever the size of the run.
 _CHUNK_VALUES = 2**14
 _SLOTS = 25  # a CSV slot: the longest '%.16e' text, '-1.2345678901234567e-308', then a separator
-# The decimal exponents p = floor(log10 |x|) of |x| in [1e-280, 1e300], the
-# kernel's fast path, with one to spare at each end for a mend or a carry.
-_P = (-282, 302)
+_WORD = np.dtype("<u8")  # a 24-byte record is three of these
+# The decimal exponents the tables cover: p = floor(log10 |x|) for |x| in
+# [1e-280, 1e300], the kernel's fast path, and 301 for the least double >= 10^301.
+_P = (-281, 301)
+
+
+@functools.cache  # the kernel's two tables of powers share most of theirs
+def _ten_to(k: int) -> tuple[float, float]:
+    """10^k as the unevaluated sum hi + lo of two doubles, hi the nearest to it.
+
+    Python int true division rounds correctly; for k < 0, hi = m 2^-s
+    exactly, so 10^k - hi = (2^s - m 10^-k) / 10^-k 2^-s.
+    """
+    ten = 10 ** abs(k)
+    if k >= 0:
+        h = float(ten)
+        return h, float(ten - int(h))
+    h = 1 / ten
+    mantissa, exp = math.frexp(h)
+    s = 53 - exp
+    return h, math.ldexp(((1 << s) - int(mantissa * 2**53) * ten) / ten, -s)
 
 
 @functools.cache
 def _e16_tables() -> tuple[np.ndarray, ...]:
-    """The kernel's tables, built on first use.
+    """The kernel's tables, built on first use, each indexed by p - ``_P[0]``.
 
-    10^(16 - p) for each p in ``_P`` as the unevaluated sum hi + lo of two
-    doubles, with hi's Veltkamp split hi_hi + hi_lo; both parts come from
-    Python int true division, which rounds correctly.  Then the ASCII of
-    0000 .. 9999 as little-endian uint32, and for each p in ``_P`` its
-    exponent field: 'e', sign, hundreds (0 when there are none), tens, ones.
+    10^(16 - p) as hi + lo, with hi's Veltkamp split hi_hi + hi_lo; the
+    least double >= 10^p, which is 10^p's hi, or the next double up where
+    its lo is positive; the ASCII of 0000 .. 9999 as little-endian words
+    (indexed by the number); and the exponent field, 'e', sign and two or
+    three digits, zero-padded in the top five bytes of a word.
     """
-    hi, lo = [], []
-    ten = 10 ** (_P[1] - 16)
-    for _ in range(16, _P[1]):  # 10^-j = hi + lo with hi = m 2^-s exactly
-        h = 1 / ten
-        mantissa, exp = math.frexp(h)
-        s = 53 - exp
-        hi.append(h)
-        lo.append(math.ldexp(((1 << s) - int(mantissa * 2**53) * ten) / ten, -s))
-        ten //= 10
-    for _ in range(_P[0], 17):
-        h = float(ten)
-        hi.append(h)
-        lo.append(float(ten - int(h)))
-        ten *= 10
-    hi, lo = np.array(hi[::-1]), np.array(lo[::-1])  # indexed by p - _P[0]
+    ps = range(_P[0], _P[1] + 1)
+    hi, lo = np.array([_ten_to(16 - p) for p in ps]).T
+    top, rest = np.array([_ten_to(p) for p in ps]).T
     cut = 134217729.0 * hi  # 2^27 + 1
     hi_hi = cut - (cut - hi)
     d = np.arange(10000, dtype=np.uint16)
     digits = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], 1).astype(np.uint8) + 48
-    p = np.arange(_P[0], _P[1] + 1)
-    a = np.abs(p)
-    fields = np.stack([np.full_like(p, ord("e")), np.where(p < 0, ord("-"), ord("+")),
-                       np.where(a >= 100, 48 + a // 100, 0), 48 + a // 10 % 10, 48 + a % 10], 1)
-    return hi, hi_hi, hi - hi_hi, lo, digits.view("<u4").ravel(), fields.astype(np.uint8)
-
-
-def _scaled(a: np.ndarray, p: np.ndarray, tables) -> tuple[np.ndarray, ...]:
-    """n = round(y) as int64, whether y < 10^16, and y - n, for y = a 10^(16 - p).
-
-    y is held as ph + t: ph = fl(a hi), and t its error (Dekker's
-    two-product) plus a lo.  ph is an integer wherever y >= 2^53.
-    """
-    hi, hi_hi, hi_lo, lo = (table[p - _P[0]] for table in tables[:4])
-    ph = a * hi
-    cut = 134217729.0 * a
-    a_hi = cut - (cut - a)
-    a_lo = a - a_hi
-    t = (((a_hi * hi_hi - ph) + a_hi * hi_lo + a_lo * hi_hi) + a_lo * hi_lo) + a * lo
-    whole = np.floor(t + 0.5)
-    return ph.astype(np.int64) + whole.astype(np.int64), (ph - 1e16) + t < 0, t - whole
+    exponents = b"".join((b"\0\0\0e%+03d" % p).ljust(8, b"\0") for p in ps)
+    return (hi, hi_hi, hi - hi_hi, lo, np.where(rest > 0, np.nextafter(top, np.inf), top),
+            digits.view("<u4").ravel().astype(_WORD), np.frombuffer(exponents, _WORD))
 
 
 def _e16_chunk(x: np.ndarray, out: np.ndarray) -> int:
-    """Write ``'%.16e' % v`` of each v of ``x`` into the first 24 slots of ``out``'s rows.
+    """Write ``'%.16e' % v`` of each v of ``x`` into the row of three words of ``out``.
 
-    The text is left-aligned and zero-padded.  The 17 digits are the integer
-    n = round(y), y = |v| 10^(16 - p) with p = floor(log10 |v|); y is known
-    to within 1e-14, so n is exact unless y's fraction lies within 1e-9 of
-    one half.  log10 can miss p by one next to a power of ten: that shows as
-    y < 10^16 or n > 10^17 and is mended once, and n = 10^17 carries to
-    p + 1.  Within 0.05 of y = 10^16 both p and p - 1 spell the digits
-    1.0000000000000000 at exponent p, so no guard is needed there.  An
-    element that this cannot settle, a near or exact tie, or one whose |v|
-    lies outside [1e-280, 1e300] (zero excepted), inf and nan among them,
-    is formatted by ``'%.16e' % v`` itself.  Returns how many were.
+    Zero bytes fill what the text leaves of 24: a positive value's sign and
+    the end of a shorter text.  p = floor(log10 |v|) is exact: log10 is off
+    by at most one, which a comparison with the least double >= 10^p on
+    each side of it undoes.  The 17 digits are the integer n = round(y),
+    y = |v| 10^(16 - p) in [10^16, 10^17), held as ph + t: ph = fl(|v| hi),
+    an integer, and t its error (Dekker's two-product) plus |v| lo.  y is
+    known to within 1e-14, so n is exact unless y's fraction lies within
+    1e-9 of one half; n = 10^17 carries to p + 1.  An element that this
+    cannot settle, a near or exact tie, or one whose |v| lies outside
+    [1e-280, 1e300] (zero excepted), inf and nan among them, is formatted
+    by ``'%.16e' % v`` itself.  Returns how many were.
     """
-    tables = _e16_tables()
+    hi, hi_hi, hi_lo, lo, least, digits, exponents = _e16_tables()
     a = np.abs(x)
     zero = a == 0
     fast = (a >= 1e-280) & (a <= 1e300)
     a = np.where(fast, a, 1.0)
-    p = np.floor(np.log10(a)).astype(np.int64)
-    n, low, offset = _scaled(a, p, tables)
-    wrong = np.flatnonzero(low | (n > 10**17))
-    if len(wrong):
-        p[wrong] += np.where(low[wrong], -1, 1)
-        n[wrong], low[wrong], offset[wrong] = _scaled(a[wrong], p[wrong], tables)
-    tie = np.abs(offset) > 0.5 - 1e-9
-    fallback = np.flatnonzero(~zero & (~fast | tie | low | (n > 10**17)))
+    i = np.floor(np.log10(a)).astype(np.int64) - _P[0]  # p - _P[0]
+    i += a >= least[i + 1]
+    i -= a < least[i]
+    ph = a * hi[i]
+    cut = 134217729.0 * a
+    a_hi = cut - (cut - a)
+    a_lo = a - a_hi
+    h_hi, h_lo = hi_hi[i], hi_lo[i]
+    t = (((a_hi * h_hi - ph) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo) + a * lo[i]
+    whole = np.floor(t + 0.5)
+    fallback = np.flatnonzero(~zero & (~fast | (np.abs(t - whole) > 0.5 - 1e-9)))
+    n = ph.astype(np.int64) + whole.astype(np.int64)
     carry = n == 10**17
     n[carry] = 10**16
-    p += carry
+    i += carry
     n[zero] = 0
-    p[zero] = 0
-    lead = n // 10**16
-    rest = n - lead * 10**16
-    upper = (rest // 10**8).astype(np.uint32)
-    lower = (rest - upper.astype(np.int64) * 10**8).astype(np.uint32)
-    digits = tables[4]
-    groups = np.empty((len(x), 4), np.uint32)
-    groups[:, 0] = digits[upper // 10000]
-    groups[:, 1] = digits[upper % 10000]
-    groups[:, 2] = digits[lower // 10000]
-    groups[:, 3] = digits[lower % 10000]
-    out[:, 0] = np.signbit(x) * np.uint8(ord("-"))
-    out[:, 1] = lead + 48
-    out[:, 2] = ord(".")
-    out[:, 3:19] = groups.view(np.uint8)
-    out[:, 19:24] = tables[5][p - _P[0]]
-    for i, value in zip(fallback, x[fallback].tolist()):
-        text = ("%.16e" % value).encode()
-        out[i, :24] = 0
-        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    upper, lower = n // 10**8 % 10**8, n % 10**8  # digits 2 to 9 and 10 to 17
+    high = digits[upper // 10000] | digits[upper % 10000] << 32  # their ASCII
+    low = digits[lower // 10000] | digits[lower % 10000] << 32
+    head = np.signbit(x) * ord("-") | (n // 10**16 + 48) << 8 | ord(".") << 16
+    out[:, 0] = head.view(_WORD) | high << 24
+    out[:, 1] = high >> 40 | low << 24
+    out[:, 2] = low >> 40 | exponents[i]
+    for row, value in zip(fallback, x[fallback].tolist()):
+        out[row] = np.frombuffer(("%.16e" % value).encode().ljust(24, b"\0"), _WORD)
     return len(fallback)
 
 
@@ -140,10 +124,10 @@ def _e16(values: np.ndarray) -> np.ndarray:
     The records' shape is the values' shape, then 24.
     """
     x = np.ascontiguousarray(values, dtype=float).reshape(-1)
-    out = np.empty((len(x), 24), np.uint8)
+    out = np.empty((len(x), 3), _WORD)
     for lo in range(0, len(x), _CHUNK_VALUES):
         _e16_chunk(x[lo:lo + _CHUNK_VALUES], out[lo:lo + _CHUNK_VALUES])
-    return out.reshape(*np.shape(values), 24)
+    return out.view(np.uint8).reshape(*np.shape(values), 24)
 
 
 def _csv(*groups: np.ndarray) -> Iterator[bytes]:

@@ -235,7 +235,7 @@ def compatibility_check(w: np.ndarray, params: Params, grid: Grid) -> Compatibil
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Gain inequalities, delay regime, and optional static-feedback window."""
+    """Gain inequalities, delay regime ``"tau>l"`` or ``"tau<=l"``, and optional Sano window."""
 
     gains: GainReport
     regime: str
@@ -244,13 +244,8 @@ class ConditionReport:
 
 def condition_report(params: Params, k_sano: float | None = None) -> ConditionReport:
     """Evaluate all stability-related conditions for a parameter set."""
-    regime = (
-        "tau>l (exact delay compensation, any initial value)"
-        if params.tau > params.l
-        else "tau<=l (requires a compatible initial observer error)"
-    )
     return ConditionReport(
         gains=validate_gains(params),
-        regime=regime,
+        regime="tau>l" if params.tau > params.l else "tau<=l",
         sano=sano_window(params, k_sano) if k_sano is not None else None,
     )

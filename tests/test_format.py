@@ -128,6 +128,14 @@ def test_power_table_is_correctly_rounded():
     assert not np.any(np.asarray(hi_hi).view(np.uint64) & np.uint64(2**27 - 1))
 
 
+def test_exponent_table_holds_the_least_double_at_or_above_each_power():
+    least = e16._e16_tables()[4]
+    assert len(least) == e16._P[1] - e16._P[0] + 1
+    for p, bound in zip(range(e16._P[0], e16._P[1] + 1), least.tolist()):
+        exact = Fraction(10) ** p
+        assert Fraction(bound) >= exact > Fraction(math.nextafter(bound, 0.0)), p
+
+
 def test_theorem_run_takes_the_fast_path(tmp_path, monkeypatch):
     # the benchmark's headline run at its full size: 728,763 values formatted
     text = (ROOT / "configs" / "theorem_run.ini").read_text()
