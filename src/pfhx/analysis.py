@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .coupling import fast_exponent, finite_rates
 from .errors import ConfigError
@@ -176,8 +175,7 @@ def discrete_response(omegas, params: Params, grid: Grid, cfl: float = 0.5) -> n
     return np.array(gains, dtype=complex).reshape(len(gains), 2, 2)
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     """Log-linear decay fit of a norm series.
 
     ``gamma_hat`` is minus the fitted slope of log(norm) against time.  A

@@ -12,9 +12,8 @@ consumes it (``errors``), so each command checks only what it uses.
 from __future__ import annotations
 
 import configparser
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .params import Params, Scenario
@@ -87,26 +86,27 @@ _SETTINGS = {
 }
 
 
-@dataclass
-class Config:
-    """A validated configuration: the base scenario plus the output, sweep and freqresp settings."""
+class Config(NamedTuple):
+    """A validated configuration: the base scenario plus the output, sweep and freqresp settings.
+
+    ``parse_config`` gives each its own ``sweep_axes`` dict and ``freq_omegas`` list.
+    """
 
     scenario: Scenario
+    sweep_axes: dict
+    freq_omegas: list
     out_dir: str = "out"
-    sweep_axes: dict = field(default_factory=dict)
     workers: int = 0
-    freq_omegas: list = field(default_factory=lambda: [0.5, 1.0, 2.0])
     freq_cycles: int | None = None  # deprecated: the exact response has no horizon
     freq_cfl: float = 0.5
 
     def to_scenario(self, **axis_values) -> Scenario:
         """The base scenario with the given parameters (e.g. a swept tau) replaced."""
-        params = dataclasses.replace(self.scenario.params, **axis_values)
-        return dataclasses.replace(self.scenario, params=params)
+        return self.scenario._replace(params=self.scenario.params._replace(**axis_values))
 
     def sweep_row(self, **axis_values) -> Scenario:
         """A sweep row's scenario: it keeps no snapshots, since nothing reads them."""
-        return dataclasses.replace(self.to_scenario(**axis_values), snapshot_stride=math.inf)
+        return self.to_scenario(**axis_values)._replace(snapshot_stride=math.inf)
 
 
 def _parse_value(raw: str, kind: str, where: str):
@@ -175,7 +175,7 @@ def parse_config(text: str, overrides: dict[str, object] | None = None) -> Confi
     }
     params = Params(**values["params"])
     run, initial = values["run"], values["initial"]
-    defaults = {f.name: f.default for f in dataclasses.fields(Scenario)}
+    defaults = Scenario._field_defaults
     for name, keys in _PAIRS.items():
         if any(key in initial for key in keys):
             run[name] = tuple(initial.get(key, d) for key, d in zip(keys, defaults[name]))
@@ -187,7 +187,8 @@ def parse_config(text: str, overrides: dict[str, object] | None = None) -> Confi
     }
     # declaration order fixes the row order
     axes = {key: v for key, v in values["sweep"].items() if key in _SWEEP_AXES and v}
-    cfg = Config(scenario=scenario, sweep_axes=axes, **settings)
+    omegas = settings.pop("freq_omegas", [0.5, 1.0, 2.0])
+    cfg = Config(scenario=scenario, sweep_axes=axes, freq_omegas=omegas, **settings)
     if cfg.freq_cycles is not None and cfg.freq_cycles < 10:
         raise ConfigError(f"freqresp.cycles must be >= 10, got {cfg.freq_cycles}")
     if cfg.workers < 0:

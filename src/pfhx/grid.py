@@ -11,9 +11,7 @@ nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
 
@@ -23,18 +21,32 @@ if TYPE_CHECKING:  # annotations only: numpy loads in the functions that build a
 _ALIGN_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Uniform grid on [0, l] with n_cells cells (n_cells + 1 nodes)."""
-
+class _GridFields(NamedTuple):
     n_cells: int
     l: float
 
-    def __post_init__(self) -> None:
+
+class Grid(_GridFields):
+    """Uniform grid on [0, l] with n_cells cells (n_cells + 1 nodes).
+
+    An immutable named tuple, checked wherever one is made: a direct call,
+    ``_replace``, ``_make``, ``copy`` and ``pickle`` refuse the same values.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.n_cells >= 1 and float(self.n_cells).is_integer()):
             raise ConfigError(f"grid.n_cells must be >= 1 and whole, got {self.n_cells}")
         if not math.isfinite(self.l) or self.l <= 0:
             raise ValueError(f"tube length l must be positive, got {self.l}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Grid:
+        """Through ``__new__``, which a named tuple's ``_make`` and ``_replace`` skip otherwise."""
+        return cls(*iterable)
 
     @property
     def dx(self) -> float:
@@ -45,7 +57,7 @@ class Grid:
         """Solver time step; equal to dx (unit transport speed, CFL = 1)."""
         return self.dx
 
-    @cached_property
+    @property
     def nodes(self) -> np.ndarray:
         import numpy as np
 

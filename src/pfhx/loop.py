@@ -24,8 +24,10 @@ probe of the decay rate of the delay-free feedback generator.
 ``run_scenario`` runs the boundary law its scenario's controller names,
 and ``run_delay_free_feedback`` the delay-free reference loop.  (A
 ``Scenario`` lives in ``params``, so that reading a config loads no
-engine; it is re-exported here.)  Both share
-one skeleton, ``_simulate``: ``_prepare`` makes every run check and
+engine; it is re-exported here.)  A scenario and every record a run
+returns are immutable named tuples, so no run can change the scenario it
+was given; a run fills the arrays of its ``Trajectory`` as it goes.  Both
+share one skeleton, ``_simulate``: ``_prepare`` makes every run check and
 resolves the initial data and input signals.  The laws are the open-loop
 input signals, on either solver, and on the exact solver the
 observer-predictor above, the static (Sano) feedback, and the cross
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +70,7 @@ from .profiles import _draws, input_function, profile_array
 from .solver import Trajectory, _inputs, _physical_memory, _solve, _Tube, bytes_needed
 
 
-@dataclass
-class RunSummary:
+class RunSummary(NamedTuple):
     """Derived quantities and diagnostics of a run."""
 
     controller: str
@@ -81,11 +82,10 @@ class RunSummary:
     T_used: float
     finite: bool
     wall_time_s: float
-    warnings: list[str] = dataclass_field(default_factory=list)
+    warnings: list[str]
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     trajectory: Trajectory
     summary: RunSummary
 
@@ -102,8 +102,7 @@ def _input_pair(specs: tuple[str, str]):
     return lambda t: np.array([f1(t), f2(t)])
 
 
-@dataclass
-class _Run:
+class _Run(NamedTuple):
     """A checked scenario: its grid with tau and T snapped, its initial data and inputs."""
 
     controller: str  # the name the summary reports, which names its recurrence
@@ -368,9 +367,7 @@ def _recur(scenario: Scenario, run: _Run) -> Trajectory:
     if err is not None:  # the error of observer time s is normed at step s + m
         traj.obs_err_l2[run.m:] = err.norms(n_steps + 1 - run.m)
         traj.obs_err_l2[:run.m] = _l2(err.field0, run.grid.dx)  # the initial error, until then
-    if pred_err is not None:
-        traj.pred_err_at_l = pred_err
-    return traj
+    return traj if pred_err is None else traj._replace(pred_err_at_l=pred_err)
 
 
 def _simulate(scenario: Scenario, delay_free: bool = False) -> RunResult:

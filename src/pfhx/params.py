@@ -6,14 +6,14 @@ The conditions are the gain bounds of the delay-free cross feedback
 the compatibility of an initial observer error (``compatibility_check``),
 and the report that gathers the first two with the delay regime
 (``condition_report``).  ``cli`` renders that report as text.  numpy loads
-only in ``compatibility_check``.
+only in ``compatibility_check``.  Every record here is an immutable named
+tuple.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
 
@@ -23,8 +23,16 @@ if TYPE_CHECKING:  # annotations only: numpy loads in compatibility_check
     from .grid import Grid
 
 
-@dataclass(frozen=True)
-class Params:
+class _ParamsFields(NamedTuple):
+    h1: float
+    h2: float
+    l: float
+    tau: float
+    k1: float = 0.0
+    k2: float = 0.0
+
+
+class Params(_ParamsFields):
     """Configuration of the exchanger and its controller.
 
     h1, h2 : heat exchange rates between the streams (1/time).  The model
@@ -33,28 +41,32 @@ class Params:
     l : tube length.
     tau : measurement delay of the exit observations.
     k1, k2 : boundary feedback gains.
+
+    Every value must be finite, h1 and h2 nonnegative, and l and tau
+    positive, however a ``Params`` is made: a call, ``_replace``, ``_make``,
+    ``copy`` or ``pickle`` (how a sweep worker receives its scenario).
     """
 
-    h1: float
-    h2: float
-    l: float
-    tau: float
-    k1: float = 0.0
-    k2: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("h1", "h2", "l", "tau", "k1", "k2"):
-            value = getattr(self, name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not math.isfinite(value):
                 raise ConfigError(f"params.{name} must be finite, got {value!r}")
             if value < 0 and name in ("h1", "h2"):
                 raise ConfigError(f"params.{name} must be nonnegative, got {value!r}")
             if value <= 0 and name in ("l", "tau"):
                 raise ConfigError(f"params.{name} must be positive, got {value!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Params:
+        """Through ``__new__``, which a named tuple's ``_make`` and ``_replace`` skip otherwise."""
+        return cls(*iterable)
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """Everything needed to reproduce one run.
 
     ``theta0`` and ``observer0`` are per-component profile specs (or ready
@@ -62,7 +74,8 @@ class Scenario:
     signals and ``warmup_u`` the optional input applied while t <= tau in
     controlled runs.  ``controller`` is one of ``observer_predictor``,
     ``sano_static`` (needs ``sano_k``), ``open_loop``, or ``error_system``.
-    The defaults are the config file's defaults (docs/config.md).
+    The defaults are the config file's defaults (docs/config.md).  A
+    scenario is immutable: ``scenario._replace(T=...)`` is a changed copy.
     """
 
     params: Params
@@ -80,8 +93,7 @@ class Scenario:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class GainReport:
+class GainReport(NamedTuple):
     """Result of checking the strict gain inequalities.
 
     The delay-free cross feedback u1 = -k1*theta2(t,l), u2 = -k2*theta1(t,l)
@@ -134,8 +146,7 @@ def validate_gains(params: Params) -> GainReport:
     )
 
 
-@dataclass(frozen=True)
-class SanoReport:
+class SanoReport(NamedTuple):
     """Delay window for the static output feedback u1 = 0, u2 = -k*y2.
 
     The literature's sufficient condition for that controller to stabilize
@@ -181,8 +192,7 @@ def sano_window(params: Params, k: float) -> SanoReport:
     )
 
 
-@dataclass(frozen=True)
-class CompatibilityReport:
+class CompatibilityReport(NamedTuple):
     """Boundary residuals and smoothness diagnostics of an error profile."""
 
     compatible: bool
@@ -233,8 +243,7 @@ def compatibility_check(w: np.ndarray, params: Params, grid: Grid) -> Compatibil
     )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Gain inequalities, delay regime ``"tau>l"`` or ``"tau<=l"``, and optional Sano window."""
 
     gains: GainReport

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +41,7 @@ from .history import as_trace
 from .params import Params
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Step-aligned time series recorded during a run.
 
     plant_l2 is the L2 norm of the evolved state (for error-system runs,

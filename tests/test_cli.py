@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -562,7 +561,7 @@ def test_sweep_rows_keep_no_snapshots_and_the_same_bytes(tmp_path, monkeypatch, 
     assert main([*argv, str(tmp_path / "rows")]) == 0
     assert kept == [(math.inf, 1)] * 6
     monkeypatch.setattr(loop, "run_scenario",
-                        lambda scenario: run(dataclasses.replace(scenario, snapshot_stride=stride)))
+                        lambda scenario: run(scenario._replace(snapshot_stride=stride)))
     assert main([*argv, str(tmp_path / "strided")]) == 0
     assert (tmp_path / "rows" / "sweep.csv").read_bytes() == (
         tmp_path / "strided" / "sweep.csv").read_bytes()
@@ -732,7 +731,7 @@ def test_delay_free_is_not_a_controller_a_scenario_names(tmp_path, capsys):
                "['error_system', 'observer_predictor', 'open_loop', 'sano_static'])")
     scenario = parse_config(BASE).scenario
     with pytest.raises(ConfigError) as refused:
-        run_scenario(dataclasses.replace(scenario, controller="delay_free"))
+        run_scenario(scenario._replace(controller="delay_free"))
     assert str(refused.value) == message
     argv = ["run", "-c", write_config(tmp_path, BASE), "-o", str(tmp_path / "out")]
     assert main([*argv, "--controller", "delay_free"]) == 2
@@ -798,24 +797,22 @@ SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308]
 def test_sweep_line_matches_per_value_reference():
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
     base = Scenario(params=params, n_cells=20, T=4.0, theta0=("sine(1, 1)", "zero"))
-    sano = dataclasses.replace(base, controller="sano_static", sano_k=0.8)
+    sano = base._replace(controller="sano_static", sano_k=0.8)
     rows = [(scenario, run_scenario(scenario).summary) for scenario in (base, sano)]
     for index, (scenario, summary) in enumerate(rows):
         assert _sweep_worker((index, scenario)) == (_sweep_line(index, scenario, summary), True)
     (_, summary), (_, sano_summary) = rows
     assert base.sano_k is None and sano_summary.condition.sano is not None
-    decay = dataclasses.replace(summary.plant_decay, gamma_hat=np.inf, r_squared=np.nan)
+    decay = summary.plant_decay._replace(gamma_hat=np.inf, r_squared=np.nan)
     special = (
-        dataclasses.replace(base, params=dataclasses.replace(params, h1=-0.0, k2=5e-324),
-                            T=1.7976931348623157e308),
-        dataclasses.replace(summary, plant_decay=decay),
+        base._replace(params=params._replace(h1=-0.0, k2=5e-324),
+                      T=1.7976931348623157e308),
+        summary._replace(plant_decay=decay),
     )
-    extinct = dataclasses.replace(sano_summary,
-                                  plant_decay=dataclasses.replace(decay, extinct=True))
+    extinct = sano_summary._replace(plant_decay=decay._replace(extinct=True))
     for value in SPECIALS:  # Params takes a finite positive tau only; Scenario checks nothing
         tau = value if 0 < value < np.inf else params.tau
-        scenario = dataclasses.replace(sano, params=dataclasses.replace(params, tau=tau),
-                                       T=value, sano_k=value)
+        scenario = sano._replace(params=params._replace(tau=tau), T=value, sano_k=value)
         rows.append((scenario, extinct))
     rows.append(special)
     for index, (scenario, summary) in enumerate(rows):

@@ -1,6 +1,8 @@
 """The error rule: each setting is refused once, by its consumer, as a ConfigError naming it."""
 
+import copy
 import math
+import pickle
 import re
 import warnings
 from pathlib import Path
@@ -94,6 +96,41 @@ def test_a_profile_spec_is_refused_by_its_exact_message(build, message):
 def test_the_consumer_refuses_a_setting_by_its_key(build, key):
     with pytest.raises(ConfigError, match=key):
         build()
+
+
+# Each way to make a checked record, from a valid one and the values wanted.  copy
+# and pickle re-make a record from its values, so they start from an unchecked one.
+_MAKERS = {
+    "call": lambda valid, values: type(valid)(*values),
+    "_make": lambda valid, values: type(valid)._make(values),
+    "_replace": lambda valid, values: valid._replace(**dict(zip(valid._fields, values))),
+    "copy": lambda valid, values: copy.copy(tuple.__new__(type(valid), values)),
+    "deepcopy": lambda valid, values: copy.deepcopy(tuple.__new__(type(valid), values)),
+    "pickle": lambda valid, values: pickle.loads(pickle.dumps(tuple.__new__(type(valid), values))),
+}
+
+
+@pytest.mark.parametrize("maker", _MAKERS)
+@pytest.mark.parametrize("valid, bad, message", [
+    (Params(1.0, 2.0, 1.0, 1.5, 0.5, 0.5), {"h1": -1.0}, "params.h1 must be nonnegative, got -1.0"),
+    (Params(1.0, 2.0, 1.0, 1.5, 0.5, 0.5), {"tau": 0.0}, "params.tau must be positive, got 0.0"),
+    (Params(1.0, 2.0, 1.0, 1.5, 0.5, 0.5), {"k2": math.nan}, "params.k2 must be finite, got nan"),
+    (Grid(10, 1.0), {"n_cells": 0}, "grid.n_cells must be >= 1 and whole, got 0"),
+    (Grid(10, 1.0), {"n_cells": 2.5}, "grid.n_cells must be >= 1 and whole, got 2.5"),
+    (Grid(10, 1.0), {"l": -1.0}, "tube length l must be positive, got -1.0"),
+], ids=["h1", "tau", "k2", "n_cells=0", "n_cells=2.5", "l"])
+def test_every_way_to_make_a_record_refuses_what_its_constructor_refuses(valid, bad, message,
+                                                                         maker):
+    make = _MAKERS[maker]
+    again = make(valid, tuple(valid))
+    assert again == valid and type(again) is type(valid)
+    values = tuple(bad.get(name, value) for name, value in zip(valid._fields, valid))
+    with pytest.raises(ValueError) as direct:
+        type(valid)(*values)
+    with pytest.raises(ValueError) as refused:
+        make(valid, values)
+    assert type(refused.value) is type(direct.value)
+    assert str(refused.value) == str(direct.value) == message
 
 
 def _scenario(**kwargs) -> Scenario:

@@ -13,7 +13,6 @@ Exact runs and ``solve_exact`` are a tube, checked against the oracle in
 tests/test_recurrence.py.
 """
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -78,9 +77,9 @@ def _assert_matches_per_step_path(n_cells, n_steps, overflow_at=None):
     runs = {}
     for cfl in CFLS:
         for runner, (traj, per_step) in _run_pairs(n_cells, n_steps, cfl, overflow_at).items():
-            for f in dataclasses.fields(Trajectory):
-                assert _same_bits(getattr(traj, f.name), getattr(per_step, f.name)), (
-                    cfl, runner, f.name)
+            for f in Trajectory._fields:
+                assert _same_bits(getattr(traj, f), getattr(per_step, f)), (
+                    cfl, runner, f)
             runs[cfl, runner] = traj
     return runs
 

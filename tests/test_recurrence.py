@@ -26,7 +26,6 @@ oracle shares no arithmetic with the recurrence, which
 """
 
 import ast
-import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -242,7 +241,7 @@ def test_difference_mode_data_stays_finite(controller, tau):
              "warmup_u": ("sine(1, 4)", "sine(-2, 4)"),
              "observer0": ("zero", "zero")}
     sc = _scenario(controller, 200, tau, T=25.0, h1=10.0, h2=20.0, **modes)
-    sc.params = dataclasses.replace(sc.params, k1=0.25, k2=1.0)
+    sc = sc._replace(params=sc.params._replace(k1=0.25, k2=1.0))
     exact = _assert_agrees(sc, controller, pointwise=False)
     assert exact.is_finite() and np.all(exact.plant_l2 >= 0.0)
 

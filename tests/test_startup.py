@@ -2,17 +2,20 @@
 
 A short run or sweep is mostly process start-up, so every command leaves
 out what it never uses: ``numpy.ma`` (which ``np.unique`` imports),
-``numpy.random`` unless a profile draws from it, and ``multiprocessing``
-unless a sweep starts its pool.  The engine (``loop``, ``solver``,
-``profiles``, ``observer`` and ``history``) and numpy load only in a
-command that checks or runs a scenario, so ``freqresp`` and a bare
-``import pfhx.cli`` never load them, and ``import pfhx`` loads no
-submodule until one of its names is used.
+``numpy.random`` unless a profile draws from it, ``multiprocessing``
+unless a sweep starts its pool, and ``dataclasses`` always, since every
+pfhx record is a named tuple and no pfhx module imports it.  The engine
+(``loop``, ``solver``, ``profiles``, ``observer`` and ``history``), numpy
+and ``inspect``, which numpy imports, load only in a command that checks
+or runs a scenario, so ``freqresp`` and a bare ``import pfhx.cli`` never
+load them, and ``import pfhx`` loads no submodule until one of its names
+is used.
 ``import pfhx`` also limits OpenBLAS to one thread unless
 ``OPENBLAS_NUM_THREADS`` is already set.  ``dir(pfhx)`` is also called in
 this process, where ``tools/linecov.py`` sees ``pfhx.__dir__`` run.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -22,9 +25,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-LEAN = ("numpy.ma", "numpy.random", "multiprocessing")
-# the engine, and numpy, which loads with it
-ENGINE = ("pfhx.loop", "pfhx.solver", "pfhx.profiles", "pfhx.observer", "pfhx.history", "numpy")
+LEAN = ("numpy.ma", "numpy.random", "multiprocessing", "dataclasses")
+# the engine, and numpy and the inspect it imports, which load with it
+ENGINE = ("pfhx.loop", "pfhx.solver", "pfhx.profiles", "pfhx.observer", "pfhx.history", "numpy",
+          "inspect")
 WATCHED = LEAN + ENGINE
 # the command in a fresh interpreter, then which of WATCHED it loaded, as JSON
 LOADED = (
@@ -66,8 +70,21 @@ def test_freqresp_and_check_leave_out_multiprocessing(args, engine, tmp_path):
 
 
 def test_import_pfhx_cli_loads_no_engine():
-    code = f"import json, sys, pfhx.cli; print(json.dumps([m in sys.modules for m in {ENGINE!r}]))"
+    code = f"import json, sys, pfhx.cli; print(json.dumps([m in sys.modules for m in {WATCHED!r}]))"
     assert not any(json.loads(python(code)))
+
+
+def test_no_pfhx_module_imports_dataclasses():
+    # the tests above watch a few commands; this covers every module, whatever
+    # path imports it, where numpy's inspect would hide dataclasses' main cost
+    importers = []
+    for path in sorted((ROOT / "src" / "pfhx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "dataclasses" in names:
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
 
 
 def test_freqresp_runs_where_numpy_cannot_be_imported(tmp_path):
