@@ -70,13 +70,21 @@ def _norms_columns(traj) -> list[np.ndarray]:
             *traj.exit_values.T]
 
 
+def _constant(column: np.ndarray) -> bool:
+    """Whether every value has the first's bits: -0.0 and 0.0 are written differently."""
+    bits = column.view("<i8")
+    return bool((bits == bits[0]).all())
+
+
 def _write_norms(path: Path, result: RunResult) -> None:
+    """Runs of constant columns (the prediction error at tau > l) as groups formatted once."""
     import numpy as np
 
     from .e16 import _csv
 
-    block = np.column_stack(_norms_columns(result.trajectory))
-    _write_lines(path, itertools.chain([_NORMS_HEADER], _csv(block[:, None])))
+    groups = [np.column_stack(list(run))[:1 if constant else None, None]
+              for constant, run in itertools.groupby(_norms_columns(result.trajectory), _constant)]
+    _write_lines(path, itertools.chain([_NORMS_HEADER], _csv(*groups)))
 
 
 def _first_non_finite(result: RunResult) -> str:

@@ -11,7 +11,8 @@ nodes.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
 
@@ -21,12 +22,8 @@ if TYPE_CHECKING:  # annotations only: numpy loads in the functions that build a
 _ALIGN_RTOL = 1e-9
 
 
-class _GridFields(NamedTuple):
-    n_cells: int
-    l: float
-
-
-class Grid(_GridFields):
+# the fields as a plain named tuple named Grid, so that a wrong call's TypeError names Grid
+class Grid(namedtuple("Grid", "n_cells l")):
     """Uniform grid on [0, l] with n_cells cells (n_cells + 1 nodes).
 
     An immutable named tuple, checked wherever one is made: a direct call,

@@ -4,7 +4,8 @@ The solver oracles and the predictors read the inlet pair u(t) at
 step-aligned times.  An input source is one of three things:
 
 - ``None``, the zero input;
-- a callable t -> (u1, u2);
+- a callable t -> (u1, u2), such as a ``SignalPair`` of two scalar
+  signals, which the solver reads a column at a time;
 - a step-indexed ``(N, 2)`` array with ``u[j] = u(j * dt)``, as a run
   records it in ``Trajectory.u``.
 
@@ -15,9 +16,22 @@ error that names the time.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from typing import NamedTuple
+
 import numpy as np
 
 from .grid import _ALIGN_RTOL
+
+
+class SignalPair(NamedTuple):
+    """Two scalar signals t -> u1(t) and t -> u2(t) as one input source t -> (u1, u2)."""
+
+    u1: Callable[[float], float]
+    u2: Callable[[float], float]
+
+    def __call__(self, t: float) -> np.ndarray:
+        return np.array([self.u1(t), self.u2(t)])
 
 
 def as_trace(inputs, dt: float):

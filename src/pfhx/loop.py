@@ -64,6 +64,7 @@ from .analysis import DecayReport, fit_decay
 from .coupling import coupling_matrix
 from .errors import ConfigError
 from .grid import Grid, _l2, check_field
+from .history import SignalPair
 from .observer import _cross_law
 from .params import ConditionReport, Params, Scenario, condition_report
 from .profiles import _draws, input_function, profile_array
@@ -96,10 +97,8 @@ def _resolve_field(grid: Grid, spec, rng: np.random.Generator | None) -> np.ndar
     return np.column_stack([profile_array(component, grid, rng) for component in spec])
 
 
-def _input_pair(specs: tuple[str, str]):
-    f1 = input_function(specs[0])
-    f2 = input_function(specs[1])
-    return lambda t: np.array([f1(t), f2(t)])
+def _input_pair(specs: tuple[str, str]) -> SignalPair:
+    return SignalPair(input_function(specs[0]), input_function(specs[1]))
 
 
 class _Run(NamedTuple):
@@ -117,8 +116,8 @@ class _Run(NamedTuple):
     warnings: list[str]
     theta0: np.ndarray
     observer0: np.ndarray
-    u_open: object  # t -> the input pair
-    warmup_u: object
+    u_open: SignalPair
+    warmup_u: SignalPair
 
 
 def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:

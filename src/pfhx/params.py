@@ -13,6 +13,7 @@ tuple.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
@@ -23,16 +24,8 @@ if TYPE_CHECKING:  # annotations only: numpy loads in compatibility_check
     from .grid import Grid
 
 
-class _ParamsFields(NamedTuple):
-    h1: float
-    h2: float
-    l: float
-    tau: float
-    k1: float = 0.0
-    k2: float = 0.0
-
-
-class Params(_ParamsFields):
+# the fields as a plain named tuple named Params, so that a wrong call's TypeError names Params
+class Params(namedtuple("Params", "h1 h2 l tau k1 k2", defaults=(0.0, 0.0))):
     """Configuration of the exchanger and its controller.
 
     h1, h2 : heat exchange rates between the streams (1/time).  The model

@@ -37,7 +37,7 @@ import numpy as np
 
 from .coupling import coupling_matrix, fast_exponent, finite_rates
 from .grid import Grid, _l2, check_field
-from .history import as_trace
+from .history import SignalPair, as_trace
 from .params import Params
 
 
@@ -241,9 +241,18 @@ def _plant_trajectory(dt, t0, plant_l2, u, exit_values, steps, snapshots) -> Tra
 
 
 def _inputs(signal, rows: np.ndarray, j0: int, dt: float) -> None:
-    """Fill ``rows`` with an input pair signal at steps j0, j0 + 1, ..."""
-    for i in range(len(rows)):
-        rows[i] = signal((j0 + i) * dt)
+    """Fill ``rows`` with an input pair signal at steps j0, j0 + 1, ...
+
+    A ``SignalPair`` fills each column from its scalar signal, with no
+    array made per step.
+    """
+    times = [(j0 + i) * dt for i in range(len(rows))]
+    if isinstance(signal, SignalPair):
+        for column, scalar in zip(rows.T, signal):
+            column[:] = [scalar(t) for t in times]
+        return
+    for i, t in enumerate(times):
+        rows[i] = signal(t)
 
 
 def solve_exact(

@@ -133,6 +133,20 @@ def test_every_way_to_make_a_record_refuses_what_its_constructor_refuses(valid, 
     assert str(refused.value) == str(direct.value) == message
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: Params(1.0), "Params.__new__() missing 3 required positional arguments: "
+                          "'h2', 'l', and 'tau'"),
+    (lambda: Params(1.0, 2.0, 1.0, 1.5, h9=0.5), "Params.__new__() got an unexpected keyword "
+                                                 "argument 'h9'"),
+    (lambda: Grid(), "Grid.__new__() missing 2 required positional arguments: 'n_cells' and 'l'"),
+    (lambda: Grid(10, 1.0, 2.0), "Grid.__new__() takes 3 positional arguments but 4 were given"),
+], ids=["params-missing", "params-unknown", "grid-missing", "grid-extra"])
+def test_a_wrong_call_names_the_public_record(make, message):
+    with pytest.raises(TypeError) as refused:
+        make()
+    assert str(refused.value) == message
+
+
 def _scenario(**kwargs) -> Scenario:
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=1.5, k1=0.5, k2=0.5)
     return Scenario(params=params, n_cells=10, T=4.0, **kwargs)

@@ -17,7 +17,9 @@ from pfhx import (
     solve_upwind,
     zero_field,
 )
-from pfhx.solver import _physical_memory, _Tube
+from pfhx.history import as_trace
+from pfhx.loop import _input_pair
+from pfhx.solver import _inputs, _physical_memory, _Tube
 from test_recurrence import VALUE_RTOL
 
 
@@ -300,3 +302,26 @@ def test_physical_memory_is_unbounded_where_sysconf_cannot_tell(monkeypatch, err
     assert 0 < _physical_memory() < math.inf
     monkeypatch.setattr(os, "sysconf", sysconf)
     assert _physical_memory() == math.inf
+
+
+@pytest.mark.parametrize("specs", [("zero", "zero"), ("constant(0.5)", "constant(-2)"),
+                                   ("sine(1, 2)", "sine(-2, 4)"), ("sine(3, 1e308)", "zero")],
+                         ids=["zero", "constant", "sine", "overflowing-phase"])
+@pytest.mark.parametrize("j0, dt", [(1, 0.01), (7, 1 / 3)])
+def test_a_signal_pair_fills_its_columns_with_the_per_step_bits(specs, j0, dt):
+    # the columns, filled from the scalar signals, hold each step's array to the bit
+    pair = _input_pair(specs)
+    rows = np.full((500, 2), np.pi)
+    _inputs(pair, rows, j0, dt)
+    per_step = np.array([np.array([pair.u1((j0 + i) * dt), pair.u2((j0 + i) * dt)])
+                         for i in range(len(rows))])
+    assert np.array_equal(rows.view(np.int64), per_step.view(np.int64))
+    assert np.array_equal(rows.view(np.int64),
+                          np.array([pair((j0 + i) * dt) for i in range(len(rows))]).view(np.int64))
+
+
+def test_an_array_input_fills_its_rows_by_step():
+    recorded = np.random.default_rng(2).standard_normal((40, 2))
+    rows = np.empty((30, 2))
+    _inputs(as_trace(recorded, 0.25), rows, 5, 0.25)
+    assert np.array_equal(rows, recorded[5:35])
