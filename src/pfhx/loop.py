@@ -64,11 +64,11 @@ from .analysis import DecayReport, fit_decay
 from .coupling import coupling_matrix
 from .errors import ConfigError
 from .grid import Grid, _l2, check_field
-from .history import SignalPair
+from .history import SignalPair, rows
 from .observer import _cross_law
 from .params import ConditionReport, Params, Scenario, condition_report
 from .profiles import _draws, input_function, profile_array
-from .solver import Trajectory, _inputs, _physical_memory, _solve, _Tube, bytes_needed
+from .solver import Trajectory, _physical_memory, _solve, _Tube, bytes_needed
 
 
 class RunSummary(NamedTuple):
@@ -286,7 +286,7 @@ def _recur_cross(run: _Run, tube: _Tube, p: Params, wait: int) -> None:
     n, end = run.grid.n_cells, run.n_steps + 1
     u = np.zeros((end, 2))
     wait = min(wait, run.n_steps)
-    _inputs(run.warmup_u, u[1:wait + 1], 1, run.dt)
+    u[1:wait + 1] = rows(run.warmup_u, 1, wait, run.dt)
     seed = min(max(wait + 1, n + 1), end)
     u[wait + 1:seed] = _cross_law(p.k1, p.k2, tube.exits(wait + 1, seed).T).T
     _lagged(u, seed, n, _cross_map(p))
@@ -313,7 +313,7 @@ def _recur_observer_predictor(scenario, run, tube):
     u, e = ue[:, :2], ue[:, 2:]
     seed = min(n + 1, end)
     e[1:seed] = _cross_law(p.k1, p.k2, err.exits(1, seed).T).T
-    _inputs(run.warmup_u, u[1:m + 1], 1, run.dt)
+    u[1:m + 1] = rows(run.warmup_u, 1, m, run.dt)
     observer = _Tube(run.observer0, 0, p, run.dt)
     u[m + 1:seed] = _cross_law(p.k1, p.k2, observer.exits(m + 1, seed).T).T
     cross = _cross_map(p)
@@ -352,7 +352,7 @@ def _recur_feedback(scenario, run, tube):
 
 
 def _recur_open_loop(scenario, run, tube):
-    tube.feed_signal(run.u_open)
+    tube.feed(np.vstack((np.zeros(2), rows(run.u_open, 1, run.n_steps, run.dt))))
     return None, None
 
 

@@ -40,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Grid
-from .history import as_trace
 from .params import Params
 from .solver import closed_form_state
 
@@ -51,17 +50,17 @@ def predict(
     """Closed-form prediction of the state at time t; returns the field.
 
     ``obs_field`` is the observer estimate at time t - tau and ``inputs``
-    (see ``history.as_trace``) must cover [t - tau, t] at step resolution.
-    It is the plant's closed form (``solver.closed_form_state``, the tube's
-    field at one step) run for tau from the estimate at t - tau: node i
-    takes exp(A1 tau) applied to the estimate one delay upstream when
-    x_i >= tau, and exp(A1 x_i) applied to the input u(t - x_i) when
-    x_i < tau, which reads the inputs at no more than n_cells + 1 steps.
-    The predicted exit pair is the field's last row.
+    (any source that ``history.rows`` reads) must cover [t - tau, t] at
+    step resolution.  It is the plant's closed form
+    (``solver.closed_form_state``, the tube's field at one step) run for
+    tau from the estimate at t0 = t - tau: node i takes exp(A1 tau) applied
+    to the estimate one delay upstream when x_i >= tau, and exp(A1 x_i)
+    applied to the input u(t - x_i) when x_i < tau, which reads the inputs
+    at no more than n_cells + 1 steps.  The predicted exit pair is the
+    field's last row.
     """
     tau_used = grid.snap_tau(params.tau)[1]
-    trace, start = as_trace(inputs, grid.dt), t - tau_used
-    return closed_form_state(obs_field, lambda s: trace(start + s), tau_used, params, grid)
+    return closed_form_state(obs_field, inputs, tau_used, params, grid, t - tau_used)
 
 
 def _cross_law(k1: float, k2: float, exit_pair) -> np.ndarray:

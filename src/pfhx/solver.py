@@ -16,11 +16,13 @@ predictor (``observer.predict``).
 at CFL <= 1, then exact coupling at each node, i.e. operator splitting)
 used to cross-validate the exact solver.  At CFL = 1 the split update
 reduces algebraically to the characteristic update.  It is the one
-solver that steps: ``_solve`` holds two fields and writes each step's
-norm, exit pair and any due snapshot straight into the run's columns.
+solver that steps: ``_solve`` reads every step's input before its loop,
+holds two fields and writes each step's norm, exit pair and any due
+snapshot straight into the run's columns.
 
-Every solver reads its boundary input through ``history.as_trace``: zero,
-a callable, or a step-indexed array such as a recorded ``Trajectory.u``.
+Every solver reads its boundary input as the rows of its steps from
+``history.rows``: zero, a pair of scalar signals, a callable, or a
+step-indexed array such as a recorded ``Trajectory.u``.
 
 Boundary convention: node 0 at time t carries u(t) exactly.  A mismatch
 between the initial profile and u at the inflow corner is allowed; the
@@ -37,7 +39,7 @@ import numpy as np
 
 from .coupling import coupling_matrix, fast_exponent, finite_rates
 from .grid import Grid, _l2, check_field
-from .history import SignalPair, as_trace
+from .history import rows
 from .params import Params
 
 
@@ -140,12 +142,6 @@ class _Tube:
         self.u = u
         self._origins(self.n + 1, u[1:])
 
-    def feed_signal(self, signal, first: int = 1) -> None:
-        """Feed an input pair signal: step k >= 1 takes signal((first + k - 1) dt), u[0] zero."""
-        u = np.zeros((len(self.w) - self.n, 2))
-        _inputs(signal, u[1:], first, self.dx)
-        self.feed(u)
-
     def _values(self, k, e, out=None) -> np.ndarray:
         """The pairs that origins ``k`` (indices or a slice) become after the decays ``e``."""
         w, ed = self.w[k], e * self.d[k]
@@ -240,21 +236,6 @@ def _plant_trajectory(dt, t0, plant_l2, u, exit_values, steps, snapshots) -> Tra
                       snapshot_t=steps * dt + t0, snapshots=snapshots, dt=dt)
 
 
-def _inputs(signal, rows: np.ndarray, j0: int, dt: float) -> None:
-    """Fill ``rows`` with an input pair signal at steps j0, j0 + 1, ...
-
-    A ``SignalPair`` fills each column from its scalar signal, with no
-    array made per step.
-    """
-    times = [(j0 + i) * dt for i in range(len(rows))]
-    if isinstance(signal, SignalPair):
-        for column, scalar in zip(rows.T, signal):
-            column[:] = [scalar(t) for t in times]
-        return
-    for i, t in enumerate(times):
-        rows[i] = signal(t)
-
-
 def solve_exact(
     theta0: np.ndarray,
     inputs,
@@ -272,9 +253,8 @@ def solve_exact(
     if not snapshot_stride > 0:
         raise ValueError("snapshot stride must be positive")
     n_steps, dt = grid.snap_steps(T)[0], grid.dt
-    trace = as_trace(inputs, dt)
     tube = _Tube(check_field(theta0, grid), n_steps, params, dt)
-    tube.feed_signal(lambda s: trace(t0 + s))
+    tube.feed(np.vstack((np.zeros(2), rows(inputs, 1, n_steps, dt, t0))))
     return tube.trajectory(snapshot_stride, t0)
 
 
@@ -304,19 +284,20 @@ def solve_upwind(
 
 
 def _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0) -> Trajectory:
-    """The split upwind scheme at ``cfl``: theta0 at t0, then the inputs at each step's time.
+    """The split upwind scheme at ``cfl``: theta0 at t0, then the inputs of each step.
 
     The one loop that steps, for the upwind solver and the upwind open
-    loop.  It holds two fields: each step mixes neighbouring nodes of
-    ``field`` into ``adv``, then couples every node into ``spare`` by the
-    step matrix's transpose, made once as a C-contiguous copy: BLAS then
-    skips its transposed path, which at these shapes is two to three times
-    slower, for the same bits.  The new field's norm, exit pair and any due
-    snapshot go straight into the columns.
+    loop.  It reads the inputs of every step first, then holds two fields:
+    each step mixes neighbouring nodes of ``field`` into ``adv``, then
+    couples every node into ``spare`` by the step matrix's transpose, made
+    once as a C-contiguous copy: BLAS then skips its transposed path, which
+    at these shapes is two to three times slower, for the same bits.  The
+    new field's norm, exit pair and any due snapshot go straight into the
+    columns.
     """
     dt, dx, total = cfl * grid.dx, grid.dx, n_steps + 1
-    trace = as_trace(inputs, dt)
-    plant_l2, u, exit_values = np.empty(total), np.zeros((total, 2)), np.empty((total, 2))
+    u = np.vstack((np.zeros(2), rows(inputs, 1, n_steps, dt, t0)))
+    plant_l2, exit_values = np.empty(total), np.empty((total, 2))
     steps = _snapshot_steps(n_steps, dt, snapshot_stride)
     snapshots = np.empty((len(steps),) + theta0.shape)
     due = dict(zip(steps.tolist(), range(len(steps))))  # step -> its snapshot
@@ -329,7 +310,7 @@ def _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0) -> T
             np.add(adv[1:], spare[1:], out=adv[1:])
             adv[0] = field[0]
             np.matmul(adv, mix, out=spare)
-            spare[0] = u[j] = trace(t0 + j * dt)
+            spare[0] = u[j]
             field, spare = spare, field
         plant_l2[j] = _l2(field, dx)
         exit_values[j] = field[-1]
@@ -339,24 +320,23 @@ def _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0) -> T
 
 
 def closed_form_state(
-    theta0: np.ndarray, inputs, t: float, params: Params, grid: Grid
+    theta0: np.ndarray, inputs, t: float, params: Params, grid: Grid, t0: float = 0.0
 ) -> np.ndarray:
-    """Evaluate the solution at time t directly from the closed form.
+    """The field a time t after theta0, which holds at t0, directly from the closed form.
 
     theta(t, x) = exp(A1 t) theta0(x - t) where the characteristic reaches
-    back to the initial data (x >= t), and exp(A1 x) u(t - x) where it
+    back to the initial data (x >= t), and exp(A1 x) u(t0 + t - x) where it
     reaches back to the boundary (x < t): the tube's field at one step.
     The tube holds only the last n_cells + 1 inlet pairs, the ones the
     field still carries, so the input source is read at most n_cells + 1
-    times, however late t is.  Started at t - tau from the estimate, it is
-    the predictor (``observer.predict``).
+    steps, however late t is.  Run for tau from the estimate at
+    t0 = t - tau, it is the predictor (``observer.predict``).
     """
-    trace = as_trace(inputs, grid.dt)
     theta0 = check_field(theta0, grid)
     j, _, changed = grid.snap_steps(t)
     if changed:
         raise ValueError(f"time {t} is not aligned to the step grid (dt={grid.dt})")
     gone = max(0, j - grid.n_cells - 1)  # the steps whose inlet pairs have left the tube
     tube = _Tube(theta0, j - gone, params, grid.dt)
-    tube.feed_signal(trace, gone + 1)
+    tube.feed(np.vstack((np.zeros(2), rows(inputs, gone + 1, j - gone, grid.dt, t0))))
     return tube.fields(np.array([j - gone]))[0]

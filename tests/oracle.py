@@ -7,9 +7,10 @@ every field advances one exact characteristic step at a time, by
 columns, and the observer runs tau late against a deque of the last m + 1
 plant fields: ``simulate`` for every exact law, ``solve`` for the solver
 oracles and the upwind scheme.  From ``pfhx`` it takes only the run
-set-up (``loop._prepare``), the step matrix, ``_l2`` and ``as_trace``;
-tests/test_recurrence.py checks that it uses nothing of the recurrence or
-of the tube, which is also ``solve_exact`` and ``closed_form_state``.
+set-up (``loop._prepare``), the step matrix, ``_l2`` and the input reader
+``history.rows``; tests/test_recurrence.py checks that it uses nothing of
+the recurrence or of the tube, which is also ``solve_exact`` and
+``closed_form_state``.
 
 Two references of the exact solution at one time are here as well, each
 independent of the tube: ``step_exact``, one exact step of a field, and
@@ -26,7 +27,7 @@ import numpy as np
 from pfhx import loop
 from pfhx.coupling import coupling_matrix
 from pfhx.grid import _ALIGN_RTOL, Grid, _l2, check_field
-from pfhx.history import as_trace
+from pfhx.history import rows
 from pfhx.params import Params
 from pfhx.solver import Trajectory
 
@@ -128,7 +129,7 @@ def _observer_predictor(scenario, run, rec):
             rec.pred_err_at_l[j] = pred_exit - field[-1]
             u_new = _cross(k1, k2, pred_exit)
         else:
-            u_new = warm(j * dt)
+            u_new = rows(warm, j, 1, dt)[0]
         rec.obs_err_l2[j] = _l2(obs - plants[0], dx) if j >= m else init_err
         return u_new
 
@@ -155,14 +156,14 @@ def _cross_feedback(scenario, run, rec):
     def inflow(j, field):
         if j > wait:
             return _cross(k1, k2, field[-1])
-        return warm(j * dt)
+        return rows(warm, j, 1, dt)[0]
 
     return (run.theta0 if run.delayed else run.observer0 - run.theta0), inflow
 
 
 def _open_loop(scenario, run, rec):
     u, dt = run.u_open, run.dt
-    return run.theta0, lambda j, field: u(j * dt)
+    return run.theta0, lambda j, field: rows(u, j, 1, dt)[0]
 
 
 # the name a run reports -> its law
@@ -196,8 +197,8 @@ def simulate(scenario, delay_free: bool = False) -> Trajectory:
     return rec.finish()
 
 
-def solve(theta0, u_fn, n_steps, p, grid, dt, advance, snapshot_stride, t0=0.0) -> Trajectory:
-    """A solver run stepped field by field: theta0 at t0, then u_fn at each step's time.
+def solve(theta0, inputs, n_steps, p, grid, dt, advance, snapshot_stride, t0=0.0) -> Trajectory:
+    """A solver run stepped field by field: theta0 at t0, then the inputs at each step's time.
 
     ``advance(field, step_matrix, u_new)`` is one step of the scheme at ``dt``.
     """
@@ -206,7 +207,7 @@ def solve(theta0, u_fn, n_steps, p, grid, dt, advance, snapshot_stride, t0=0.0) 
     field = theta0.copy()
     rec.record(0, field, np.zeros(2))
     for j in range(1, n_steps + 1):
-        u_new = np.asarray(u_fn(t0 + j * dt), dtype=float)
+        u_new = rows(inputs, j, 1, dt, t0)[0]
         field = advance(field, step_matrix, u_new)
         rec.record(j, field, u_new)
     return rec.finish()
@@ -219,7 +220,7 @@ def step_exact(field: np.ndarray, t: float, inputs, params: Params, grid: Grid) 
     """
     dt = grid.dt
     step_matrix = coupling_matrix(dt, params.h1, params.h2)
-    return advance_exact(check_field(field, grid), step_matrix, as_trace(inputs, dt)(t + dt))
+    return advance_exact(check_field(field, grid), step_matrix, rows(inputs, 1, 1, dt, t)[0])
 
 
 def closed_form_by_node(theta0: np.ndarray, inputs, t: float, params: Params,
@@ -230,18 +231,16 @@ def closed_form_by_node(theta0: np.ndarray, inputs, t: float, params: Params,
     back to the boundary (x_i < t), and exp(A1 t) theta0(x_i - t) where it
     reaches back to the initial data.
     """
-    trace = as_trace(inputs, grid.dt)
     theta0 = check_field(theta0, grid)
     j, t_snapped, changed = grid.snap_steps(t)
     if changed:
         raise ValueError(f"time {t} is not aligned to the step grid (dt={grid.dt})")
     n = grid.n_cells
     k = min(j, n + 1)  # the nodes whose characteristic reaches back to the boundary
+    u = rows(inputs, j - k + 1, k, grid.dt)  # node i reads u[k - 1 - i], step j - i
     field = np.empty((n + 1, 2))
     for i in range(k):
-        field[i] = coupling_matrix(i * grid.dx, params.h1, params.h2) @ np.asarray(
-            trace((j - i) * grid.dt), dtype=float
-        )
+        field[i] = coupling_matrix(i * grid.dx, params.h1, params.h2) @ u[k - 1 - i]
     field[k:] = theta0[: n + 1 - k] @ coupling_matrix(t_snapped, params.h1, params.h2).T
     return field
 
@@ -270,7 +269,7 @@ def predict_exit(obs_field: np.ndarray, inputs, t: float, params: Params, grid: 
     n = grid.n_cells
     obs_field = check_field(obs_field, grid)
     if m > n:
-        u_past = np.asarray(as_trace(inputs, grid.dt)(t - params.l), dtype=float)
+        u_past = rows(inputs, 0, 1, grid.dt, t - params.l)[0]
         return coupling_matrix(params.l, params.h1, params.h2) @ u_past
     return coupling_matrix(tau_used, params.h1, params.h2) @ obs_field[n - m]
 

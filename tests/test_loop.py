@@ -20,7 +20,7 @@ from pfhx import (
     run_scenario,
 )
 from pfhx.coupling import coupling_matrix
-from pfhx.history import as_trace
+from pfhx.history import rows
 from pfhx.loop import check_scenario
 
 
@@ -422,9 +422,8 @@ def _reference_closed_loop(sc: Scenario) -> dict:
         t = jn * dt
         pred = None
         if jn > m:
-            s = (jn - m) * dt
-            y = as_trace(exit_hist[:jn], dt)(s)[::-1]
-            obs = observer_step(obs, y, as_trace(u_hist[:jn], dt)(s), p, grid)
+            y = rows(exit_hist[:jn], jn - m, 1, dt)[0, ::-1]
+            obs = observer_step(obs, y, rows(u_hist[:jn], jn - m, 1, dt)[0], p, grid)
             pred = predict_exit(obs, u_hist[:jn], t, p, grid)
             u = control_law(pred, p, t, tau=tau_used)
         else:
@@ -472,7 +471,7 @@ def test_sano_baseline_matches_reference_loop(tau):
     for jn in range(1, n_steps + 1):
         u = np.zeros(2)
         if jn >= m:
-            u[1] = -k * as_trace(exit_hist[:jn], dt)((jn - m) * dt)[0]
+            u[1] = -k * rows(exit_hist[:jn], jn - m, 1, dt)[0, 0]
         plant = _advance(plant, mix, u)
         exit_hist[jn] = plant[n]
         u_ref.append(u)

@@ -294,8 +294,8 @@ def test_recurrence_matches_stepped_oracle_property(controller, h1, h2, l, n_cel
 # what the oracle may not use: the recurrence, the runs made by it, and the tube's other
 # uses, the exact solver and the closed form (with the predictor) and their helpers
 RECURRENCE_NAMES = {"_Tube", "_lagged", "_RECURRENCES", "_cross_map", "run_scenario", "_simulate",
-                    "solve_exact", "closed_form_state", "predict", "trajectory", "feed_signal",
-                    "_inputs", "_plant_trajectory",
+                    "solve_exact", "closed_form_state", "predict", "trajectory",
+                    "_plant_trajectory",
                     "_solve", "solve_upwind"}  # the upwind loop, which the oracle checks too
 
 
@@ -322,6 +322,7 @@ def test_oracle_imports_nothing_of_the_recurrence():
                  "loop._recur(sc, run)", "getattr(loop, '_RECURRENCES')",
                  "import pfhx.loop._cross_map", "from pfhx import solve_exact",
                  "pfhx.closed_form_state(f, u, t, p, g)", "from pfhx.observer import predict",
-                 "tube.trajectory(0.1)", "tube.feed_signal(u)", "from pfhx.solver import _inputs",
+                 "tube.trajectory(0.1)", "_Tube(f, 9, p, dx).feed(u)",
+                 "from pfhx.solver import _plant_trajectory",
                  "solver._solve(f, u, 9, p, g, 0.5, 0.1, 0.0)", "from pfhx import solve_upwind"):
         assert _recurrence_names(ast.parse(line)), line

@@ -13,13 +13,15 @@ from pfhx import (
     Params,
     closed_form_state,
     l2_norm,
+    predict,
     solve_exact,
     solve_upwind,
     zero_field,
 )
-from pfhx.history import as_trace
+from pfhx import solver
+from pfhx.history import SignalPair, rows
 from pfhx.loop import _input_pair
-from pfhx.solver import _inputs, _physical_memory, _Tube
+from pfhx.solver import _physical_memory, _Tube
 from test_recurrence import VALUE_RTOL
 
 
@@ -311,17 +313,97 @@ def test_physical_memory_is_unbounded_where_sysconf_cannot_tell(monkeypatch, err
 def test_a_signal_pair_fills_its_columns_with_the_per_step_bits(specs, j0, dt):
     # the columns, filled from the scalar signals, hold each step's array to the bit
     pair = _input_pair(specs)
-    rows = np.full((500, 2), np.pi)
-    _inputs(pair, rows, j0, dt)
+    filled = rows(pair, j0, 500, dt)
     per_step = np.array([np.array([pair.u1((j0 + i) * dt), pair.u2((j0 + i) * dt)])
-                         for i in range(len(rows))])
-    assert np.array_equal(rows.view(np.int64), per_step.view(np.int64))
-    assert np.array_equal(rows.view(np.int64),
-                          np.array([pair((j0 + i) * dt) for i in range(len(rows))]).view(np.int64))
+                         for i in range(len(filled))])
+    assert np.array_equal(filled.view(np.int64), per_step.view(np.int64))
+    assert np.array_equal(filled.view(np.int64),
+                          np.array([rows(pair, j0 + i, 1, dt)[0]
+                                    for i in range(len(filled))]).view(np.int64))
 
 
 def test_an_array_input_fills_its_rows_by_step():
     recorded = np.random.default_rng(2).standard_normal((40, 2))
-    rows = np.empty((30, 2))
-    _inputs(as_trace(recorded, 0.25), rows, 5, 0.25)
-    assert np.array_equal(rows, recorded[5:35])
+    assert np.array_equal(rows(recorded, 5, 30, 0.25), recorded[5:35])
+
+
+def _three_forms(dt: float) -> dict:
+    """One input as a ``SignalPair``, as a callable of the pair, and recorded at steps of dt.
+
+    The steps are dyadic, so t0 + j dt is the double (t0 / dt + j) dt and a
+    recording read by index holds the bits the signals give at that time.
+    """
+    pair = _input_pair(("sine(1, 2)", "sine(-2, 3)"))
+    return {"pair": pair, "callable": lambda t: (pair.u1(t), pair.u2(t)),
+            "array": rows(pair, 0, 200, dt)}
+
+
+def _assert_same_bits(results: dict) -> None:
+    """Each form's result, a field or a ``Trajectory``, holds the ``SignalPair``'s bits."""
+    bits = {form: [np.asarray(part, dtype=float).view(np.int64).tolist()
+                   for part in (result if isinstance(result, tuple) else (result,))]
+            for form, result in results.items()}
+    assert bits["callable"] == bits["pair"] and bits["array"] == bits["pair"]
+
+
+@pytest.mark.parametrize("k", [0, 3], ids=["t0=0", "t0=3dt"])
+@pytest.mark.parametrize("tau", [0.5, 1.5])
+def test_every_solver_reads_each_source_form_to_the_same_bits(k, tau):
+    grid = Grid(8, 1.0)  # dx = 1/8
+    params = params_with(tau=tau)
+    dt, up = grid.dt, 0.5 * grid.dx  # the exact solvers' step and the upwind's at CFL 1/2
+    theta0 = random_field(grid, np.random.default_rng(31))
+    exact, upwind = _three_forms(dt), _three_forms(up)
+    _assert_same_bits({form: solve_exact(theta0, u, 2.0, params, grid, 0.25, t0=k * dt)
+                       for form, u in exact.items()})
+    _assert_same_bits({form: solve_upwind(theta0, u, 2.0, params, grid, 0.5, 0.25, t0=k * up)
+                       for form, u in upwind.items()})
+    for j in (0, 5, 9, 30):  # before, at and after the initial field has left the tube
+        _assert_same_bits({form: closed_form_state(theta0, u, j * dt, params, grid, t0=k * dt)
+                           for form, u in exact.items()})
+    tau_used = grid.snap_tau(tau)[1]
+    _assert_same_bits({form: predict(theta0, u, tau_used + k * dt, params, grid)
+                       for form, u in exact.items()})
+
+
+def test_each_solver_reads_a_callable_once_per_step_in_step_order(monkeypatch):
+    grid = Grid(8, 1.0)
+    params = params_with(tau=1.5)  # tau > l: the predicted field reads inputs only
+    dt, n = grid.dt, grid.n_cells
+    theta0 = random_field(grid, np.random.default_rng(32))
+    reads = []
+
+    def u(t):
+        reads.append(t)
+        return (np.sin(t), np.cos(t))
+
+    solve_exact(theta0, u, 2.0, params, grid, t0=0.5)
+    assert reads == [0.5 + j * dt for j in range(1, 17)]
+    reads.clear()
+    real_l2 = solver._l2
+    monkeypatch.setattr(solver, "_l2", lambda field, dx: reads.append("norm") or real_l2(field, dx))
+    solve_upwind(theta0, u, 2.0, params, grid, cfl=0.5, t0=0.5)
+    # every input is read before the loop's first norm, one per step in order
+    assert reads[:32] == [0.5 + j * (0.5 * grid.dx) for j in range(1, 33)]
+    assert reads[32:] == ["norm"] * 33
+    monkeypatch.undo()
+    reads.clear()
+    closed_form_state(theta0, u, 30 * dt, params, grid, t0=0.5)
+    assert reads == [0.5 + j * dt for j in range(30 - n, 31)]  # the last n + 1 steps
+    reads.clear()
+    predict(theta0, u, 40 * dt, params, grid)
+    assert len(reads) <= n + 1
+    assert reads == [28 * dt + j * dt for j in range(12 - n, 13)]
+
+
+def test_a_signal_pair_reads_each_scalar_once_per_step_in_step_order():
+    grid = Grid(8, 1.0)
+    reads = {"u1": [], "u2": []}
+
+    def counting(name, value):
+        return lambda t: reads[name].append(t) or value
+
+    pair = SignalPair(counting("u1", 1.0), counting("u2", -1.0))
+    traj = solve_exact(zero_field(grid), pair, 1.0, params_with(), grid, t0=0.25)
+    assert reads["u1"] == reads["u2"] == [0.25 + j * grid.dt for j in range(1, 9)]
+    assert np.array_equal(traj.u[1:], np.tile([1.0, -1.0], (8, 1)))
