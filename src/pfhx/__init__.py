@@ -38,8 +38,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Each public name's home submodule, imported on the name's first use (PEP 562).
 _HOMES = {
-    "params": ("CompatibilityReport", "ConditionReport", "GainReport", "Params", "SanoReport",
-               "Scenario", "compatibility_check", "condition_report", "sano_window",
+    "params": ("CompatibilityReport", "ConditionReport", "ConfigError", "GainReport", "Params",
+               "SanoReport", "Scenario", "compatibility_check", "condition_report", "sano_window",
                "validate_gains"),
     "coupling": ("coupling_matrix",),
     "grid": ("Grid", "l2_norm", "make_field", "zero_field"),
@@ -49,7 +49,6 @@ _HOMES = {
     "loop": ("RunResult", "RunSummary", "check_scenario", "run_delay_free_feedback",
              "run_scenario"),
     "analysis": ("DecayReport", "discrete_response", "fit_decay", "transfer_function"),
-    "errors": ("ConfigError",),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

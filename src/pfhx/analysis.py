@@ -33,9 +33,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .coupling import fast_exponent, finite_rates
-from .errors import ConfigError
 from .grid import Grid
-from .params import Params
+from .params import ConfigError, Params
 
 if TYPE_CHECKING:  # annotations only: numpy loads in the functions that build arrays
     import numpy as np

@@ -11,7 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (non-finite values), 4 output I/O failure.
 
 A command loads only what it runs: the engine (``loop`` and the solver,
-profiles and observer it imports) is imported by the code that checks or
+profiles and history it imports) is imported by the code that checks or
 runs a scenario, and numpy by the engine or by the writer that builds an
 array, so ``freqresp``, whose gains are scalar, loads neither.  ``main``
 also has ``gc.freeze`` run at exit, so that finalization does not collect
@@ -35,9 +35,8 @@ from typing import TYPE_CHECKING
 
 from .analysis import _checked_omegas, _transfer, _upwind_gain
 from .config import Config, parse_config
-from .errors import ConfigError
 from .grid import Grid
-from .params import condition_report
+from .params import ConfigError, condition_report
 
 if TYPE_CHECKING:  # annotations only: the engine and numpy load in the code that runs them
     import numpy as np

@@ -6,7 +6,8 @@ name, values are checked against their types, and command-line flags
 override file values.  ``parse_config`` checks the file's form, the
 ``[params]`` (through ``Params``), ``sweep.workers`` and
 ``freqresp.cycles``; every other setting is refused by the code that
-consumes it (``errors``), so each command checks only what it uses.
+consumes it (the one error rule, in ``params``), so each command checks
+only what it uses.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import configparser
 import math
 from typing import NamedTuple
 
-from .errors import ConfigError
-from .params import Params, Scenario
+from .params import ConfigError, Params, Scenario
 
 # section -> key -> type tag
 _SCHEMA: dict[str, dict[str, str]] = {

@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError
+from .params import ConfigError
 
 if TYPE_CHECKING:  # annotations only: numpy loads in the functions that build arrays
     import numpy as np

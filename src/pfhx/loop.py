@@ -62,11 +62,9 @@ import numpy as np
 
 from .analysis import DecayReport, fit_decay
 from .coupling import coupling_matrix
-from .errors import ConfigError
 from .grid import Grid, _l2, check_field
 from .history import SignalPair, rows
-from .observer import _cross_law
-from .params import ConditionReport, Params, Scenario, condition_report
+from .params import ConditionReport, ConfigError, Params, Scenario, condition_report
 from .profiles import _draws, input_function, profile_array
 from .solver import Trajectory, _physical_memory, _solve, _Tube, bytes_needed
 
@@ -167,9 +165,7 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
         raise ConfigError(
             f"run.T={scenario.T:g} must exceed the delay tau={tau_used:g} for controlled runs"
         )
-    need = bytes_needed(grid.n_cells + 1, n_steps, dt, scenario.snapshot_stride)
-    if not upwind:  # the recurrence's tubes, inlet histories and norm sums
-        need += _Tube.BYTES_PER_STEP * (n_steps + 1)
+    need = bytes_needed(grid.n_cells + 1, n_steps, dt, scenario.snapshot_stride, not upwind)
     memory = _physical_memory()
     if need > memory:
         raise ConfigError(
@@ -272,6 +268,11 @@ def _lagged(x: np.ndarray, start: int, lag: int, step: np.ndarray) -> None:
         x[j0:j0 + span] = block[:len(x) - j0]
 
 
+def _cross_law(p: Params, exits: np.ndarray) -> np.ndarray:
+    """The feedback kernel on rows of exit pairs: u = K exit = (-k1 * exit2, -k2 * exit1)."""
+    return -np.array([p.k1, p.k2]) * exits[:, ::-1]
+
+
 def _cross_map(p: Params) -> np.ndarray:
     """The cross feedback across a tube: u[j] = K exp(A1 l) u[j - n], K = -[[0, k1], [k2, 0]]."""
     return -np.array([[0.0, p.k1], [p.k2, 0.0]]) @ coupling_matrix(p.l, p.h1, p.h2)
@@ -288,7 +289,7 @@ def _recur_cross(run: _Run, tube: _Tube, p: Params, wait: int) -> None:
     wait = min(wait, run.n_steps)
     u[1:wait + 1] = rows(run.warmup_u, 1, wait, run.dt)
     seed = min(max(wait + 1, n + 1), end)
-    u[wait + 1:seed] = _cross_law(p.k1, p.k2, tube.exits(wait + 1, seed).T).T
+    u[wait + 1:seed] = _cross_law(p, tube.exits(wait + 1, seed))
     _lagged(u, seed, n, _cross_map(p))
     tube.feed(u)
 
@@ -312,10 +313,10 @@ def _recur_observer_predictor(scenario, run, tube):
     ue = np.zeros((end, 4))  # the rows (u, e)
     u, e = ue[:, :2], ue[:, 2:]
     seed = min(n + 1, end)
-    e[1:seed] = _cross_law(p.k1, p.k2, err.exits(1, seed).T).T
+    e[1:seed] = _cross_law(p, err.exits(1, seed))
     u[1:m + 1] = rows(run.warmup_u, 1, m, run.dt)
     observer = _Tube(run.observer0, 0, p, run.dt)
-    u[m + 1:seed] = _cross_law(p.k1, p.k2, observer.exits(m + 1, seed).T).T
+    u[m + 1:seed] = _cross_law(p, observer.exits(m + 1, seed))
     cross = _cross_map(p)
     _lagged(ue, seed, n, np.block([[cross, cross], [np.zeros((2, 2)), cross]]))
     tube.feed(u)

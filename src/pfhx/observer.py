@@ -31,8 +31,8 @@ and u = 0 while t <= tau (no measurement has arrived yet).
 On the exact solver the whole loop, observer included, is one lag
 difference equation in the inlet pair (``loop._recur_observer_predictor``).
 This module holds the closed-form predictor ``predict``, which gives the
-whole predicted field from the same tube the runs use (``solver._Tube``),
-and the feedback kernel ``_cross_law`` that the recurrence applies.
+whole predicted field from the same tube the runs use (``solver._Tube``);
+the feedback kernel the recurrence applies is ``loop._cross_law``.
 """
 
 from __future__ import annotations
@@ -61,8 +61,3 @@ def predict(
     """
     tau_used = grid.snap_tau(params.tau)[1]
     return closed_form_state(obs_field, inputs, tau_used, params, grid, t - tau_used)
-
-
-def _cross_law(k1: float, k2: float, exit_pair) -> np.ndarray:
-    """Feedback kernel: (-k1 * exit2, -k2 * exit1)."""
-    return np.array([-k1 * exit_pair[1], -k2 * exit_pair[0]])

@@ -8,6 +8,12 @@ and the report that gathers the first two with the delay regime
 (``condition_report``).  ``cli`` renders that report as text.  numpy loads
 only in ``compatibility_check``.  Every record here is an immutable named
 tuple.
+
+The one error rule: a setting is refused once, by the code that consumes
+it.  The refusal is a ``ConfigError``, which is a ``ValueError``, and its
+message names the config key (``params.tau``, ``grid.n_cells``, ...) or the
+profile spec.  Arguments that are not settings, a field's shape say, raise
+plain ``ValueError``.
 """
 
 from __future__ import annotations
@@ -16,12 +22,14 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ConfigError
-
 if TYPE_CHECKING:  # annotations only: numpy loads in compatibility_check
     import numpy as np
 
     from .grid import Grid
+
+
+class ConfigError(ValueError):
+    """A refused setting: bad key, missing or inadmissible value, inconsistent run."""
 
 
 # the fields as a plain named tuple named Params, so that a wrong call's TypeError names Params

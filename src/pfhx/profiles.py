@@ -11,8 +11,8 @@ import re
 
 import numpy as np
 
-from .errors import ConfigError
 from .grid import Grid
+from .params import ConfigError
 
 _CALL = re.compile(r"^\s*([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?\s*$")
 

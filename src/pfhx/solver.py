@@ -80,13 +80,15 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float) -> float:
-    """An upper bound on what a run records, from arithmetic alone.
+def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float,
+                 tubes: bool) -> float:
+    """An upper bound on what a run allocates, from arithmetic alone.
 
-    Its per-step columns, its snapshots, and the upwind step's three rows.
+    Its per-step columns, its snapshots, the upwind step's three rows and,
+    for a run on the exact solver (``tubes``), what its tubes hold per step.
     """
     snaps = math.floor(min(n_steps, n_steps * dt / snapshot_stride + 1e-9)) + 1
-    per_step = 72.0  # t, both norms, and the pred_err_at_l, u and exit pairs
+    per_step = 72.0 + _Tube.BYTES_PER_STEP * tubes  # t, both norms, the three pair columns
     return per_step * (n_steps + 1) + 16.0 * n_nodes * (snaps + 3)
 
 
@@ -117,8 +119,8 @@ class _Tube:
     initial field only, are known.
     """
 
-    # What an exact run allocates per step beyond ``bytes_needed``'s columns: its
-    # tubes' origins, the inlet histories and the norm sums' terms.
+    # What an exact run allocates per step beyond its columns: its tubes'
+    # origins, the inlet histories and the norm sums' terms.
     BYTES_PER_STEP = 104.0
 
     def __init__(self, field0: np.ndarray, n_steps: int, params: Params, dx: float):
@@ -142,22 +144,18 @@ class _Tube:
         self.u = u
         self._origins(self.n + 1, u[1:])
 
-    def _values(self, k, e, out=None) -> np.ndarray:
-        """The pairs that origins ``k`` (indices or a slice) become after the decays ``e``."""
+    def _gather(self, j, i) -> np.ndarray:
+        """Node i of step j (arrays that broadcast): origin j - i, decayed min(i, j) steps."""
+        k, e = j - i + self.n, self.decay[np.minimum(i, j)]
         w, ed = self.w[k], e * self.d[k]
-        if out is None:
-            out = np.empty(ed.shape + (2,))
+        out = np.empty(ed.shape + (2,))
         np.add(w, self.a * ed, out=out[..., 0])
         np.subtract(w, self.b * ed, out=out[..., 1])
         return out
 
     def exits(self, j0: int, j1: int) -> np.ndarray:
-        """The exit pairs of steps j0 .. j1 - 1, from the origins n steps earlier."""
-        out = np.empty((max(0, j1 - j0), 2))
-        head = min(max(j0, self.n), j1)  # the steps before it read the initial field only
-        self._values(slice(head, j1), self.decay[-1], out[head - j0:])
-        j = np.arange(j0, head)
-        self._values(j, self.decay[j], out[:head - j0])
+        """The exit pairs of steps j0 .. j1 - 1, node n of the gather ``fields`` makes."""
+        out = self._gather(np.arange(j0, j1), self.n)
         if j0 == 0 < j1:
             out[0] = self.field0[-1]
         return out
@@ -169,8 +167,7 @@ class _Tube:
         nodes = np.arange(n + 1)
         chunk = max(1, 2**15 // (n + 1))
         for lo in range(0, len(steps), chunk):
-            j = steps[lo:lo + chunk, None]
-            out[lo:lo + chunk] = self._values(j - nodes + n, self.decay[np.minimum(nodes, j)])
+            out[lo:lo + chunk] = self._gather(steps[lo:lo + chunk, None], nodes)
         out[:, 0] = self.u[steps]  # node 0 carries the inlet pair itself
         if len(steps) and steps[0] == 0:
             out[0] = self.field0

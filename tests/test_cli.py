@@ -673,7 +673,7 @@ def test_sweep_checks_its_rows_as_they_run(tmp_path, monkeypatch, capsys):
     text = BASE.replace("seed = 3", "seed = 3\nsnapshot_stride = 1e-9") + "\n[sweep]\ntau = 1.5, 2.0\n"
     cfg = write_config(tmp_path, text)
     dt = 1.0 / 50
-    row, base = (bytes_needed(51, 300, dt, stride) for stride in (math.inf, 1e-9))
+    row, base = (bytes_needed(51, 300, dt, stride, True) for stride in (math.inf, 1e-9))
     monkeypatch.setattr(loop, "_physical_memory", lambda: (row + base) / 2)
     argv = ["-c", cfg, "-o", str(tmp_path / "sweep"), "--workers", "1"]
     assert main(["sweep", *argv]) == 0

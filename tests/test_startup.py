@@ -3,9 +3,10 @@
 A short run or sweep is mostly process start-up, so every command leaves
 out what it never uses: ``numpy.ma`` (which ``np.unique`` imports),
 ``numpy.random`` unless a profile draws from it, ``multiprocessing``
-unless a sweep starts its pool, and ``dataclasses`` always, since every
-pfhx record is a named tuple and no pfhx module imports it.  The engine
-(``loop``, ``solver``, ``profiles``, ``observer`` and ``history``), numpy
+unless a sweep starts its pool, ``dataclasses`` always, since every
+pfhx record is a named tuple and no pfhx module imports it, and
+``pfhx.observer`` always, since no run calls its predictor.  The engine
+(``loop``, ``solver``, ``profiles`` and ``history``), numpy
 and ``inspect``, which numpy imports, load only in a command that checks
 or runs a scenario, so ``freqresp`` and a bare ``import pfhx.cli`` never
 load them, and ``import pfhx`` loads no submodule until one of its names
@@ -25,10 +26,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-LEAN = ("numpy.ma", "numpy.random", "multiprocessing", "dataclasses")
+LEAN = ("numpy.ma", "numpy.random", "multiprocessing", "dataclasses", "pfhx.observer")
 # the engine, and numpy and the inspect it imports, which load with it
-ENGINE = ("pfhx.loop", "pfhx.solver", "pfhx.profiles", "pfhx.observer", "pfhx.history", "numpy",
-          "inspect")
+ENGINE = ("pfhx.loop", "pfhx.solver", "pfhx.profiles", "pfhx.history", "numpy", "inspect")
 WATCHED = LEAN + ENGINE
 # the command in a fresh interpreter, then which of WATCHED it loaded, as JSON
 LOADED = (
@@ -109,7 +109,7 @@ def test_import_pfhx_loads_a_submodule_only_when_a_name_is_used():
     )
     before, listed, after = json.loads(python(code))
     assert before == [] and listed
-    assert after == ["pfhx.errors", "pfhx.grid"]
+    assert after == ["pfhx.grid", "pfhx.params"]
 
 
 def test_dir_lists_the_32_public_names():
@@ -127,7 +127,7 @@ def test_every_public_name_is_its_home_modules_object():
     )
     homes = json.loads(python(code))
     assert all(same for _, same in homes.values()), homes
-    assert homes["Scenario"][0] == "pfhx.params"
+    assert homes["Scenario"][0] == homes["ConfigError"][0] == "pfhx.params"
     assert homes["run_scenario"][0] == "pfhx.loop"
 
 
