@@ -22,6 +22,14 @@ if TYPE_CHECKING:  # annotations only: numpy loads in the functions that build a
 _ALIGN_RTOL = 1e-9
 
 
+def _steps(duration: float, dt: float) -> int:
+    """The whole number of steps of dt nearest a duration, where that number is finite."""
+    count = duration / dt
+    if not math.isfinite(count):
+        raise ValueError(f"duration {duration!r} is not a finite number of steps of dt={dt!r}")
+    return round(count)
+
+
 # the fields as a plain named tuple named Grid, so that a wrong call's TypeError names Grid
 class Grid(namedtuple("Grid", "n_cells l")):
     """Uniform grid on [0, l] with n_cells cells (n_cells + 1 nodes).
@@ -68,7 +76,7 @@ class Grid(namedtuple("Grid", "n_cells l")):
         Returns (step count, snapped duration, whether snapping changed it).
         """
         dt = self.dt if dt is None else dt
-        steps = max(minimum, int(round(duration / dt)))
+        steps = max(minimum, _steps(duration, dt))
         snapped = steps * dt
         changed = abs(snapped - duration) > _ALIGN_RTOL * max(1.0, abs(duration))
         return steps, snapped, changed

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import _ALIGN_RTOL
+from .grid import _ALIGN_RTOL, _steps
 
 
 class SignalPair(NamedTuple):
@@ -53,7 +53,7 @@ def rows(source, j0: int, count: int, dt: float, t0: float = 0.0) -> np.ndarray:
         raise ValueError(f"an input array must have shape (N, 2), got {samples.shape}")
     steps = []
     for t in times:
-        j = round(t / dt)
+        j = _steps(t, dt)
         if abs(j * dt - t) > _ALIGN_RTOL * max(1.0, abs(t)):
             raise ValueError(f"time {t!r} is not aligned to the step grid (dt={dt!r})")
         if not 0 <= j < len(samples):

@@ -72,9 +72,11 @@ class Scenario(NamedTuple):
 
     ``theta0`` and ``observer0`` are per-component profile specs (or ready
     ``(n_cells + 1, 2)`` arrays); ``u_open`` gives the open-loop input
-    signals and ``warmup_u`` the optional input applied while t <= tau in
-    controlled runs.  ``controller`` is one of ``observer_predictor``,
-    ``sano_static`` (needs ``sano_k``), ``open_loop``, or ``error_system``.
+    signals and ``warmup_u`` the optional input applied while t <= tau by
+    ``observer_predictor`` and the delay-free reference loop
+    (``sano_static`` and ``error_system`` ignore it).  ``controller`` is
+    one of ``observer_predictor``, ``sano_static`` (needs ``sano_k``),
+    ``open_loop``, or ``error_system``.
     The defaults are the config file's defaults (docs/config.md).  A
     scenario is immutable: ``scenario._replace(T=...)`` is a changed copy.
     """

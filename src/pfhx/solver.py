@@ -92,6 +92,16 @@ def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float,
     return per_step * (n_steps + 1) + 16.0 * n_nodes * (snaps + 3)
 
 
+def _refuse_beyond_memory(T: float, grid: Grid, n_steps: int, dt: float, snapshot_stride: float,
+                          tubes: bool) -> None:
+    """Refuse, before it allocates, a library run whose recording exceeds physical memory."""
+    need = bytes_needed(grid.n_cells + 1, n_steps, dt, snapshot_stride, tubes)
+    memory = _physical_memory()
+    if need > memory:
+        raise ValueError(f"final time {T:g} at n_cells={grid.n_cells} needs {need / 2**30:.3g} GiB "
+                         f"to record, more than the physical memory ({memory / 2**30:.3g} GiB)")
+
+
 def _snapshot_steps(n_steps: int, dt: float, snapshot_stride: float) -> np.ndarray:
     """The steps a run keeps a snapshot of: step 0, then the step nearest each stride mark."""
     if 2 * snapshot_stride < dt:  # a mark in every half step: every step, however many marks
@@ -250,7 +260,9 @@ def solve_exact(
     if not snapshot_stride > 0:
         raise ValueError("snapshot stride must be positive")
     n_steps, dt = grid.snap_steps(T)[0], grid.dt
-    tube = _Tube(check_field(theta0, grid), n_steps, params, dt)
+    theta0 = check_field(theta0, grid)
+    _refuse_beyond_memory(T, grid, n_steps, dt, snapshot_stride, True)
+    tube = _Tube(theta0, n_steps, params, dt)
     tube.feed(np.vstack((np.zeros(2), rows(inputs, 1, n_steps, dt, t0))))
     return tube.trajectory(snapshot_stride, t0)
 
@@ -276,8 +288,9 @@ def solve_upwind(
         raise ValueError(f"final time {T} is not a whole number of steps dt={cfl * grid.dx}")
     if not snapshot_stride > 0:
         raise ValueError("snapshot stride must be positive")
-    return _solve(check_field(theta0, grid), inputs, n_steps, params, grid, cfl, snapshot_stride,
-                  t0)
+    theta0 = check_field(theta0, grid)
+    _refuse_beyond_memory(T, grid, n_steps, cfl * grid.dx, snapshot_stride, False)
+    return _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0)
 
 
 def _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0) -> Trajectory:

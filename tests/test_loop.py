@@ -35,6 +35,32 @@ def run_as(controller, sc, **kw):
     return run_scenario(sc._replace(controller=controller, **kw))
 
 
+
+@pytest.mark.parametrize("tau", [0.5, 1.5])
+@pytest.mark.parametrize("controller, applies", [
+    ("observer_predictor", True), ("delay_free", True), ("sano_static", False),
+    ("error_system", False)])
+def test_warmup_input_applies_to_the_observer_predictor_and_delay_free_runs_only(controller,
+                                                                                 applies, tau):
+    def run(warmup_u):
+        sc = scenario_with(tau=tau, T=4.0, n=20, sano_k=0.5, observer0=("sine(1, 1)", "zero"),
+                           warmup_u=warmup_u)
+        if controller == "delay_free":
+            return run_delay_free_feedback(sc).trajectory
+        return run_as(controller, sc).trajectory
+
+    cold, hot = run(("zero", "zero")), run(("constant(7)", "constant(9)"))
+    m = round(tau * 20)  # tau in steps
+    if applies:
+        assert np.array_equal(hot.u[1:m + 1], np.tile([7.0, 9.0], (m, 1)))
+        assert not np.array_equal(hot.plant_l2, cold.plant_l2)
+    else:
+        if controller == "sano_static":  # its inlet stays zero until step m
+            assert not hot.u[:m].any()
+        for name in ("u", "plant_l2", "exit_values", "snapshots"):
+            assert np.array_equal(getattr(hot, name), getattr(cold, name)), name
+
+
 def test_zero_error_shortcut_matches_delay_free_feedback():
     grid = Grid(100, 1.0)
     theta0 = field_from(grid, lambda x: np.sin(np.pi * x), lambda x: x * (1 - x))

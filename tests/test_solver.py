@@ -407,3 +407,57 @@ def test_a_signal_pair_reads_each_scalar_once_per_step_in_step_order():
     traj = solve_exact(zero_field(grid), pair, 1.0, params_with(), grid, t0=0.25)
     assert reads["u1"] == reads["u2"] == [0.25 + j * grid.dt for j in range(1, 9)]
     assert np.array_equal(traj.u[1:], np.tile([1.0, -1.0], (8, 1)))
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 7])
+@pytest.mark.parametrize("fed", [True, False], ids=["fed", "unfed"])
+def test_tube_exits_are_the_last_node_of_its_fields(n_cells, fed):
+    # one gather: the exits of an unfed tube (steps to n + 1, which read the
+    # initial field only) and of a fed one are the fields' last node, bit for bit
+    grid, params = Grid(n_cells, 1.0), params_with()
+    rng = np.random.default_rng(n_cells)
+    n_steps = 3 * n_cells + 4
+    field0, u = rng.standard_normal((n_cells + 1, 2)), rng.standard_normal((n_steps + 1, 2))
+    reference = _Tube(field0, n_steps, params, grid.dt)
+    reference.feed(u)
+    tube = _Tube(field0, n_steps, params, grid.dt)
+    if fed:
+        tube.feed(u)
+    last = n_steps + 1 if fed else n_cells + 1
+    for j0 in sorted({0, 1, n_cells - 1, n_cells, n_cells + 1}):
+        for j1 in range(j0, last + 1):
+            fields = reference.fields(np.arange(j0, j1))
+            assert np.array_equal(tube.exits(j0, j1).view(np.int64),
+                                  fields[:, -1].view(np.int64)), (j0, j1)
+
+
+@pytest.mark.parametrize("duration", [1e308, math.inf, math.nan])
+@pytest.mark.parametrize("entry", ["solve_exact", "solve_upwind", "closed_form_state", "rows"])
+def test_a_step_count_that_is_not_finite_is_a_value_error(entry, duration):
+    grid, params = Grid(1000, 1e-5), params_with(l=1e-5)
+    field = zero_field(grid)
+    calls = {
+        "solve_exact": lambda: solve_exact(field, None, duration, params, grid),
+        "solve_upwind": lambda: solve_upwind(field, None, duration, params, grid),
+        "closed_form_state": lambda: closed_form_state(field, None, duration, params, grid),
+        # a time of an array source counted in steps of dt
+        "rows": lambda: rows(np.zeros((3, 2)), 0, 1, 1e-5, duration),
+    }
+    dt = 1e-5 if entry == "rows" else grid.dt
+    with pytest.raises(ValueError) as refusal:
+        calls[entry]()
+    message = f"duration {duration!r} is not a finite number of steps of dt={dt!r}"
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize("solve", [solve_exact, solve_upwind])
+def test_library_solvers_refuse_a_recording_beyond_physical_memory(monkeypatch, solve):
+    # about 1 MiB of memory against a footprint of a few MiB: a solver that
+    # did not refuse would only allocate those megabytes and return
+    grid, params = Grid(10, 1.0), params_with()
+    monkeypatch.setattr(solver, "_physical_memory", lambda: 2.0**20)
+    assert solve(zero_field(grid), None, 100.0, params, grid).t[-1] == pytest.approx(100.0)
+    refusal = (r"^final time 2000 at n_cells=10 needs 0\.00\d+ GiB to record, "
+               r"more than the physical memory \(0\.000977 GiB\)$")
+    with pytest.raises(ValueError, match=refusal):
+        solve(zero_field(grid), None, 2000.0, params, grid)
