@@ -42,7 +42,7 @@ _HOMES = {
                "SanoReport", "Scenario", "compatibility_check", "condition_report", "sano_window",
                "validate_gains"),
     "coupling": ("coupling_matrix",),
-    "grid": ("Grid", "l2_norm", "make_field", "zero_field"),
+    "grid": ("Grid",),
     "profiles": ("input_function", "profile_array"),
     "solver": ("Trajectory", "closed_form_state", "solve_exact", "solve_upwind"),
     "observer": ("predict",),

@@ -86,30 +86,6 @@ class Grid(namedtuple("Grid", "n_cells l")):
         return self.snap_steps(tau, minimum=1)
 
 
-def zero_field(grid: Grid) -> np.ndarray:
-    import numpy as np
-
-    return np.zeros((grid.n_cells + 1, 2))
-
-
-def make_field(grid: Grid, theta1, theta2) -> np.ndarray:
-    """Assemble a field from per-component values.
-
-    Each component may be a scalar, an array over the nodes, or a callable
-    evaluated at the node positions.
-    """
-    import numpy as np
-
-    field = np.empty((grid.n_cells + 1, 2))
-    for col, comp in enumerate((theta1, theta2)):
-        if callable(comp):
-            field[:, col] = comp(grid.nodes)
-        else:
-            field[:, col] = np.broadcast_to(np.asarray(comp, dtype=float), grid.n_cells + 1)
-    check_field(field, grid)
-    return field
-
-
 def check_field(field: np.ndarray, grid: Grid) -> np.ndarray:
     """Validate shape and finiteness of a field against its grid."""
     import numpy as np
@@ -124,13 +100,8 @@ def check_field(field: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _l2(field: np.ndarray, dx: float) -> float:
+    """Trapezoid approximation of the L2(0, l) norm of a field with node spacing dx."""
     import numpy as np
 
     return float(np.sqrt(np.trapezoid(field[:, 0] ** 2 + field[:, 1] ** 2, dx=dx)))
-
-
-def l2_norm(field: np.ndarray, grid: Grid) -> float:
-    """Trapezoid approximation of the L2([0,l])^2 norm of a field."""
-    field = check_field(field, grid)
-    return _l2(field, grid.dx)
 

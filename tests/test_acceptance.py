@@ -23,13 +23,13 @@ from pfhx import (
     compatibility_check,
     discrete_response,
     fit_decay,
-    l2_norm,
     predict,
     run_scenario,
     solve_exact,
     solve_upwind,
     transfer_function,
 )
+from pfhx.grid import _l2
 from pfhx.cli import main
 from pfhx.coupling import coupling_matrix
 
@@ -184,7 +184,7 @@ def test_c07_solver_cross_validation():
                             lambda x: 0.5 * np.sin(np.pi * x) ** 2)
         ref = solve_exact(smooth, None, 0.5, params, g)
         approx = solve_upwind(smooth, None, 0.5, params, g, cfl=0.5)
-        errors.append(l2_norm(approx.snapshots[-1] - ref.snapshots[-1], g))
+        errors.append(_l2(approx.snapshots[-1] - ref.snapshots[-1], g.dx))
     rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     ok = cfl1_diff <= 1e-10 and np.all(np.abs(rates - 1.0) <= 0.2)
     report("C07 solver cross-validation", ok,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import field_from
-from pfhx import Grid, Params, compatibility_check, l2_norm, make_field, zero_field
+from pfhx import Grid, Params, compatibility_check
+from pfhx.grid import _l2, check_field
 
 
 def test_grid_geometry():
@@ -18,6 +19,13 @@ def test_grid_validation():
         Grid(0, 1.0)
     with pytest.raises(ValueError):
         Grid(10, -1.0)
+    grid = Grid(10, 2.0)  # a field must match its grid and be finite
+    with pytest.raises(ValueError, match="does not match"):
+        check_field(np.zeros((5, 2)), grid)
+    bad = np.zeros((11, 2))
+    bad[3, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        check_field(bad, grid)
 
 
 def test_tau_snapping():
@@ -31,36 +39,23 @@ def test_tau_snapping():
     assert m == 1
 
 
-def test_make_field_and_validation():
-    grid = Grid(10, 2.0)
-    field = make_field(grid, 1.0, lambda x: x)
-    assert field.shape == (11, 2)
-    np.testing.assert_allclose(field[:, 1], grid.nodes)
-    with pytest.raises(ValueError, match="does not match"):
-        l2_norm(np.zeros((5, 2)), grid)
-    bad = zero_field(grid)
-    bad[3, 0] = np.inf
-    with pytest.raises(ValueError, match="non-finite"):
-        l2_norm(bad, grid)
-
-
 def test_l2_norm_zero_and_constant():
     grid = Grid(50, 1.0)
-    assert l2_norm(zero_field(grid), grid) == 0.0
-    ones = make_field(grid, 1.0, 0.0)
-    assert l2_norm(ones, grid) == pytest.approx(1.0, abs=1e-14)
+    assert _l2(np.zeros((51, 2)), grid.dx) == 0.0
+    ones = field_from(grid, 1.0, 0.0)
+    assert _l2(ones, grid.dx) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_l2_norm_sine():
     grid = Grid(1000, 1.0)
-    field = make_field(grid, lambda x: np.sin(np.pi * x), 0.0)
-    assert l2_norm(field, grid) == pytest.approx(np.sqrt(0.5), abs=1e-5)
+    field = field_from(grid, lambda x: np.sin(np.pi * x), 0.0)
+    assert _l2(field, grid.dx) == pytest.approx(np.sqrt(0.5), abs=1e-5)
 
 
 def test_compatibility_zero_field():
     grid = Grid(100, 1.0)
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
-    report = compatibility_check(zero_field(grid), params, grid)
+    report = compatibility_check(np.zeros((101, 2)), params, grid)
     assert report.compatible and report.residual1 == 0.0
 
 

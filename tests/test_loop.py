@@ -13,13 +13,13 @@ from pfhx import (
     Scenario,
     fit_decay,
     input_function,
-    l2_norm,
     loop,
     profile_array,
     run_delay_free_feedback,
     run_scenario,
 )
 from pfhx.coupling import coupling_matrix
+from pfhx.grid import _l2
 from pfhx.history import rows
 from pfhx.loop import check_scenario
 
@@ -443,7 +443,7 @@ def _reference_closed_loop(sc: Scenario) -> dict:
     exit_hist[0] = plant[n]
     plants = [plant]
     out = {"u": [np.zeros(2)], "exit_values": [plant[n]], "pred_err_at_l": [np.zeros(2)],
-           "obs_err_l2": [l2_norm(obs - plant, grid)]}
+           "obs_err_l2": [_l2(obs - plant, grid.dx)]}
     for jn in range(1, n_steps + 1):
         t = jn * dt
         pred = None
@@ -462,7 +462,7 @@ def _reference_closed_loop(sc: Scenario) -> dict:
         out["exit_values"].append(plant[n])
         out["pred_err_at_l"].append(np.zeros(2) if pred is None else pred - plant[n])
         out["obs_err_l2"].append(
-            l2_norm(obs - plants[jn - m], grid) if jn >= m else out["obs_err_l2"][0]
+            _l2(obs - plants[jn - m], grid.dx) if jn >= m else out["obs_err_l2"][0]
         )
     return {name: np.array(values) for name, values in out.items()}
 
@@ -517,7 +517,7 @@ def test_delay_free_feedback_matches_reference_loop(tau):
     mix = _mix(grid.dt, p)
     warm = [input_function(spec) for spec in sc.warmup_u]
     plant = sc.theta0.copy()
-    u_ref, exits_ref, norms_ref = [np.zeros(2)], [plant[-1]], [l2_norm(plant, grid)]
+    u_ref, exits_ref, norms_ref = [np.zeros(2)], [plant[-1]], [_l2(plant, grid.dx)]
     for jn in range(1, n_steps + 1):
         t = jn * grid.dt
         plant = _advance(plant, mix, np.zeros(2))
@@ -527,7 +527,7 @@ def test_delay_free_feedback_matches_reference_loop(tau):
             plant[0] = [warm[0](t), warm[1](t)]
         u_ref.append(plant[0].copy())
         exits_ref.append(plant[-1])
-        norms_ref.append(l2_norm(plant, grid))
+        norms_ref.append(_l2(plant, grid.dx))
     assert np.array_equal(traj.u, np.array(u_ref))
     assert np.array_equal(traj.exit_values, np.array(exits_ref))
     assert np.array_equal(traj.plant_l2, np.array(norms_ref))
@@ -541,12 +541,12 @@ def test_error_system_matches_reference_loop(tau):
     grid = Grid(sc.n_cells, sc.params.l)
     n_steps, _, _ = grid.snap_steps(sc.T)
     err = sc.observer0 - sc.theta0
-    u_ref, exits_ref, norms_ref = [np.zeros(2)], [err[-1]], [l2_norm(err, grid)]
+    u_ref, exits_ref, norms_ref = [np.zeros(2)], [err[-1]], [_l2(err, grid.dx)]
     for _ in range(n_steps):
         err = observer_step(err, np.zeros(2), np.zeros(2), sc.params, grid)
         u_ref.append(err[0])
         exits_ref.append(err[-1])
-        norms_ref.append(l2_norm(err, grid))
+        norms_ref.append(_l2(err, grid.dx))
     assert np.array_equal(traj.u, np.array(u_ref))
     assert np.array_equal(traj.exit_values, np.array(exits_ref))
     assert np.array_equal(traj.plant_l2, np.array(norms_ref))

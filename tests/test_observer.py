@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_field
 from oracle import control_law, observer_step, predict_by_resolve, predict_exit, step_exact
-from pfhx import Grid, Params, predict, zero_field
+from pfhx import Grid, Params, predict
 from pfhx.coupling import coupling_matrix
 
 
@@ -49,7 +49,7 @@ def test_observer_initialized_at_truth_tracks_plant():
 def test_zero_observer_stays_zero():
     grid = Grid(30, 1.0)
     params = make_params()
-    obs = zero_field(grid)
+    obs = np.zeros((grid.n_cells + 1, 2))
     for _ in range(60):
         obs = observer_step(obs, np.zeros(2), np.zeros(2), params, grid)
     assert np.all(obs == 0.0)
@@ -148,7 +148,7 @@ def test_predict_reports_missing_input_times():
     params = make_params(tau=0.5)
     inputs = np.zeros((3, 2))  # covers only t <= 0.2
     with pytest.raises(ValueError, match="missing"):
-        predict(zero_field(grid), inputs, 0.6, params, grid)
+        predict(np.zeros((grid.n_cells + 1, 2)), inputs, 0.6, params, grid)
 
 
 def test_prediction_error_propagates_estimate_error():

@@ -12,13 +12,12 @@ from pfhx import (
     Grid,
     Params,
     closed_form_state,
-    l2_norm,
     predict,
     solve_exact,
     solve_upwind,
-    zero_field,
 )
 from pfhx import solver
+from pfhx.grid import _l2
 from pfhx.history import SignalPair, rows
 from pfhx.loop import _input_pair
 from pfhx.solver import _physical_memory, _Tube
@@ -31,7 +30,7 @@ def params_with(h1=1.0, h2=2.0, k1=0.5, k2=0.5, l=1.0, tau=0.5):
 
 def test_zero_field_zero_input_stays_zero():
     grid = Grid(50, 1.0)
-    traj = solve_exact(zero_field(grid), None, 2.0, params_with(), grid)
+    traj = solve_exact(np.zeros((grid.n_cells + 1, 2)), None, 2.0, params_with(), grid)
     assert np.all(traj.plant_l2 == 0.0)
     assert np.all(traj.exit_values == 0.0)
 
@@ -76,7 +75,7 @@ def test_pure_advection_when_decoupled():
 def test_constant_input_steady_state():
     grid = Grid(100, 1.0)
     params = params_with(h1=1.0, h2=1.0)
-    traj = solve_exact(zero_field(grid), lambda t: np.array([1.0, 0.0]), 3.0, params, grid)
+    traj = solve_exact(np.zeros((grid.n_cells + 1, 2)), lambda t: np.array([1.0, 0.0]), 3.0, params, grid)
     expected = [(1 + np.exp(-2)) / 2, (1 - np.exp(-2)) / 2]
     np.testing.assert_allclose(traj.exit_values[-1], expected, rtol=0, atol=1e-12)
     # input applied from t = dt reaches the exit at t = l + dt; steady after
@@ -236,7 +235,7 @@ def test_upwind_first_order_convergence():
         exact = solve_exact(theta0, None, 0.5, params, grid)
         upwind = solve_upwind(theta0, None, 0.5, params, grid, cfl=0.5)
         diff = upwind.snapshots[-1] - exact.snapshots[-1]
-        errors.append(l2_norm(diff, grid))
+        errors.append(_l2(diff, grid.dx))
     rates = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(np.abs(rates - 1.0) <= 0.2)
 
@@ -245,7 +244,7 @@ def test_upwind_cfl_validation():
     grid = Grid(10, 1.0)
     for bad in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError, match="cfl"):
-            solve_upwind(zero_field(grid), None, 1.0, params_with(), grid, cfl=bad)
+            solve_upwind(np.zeros((grid.n_cells + 1, 2)), None, 1.0, params_with(), grid, cfl=bad)
 
 
 def test_snapshot_stride_must_be_positive():
@@ -253,16 +252,16 @@ def test_snapshot_stride_must_be_positive():
     for solve in (solve_exact, solve_upwind):
         for bad in (0.0, -0.1):
             with pytest.raises(ValueError, match="stride"):
-                solve(zero_field(grid), None, 1.0, params_with(), grid, snapshot_stride=bad)
+                solve(np.zeros((grid.n_cells + 1, 2)), None, 1.0, params_with(), grid, snapshot_stride=bad)
 
 
 def test_a_time_off_the_step_grid_is_refused():
     grid = Grid(10, 1.0)
     with pytest.raises(ValueError) as refused:
-        solve_upwind(zero_field(grid), None, 0.33, params_with(), grid, cfl=0.5)
+        solve_upwind(np.zeros((grid.n_cells + 1, 2)), None, 0.33, params_with(), grid, cfl=0.5)
     assert str(refused.value) == "final time 0.33 is not a whole number of steps dt=0.05"
     with pytest.raises(ValueError) as refused:
-        closed_form_state(zero_field(grid), None, 0.33, params_with(), grid)
+        closed_form_state(np.zeros((grid.n_cells + 1, 2)), None, 0.33, params_with(), grid)
     assert str(refused.value) == "time 0.33 is not aligned to the step grid (dt=0.1)"
 
 
@@ -282,7 +281,7 @@ def test_missing_boundary_value_names_time():
     grid = Grid(10, 1.0)
     inputs = np.zeros((4, 2))  # covers t <= 0.3
     with pytest.raises(ValueError, match="0.4"):
-        step_exact(zero_field(grid), 0.3, inputs, params_with(), grid)
+        step_exact(np.zeros((grid.n_cells + 1, 2)), 0.3, inputs, params_with(), grid)
 
 
 def test_tube_fast_mode_of_rates_whose_sum_overflows():
@@ -404,7 +403,7 @@ def test_a_signal_pair_reads_each_scalar_once_per_step_in_step_order():
         return lambda t: reads[name].append(t) or value
 
     pair = SignalPair(counting("u1", 1.0), counting("u2", -1.0))
-    traj = solve_exact(zero_field(grid), pair, 1.0, params_with(), grid, t0=0.25)
+    traj = solve_exact(np.zeros((grid.n_cells + 1, 2)), pair, 1.0, params_with(), grid, t0=0.25)
     assert reads["u1"] == reads["u2"] == [0.25 + j * grid.dt for j in range(1, 9)]
     assert np.array_equal(traj.u[1:], np.tile([1.0, -1.0], (8, 1)))
 
@@ -435,7 +434,7 @@ def test_tube_exits_are_the_last_node_of_its_fields(n_cells, fed):
 @pytest.mark.parametrize("entry", ["solve_exact", "solve_upwind", "closed_form_state", "rows"])
 def test_a_step_count_that_is_not_finite_is_a_value_error(entry, duration):
     grid, params = Grid(1000, 1e-5), params_with(l=1e-5)
-    field = zero_field(grid)
+    field = np.zeros((grid.n_cells + 1, 2))
     calls = {
         "solve_exact": lambda: solve_exact(field, None, duration, params, grid),
         "solve_upwind": lambda: solve_upwind(field, None, duration, params, grid),
@@ -456,8 +455,8 @@ def test_library_solvers_refuse_a_recording_beyond_physical_memory(monkeypatch, 
     # did not refuse would only allocate those megabytes and return
     grid, params = Grid(10, 1.0), params_with()
     monkeypatch.setattr(solver, "_physical_memory", lambda: 2.0**20)
-    assert solve(zero_field(grid), None, 100.0, params, grid).t[-1] == pytest.approx(100.0)
+    assert solve(np.zeros((grid.n_cells + 1, 2)), None, 100.0, params, grid).t[-1] == pytest.approx(100.0)
     refusal = (r"^final time 2000 at n_cells=10 needs 0\.00\d+ GiB to record, "
                r"more than the physical memory \(0\.000977 GiB\)$")
     with pytest.raises(ValueError, match=refusal):
-        solve(zero_field(grid), None, 2000.0, params, grid)
+        solve(np.zeros((grid.n_cells + 1, 2)), None, 2000.0, params, grid)

@@ -112,10 +112,10 @@ def test_import_pfhx_loads_a_submodule_only_when_a_name_is_used():
     assert after == ["pfhx.grid", "pfhx.params"]
 
 
-def test_dir_lists_the_32_public_names():
+def test_dir_lists_the_29_public_names():
     import pfhx
 
-    assert len(pfhx.__all__) == 32 and set(pfhx.__all__) <= set(dir(pfhx))
+    assert len(pfhx.__all__) == 29 and set(pfhx.__all__) <= set(dir(pfhx))
 
 
 def test_every_public_name_is_its_home_modules_object():
