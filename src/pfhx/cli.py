@@ -129,7 +129,7 @@ def render_condition(report: ConditionReport, params: Params) -> str:
             f" (margin {g.k2_margin:.6g})]"
         )
     needs = ("exact delay compensation, any initial value" if report.regime == "tau>l"
-             else "requires a compatible initial observer error")
+             else "compensation up to the observer error at the exit, any initial value")
     lines.append(f"  delay regime: {report.regime} ({needs}) (tau={params.tau:g}, l={params.l:g})")
     if report.sano is not None:
         s = report.sano

@@ -23,7 +23,9 @@ _ALIGN_RTOL = 1e-9
 
 
 def _steps(duration: float, dt: float) -> int:
-    """The whole number of steps of dt nearest a duration, where that number is finite."""
+    """The whole number of steps of dt nearest a duration, where dt > 0 and the number is finite."""
+    if not dt > 0:  # a step l / n_cells that underflows to 0 counts nothing
+        raise ValueError(f"the step dt={dt!r} must be positive to count duration {duration!r}")
     count = duration / dt
     if not math.isfinite(count):
         raise ValueError(f"duration {duration!r} is not a finite number of steps of dt={dt!r}")

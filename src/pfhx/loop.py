@@ -69,6 +69,10 @@ from .profiles import _draws, input_function, profile_array
 from .solver import Trajectory, _physical_memory, _solve, _Tube, bytes_needed
 
 
+# numpy's floating-point warnings that a run turns off: its overflow shows in its values
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
 class RunSummary(NamedTuple):
     """Derived quantities and diagnostics of a run."""
 
@@ -155,6 +159,9 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
     cell = "params.l / grid.n_cells"
     for key, value, of, unit in (("params.tau", scenario.params.tau, grid.dt, cell),
                                  ("run.T", scenario.T, dt, cell + " * run.cfl" * upwind)):
+        if of == 0:
+            raise ConfigError(f"{key}={value:g} cannot be counted in steps of dt = {unit}, "
+                              "which underflows to 0")
         if not math.isfinite(value / of):
             raise ConfigError(f"{key}={value:g} is too many steps of dt = {unit} = {of:g} to count")
     m, tau_used, tau_snapped = grid.snap_tau(scenario.params.tau)
@@ -185,8 +192,9 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
     draws = any(_draws(component) for spec in (scenario.theta0, scenario.observer0)
                 if not isinstance(spec, np.ndarray) for component in spec)
     rng = np.random.default_rng(scenario.seed) if draws else None
-    theta0 = _resolve_field(grid, scenario.theta0, rng)
-    observer0 = _resolve_field(grid, scenario.observer0, rng)
+    with np.errstate(**_QUIET):  # a profile that overflows is a numerical failure of the run
+        theta0 = _resolve_field(grid, scenario.theta0, rng)
+        observer0 = _resolve_field(grid, scenario.observer0, rng)
     return _Run(controller, delayed, grid, m, tau_used, tau_snapped, dt,
                 n_steps, T_used, warnings, theta0, observer0,
                 _input_pair(scenario.u_open), _input_pair(scenario.warmup_u))
@@ -377,11 +385,12 @@ def _simulate(scenario: Scenario, delay_free: bool = False) -> RunResult:
     the upwind solver steps the open loop.  The run goes with numpy's
     overflow and invalid-value warnings off: a run that overflows is
     reported by ``Trajectory.is_finite`` instead, and ``pfhx run`` names
-    its first non-finite value.
+    its first non-finite value.  ``_prepare`` draws the profiles the same
+    way.
     """
     start = time.perf_counter()
     run = _prepare(scenario, delay_free)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         if scenario.solver == "upwind":
             traj = _solve(run.theta0, run.u_open, run.n_steps, scenario.params, run.grid,
                           scenario.cfl, scenario.snapshot_stride, 0.0)

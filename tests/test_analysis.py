@@ -12,10 +12,12 @@ from scipy.linalg import expm
 from pfhx import (
     Grid,
     Params,
+    compatibility_check,
     condition_report,
     coupling_matrix,
     discrete_response,
     fit_decay,
+    profile_array,
     solve_exact,
     transfer_function,
 )
@@ -488,3 +490,21 @@ def test_condition_report_regimes():
     assert report.sano.in_window
     text = render_condition(report, params)
     assert "theorem_valid = true" in text and "tau inside: true" in text
+
+
+@pytest.mark.parametrize("tau", [0.25, 0.5, 1.0])
+def test_tau_at_most_l_decays_from_an_incompatible_initial_error(tau):
+    # theorem_run's step in theta1 against a zero observer: the initial error breaks
+    # the boundary coupling (residual1 = 1) and jumps once, yet the loop decays
+    text = (ROOT / "configs" / "theorem_run.ini").read_text()
+    scenario = parse_config(text, overrides={"params.tau": str(tau)}).scenario
+    grid = Grid(scenario.n_cells, scenario.params.l)
+    error = np.column_stack([profile_array(observer, grid) - profile_array(plant, grid)
+                             for observer, plant in zip(scenario.observer0, scenario.theta0)])
+    report = compatibility_check(error, scenario.params, grid)
+    assert not report.compatible and report.residual1 == 1.0 and report.jump_count == 1
+    summary = run_scenario(scenario).summary
+    assert summary.plant_decay.gamma_hat > 0.5 and not summary.plant_decay.extinct
+    regime = render_condition(summary.condition, scenario.params).splitlines()[2]
+    assert regime == ("  delay regime: tau<=l (compensation up to the observer error at the "
+                      f"exit, any initial value) (tau={tau:g}, l=1)")

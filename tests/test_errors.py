@@ -204,6 +204,21 @@ def test_an_overflowing_initial_error_raises_no_numpy_warning():
         assert not run_scenario(scenario).summary.finite
 
 
+@pytest.mark.parametrize("command, code", [("run", 3), ("check", 0)])
+def test_a_profile_that_overflows_raises_no_numpy_warning(tmp_path, capfd, command, code):
+    # sin(1e308 pi x / l) is nan at every node: run fails at step 0, check evaluates it alike
+    config = tmp_path / "sine.ini"
+    config.write_text(re.sub(r"(?m)^theta1 = .*$", "theta1 = sine(1, 1e308)",
+                             Path(THEOREM).read_text()))
+    argv = [command, "-c", str(config), "--n-cells", "10", "--T", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, err = _exits_cleanly(argv, tmp_path / "out", capfd)
+    assert rc == code
+    assert err == ("numerical failure: first non-finite value at step 0 (t=0) in plant_l2\n"
+                   if command == "run" else "")
+
+
 @pytest.mark.parametrize("command", ["run", "check"])
 def test_commands_that_make_runs_ignore_the_freqresp_section(tmp_path, capfd, command):
     config = tmp_path / "freq.ini"
@@ -218,6 +233,19 @@ def test_a_step_count_that_is_not_finite_is_refused_by_name(tmp_path, capfd, fla
     argv = ["run", "-c", THEOREM, "--n-cells", "10", "--T", "4", flag]
     rc, err = _exits_cleanly(argv, tmp_path / "out", capfd)
     assert rc == 2 and key in err and "to count" in err
+
+
+@pytest.mark.parametrize("flags, key, unit", [
+    (["--l=5e-324"], "params.tau=1.5", "params.l / grid.n_cells"),
+    (["--controller", "open_loop", "--solver", "upwind", "--cfl=5e-324"], "run.T=4",
+     "params.l / grid.n_cells * run.cfl")])
+def test_a_step_that_underflows_to_zero_is_refused_by_name(tmp_path, capfd, flags, key, unit):
+    # l / n_cells, or cfl * dx, rounds to 0.0: nothing can be counted in its steps
+    for command in ("run", "check"):
+        argv = [command, "-c", THEOREM, "--n-cells", "10", "--T", "4", *flags]
+        rc, err = _exits_cleanly(argv, tmp_path / "out", capfd)
+        assert rc == 2 and err == (f"configuration error: {key} cannot be counted in steps of "
+                                   f"dt = {unit}, which underflows to 0\n")
 
 
 def test_a_stride_too_small_to_count_its_marks_snapshots_every_step(tmp_path, capfd):

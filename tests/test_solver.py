@@ -449,6 +449,24 @@ def test_a_step_count_that_is_not_finite_is_a_value_error(entry, duration):
     assert str(refusal.value) == message
 
 
+@pytest.mark.parametrize("entry", ["snap_steps", "solve_exact", "solve_upwind",
+                                   "closed_form_state", "rows"])
+def test_a_step_that_underflows_to_zero_is_a_value_error(entry):
+    grid = Grid(10, 5e-324)  # dx = l / n_cells rounds to 0.0
+    params, field = params_with(l=5e-324), np.zeros((11, 2))
+    calls = {
+        "snap_steps": lambda: grid.snap_steps(1.0),
+        "solve_exact": lambda: solve_exact(field, None, 1.0, params, grid),
+        "solve_upwind": lambda: solve_upwind(field, None, 1.0, params, grid),
+        "closed_form_state": lambda: closed_form_state(field, None, 1.0, params, grid),
+        "rows": lambda: rows(np.zeros((3, 2)), 0, 2, 0.0),
+    }
+    duration = 0.0 if entry == "rows" else 1.0
+    with pytest.raises(ValueError) as refusal:
+        calls[entry]()
+    assert str(refusal.value) == f"the step dt=0.0 must be positive to count duration {duration!r}"
+
+
 @pytest.mark.parametrize("solve", [solve_exact, solve_upwind])
 def test_library_solvers_refuse_a_recording_beyond_physical_memory(monkeypatch, solve):
     # about 1 MiB of memory against a footprint of a few MiB: a solver that
