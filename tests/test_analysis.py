@@ -88,7 +88,7 @@ def test_transfer_matches_steady_state_simulation():
     # constant input (1, 0) with the exact solver: exits converge to column 1
     params = make_params()
     grid = Grid(100, 1.0)
-    traj = solve_exact(np.zeros((grid.n_cells + 1, 2)), lambda t: np.array([1.0, 0.0]), 3.0, params, grid)
+    traj = solve_exact(np.zeros((101, 2)), lambda t: np.array([1.0, 0.0]), 3.0, params, grid)
     g0 = transfer_function(0.0, params).real
     # outputs are cross-measured: y = (theta2, theta1) at the exit
     np.testing.assert_allclose(traj.exit_values[-1][::-1], g0[:, 0], rtol=0, atol=1e-12)

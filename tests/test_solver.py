@@ -75,7 +75,7 @@ def test_pure_advection_when_decoupled():
 def test_constant_input_steady_state():
     grid = Grid(100, 1.0)
     params = params_with(h1=1.0, h2=1.0)
-    traj = solve_exact(np.zeros((grid.n_cells + 1, 2)), lambda t: np.array([1.0, 0.0]), 3.0, params, grid)
+    traj = solve_exact(np.zeros((101, 2)), lambda t: np.array([1.0, 0.0]), 3.0, params, grid)
     expected = [(1 + np.exp(-2)) / 2, (1 - np.exp(-2)) / 2]
     np.testing.assert_allclose(traj.exit_values[-1], expected, rtol=0, atol=1e-12)
     # input applied from t = dt reaches the exit at t = l + dt; steady after
@@ -252,7 +252,7 @@ def test_snapshot_stride_must_be_positive():
     for solve in (solve_exact, solve_upwind):
         for bad in (0.0, -0.1):
             with pytest.raises(ValueError, match="stride"):
-                solve(np.zeros((grid.n_cells + 1, 2)), None, 1.0, params_with(), grid, snapshot_stride=bad)
+                solve(np.zeros((11, 2)), None, 1.0, params_with(), grid, snapshot_stride=bad)
 
 
 def test_a_time_off_the_step_grid_is_refused():
@@ -473,7 +473,7 @@ def test_library_solvers_refuse_a_recording_beyond_physical_memory(monkeypatch, 
     # did not refuse would only allocate those megabytes and return
     grid, params = Grid(10, 1.0), params_with()
     monkeypatch.setattr(solver, "_physical_memory", lambda: 2.0**20)
-    assert solve(np.zeros((grid.n_cells + 1, 2)), None, 100.0, params, grid).t[-1] == pytest.approx(100.0)
+    assert solve(np.zeros((11, 2)), None, 100.0, params, grid).t[-1] == pytest.approx(100.0)
     refusal = (r"^final time 2000 at n_cells=10 needs 0\.00\d+ GiB to record, "
                r"more than the physical memory \(0\.000977 GiB\)$")
     with pytest.raises(ValueError, match=refusal):
