@@ -60,13 +60,8 @@ def _write_lines(path: Path, lines: Iterable) -> None:
             handle.write(b"\n")
 
 
+# the names of ``Trajectory.columns``, in its order
 _NORMS_HEADER = "t,plant_l2,obs_err_l2,pred_err1_at_l,pred_err2_at_l,u1,u2,theta1_at_l,theta2_at_l"
-
-
-def _norms_columns(traj) -> list[np.ndarray]:
-    """The norms.csv columns, in header order, as views of the trajectory."""
-    return [traj.t, traj.plant_l2, traj.obs_err_l2, *traj.pred_err_at_l.T, *traj.u.T,
-            *traj.exit_values.T]
 
 
 def _constant(column: np.ndarray) -> bool:
@@ -82,7 +77,7 @@ def _write_norms(path: Path, result: RunResult) -> None:
     from .e16 import _csv
 
     groups = [np.column_stack(list(run))[:1 if constant else None, None]
-              for constant, run in itertools.groupby(_norms_columns(result.trajectory), _constant)]
+              for constant, run in itertools.groupby(result.trajectory.columns(), _constant)]
     _write_lines(path, itertools.chain([_NORMS_HEADER], _csv(*groups)))
 
 
@@ -90,7 +85,7 @@ def _first_non_finite(result: RunResult) -> str:
     """Where the first non-finite value of norms.csv is: its step, time and column."""
     import numpy as np
 
-    columns = _norms_columns(result.trajectory)
+    columns = result.trajectory.columns()
     bad = np.column_stack([~np.isfinite(c) for c in columns])
     j = int(np.argmax(bad.any(axis=1)))
     return f"step {j} (t={columns[0][j]:g}) in {_NORMS_HEADER.split(',')[int(np.argmax(bad[j]))]}"

@@ -22,14 +22,23 @@ if TYPE_CHECKING:  # annotations only: numpy loads in the functions that build a
 _ALIGN_RTOL = 1e-9
 
 
-def _steps(duration: float, dt: float) -> int:
-    """The whole number of steps of dt nearest a duration, where dt > 0 and the number is finite."""
+def _snap(duration: float, dt: float, minimum: float = -math.inf) -> tuple[int, float, bool]:
+    """``Grid.snap_steps`` at a step dt > 0, with no least count unless ``minimum`` is given."""
     if not dt > 0:  # a step l / n_cells that underflows to 0 counts nothing
         raise ValueError(f"the step dt={dt!r} must be positive to count duration {duration!r}")
     count = duration / dt
     if not math.isfinite(count):
         raise ValueError(f"duration {duration!r} is not a finite number of steps of dt={dt!r}")
-    return round(count)
+    steps = max(minimum, round(count))
+    return steps, steps * dt, abs(steps * dt - duration) > _ALIGN_RTOL * max(1.0, abs(duration))
+
+
+def aligned_steps(t: float, dt: float) -> int:
+    """The whole number of steps of dt that a time t on the step grid is; any other t is refused."""
+    steps, _, changed = _snap(t, dt)
+    if changed:
+        raise ValueError(f"time {t!r} is not aligned to the step grid (dt={dt!r})")
+    return steps
 
 
 # the fields as a plain named tuple named Grid, so that a wrong call's TypeError names Grid
@@ -77,11 +86,7 @@ class Grid(namedtuple("Grid", "n_cells l")):
 
         Returns (step count, snapped duration, whether snapping changed it).
         """
-        dt = self.dt if dt is None else dt
-        steps = max(minimum, _steps(duration, dt))
-        snapped = steps * dt
-        changed = abs(snapped - duration) > _ALIGN_RTOL * max(1.0, abs(duration))
-        return steps, snapped, changed
+        return _snap(duration, self.dt if dt is None else dt, minimum)
 
     def snap_tau(self, tau: float) -> tuple[int, float, bool]:
         """Snap a delay to the step grid; the delay is at least one step."""

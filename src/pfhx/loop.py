@@ -66,7 +66,7 @@ from .grid import Grid, _l2, check_field
 from .history import SignalPair, rows
 from .params import ConditionReport, ConfigError, Params, Scenario, condition_report
 from .profiles import _draws, input_function, profile_array
-from .solver import Trajectory, _physical_memory, _solve, _Tube, bytes_needed
+from .solver import Trajectory, _refuse_beyond_memory, _solve, _Tube
 
 
 # numpy's floating-point warnings that a run turns off: its overflow shows in its values
@@ -129,7 +129,7 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
     the reference loop.  The step is cfl * dx on the upwind solver, which
     only the open loop runs.  T must be finite and cover at least half a
     step, a delayed run must outlast its delay, and the recording
-    (``solver.bytes_needed``) must fit in physical memory.  The profiles
+    must fit in physical memory (``solver._refuse_beyond_memory``).  The profiles
     are then drawn, theta0 first, and the input specs parsed.
     """
     controllers = sorted(set(_RECURRENCES) - {"delay_free"})  # the laws a scenario may name
@@ -172,14 +172,9 @@ def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
         raise ConfigError(
             f"run.T={scenario.T:g} must exceed the delay tau={tau_used:g} for controlled runs"
         )
-    need = bytes_needed(grid.n_cells + 1, n_steps, dt, scenario.snapshot_stride, not upwind)
-    memory = _physical_memory()
-    if need > memory:
-        raise ConfigError(
-            f"run.T={scenario.T:g} at grid.n_cells={scenario.n_cells} and "
-            f"run.snapshot_stride={scenario.snapshot_stride:g} needs {need / 2**30:.3g} GiB "
-            f"to record, more than the physical memory ({memory / 2**30:.3g} GiB)"
-        )
+    _refuse_beyond_memory(f"run.T={scenario.T:g} at grid.n_cells={scenario.n_cells} and "
+                          f"run.snapshot_stride={scenario.snapshot_stride:g}", grid, n_steps, dt,
+                          scenario.snapshot_stride, not upwind, ConfigError)
     warnings = []
     if tau_snapped:
         warnings.append(

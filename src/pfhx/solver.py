@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import coupling_matrix, fast_exponent, finite_rates
-from .grid import Grid, _l2, check_field
+from .grid import Grid, _l2, aligned_steps, check_field
 from .history import rows
 from .params import Params
 
@@ -63,14 +63,13 @@ class Trajectory(NamedTuple):
     snapshots: np.ndarray
     dt: float
 
+    def columns(self) -> list[np.ndarray]:
+        """The per-step columns, as views, in the order norms.csv writes them."""
+        return [self.t, self.plant_l2, self.obs_err_l2, *self.pred_err_at_l.T, *self.u.T,
+                *self.exit_values.T]
+
     def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.plant_l2))
-            and np.all(np.isfinite(self.obs_err_l2))
-            and np.all(np.isfinite(self.pred_err_at_l))
-            and np.all(np.isfinite(self.u))
-            and np.all(np.isfinite(self.exit_values))
-        )
+        return all(np.isfinite(column).all() for column in self.columns())
 
 
 def _physical_memory() -> float:
@@ -92,14 +91,31 @@ def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float,
     return per_step * (n_steps + 1) + 16.0 * n_nodes * (snaps + 3)
 
 
-def _refuse_beyond_memory(T: float, grid: Grid, n_steps: int, dt: float, snapshot_stride: float,
-                          tubes: bool) -> None:
-    """Refuse, before it allocates, a library run whose recording exceeds physical memory."""
+def _refuse_beyond_memory(run, grid, n_steps, dt, snapshot_stride, tubes, error=ValueError) -> None:
+    """Before it allocates, refuse a run whose recording exceeds physical memory, in ``run``'s words."""
     need = bytes_needed(grid.n_cells + 1, n_steps, dt, snapshot_stride, tubes)
     memory = _physical_memory()
     if need > memory:
-        raise ValueError(f"final time {T:g} at n_cells={grid.n_cells} needs {need / 2**30:.3g} GiB "
-                         f"to record, more than the physical memory ({memory / 2**30:.3g} GiB)")
+        raise error(f"{run} needs {need / 2**30:.3g} GiB to record, "
+                    f"more than the physical memory ({memory / 2**30:.3g} GiB)")
+
+
+def _run_steps(t: float, dt: float) -> int:
+    """The steps of dt a library solver takes to reach a time t, which is >= 0 and on its grid."""
+    if t < 0:
+        raise ValueError(f"time {t!r} is negative: a solver runs forward from its start t0")
+    return aligned_steps(t, dt)
+
+
+def _checked_run(theta0, T, grid, dt, snapshot_stride, tubes) -> tuple[np.ndarray, int]:
+    """A library run's checked initial field and its steps of dt to T, within physical memory."""
+    if not snapshot_stride > 0:
+        raise ValueError("snapshot stride must be positive")
+    n_steps = _run_steps(T, dt)
+    theta0 = check_field(theta0, grid)
+    _refuse_beyond_memory(f"final time {T:g} at n_cells={grid.n_cells}", grid, n_steps, dt,
+                          snapshot_stride, tubes)
+    return theta0, n_steps
 
 
 def _snapshot_steps(n_steps: int, dt: float, snapshot_stride: float) -> np.ndarray:
@@ -257,13 +273,9 @@ def solve_exact(
     A tube fed with the inputs at t0 + j dt.  ``t`` and ``snapshot_t``
     count from t0, as in ``solve_upwind``.
     """
-    if not snapshot_stride > 0:
-        raise ValueError("snapshot stride must be positive")
-    n_steps, dt = grid.snap_steps(T)[0], grid.dt
-    theta0 = check_field(theta0, grid)
-    _refuse_beyond_memory(T, grid, n_steps, dt, snapshot_stride, True)
-    tube = _Tube(theta0, n_steps, params, dt)
-    tube.feed(np.vstack((np.zeros(2), rows(inputs, 1, n_steps, dt, t0))))
+    theta0, n_steps = _checked_run(theta0, T, grid, grid.dt, snapshot_stride, True)
+    tube = _Tube(theta0, n_steps, params, grid.dt)
+    tube.feed(np.vstack((np.zeros(2), rows(inputs, 1, n_steps, grid.dt, t0))))
     return tube.trajectory(snapshot_stride, t0)
 
 
@@ -283,13 +295,7 @@ def solve_upwind(
     """
     if not 0.0 < cfl <= 1.0:
         raise ValueError(f"cfl must lie in (0, 1], got {cfl}")
-    n_steps, _, changed = grid.snap_steps(T, dt=cfl * grid.dx)
-    if changed:
-        raise ValueError(f"final time {T} is not a whole number of steps dt={cfl * grid.dx}")
-    if not snapshot_stride > 0:
-        raise ValueError("snapshot stride must be positive")
-    theta0 = check_field(theta0, grid)
-    _refuse_beyond_memory(T, grid, n_steps, cfl * grid.dx, snapshot_stride, False)
+    theta0, n_steps = _checked_run(theta0, T, grid, cfl * grid.dx, snapshot_stride, False)
     return _solve(theta0, inputs, n_steps, params, grid, cfl, snapshot_stride, t0)
 
 
@@ -343,9 +349,7 @@ def closed_form_state(
     t0 = t - tau, it is the predictor (``observer.predict``).
     """
     theta0 = check_field(theta0, grid)
-    j, _, changed = grid.snap_steps(t)
-    if changed:
-        raise ValueError(f"time {t} is not aligned to the step grid (dt={grid.dt})")
+    j = _run_steps(t, grid.dt)
     gone = max(0, j - grid.n_cells - 1)  # the steps whose inlet pairs have left the tube
     tube = _Tube(theta0, j - gone, params, grid.dt)
     tube.feed(np.vstack((np.zeros(2), rows(inputs, gone + 1, j - gone, grid.dt, t0))))

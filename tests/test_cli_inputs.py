@@ -71,8 +71,7 @@ def test_no_cli_input_ends_in_a_traceback(invocation):
         argv = [command, "-c", str(path), "-o", str(Path(scratch) / "out"),
                 "--n-cells", "4", "--T", "4", *BASE[command],
                 *(f"{name}={value}" for name, value in flags)]  # the last of a flag wins
-        for module in ("pfhx.loop", "pfhx.solver"):
-            stack.enter_context(mock.patch(f"{module}._physical_memory", lambda: MEMORY))
+        stack.enter_context(mock.patch("pfhx.solver._physical_memory", lambda: MEMORY))
         caught = stack.enter_context(warnings.catch_warnings(record=True))
         warnings.simplefilter("always")
         err = io.StringIO()

@@ -217,7 +217,7 @@ def test_constant_norms_columns_are_formatted_once_with_the_same_bytes(tmp_path,
                             lambda x, *args: counts.append(len(x)) or real(x, *args))
         cli._write_norms(tmp_path / "norms.csv", case)
         monkeypatch.setattr(e16, "_e16_chunk", real)
-        whole = np.column_stack(cli._norms_columns(case.trajectory))
+        whole = np.column_stack(case.trajectory.columns())
         rows = [cli._NORMS_HEADER.encode(), *e16._csv(whole[:, None])]
         assert (tmp_path / "norms.csv").read_bytes() == b"\n".join(rows) + b"\n"
         constant = 2 if case is result else 1  # 0.0 and -0.0 are not the same value here

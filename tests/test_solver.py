@@ -259,7 +259,7 @@ def test_a_time_off_the_step_grid_is_refused():
     grid = Grid(10, 1.0)
     with pytest.raises(ValueError) as refused:
         solve_upwind(np.zeros((grid.n_cells + 1, 2)), None, 0.33, params_with(), grid, cfl=0.5)
-    assert str(refused.value) == "final time 0.33 is not a whole number of steps dt=0.05"
+    assert str(refused.value) == "time 0.33 is not aligned to the step grid (dt=0.05)"
     with pytest.raises(ValueError) as refused:
         closed_form_state(np.zeros((grid.n_cells + 1, 2)), None, 0.33, params_with(), grid)
     assert str(refused.value) == "time 0.33 is not aligned to the step grid (dt=0.1)"
