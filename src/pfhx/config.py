@@ -134,8 +134,8 @@ def _read_raw(text: str) -> dict[str, dict[str, str]]:
     parser.optionxform = str  # keep key case
     try:
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from None
+    except configparser.Error as exc:  # some messages span lines: the refusal is one
+        raise ConfigError(f"cannot parse config: {' '.join(str(exc).split())}") from None
     raw: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         raw[section] = dict(parser.items(section))

@@ -223,16 +223,18 @@ def compatibility_check(w: np.ndarray, params: Params, grid: Grid) -> Compatibil
     from .grid import check_field
 
     w = check_field(w, grid)
+    grid.snap_steps(grid.l)  # the tube in steps: a step that underflows to 0 is refused
     n = grid.n_cells
-    residual1 = abs(w[0, 0] + params.k1 * w[n, 1])
-    residual2 = abs(w[0, 1] + params.k2 * w[n, 0])
+    residual1 = float(abs(w[0, 0] + params.k1 * w[n, 1]))
+    residual2 = float(abs(w[0, 1] + params.k2 * w[n, 0]))
     boundary_ok = residual1 <= 1e-9 and residual2 <= 1e-9
 
     diffs = np.abs(np.diff(w, axis=0))
-    slopes = diffs / grid.dx
+    with np.errstate(over="ignore"):  # a slope beyond the largest double is inf
+        slopes = diffs / grid.dx
     max_slope = float(slopes.max()) if slopes.size else 0.0
     guard = 1e-8 * max(1.0, float(np.abs(w).max()))
-    threshold = max(10.0 * grid.dx * float(np.median(slopes)), guard)
+    threshold = max(10.0 * float(np.median(diffs)), guard)  # dx times the median slope
     jump_count = int(np.count_nonzero(diffs > threshold))
 
     return CompatibilityReport(

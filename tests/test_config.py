@@ -142,7 +142,8 @@ def test_config_refusals_and_an_empty_axis():
         configparser.ConfigParser(interpolation=None).read_string(unparsed)
     with pytest.raises(ConfigError) as refused:
         parse_config(unparsed)
-    assert str(refused.value) == f"cannot parse config: {cause.value}"
+    assert "\n" in str(cause.value)  # configparser's message spans lines; the refusal is one
+    assert str(refused.value) == f"cannot parse config: {' '.join(str(cause.value).split())}"
     assert parse_config(MINIMAL + "\n[sweep]\ntau =\nk1 = 0.5\n").sweep_axes == {"k1": [0.5]}
 
 

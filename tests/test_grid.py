@@ -85,3 +85,18 @@ def test_compatibility_flags_step_discontinuity():
     w[0, 1] = -params.k2 * w[-1, 0]
     report = compatibility_check(w, params, grid)
     assert report.jump_count >= 1 and not report.compatible
+
+
+def test_compatibility_refuses_a_step_that_underflows_and_reports_python_values():
+    params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
+    w = np.zeros((11, 2))
+    w[5:, 0] = 1.0  # a unit jump
+    with pytest.raises(ValueError) as refusal:
+        compatibility_check(w, params, Grid(10, 5e-324))  # dx = l / n_cells rounds to 0.0
+    assert str(refusal.value) == "the step dt=0.0 must be positive to count duration 5e-324"
+    for l in (1.0, 1e-310):  # at 1e-310 the jump's slope overflows to inf, with no warning
+        report = compatibility_check(w, params, Grid(10, l))
+        assert report.jump_count == 1 and report.max_slope == pytest.approx(10.0 / l)
+        assert not report.compatible and not report.boundary_ok
+        for value, kind in zip(report, (bool, float, float, bool, float, int, float)):
+            assert type(value) is kind, (report, value)

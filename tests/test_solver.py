@@ -265,6 +265,23 @@ def test_a_time_off_the_step_grid_is_refused():
     assert str(refused.value) == "time 0.33 is not aligned to the step grid (dt=0.1)"
 
 
+@pytest.mark.parametrize("time, message", [
+    (0.37, "time 0.37 is not aligned to the step grid (dt=0.1)"),
+    (-1.0, "time -1.0 is negative: a solver runs forward from its start t0"),
+], ids=["off-grid", "negative"])
+@pytest.mark.parametrize("solve", [solve_exact, solve_upwind, closed_form_state],
+                         ids=lambda solve: solve.__name__)
+def test_a_solver_refuses_a_time_that_is_negative_or_off_the_grid(solve, time, message):
+    grid = Grid(10, 1.0)
+    with pytest.raises(ValueError) as refused:
+        solve(np.zeros((grid.n_cells + 1, 2)), None, time, params_with(), grid)
+    assert str(refused.value) == message
+    if time > 0:  # the message an input array gives for the same time
+        with pytest.raises(ValueError) as refused:
+            rows(np.zeros((10, 2)), 0, 1, grid.dt, time)
+        assert str(refused.value) == message
+
+
 def test_time_shift_invariance():
     grid = Grid(40, 1.0)
     params = params_with()
