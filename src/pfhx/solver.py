@@ -92,7 +92,7 @@ def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float,
 
 
 def _refuse_beyond_memory(run, grid, n_steps, dt, snapshot_stride, tubes, error=ValueError) -> None:
-    """Before it allocates, refuse a run whose recording exceeds physical memory, in ``run``'s words."""
+    """Refuse a recording beyond physical memory before allocating; ``run`` words the run."""
     need = bytes_needed(grid.n_cells + 1, n_steps, dt, snapshot_stride, tubes)
     memory = _physical_memory()
     if need > memory:

@@ -74,15 +74,19 @@ def mutate(draw, text):
         if at:
             lines[at[0]] = f"{key} = {spec}"
         else:
-            lines += ["[initial]"] * ("[initial]" not in lines)
+            if "[initial]" not in lines:  # the freqresp config has none
+                lines.append("[initial]")
             lines.insert(lines.index("[initial]") + 1, f"{key} = {spec}")
     else:
         i = draw(st.sampled_from(values))
         key, _, value = lines[i].partition("=")
-        new = {"blank value": lambda: "",
-               "garbled value": lambda: draw(GARBLE),
-               "interpolation": lambda: value + draw(st.sampled_from(["%", "%(h1)s", "%%"]))}[kind]()
-        lines[i] = f"{key}= {new}"
+        if kind == "blank value":
+            value = ""
+        elif kind == "garbled value":
+            value = draw(GARBLE)
+        else:  # interpolation
+            value = value.strip() + draw(st.sampled_from(["%", "%(h1)s", "%%"]))
+        lines[i] = f"{key}= {value}"
     return "\n".join(lines) + "\n"
 
 
