@@ -39,15 +39,14 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # Each public name's home submodule, imported on the name's first use (PEP 562).
 _HOMES = {
     "params": ("CompatibilityReport", "ConditionReport", "ConfigError", "GainReport", "Params",
-               "SanoReport", "Scenario", "compatibility_check", "condition_report", "sano_window",
-               "validate_gains"),
+               "SanoReport", "Scenario", "check_scenario", "compatibility_check",
+               "condition_report", "sano_window", "validate_gains"),
     "coupling": ("coupling_matrix",),
     "grid": ("Grid",),
     "profiles": ("input_function", "profile_array"),
     "solver": ("Trajectory", "closed_form_state", "solve_exact", "solve_upwind"),
     "observer": ("predict",),
-    "loop": ("RunResult", "RunSummary", "check_scenario", "run_delay_free_feedback",
-             "run_scenario"),
+    "loop": ("RunResult", "RunSummary", "run_delay_free_feedback", "run_scenario"),
     "analysis": ("DecayReport", "discrete_response", "fit_decay", "transfer_function"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

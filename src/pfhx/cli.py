@@ -10,10 +10,12 @@ snapshots.csv; sweep.csv and freqresp.csv rows are each one ``%`` operation.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (non-finite values), 4 output I/O failure.
 
-A command loads only what it runs: the engine (``loop`` and the solver,
-profiles and history it imports) is imported by the code that checks or
-runs a scenario, and numpy by the engine or by the writer that builds an
-array, so ``freqresp``, whose gains are scalar, loads neither.  ``main``
+A command loads only what it runs: the engine (``loop`` and the solver
+and history it imports) is imported by the code that runs a scenario,
+and numpy by the engine or by the writer that builds an array, so
+``freqresp``, whose gains are scalar, and ``check``, whose run check is
+arithmetic and the specs' text (``params.check_scenario``), load
+neither.  ``main``
 also has ``gc.freeze`` run at exit, so that finalization does not collect
 the about 22k objects numpy and pfhx leave tracked; every output is
 closed by its ``with`` block before ``main`` returns.
@@ -36,7 +38,7 @@ from typing import TYPE_CHECKING
 from .analysis import _checked_omegas, _transfer, _upwind_gain
 from .config import Config, parse_config
 from .grid import Grid
-from .params import ConfigError, condition_report
+from .params import ConfigError, check_scenario, condition_report
 
 if TYPE_CHECKING:  # annotations only: the engine and numpy load in the code that runs them
     import numpy as np
@@ -167,8 +169,6 @@ def _emit_warnings(warnings: list[str]) -> None:
 
 def _refusal(make, axis_values: dict) -> str | None:
     """Why ``make(**axis_values)``'s scenario fails the run checks, or None if it passes."""
-    from .loop import check_scenario
-
     try:
         check_scenario(make(**axis_values))
     except ConfigError as exc:
@@ -183,8 +183,6 @@ def _checked(make, axis_values: dict, warnings: list[str]) -> Scenario:
     that a swept tau causes names that tau; one that the same row at the
     base scenario's tau fails alike is reported as it is.
     """
-    from .loop import check_scenario
-
     try:
         scenario = make(**axis_values)
         found = check_scenario(scenario)
@@ -201,7 +199,7 @@ def _checked(make, axis_values: dict, warnings: list[str]) -> Scenario:
 
 def cmd_run(cfg: Config) -> int:
     """One run, then its three outputs, all in this process."""
-    from .loop import check_scenario, run_scenario
+    from .loop import run_scenario
 
     scenario = cfg.scenario
     check_scenario(scenario)  # a configuration error leaves the outputs alone
@@ -285,6 +283,8 @@ def cmd_sweep(cfg: Config) -> int:
     if workers <= 1:
         rows = [_sweep_worker(payload) for payload in payloads]
     else:
+        from . import loop  # noqa: F401  (forked workers inherit the engine and numpy, loaded once)
+
         if ProcessPoolExecutor is None:
             from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -339,8 +339,6 @@ def cmd_check(cfg: Config) -> int:
     The base scenario is checked as ``run`` makes it, and the rows as
     ``sweep`` makes them, so ``check`` refuses what either command refuses.
     """
-    from .loop import check_scenario
-
     warnings = check_scenario(cfg.scenario)
     _sweep_rows(cfg, warnings)
     params = cfg.scenario.params

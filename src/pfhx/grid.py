@@ -5,12 +5,14 @@ nodes ``x_i = i * dx``; column 0 holds theta1 and column 1 holds theta2.
 Both transport speeds equal one, so the solver locks the time step to
 ``dt = dx`` and every delay or horizon is snapped to a whole number of
 steps.  That makes characteristic updates and delayed lookups exact at the
-nodes.
+nodes.  A run's memory bound is here too: like the step counts, it is
+arithmetic, and only the functions that build arrays load numpy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
@@ -22,10 +24,17 @@ if TYPE_CHECKING:  # annotations only: numpy loads in the functions that build a
 _ALIGN_RTOL = 1e-9
 
 
+class _ZeroStep(ValueError):
+    """A step that is not positive, such as l / n_cells underflowing to 0: it counts nothing."""
+
+
 def _snap(duration: float, dt: float, minimum: float = -math.inf) -> tuple[int, float, bool]:
-    """``Grid.snap_steps`` at a step dt > 0, with no least count unless ``minimum`` is given."""
-    if not dt > 0:  # a step l / n_cells that underflows to 0 counts nothing
-        raise ValueError(f"the step dt={dt!r} must be positive to count duration {duration!r}")
+    """``Grid.snap_steps`` at a step dt > 0, with no least count unless ``minimum`` is given.
+
+    The one test of a step (``_ZeroStep``) and of a count that is not finite.
+    """
+    if not dt > 0:
+        raise _ZeroStep(f"the step dt={dt!r} must be positive to count duration {duration!r}")
     count = duration / dt
     if not math.isfinite(count):
         raise ValueError(f"duration {duration!r} is not a finite number of steps of dt={dt!r}")
@@ -111,4 +120,37 @@ def _l2(field: np.ndarray, dx: float) -> float:
     import numpy as np
 
     return float(np.sqrt(np.trapezoid(field[:, 0] ** 2 + field[:, 1] ** 2, dx=dx)))
+
+
+def _physical_memory() -> float:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
+
+
+# What an exact run allocates per step beyond its columns: its tubes'
+# origins, the inlet histories and the norm sums' terms (``solver._Tube``).
+_TUBE_BYTES_PER_STEP = 104.0
+
+
+def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float,
+                 tubes: bool) -> float:
+    """An upper bound on what a run allocates, from arithmetic alone.
+
+    Its per-step columns, its snapshots, the upwind step's three rows and,
+    for a run on the exact solver (``tubes``), what its tubes hold per step.
+    """
+    snaps = math.floor(min(n_steps, n_steps * dt / snapshot_stride + 1e-9)) + 1
+    per_step = 72.0 + _TUBE_BYTES_PER_STEP * tubes  # t, both norms, the three pair columns
+    return per_step * (n_steps + 1) + 16.0 * n_nodes * (snaps + 3)
+
+
+def _refuse_beyond_memory(run, grid, n_steps, dt, snapshot_stride, tubes, error=ValueError) -> None:
+    """Refuse a recording beyond physical memory before allocating; ``run`` words the run."""
+    need = bytes_needed(grid.n_cells + 1, n_steps, dt, snapshot_stride, tubes)
+    memory = _physical_memory()
+    if need > memory:
+        raise error(f"{run} needs {need / 2**30:.3g} GiB to record, "
+                    f"more than the physical memory ({memory / 2**30:.3g} GiB)")
 

@@ -23,12 +23,13 @@ probe of the decay rate of the delay-free feedback generator.
 
 ``run_scenario`` runs the boundary law its scenario's controller names,
 and ``run_delay_free_feedback`` the delay-free reference loop.  (A
-``Scenario`` lives in ``params``, so that reading a config loads no
-engine; it is re-exported here.)  A scenario and every record a run
-returns are immutable named tuples, so no run can change the scenario it
-was given; a run fills the arrays of its ``Trajectory`` as it goes.  Both
-share one skeleton, ``_simulate``: ``_prepare`` makes every run check and
-resolves the initial data and input signals.  The laws are the open-loop
+``Scenario`` and its run check live in ``params``, so that reading or
+checking a config loads no engine; ``Scenario`` is re-exported here.)  A
+scenario and every record a run returns are immutable named tuples, so
+no run can change the scenario it was given; a run fills the arrays of
+its ``Trajectory`` as it goes.  Both share one skeleton, ``_simulate``:
+``_prepare`` makes the run check and sets the run up, its initial data
+and input signals, once per run.  The laws are the open-loop
 input signals, on either solver, and on the exact solver the
 observer-predictor above, the static (Sano) feedback, and the cross
 feedback on the current exits, which is both the delay-free reference
@@ -54,19 +55,19 @@ oracle.
 
 from __future__ import annotations
 
-import math
 import time
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import DecayReport, fit_decay
 from .coupling import coupling_matrix
-from .grid import Grid, _l2, check_field
+from .grid import Grid, _l2
 from .history import SignalPair, rows
-from .params import ConditionReport, ConfigError, Params, Scenario, condition_report
-from .profiles import _draws, input_function, profile_array
-from .solver import Trajectory, _refuse_beyond_memory, _solve, _Tube
+from .params import ConditionReport, Params, Scenario, _run_check, _RunCheck, condition_report
+from .profiles import input_function, profile_array
+from .solver import Trajectory, _solve, _Tube
 
 
 # numpy's floating-point warnings that a run turns off: its overflow shows in its values
@@ -94,8 +95,8 @@ class RunResult(NamedTuple):
 
 
 def _resolve_field(grid: Grid, spec, rng: np.random.Generator | None) -> np.ndarray:
-    if isinstance(spec, np.ndarray):
-        return check_field(spec, grid).copy()
+    if isinstance(spec, np.ndarray):  # checked by the run check
+        return np.array(spec, dtype=float)
     return np.column_stack([profile_array(component, grid, rng) for component in spec])
 
 
@@ -103,96 +104,23 @@ def _input_pair(specs: tuple[str, str]) -> SignalPair:
     return SignalPair(input_function(specs[0]), input_function(specs[1]))
 
 
-class _Run(NamedTuple):
-    """A checked scenario: its grid with tau and T snapped, its initial data and inputs."""
-
-    controller: str  # the name the summary reports, which names its recurrence
-    delayed: bool  # the law acts on delayed measurements: T > tau, fit from tau + 2l
-    grid: Grid
-    m: int  # the delay in steps
-    tau_used: float
-    tau_snapped: bool
-    dt: float  # the step: dx, or cfl * dx on the upwind solver
-    n_steps: int
-    T_used: float
-    warnings: list[str]
-    theta0: np.ndarray
-    observer0: np.ndarray
-    u_open: SignalPair
-    warmup_u: SignalPair
+# A set-up run: the checked run (``params._run_check``), its initial data and inputs.
+_Run = namedtuple("_Run", _RunCheck._fields + ("theta0", "observer0", "u_open", "warmup_u"))
 
 
 def _prepare(scenario: Scenario, delay_free: bool = False) -> _Run:
-    """Check every run setting; snap tau to dt = dx and T to the run's own step.
+    """Check the run (``params._run_check``), then set it up, which only a run does.
 
-    The law is the one scenario.controller names, or with ``delay_free``
-    the reference loop.  The step is cfl * dx on the upwind solver, which
-    only the open loop runs.  T must be finite and cover at least half a
-    step, a delayed run must outlast its delay, and the recording
-    must fit in physical memory (``solver._refuse_beyond_memory``).  The profiles
-    are then drawn, theta0 first, and the input specs parsed.
+    The profiles are drawn, theta0 first, from a generator seeded by
+    run.seed if one of them draws, and the input specs made signals.
     """
-    controllers = sorted(set(_RECURRENCES) - {"delay_free"})  # the laws a scenario may name
-    controller = "delay_free" if delay_free else scenario.controller
-    if controller not in controllers and not delay_free:
-        raise ConfigError(f"unknown controller {controller!r} (expected one of {controllers})")
-    delayed = _RECURRENCES[controller][0]
-    if controller == "sano_static" and scenario.sano_k is None:
-        raise ConfigError("missing required key run.sano_k (needed by sano_static)")
-    if scenario.sano_k is not None and not math.isfinite(scenario.sano_k):
-        raise ConfigError(f"run.sano_k must be finite, got {scenario.sano_k}")
-    grid = Grid(scenario.n_cells, scenario.params.l)
-    if not math.isfinite(scenario.T) or scenario.T <= 0:
-        raise ConfigError(f"run.T must be positive and finite, got {scenario.T}")
-    if scenario.solver not in ("exact", "upwind"):
-        raise ConfigError(f"run.solver must be exact or upwind, got {scenario.solver!r}")
-    upwind = scenario.solver == "upwind"
-    if upwind and controller != "open_loop":
-        raise ConfigError("run.solver=upwind is available for open_loop runs only")
-    if not scenario.snapshot_stride > 0:
-        raise ConfigError(f"run.snapshot_stride must be positive, got {scenario.snapshot_stride}")
-    if not 0.0 < scenario.cfl <= 1.0:
-        raise ConfigError(f"run.cfl must lie in (0, 1], got {scenario.cfl}")
-    if scenario.seed < 0:
-        raise ConfigError(f"run.seed must be >= 0, got {scenario.seed}")
-    dt = scenario.cfl * grid.dx if upwind else grid.dt
-    cell = "params.l / grid.n_cells"
-    for key, value, of, unit in (("params.tau", scenario.params.tau, grid.dt, cell),
-                                 ("run.T", scenario.T, dt, cell + " * run.cfl" * upwind)):
-        if of == 0:
-            raise ConfigError(f"{key}={value:g} cannot be counted in steps of dt = {unit}, "
-                              "which underflows to 0")
-        if not math.isfinite(value / of):
-            raise ConfigError(f"{key}={value:g} is too many steps of dt = {unit} = {of:g} to count")
-    m, tau_used, tau_snapped = grid.snap_tau(scenario.params.tau)
-    n_steps, T_used, T_snapped = grid.snap_steps(scenario.T, dt=dt)
-    if n_steps == 0:
-        raise ConfigError(f"run.T={scenario.T:g} must cover at least half a step (dt={dt:g})")
-    if delayed and n_steps <= m:
-        raise ConfigError(
-            f"run.T={scenario.T:g} must exceed the delay tau={tau_used:g} for controlled runs"
-        )
-    _refuse_beyond_memory(f"run.T={scenario.T:g} at grid.n_cells={scenario.n_cells} and "
-                          f"run.snapshot_stride={scenario.snapshot_stride:g}", grid, n_steps, dt,
-                          scenario.snapshot_stride, not upwind, ConfigError)
-    warnings = []
-    if tau_snapped:
-        warnings.append(
-            f"tau snapped from {scenario.params.tau:g} to {tau_used:g} "
-            f"({m} steps of dt={grid.dt:g})"
-        )
-    if T_snapped:
-        warnings.append(f"T snapped from {scenario.T:g} to {T_used:g}")
-    # numpy.random is imported only by a run whose profiles draw from it
-    draws = any(_draws(component) for spec in (scenario.theta0, scenario.observer0)
-                if not isinstance(spec, np.ndarray) for component in spec)
-    rng = np.random.default_rng(scenario.seed) if draws else None
+    run = _run_check(scenario, delay_free)
+    rng = np.random.default_rng(scenario.seed) if run.draws else None
     with np.errstate(**_QUIET):  # a profile that overflows is a numerical failure of the run
-        theta0 = _resolve_field(grid, scenario.theta0, rng)
-        observer0 = _resolve_field(grid, scenario.observer0, rng)
-    return _Run(controller, delayed, grid, m, tau_used, tau_snapped, dt,
-                n_steps, T_used, warnings, theta0, observer0,
-                _input_pair(scenario.u_open), _input_pair(scenario.warmup_u))
+        theta0 = _resolve_field(run.grid, scenario.theta0, rng)
+        observer0 = _resolve_field(run.grid, scenario.observer0, rng)
+    return _Run(*run, theta0, observer0, _input_pair(scenario.u_open),
+                _input_pair(scenario.warmup_u))
 
 
 def _safe_fit(t, values, window) -> DecayReport:
@@ -365,7 +293,7 @@ def _recur(scenario: Scenario, run: _Run) -> Trajectory:
     n_steps, dt = run.n_steps, run.dt
     field0 = run.observer0 - run.theta0 if run.controller == "error_system" else run.theta0
     tube = _Tube(field0, n_steps, scenario.params, dt)
-    err, pred_err = _RECURRENCES[run.controller][1](scenario, run, tube)
+    err, pred_err = _RECURRENCES[run.controller](scenario, run, tube)
     traj = tube.trajectory(scenario.snapshot_stride)
     if err is not None:  # the error of observer time s is normed at step s + m
         traj.obs_err_l2[run.m:] = err.norms(n_steps + 1 - run.m)
@@ -394,15 +322,15 @@ def _simulate(scenario: Scenario, delay_free: bool = False) -> RunResult:
     return RunResult(trajectory=traj, summary=_summarize(scenario, traj, run, start))
 
 
-# the name a run reports -> (whether the run must outlast the delay, its boundary
-# recurrence on the exact solver).  delay_free is the reference loop: a law to
-# compare against, not a controller a scenario names.
+# the name a run reports -> its boundary recurrence on the exact solver: each
+# controller of ``params._CONTROLLERS``, and delay_free, the reference loop, a
+# law to compare against, not a controller a scenario names.
 _RECURRENCES = {
-    "observer_predictor": (True, _recur_observer_predictor),
-    "sano_static": (True, _recur_static),
-    "open_loop": (False, _recur_open_loop),
-    "error_system": (False, _recur_feedback),
-    "delay_free": (True, _recur_feedback),
+    "observer_predictor": _recur_observer_predictor,
+    "sano_static": _recur_static,
+    "open_loop": _recur_open_loop,
+    "error_system": _recur_feedback,
+    "delay_free": _recur_feedback,
 }
 
 
@@ -417,20 +345,11 @@ def run_delay_free_feedback(scenario: Scenario) -> RunResult:
     return _simulate(scenario, delay_free=True)
 
 
-def check_scenario(scenario: Scenario) -> list[str]:
-    """Check what a run needs before it starts; return the tau/T snap warnings.
-
-    The checks are ``_prepare``'s, which every run makes as well.  Raises
-    ConfigError naming the offending setting by its config key.
-    """
-    return _prepare(scenario).warnings
-
-
 def run_scenario(scenario: Scenario) -> RunResult:
     """Run the boundary law the scenario's controller names.
 
     A scenario that fails a run check raises ConfigError, as in
-    ``check_scenario``, before anything is recorded.  The result holds
+    ``params.check_scenario``, before anything is set up.  The result holds
     every snapshot, which ``pfhx run`` writes once the run is over.
     """
     return _simulate(scenario)

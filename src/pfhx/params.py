@@ -1,13 +1,15 @@
-"""Physical and control parameters, the scenario of one run, and the paper's
-conditions on them.
+"""Physical and control parameters, the scenario of one run, its run check,
+and the paper's conditions on them.
 
-The conditions are the gain bounds of the delay-free cross feedback
-(``validate_gains``), the static-feedback delay window (``sano_window``),
-the compatibility of an initial observer error (``compatibility_check``),
-and the report that gathers the first two with the delay regime
-(``condition_report``).  ``cli`` renders that report as text.  numpy loads
-only in ``compatibility_check``.  Every record here is an immutable named
-tuple.
+The run check (``check_scenario``) makes every refusal a run makes before
+it starts, from arithmetic and the specs' text alone.  The conditions are
+the gain bounds of the delay-free cross feedback (``validate_gains``), the
+static-feedback delay window (``sano_window``), the compatibility of an
+initial observer error (``compatibility_check``), and the report that
+gathers the first two with the delay regime (``condition_report``).
+``cli`` renders that report as text.  numpy loads only in
+``compatibility_check`` and in the check of a field given as an array.
+Every record here is an immutable named tuple.
 
 The one error rule: a setting is refused once, by the code that consumes
 it.  The refusal is a ``ConfigError``, which is a ``ValueError``, and its
@@ -19,6 +21,7 @@ plain ``ValueError``.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -94,6 +97,100 @@ class Scenario(NamedTuple):
     cfl: float = 0.5
     snapshot_stride: float = 0.1
     seed: int = 0
+
+
+# the controllers a scenario may name -> whether the run must outlast the delay
+# (``loop._RECURRENCES`` maps each, and the delay-free reference loop, to its law)
+_CONTROLLERS = {"observer_predictor": True, "sano_static": True, "open_loop": False,
+                "error_system": False}
+
+
+# A checked run: its law, the name its summary reports; whether the law acts on delayed
+# measurements (T > tau, fit from tau + 2l); its grid; tau in steps m, as used and whether
+# it snapped; the step dt (cfl * dx on the upwind solver); T in steps and as used; the snap
+# warnings; and whether a profile draws from the generator that run.seed seeds.
+_RunCheck = namedtuple("_RunCheck", "controller delayed grid m tau_used tau_snapped dt n_steps "
+                                    "T_used warnings draws")
+
+
+def _run_check(scenario: Scenario, delay_free: bool = False) -> _RunCheck:
+    """Check every run setting; snap tau to dt = dx and T to the run's own step.
+
+    The law is the one scenario.controller names, or with ``delay_free``
+    the reference loop.  The step is cfl * dx on the upwind solver, which
+    only the open loop runs.  T must be finite and cover at least half a
+    step, a delayed run must outlast its delay, and the recording must fit
+    in physical memory.  Then the specs are read, not evaluated: theta0's
+    first (an array by ``grid.check_field``), observer0's, the inputs'.
+    """
+    from .grid import Grid, _refuse_beyond_memory, _snap, _ZeroStep, check_field
+    from .profiles import _parse
+
+    controller = "delay_free" if delay_free else scenario.controller
+    if controller not in _CONTROLLERS and not delay_free:
+        raise ConfigError(f"unknown controller {controller!r} "
+                          f"(expected one of {sorted(_CONTROLLERS)})")
+    tau, T, delayed = scenario.params.tau, scenario.T, delay_free or _CONTROLLERS[controller]
+    if controller == "sano_static" and scenario.sano_k is None:
+        raise ConfigError("missing required key run.sano_k (needed by sano_static)")
+    if scenario.sano_k is not None and not math.isfinite(scenario.sano_k):
+        raise ConfigError(f"run.sano_k must be finite, got {scenario.sano_k}")
+    grid = Grid(scenario.n_cells, scenario.params.l)
+    if not math.isfinite(T) or T <= 0:
+        raise ConfigError(f"run.T must be positive and finite, got {T}")
+    if scenario.solver not in ("exact", "upwind"):
+        raise ConfigError(f"run.solver must be exact or upwind, got {scenario.solver!r}")
+    upwind = scenario.solver == "upwind"
+    if upwind and controller != "open_loop":
+        raise ConfigError("run.solver=upwind is available for open_loop runs only")
+    if not scenario.snapshot_stride > 0:
+        raise ConfigError(f"run.snapshot_stride must be positive, got {scenario.snapshot_stride}")
+    if not 0.0 < scenario.cfl <= 1.0:
+        raise ConfigError(f"run.cfl must lie in (0, 1], got {scenario.cfl}")
+    if scenario.seed < 0:
+        raise ConfigError(f"run.seed must be >= 0, got {scenario.seed}")
+    dt = scenario.cfl * grid.dx if upwind else grid.dt
+    cell = "params.l / grid.n_cells"
+    counts = []
+    for key, value, of, unit, least in (("params.tau", tau, grid.dt, cell, 1),
+                                        ("run.T", T, dt, cell + " * run.cfl" * upwind, 0)):
+        try:
+            counts.append(_snap(value, of, least))
+        except _ZeroStep:
+            raise ConfigError(f"{key}={value:g} cannot be counted in steps of dt = {unit}, "
+                              "which underflows to 0") from None
+        except ValueError:
+            raise ConfigError(f"{key}={value:g} is too many steps of dt = {unit} = {of:g} "
+                              "to count") from None
+    (m, tau_used, tau_snapped), (n_steps, T_used, T_snapped) = counts
+    if n_steps == 0:
+        raise ConfigError(f"run.T={T:g} must cover at least half a step (dt={dt:g})")
+    if delayed and n_steps <= m:
+        raise ConfigError(f"run.T={T:g} must exceed the delay tau={tau_used:g} for controlled runs")
+    _refuse_beyond_memory(f"run.T={T:g} at grid.n_cells={scenario.n_cells} and "
+                          f"run.snapshot_stride={scenario.snapshot_stride:g}", grid, n_steps, dt,
+                          scenario.snapshot_stride, not upwind, ConfigError)
+    warnings = ([f"tau snapped from {tau:g} to {tau_used:g} ({m} steps of dt={grid.dt:g})"]
+                * tau_snapped + [f"T snapped from {T:g} to {T_used:g}"] * T_snapped)
+    numpy = sys.modules.get("numpy")  # a field is an array only where numpy is loaded
+    names = []
+    for spec in (scenario.theta0, scenario.observer0):
+        if numpy is not None and isinstance(spec, numpy.ndarray):
+            check_field(spec, grid)
+        else:
+            names += [_parse(component)[0] for component in spec]
+    for spec in (*scenario.u_open, *scenario.warmup_u):
+        _parse(spec, "input signal")
+    return _RunCheck(controller, delayed, grid, m, tau_used, tau_snapped, dt, n_steps, T_used,
+                    warnings, "random" in names)
+
+
+def check_scenario(scenario: Scenario) -> list[str]:
+    """Make every check a run makes before it starts; return the tau/T snap warnings.
+
+    Raises ConfigError naming the offending setting by its config key.
+    """
+    return _run_check(scenario).warnings
 
 
 class GainReport(NamedTuple):

@@ -31,14 +31,12 @@ discontinuity just propagates along the characteristic x = t.
 
 from __future__ import annotations
 
-import math
-import os
 from typing import NamedTuple
 
 import numpy as np
 
 from .coupling import coupling_matrix, fast_exponent, finite_rates
-from .grid import Grid, _l2, aligned_steps, check_field
+from .grid import Grid, _l2, _refuse_beyond_memory, aligned_steps, check_field
 from .history import rows
 from .params import Params
 
@@ -70,34 +68,6 @@ class Trajectory(NamedTuple):
 
     def is_finite(self) -> bool:
         return all(np.isfinite(column).all() for column in self.columns())
-
-
-def _physical_memory() -> float:
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
-        return math.inf
-
-
-def bytes_needed(n_nodes: int, n_steps: int, dt: float, snapshot_stride: float,
-                 tubes: bool) -> float:
-    """An upper bound on what a run allocates, from arithmetic alone.
-
-    Its per-step columns, its snapshots, the upwind step's three rows and,
-    for a run on the exact solver (``tubes``), what its tubes hold per step.
-    """
-    snaps = math.floor(min(n_steps, n_steps * dt / snapshot_stride + 1e-9)) + 1
-    per_step = 72.0 + _Tube.BYTES_PER_STEP * tubes  # t, both norms, the three pair columns
-    return per_step * (n_steps + 1) + 16.0 * n_nodes * (snaps + 3)
-
-
-def _refuse_beyond_memory(run, grid, n_steps, dt, snapshot_stride, tubes, error=ValueError) -> None:
-    """Refuse a recording beyond physical memory before allocating; ``run`` words the run."""
-    need = bytes_needed(grid.n_cells + 1, n_steps, dt, snapshot_stride, tubes)
-    memory = _physical_memory()
-    if need > memory:
-        raise error(f"{run} needs {need / 2**30:.3g} GiB to record, "
-                    f"more than the physical memory ({memory / 2**30:.3g} GiB)")
 
 
 def _run_steps(t: float, dt: float) -> int:
@@ -144,10 +114,6 @@ class _Tube:
     feeds the inlet history, the exits of steps 0 .. n, which read the
     initial field only, are known.
     """
-
-    # What an exact run allocates per step beyond its columns: its tubes'
-    # origins, the inlet histories and the norm sums' terms.
-    BYTES_PER_STEP = 104.0
 
     def __init__(self, field0: np.ndarray, n_steps: int, params: Params, dx: float):
         self.n = n = len(field0) - 1

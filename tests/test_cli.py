@@ -20,10 +20,10 @@ from pfhx import (
     run_scenario,
     transfer_function,
 )
-from pfhx import cli, e16, solver
+from pfhx import cli, e16
 from pfhx.config import parse_config
-from pfhx.loop import check_scenario
-from pfhx.solver import bytes_needed
+from pfhx.grid import bytes_needed
+from pfhx.params import check_scenario
 from pfhx.cli import _sweep_line, _sweep_worker, _write_norms, _write_snapshots, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -253,13 +253,13 @@ def test_recording_beyond_physical_memory_is_config_error(tmp_path, capsys):
 
 def test_runner_checks_recording_size_before_allocating(monkeypatch):
     # 101 nodes over 10,000 steps record about 3.2 MiB: more than 1 MiB of memory
-    monkeypatch.setattr(solver, "_physical_memory", lambda: 2**20)
+    monkeypatch.setattr("pfhx.grid._physical_memory", lambda: 2**20)
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)
     scenario = Scenario(params=params, n_cells=100, T=100.0)
     with pytest.raises(ConfigError, match="run.snapshot_stride") as refused:
         run_scenario(scenario)
     assert "physical memory" in str(refused.value)
-    monkeypatch.setattr(solver, "_physical_memory", lambda: 2**22)
+    monkeypatch.setattr("pfhx.grid._physical_memory", lambda: 2**22)
     assert run_scenario(scenario).summary.finite
 
 
@@ -637,11 +637,11 @@ def test_freqresp_ignores_the_initial_specs_that_run_refuses(tmp_path, capsys):
     assert sorted(out.iterdir()) == [out / "norms.csv"]
 
 
-@pytest.mark.parametrize("argv, checks", [
-    (["run", "-c", "configs/theorem_run.ini"], 2),  # cmd_run's check, then the run's own
-    (["sweep", "-c", "configs/tau_sweep.ini", "--workers", "1"], 12),  # the same for 6 rows
+@pytest.mark.parametrize("argv, set_ups", [
+    (["run", "-c", "configs/theorem_run.ini"], 1),  # cmd_run's check alone sets nothing up
+    (["sweep", "-c", "configs/tau_sweep.ini", "--workers", "1"], 6),  # a row where it runs
 ], ids=["run", "sweep"])
-def test_each_run_is_checked_once_before_it_starts(tmp_path, monkeypatch, argv, checks):
+def test_each_run_is_set_up_once(tmp_path, monkeypatch, argv, set_ups):
     prepared = []
     prepare = loop._prepare
 
@@ -652,7 +652,7 @@ def test_each_run_is_checked_once_before_it_starts(tmp_path, monkeypatch, argv, 
     monkeypatch.setattr(loop, "_prepare", counting)
     monkeypatch.chdir(ROOT)
     assert main([*argv, "-o", str(tmp_path), "--n-cells", "20", "--T", "4"]) == 0
-    assert len(prepared) == checks
+    assert len(prepared) == set_ups
 
 
 def test_freqresp_makes_no_run_check(tmp_path, capsys):
@@ -674,14 +674,14 @@ def test_sweep_checks_its_rows_as_they_run(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path, text)
     dt = 1.0 / 50
     row, base = (bytes_needed(51, 300, dt, stride, True) for stride in (math.inf, 1e-9))
-    monkeypatch.setattr(solver, "_physical_memory", lambda: (row + base) / 2)
+    monkeypatch.setattr("pfhx.grid._physical_memory", lambda: (row + base) / 2)
     argv = ["-c", cfg, "-o", str(tmp_path / "sweep"), "--workers", "1"]
     assert main(["sweep", *argv]) == 0
     _, rows = read_csv(tmp_path / "sweep" / "sweep.csv")
     assert len(rows) == 2
     assert main(["run", *argv[:2], "-o", str(tmp_path / "run")]) == 2
     assert "physical memory" in capsys.readouterr().err
-    monkeypatch.setattr(solver, "_physical_memory", lambda: row / 2)
+    monkeypatch.setattr("pfhx.grid._physical_memory", lambda: row / 2)
     assert main(["sweep", *argv]) == 2
     err = capsys.readouterr().err  # the rows' memory does not depend on tau
     assert err.startswith("configuration error: run.T=6 ") and "physical memory" in err

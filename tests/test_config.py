@@ -5,7 +5,7 @@ import pytest
 from pfhx import ConfigError, Params, Scenario
 from pfhx.cli import main
 from pfhx.config import parse_config
-from pfhx.loop import check_scenario
+from pfhx.params import check_scenario
 
 MINIMAL = """\
 [params]

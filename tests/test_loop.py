@@ -21,7 +21,7 @@ from pfhx import (
 from pfhx.coupling import coupling_matrix
 from pfhx.grid import _l2
 from pfhx.history import rows
-from pfhx.loop import check_scenario
+from pfhx.params import _CONTROLLERS, check_scenario
 
 
 def scenario_with(tau=0.5, T=20.0, n=100, controller="observer_predictor", **kw):
@@ -308,6 +308,11 @@ def test_dispatch_and_controller_validation():
     sc = sc._replace(solver="upwind")
     with pytest.raises(ConfigError, match="open_loop runs only"):
         run_scenario(sc)
+
+
+def test_every_controller_a_scenario_may_name_has_a_recurrence():
+    # one table names the controllers; the loop adds only its delay-free reference
+    assert set(loop._RECURRENCES) == set(_CONTROLLERS) | {"delay_free"}
 
 
 # every law a scenario reaches: run_scenario under each controller, and the

@@ -17,10 +17,10 @@ from pfhx import (
     solve_upwind,
 )
 from pfhx import solver
-from pfhx.grid import _l2
+from pfhx.grid import _l2, _physical_memory
 from pfhx.history import SignalPair, rows
 from pfhx.loop import _input_pair
-from pfhx.solver import _physical_memory, _Tube
+from pfhx.solver import _Tube
 from test_recurrence import VALUE_RTOL
 
 
@@ -489,7 +489,7 @@ def test_library_solvers_refuse_a_recording_beyond_physical_memory(monkeypatch, 
     # about 1 MiB of memory against a footprint of a few MiB: a solver that
     # did not refuse would only allocate those megabytes and return
     grid, params = Grid(10, 1.0), params_with()
-    monkeypatch.setattr(solver, "_physical_memory", lambda: 2.0**20)
+    monkeypatch.setattr("pfhx.grid._physical_memory", lambda: 2.0**20)
     assert solve(np.zeros((11, 2)), None, 100.0, params, grid).t[-1] == pytest.approx(100.0)
     refusal = (r"^final time 2000 at n_cells=10 needs 0\.00\d+ GiB to record, "
                r"more than the physical memory \(0\.000977 GiB\)$")

@@ -6,11 +6,13 @@ out what it never uses: ``numpy.ma`` (which ``np.unique`` imports),
 unless a sweep starts its pool, ``dataclasses`` always, since every
 pfhx record is a named tuple and no pfhx module imports it, and
 ``pfhx.observer`` always, since no run calls its predictor.  The engine
-(``loop``, ``solver``, ``profiles`` and ``history``), numpy
-and ``inspect``, which numpy imports, load only in a command that checks
-or runs a scenario, so ``freqresp`` and a bare ``import pfhx.cli`` never
-load them, and ``import pfhx`` loads no submodule until one of its names
-is used.
+(``loop``, ``solver`` and ``history``), numpy and ``inspect``, which
+numpy imports, load only in a command that runs a scenario, so
+``freqresp``, ``check`` and a bare ``import pfhx.cli`` never load them;
+``profiles``, whose spec reader the run check uses, loads in a command
+that checks a scenario.  A sweep loads the engine before its pool starts,
+so that forked workers inherit it, and ``import pfhx`` loads no submodule
+until one of its names is used.
 ``import pfhx`` also limits OpenBLAS to one thread unless
 ``OPENBLAS_NUM_THREADS`` is already set.  ``dir(pfhx)`` is also called in
 this process, where ``tools/linecov.py`` sees ``pfhx.__dir__`` run.
@@ -28,8 +30,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 LEAN = ("numpy.ma", "numpy.random", "multiprocessing", "dataclasses", "pfhx.observer")
 # the engine, and numpy and the inspect it imports, which load with it
-ENGINE = ("pfhx.loop", "pfhx.solver", "pfhx.profiles", "pfhx.history", "numpy", "inspect")
-WATCHED = LEAN + ENGINE
+ENGINE = ("pfhx.loop", "pfhx.solver", "pfhx.history", "numpy", "inspect")
+SPECS = ("pfhx.profiles",)  # the spec reader, which a command that checks a scenario loads
+WATCHED = LEAN + ENGINE + SPECS
 # the command in a fresh interpreter, then which of WATCHED it loaded, as JSON
 LOADED = (
     "import json, sys\n"
@@ -57,16 +60,17 @@ def loaded(*args: str) -> dict:
 ], ids=["run", "sweep"])
 def test_run_and_sweep_leave_out_numpy_ma_and_numpy_random(args, tmp_path):
     found = loaded(*args, "-o", str(tmp_path))
-    assert found == {"rc": 0, **{module: module in ENGINE for module in WATCHED}}
+    assert found == {"rc": 0, **{module: module in ENGINE + SPECS for module in WATCHED}}
 
 
-@pytest.mark.parametrize("args, engine", [
+@pytest.mark.parametrize("args, specs", [
     (("freqresp", "-c", "configs/freqresp.ini", "--n-cells", "20"), False),
     (("check", "-c", "configs/theorem_run.ini"), True),
 ], ids=["freqresp", "check"])
-def test_freqresp_and_check_leave_out_multiprocessing(args, engine, tmp_path):
+def test_freqresp_and_check_leave_out_multiprocessing(args, specs, tmp_path):
+    # and the engine with numpy: check's run check is arithmetic and the specs' text
     found = loaded(*args, "-o", str(tmp_path))
-    assert found == {"rc": 0, **{module: engine and module in ENGINE for module in WATCHED}}
+    assert found == {"rc": 0, **{module: specs and module in SPECS for module in WATCHED}}
 
 
 def test_import_pfhx_cli_loads_no_engine():
