@@ -116,10 +116,12 @@ def check_field(field: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _l2(field: np.ndarray, dx: float) -> float:
-    """Trapezoid approximation of the L2(0, l) norm of a field with node spacing dx."""
-    import numpy as np
+    """Trapezoid approximation of the L2(0, l) norm of a field with node spacing dx.
 
-    return float(np.sqrt(np.trapezoid(field[:, 0] ** 2 + field[:, 1] ** 2, dx=dx)))
+    ``np.trapezoid``'s own sum, bit for bit, without its per-call overhead.
+    """
+    y = field[:, 0] ** 2 + field[:, 1] ** 2
+    return math.sqrt((dx * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 def _physical_memory() -> float:

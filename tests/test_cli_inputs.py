@@ -7,7 +7,8 @@ mutation: a section header dropped, duplicated or renamed, a value blanked
 or garbled, a bad profile spec, a ``%`` interpolation or a ``[DEFAULT]``
 section.  Every call must return 0, 2, 3 or 4 and raise
 nothing; a configuration error is exactly one ``configuration error:`` line
-on stderr; and no numpy ``RuntimeWarning`` is emitted.  Physical memory is
+on stderr, and ``check`` on the same file and flags as a ``run`` that exits
+2 exits 2 with the same line; and no numpy ``RuntimeWarning`` is emitted.  Physical memory is
 patched down to a few MiB, so a run that a missing refusal let through
 allocates megabytes at most.
 """
@@ -115,6 +116,8 @@ def invocations(draw):
                                        ("--cfl", "5e-324"))))
 @example(("run", CONFIGS["overflowing_profile"], (("--seed", "0"),)))
 @example(("check", CONFIGS["overflowing_profile"], (("--seed", "0"),)))
+@example(("run", CONFIGS["theorem_run"].replace("warmup_u1 = sine(1, 4)", "warmup_u1 = sine(1)"),
+          (("--seed", "0"),)))  # an input spec, which only a run evaluates, refused by check too
 def test_no_cli_input_ends_in_a_traceback(invocation):
     command, config, flags = invocation
     with tempfile.TemporaryDirectory() as scratch, contextlib.ExitStack() as stack:
@@ -129,6 +132,11 @@ def test_no_cli_input_ends_in_a_traceback(invocation):
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             rc = cli.main(argv)
+        if command == "run" and rc == 2:  # check refuses what run refuses, in the same line
+            checked = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(checked):
+                assert cli.main(["check", *argv[1:]]) == 2, argv
+            assert checked.getvalue() == err.getvalue(), argv
     assert rc in (0, 2, 3, 4), (argv, rc, err.getvalue())
     if rc == 2:
         lines = err.getvalue().splitlines()

@@ -52,6 +52,18 @@ def test_l2_norm_sine():
     assert _l2(field, grid.dx) == pytest.approx(np.sqrt(0.5), abs=1e-5)
 
 
+@pytest.mark.parametrize("n_cells", [1, 2, 7, 400])
+@pytest.mark.parametrize("fill", ["finite", "inf", "nan"])
+def test_l2_norm_has_the_bits_of_numpys_trapezoid(n_cells, fill):
+    grid = Grid(n_cells, 1.0)
+    field = np.random.default_rng(n_cells).normal(size=(n_cells + 1, 2)) * 1e3
+    if fill != "finite":
+        field[n_cells // 2, 1] = float(fill)
+    y = field[:, 0] ** 2 + field[:, 1] ** 2
+    expected = np.sqrt(np.trapezoid(y, dx=grid.dx))
+    assert np.float64(_l2(field, grid.dx)).view(np.int64) == expected.view(np.int64)
+
+
 def test_compatibility_zero_field():
     grid = Grid(100, 1.0)
     params = Params(h1=1.0, h2=2.0, l=1.0, tau=0.5, k1=0.5, k2=0.5)

@@ -101,6 +101,44 @@ def test_freqresp_runs_where_numpy_cannot_be_imported(tmp_path):
     )
     assert python(code, "freqresp", "-c", "configs/freqresp.ini", "-o", str(tmp_path)) == "0"
     assert len((tmp_path / "freqresp.csv").read_text().splitlines()) == 1 + 3
+    # check on every shipped config, printing what it prints with numpy
+    checks = (
+        "import contextlib, io, json, sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['numpy'] = None\n"
+        "from pfhx.cli import main\n"
+        "printed = []\n"
+        "for config in sys.argv[2:]:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        printed.append([main(['check', '-c', config]), out.getvalue()])\n"
+        "print(json.dumps(printed))\n"
+    )
+    configs = sorted(str(path) for path in (ROOT / "configs").glob("*.ini"))
+    blocked = json.loads(python(checks, "blocked", *configs))
+    assert len(blocked) == 4 and blocked == json.loads(python(checks, "loaded", *configs))
+    assert all(rc == 0 and out.startswith("condition report:\n") for rc, out in blocked)
+
+
+def test_a_sweep_loads_the_engine_before_its_pool_starts(tmp_path):
+    # forked workers inherit what the parent loaded; the stub pool maps in this process
+    code = (
+        "import json, sys\n"
+        "from pfhx import cli\n"
+        "seen = []\n"
+        "class Pool:\n"
+        "    def __init__(self, max_workers):\n"
+        "        seen.append([m in sys.modules for m in ('numpy', 'pfhx.loop')])\n"
+        "    def __enter__(self): return self\n"
+        "    def __exit__(self, *exc): return False\n"
+        "    def map(self, fn, payloads): return map(fn, payloads)\n"
+        "cli.ProcessPoolExecutor = Pool\n"
+        "print(json.dumps([cli.main(sys.argv[1:]), seen]))\n"
+    )
+    rc, seen = json.loads(python(code, "sweep", "-c", "configs/tau_sweep.ini", "--n-cells", "20",
+                                 "--T", "4", "--workers", "2", "-o", str(tmp_path)))
+    assert rc == 0 and seen == [[True, True]]
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 6
 
 
 def test_import_pfhx_loads_a_submodule_only_when_a_name_is_used():
