@@ -38,13 +38,13 @@ from typing import TYPE_CHECKING
 from .analysis import _checked_omegas, _transfer, _upwind_gain
 from .config import Config, parse_config
 from .grid import Grid
-from .params import ConfigError, check_scenario, condition_report
+from .params import ConfigError, _run_check, check_scenario, condition_report
 
 if TYPE_CHECKING:  # annotations only: the engine and numpy load in the code that runs them
     import numpy as np
 
     from .loop import RunResult, RunSummary
-    from .params import ConditionReport, Params, Scenario
+    from .params import ConditionReport, Params, Scenario, _RunCheck
 
 
 def _bool(value: bool) -> str:
@@ -111,8 +111,8 @@ def _decay_text(label: str, decay) -> str:
     )
 
 
-def render_condition(report: ConditionReport, params: Params) -> str:
-    """The condition report as text, for ``check`` and for summary.txt."""
+def render_condition(report: ConditionReport, params: Params, run: _RunCheck | RunSummary) -> str:
+    """The condition report as text, for ``check`` and summary.txt; a predicting run's regime."""
     g = report.gains
     lines = ["condition report:"]
     if not g.applicable:
@@ -125,9 +125,11 @@ def render_condition(report: ConditionReport, params: Params) -> str:
             f" 0 < k2 < {g.k2_upper:.6g}: {_bool(g.k2_ok)}"
             f" (margin {g.k2_margin:.6g})]"
         )
-    needs = ("exact delay compensation, any initial value" if report.regime == "tau>l"
-             else "compensation up to the observer error at the exit, any initial value")
-    lines.append(f"  delay regime: {report.regime} ({needs}) (tau={params.tau:g}, l={params.l:g})")
+    if run.controller == "observer_predictor":
+        needs = ("exact delay compensation" if run.regime == "tau>l"
+                 else "compensation up to the observer error at the exit")
+        lines.append(f"  delay regime: {run.regime} ({needs}, any initial value) "
+                     f"(tau={run.tau_used:g}, l={params.l:g})")
     if report.sano is not None:
         s = report.sano
         if not s.applicable:
@@ -149,7 +151,7 @@ def _write_summary(path: Path, scenario: Scenario, result: RunResult) -> None:
         f"T: requested {scenario.T:g}, used {s.T_used:g}",
         f"tau: requested {scenario.params.tau:g}, used {s.tau_used:g}"
         + (" (snapped)" if s.tau_snapped else ""),
-        render_condition(s.condition, scenario.params),
+        render_condition(s.condition, scenario.params, s),
         _decay_text("plant decay", s.plant_decay),
     ]
     if s.obs_err_decay is not None:
@@ -339,11 +341,11 @@ def cmd_check(cfg: Config) -> int:
     The base scenario is checked as ``run`` makes it, and the rows as
     ``sweep`` makes them, so ``check`` refuses what either command refuses.
     """
-    warnings = check_scenario(cfg.scenario)
-    _sweep_rows(cfg, warnings)
+    run = _run_check(cfg.scenario)
+    _sweep_rows(cfg, run.warnings)
     params = cfg.scenario.params
-    print(render_condition(condition_report(params, k_sano=cfg.scenario.sano_k), params))
-    _emit_warnings(warnings)
+    print(render_condition(condition_report(params, k_sano=cfg.scenario.sano_k), params, run))
+    _emit_warnings(run.warnings)
     return 0
 
 

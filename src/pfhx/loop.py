@@ -75,7 +75,7 @@ _QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
 class RunSummary(NamedTuple):
-    """Derived quantities and diagnostics of a run."""
+    """Derived quantities and diagnostics of a run; ``regime`` is its run check's."""
 
     controller: str
     condition: ConditionReport
@@ -83,6 +83,7 @@ class RunSummary(NamedTuple):
     obs_err_decay: DecayReport | None
     tau_used: float
     tau_snapped: bool
+    regime: str
     T_used: float
     finite: bool
     wall_time_s: float
@@ -162,6 +163,7 @@ def _summarize(scenario: Scenario, traj: Trajectory, run: _Run, start: float) ->
         obs_err_decay=obs_decay,
         tau_used=run.tau_used,
         tau_snapped=run.tau_snapped,
+        regime=run.regime,
         T_used=run.T_used,
         finite=traj.is_finite(),
         wall_time_s=wall,
@@ -228,16 +230,16 @@ def _recur_cross(run: _Run, tube: _Tube, p: Params, wait: int) -> None:
 def _recur_observer_predictor(scenario, run, tube):
     """The error system, and the plant's inlet from the observer's exit.
 
-    For tau > l the predicted exit exp(A1 l) u[j - n] is the plant's exit
-    itself, so the loop is the cross feedback after the delay.  For
-    tau <= l it is the exit of the observer, whose inlet is u + e with e
-    the error system's inlet, so u[j] = K exp(A1 l) (u + e)[j - n] once
-    that exit reads an inlet; before, it is the exit of observer0.  The
+    In the run's regime tau > l (m > n) the predicted exit exp(A1 l) u[j - n]
+    is the plant's exit itself, so the loop is the cross feedback after the
+    delay.  For tau <= l it is the exit of the observer, whose inlet is u + e
+    with e the error system's inlet, so u[j] = K exp(A1 l) (u + e)[j - n]
+    once that exit reads an inlet; before, it is the exit of observer0.  The
     prediction error is then the error system's exit.
     """
     p, m, n, end = scenario.params, run.m, run.grid.n_cells, run.n_steps + 1
     err = _Tube(run.observer0 - run.theta0, run.n_steps, p, run.dt)
-    if m > n:
+    if run.regime == "tau>l":
         _recur_cross(run, err, p, 0)
         _recur_cross(run, tube, p, m)
         return err, None

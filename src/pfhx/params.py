@@ -6,8 +6,8 @@ it starts, from arithmetic and the specs' text alone.  The conditions are
 the gain bounds of the delay-free cross feedback (``validate_gains``), the
 static-feedback delay window (``sano_window``), the compatibility of an
 initial observer error (``compatibility_check``), and the report that
-gathers the first two with the delay regime (``condition_report``).
-``cli`` renders that report as text.  numpy loads only in
+gathers the first two (``condition_report``); the delay regime is the run
+check's.  ``cli`` renders both as text.  numpy loads only in
 ``compatibility_check`` and in the check of a field given as an array.
 Every record here is an immutable named tuple.
 
@@ -106,11 +106,11 @@ _CONTROLLERS = {"observer_predictor": True, "sano_static": True, "open_loop": Fa
 
 
 # A checked run: its law, the name its summary reports; whether the law acts on delayed
-# measurements (T > tau, fit from tau + 2l); its grid; tau in steps m, as used and whether
-# it snapped; the step dt (cfl * dx on the upwind solver); T in steps and as used; the snap
-# warnings; and whether a profile draws from the generator that run.seed seeds.
-_RunCheck = namedtuple("_RunCheck", "controller delayed grid m tau_used tau_snapped dt n_steps "
-                                    "T_used warnings draws")
+# measurements (T > tau, fit from tau + 2l); its grid; tau in steps m, as used, whether it
+# snapped, and its regime ("tau>l" if m > n_cells, else "tau<=l"); the step dt (cfl * dx on
+# the upwind solver); T in steps and as used; the snap warnings; whether a profile draws at random.
+_RunCheck = namedtuple("_RunCheck", "controller delayed grid m tau_used tau_snapped regime dt "
+                                    "n_steps T_used warnings draws")
 
 
 def _run_check(scenario: Scenario, delay_free: bool = False) -> _RunCheck:
@@ -120,8 +120,8 @@ def _run_check(scenario: Scenario, delay_free: bool = False) -> _RunCheck:
     the reference loop.  The step is cfl * dx on the upwind solver, which
     only the open loop runs.  T must be finite and cover at least half a
     step, a delayed run must outlast its delay, and the recording must fit
-    in physical memory.  Then the specs are read, not evaluated: theta0's
-    first (an array by ``grid.check_field``), observer0's, the inputs'.
+    in physical memory.  Then the specs are read, in order, not evaluated:
+    theta0, observer0 (either may be an array), u_open and warmup_u, each a pair.
     """
     from .grid import Grid, _refuse_beyond_memory, _snap, _ZeroStep, check_field
     from .profiles import _parse
@@ -174,15 +174,18 @@ def _run_check(scenario: Scenario, delay_free: bool = False) -> _RunCheck:
                 * tau_snapped + [f"T snapped from {T:g} to {T_used:g}"] * T_snapped)
     numpy = sys.modules.get("numpy")  # a field is an array only where numpy is loaded
     names = []
-    for spec in (scenario.theta0, scenario.observer0):
-        if numpy is not None and isinstance(spec, numpy.ndarray):
+    for field in ("theta0", "observer0", "u_open", "warmup_u"):
+        spec, initial = getattr(scenario, field), field.endswith("0")
+        if initial and numpy is not None and isinstance(spec, numpy.ndarray):
             check_field(spec, grid)
+        elif not isinstance(spec, (tuple, list)) or [type(s) for s in spec] != [str, str]:
+            raise ValueError(f"scenario.{field} must be a pair of spec strings"
+                             f"{' or a field array' * initial}, got {spec!r}")
         else:
-            names += [_parse(component)[0] for component in spec]
-    for spec in (*scenario.u_open, *scenario.warmup_u):
-        _parse(spec, "input signal")
-    return _RunCheck(controller, delayed, grid, m, tau_used, tau_snapped, dt, n_steps, T_used,
-                    warnings, "random" in names)
+            names += [_parse(s, "profile" if initial else "input signal")[0] for s in spec]
+    regime = "tau>l" if m > grid.n_cells else "tau<=l"  # the one rule: step counts, not times
+    return _RunCheck(controller, delayed, grid, m, tau_used, tau_snapped, regime, dt, n_steps,
+                     T_used, warnings, "random" in names)
 
 
 def check_scenario(scenario: Scenario) -> list[str]:
@@ -346,10 +349,9 @@ def compatibility_check(w: np.ndarray, params: Params, grid: Grid) -> Compatibil
 
 
 class ConditionReport(NamedTuple):
-    """Gain inequalities, delay regime ``"tau>l"`` or ``"tau<=l"``, and optional Sano window."""
+    """Gain inequalities and optional Sano window; the delay regime is the run's (``_RunCheck``)."""
 
     gains: GainReport
-    regime: str
     sano: SanoReport | None
 
 
@@ -357,6 +359,5 @@ def condition_report(params: Params, k_sano: float | None = None) -> ConditionRe
     """Evaluate all stability-related conditions for a parameter set."""
     return ConditionReport(
         gains=validate_gains(params),
-        regime="tau>l" if params.tau > params.l else "tau<=l",
         sano=sano_window(params, k_sano) if k_sano is not None else None,
     )

@@ -13,7 +13,6 @@ from pfhx import (
     Grid,
     Params,
     compatibility_check,
-    condition_report,
     coupling_matrix,
     discrete_response,
     fit_decay,
@@ -22,7 +21,6 @@ from pfhx import (
     transfer_function,
 )
 from pfhx.analysis import _mix
-from pfhx.cli import render_condition
 from pfhx.config import parse_config
 from pfhx.loop import run_scenario
 
@@ -478,20 +476,6 @@ def test_fit_decay_matches_least_squares_on_the_shipped_windows():
     assert seen["floor"] >= 7 and seen["extinct"] >= 4  # the sano rows hit the floor
 
 
-def test_condition_report_regimes():
-    report = condition_report(make_params(tau=1.5))
-    assert report.gains.theorem_valid and report.regime.startswith("tau>l")
-    report = condition_report(make_params(tau=0.5))
-    assert report.regime.startswith("tau<=l")
-    params = make_params(tau=1.5)
-    report = condition_report(params, k_sano=1.0)
-    assert report.sano is not None
-    assert (report.sano.window_low, report.sano.window_high) == (1.0, 2.0)
-    assert report.sano.in_window
-    text = render_condition(report, params)
-    assert "theorem_valid = true" in text and "tau inside: true" in text
-
-
 @pytest.mark.parametrize("tau", [0.25, 0.5, 1.0])
 def test_tau_at_most_l_decays_from_an_incompatible_initial_error(tau):
     # theorem_run's step in theta1 against a zero observer: the initial error breaks
@@ -505,6 +489,4 @@ def test_tau_at_most_l_decays_from_an_incompatible_initial_error(tau):
     assert not report.compatible and report.residual1 == 1.0 and report.jump_count == 1
     summary = run_scenario(scenario).summary
     assert summary.plant_decay.gamma_hat > 0.5 and not summary.plant_decay.extinct
-    regime = render_condition(summary.condition, scenario.params).splitlines()[2]
-    assert regime == ("  delay regime: tau<=l (compensation up to the observer error at the "
-                      f"exit, any initial value) (tau={tau:g}, l=1)")
+    assert summary.regime == "tau<=l"  # its line: tests/test_params.py

@@ -708,6 +708,22 @@ def test_check_prints_condition_report(tmp_path, capsys):
     assert "tau inside: true" in out
 
 
+@pytest.mark.parametrize("law", [[], ["--controller", "observer_predictor"],
+                                 ["--controller", "error_system"],
+                                 ["--controller", "sano_static", "--sano-k", "1"]],
+                         ids=["own", "observer_predictor", "error_system", "sano_static"])
+@pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.ini")), ids=lambda p: p.stem)
+def test_check_prints_the_condition_block_that_run_records(tmp_path, capsys, config, law):
+    flags = ["-c", str(config), "--n-cells", "4", "--T", "4", *law]
+    assert main(["check", *flags]) == 0
+    printed = capsys.readouterr().out
+    assert main(["run", *flags, "-o", str(tmp_path)]) == 0
+    summary = (tmp_path / "summary.txt").read_text()
+    assert printed == summary[summary.index("condition report:"):summary.index("plant decay:")]
+    predicts = "controller: observer_predictor\n" in summary
+    assert ("delay regime" in printed) == ("compensation" in printed) == predicts
+
+
 def test_check_refuses_a_sweep_row_that_sweep_refuses(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE + "\n[sweep]\nh1 = 1.0, -1.0\n")
     for command in ("check", "sweep"):

@@ -162,6 +162,21 @@ def test_a_run_setting_numpy_or_the_window_would_trip_on_is_refused(setting, key
         check_scenario(_scenario(**setting))
 
 
+@pytest.mark.parametrize("field, spec", [
+    ("theta0", ("zero",) * 3), ("theta0", ("zero", 0.0)), ("observer0", ("zero",)),
+    ("observer0", "zero"), ("u_open", ("zero",)), ("u_open", "ab"), ("warmup_u", ("zero",)),
+])
+def test_specs_that_are_not_a_pair_are_refused_by_their_field(field, spec):
+    # an argument's shape, so a plain ValueError; an initial field may be an array instead
+    tail = " or a field array" if field.endswith("0") else ""
+    for call in (check_scenario, run_scenario):
+        with pytest.raises(ValueError) as refused:
+            call(_scenario(**{field: spec}))
+        assert type(refused.value) is ValueError
+        assert str(refused.value) == (f"scenario.{field} must be a pair of spec strings{tail}, "
+                                      f"got {spec!r}")
+
+
 def test_a_sano_gain_that_squares_to_zero_has_an_open_window(tmp_path, capfd):
     report = sano_window(Params(h1=1.0, h2=2.0, l=1.0, tau=1.5), 1e-300)
     assert report.window_high == math.inf and report.gain_ok and report.in_window
