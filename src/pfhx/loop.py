@@ -30,11 +30,13 @@ no run can change the scenario it was given; a run fills the arrays of
 its ``Trajectory`` as it goes.  Both share one skeleton, ``_simulate``:
 ``_prepare`` makes the run check and sets the run up, its initial data
 and input signals, once per run.  The laws are the open-loop
-input signals, on either solver, and on the exact solver the
-observer-predictor above, the static (Sano) feedback, and the cross
-feedback on the current exits, which is both the delay-free reference
-loop and, started from the initial estimation error without warm-up, the
-error system.
+input signals, on either solver, and on the exact solver four
+recurrences: ``_recur_open_loop``, ``_recur_static`` (Sano's static
+feedback), ``_recur_observer_predictor`` above, and ``_recur_cross``, the
+cross feedback on the current exits.  The cross one serves three laws:
+the delay-free reference loop, the error system (started from the
+initial estimation error without warm-up), and the observer-predictor at
+tau > l, on its error tube and on its plant.
 
 Both speeds are one, so on the exact solver the exit at step j is
 exp(A1 l) applied to the inlet pair of step j - n, and every law is a
@@ -211,20 +213,28 @@ def _cross_map(p: Params) -> np.ndarray:
     return -np.array([[0.0, p.k1], [p.k2, 0.0]]) @ coupling_matrix(p.l, p.h1, p.h2)
 
 
-def _recur_cross(run: _Run, tube: _Tube, p: Params, wait: int) -> None:
-    """The warm-up input to step ``wait``, then u[j] = K exit[j].
+def _recur_cross(scenario, run, tube, wait=None):
+    """The cross feedback on the current exits, u1 = -k1 theta2(t, l), u2 = -k2 theta1(t, l).
 
-    The exits to step n read the initial field; from then on the loop is
-    the cross feedback across the tube.
+    The input to step ``wait`` is the warm-up, then u[j] = K exit[j]: the
+    exits to step n read the initial field, and from then on the loop is
+    the cross feedback across the tube.  By default a delayed run waits m
+    steps (the delay-free reference loop) and any other none (the error
+    system, which evolves observer0 - theta0 under the feedback from the
+    first step; its plant_l2 column then holds the error norm and its u
+    columns the boundary values the error system generates for itself, and
+    with zero gains the error flushes to exactly zero strictly after t = l).
     """
-    n, end = run.grid.n_cells, run.n_steps + 1
+    p, n, end = scenario.params, run.grid.n_cells, run.n_steps + 1
+    if wait is None:
+        wait = run.m if run.delayed else 0
     u = np.zeros((end, 2))
-    wait = min(wait, run.n_steps)
     u[1:wait + 1] = rows(run.warmup_u, 1, wait, run.dt)
     seed = min(max(wait + 1, n + 1), end)
     u[wait + 1:seed] = _cross_law(p, tube.exits(wait + 1, seed))
     _lagged(u, seed, n, _cross_map(p))
     tube.feed(u)
+    return None, None
 
 
 def _recur_observer_predictor(scenario, run, tube):
@@ -240,8 +250,8 @@ def _recur_observer_predictor(scenario, run, tube):
     p, m, n, end = scenario.params, run.m, run.grid.n_cells, run.n_steps + 1
     err = _Tube(run.observer0 - run.theta0, run.n_steps, p, run.dt)
     if run.regime == "tau>l":
-        _recur_cross(run, err, p, 0)
-        _recur_cross(run, tube, p, m)
+        _recur_cross(scenario, run, err, 0)
+        _recur_cross(scenario, run, tube, m)
         return err, None
     ue = np.zeros((end, 4))  # the rows (u, e)
     u, e = ue[:, :2], ue[:, 2:]
@@ -268,20 +278,6 @@ def _recur_static(scenario, run, tube):
     u[first:seed, 1] = -k * tube.exits(first - m, seed - m)[:, 0]
     _lagged(u[:, 1:], seed, lag, np.array([[-k * coupling_matrix(p.l, p.h1, p.h2)[0, 1]]]))
     tube.feed(u)
-    return None, None
-
-
-def _recur_feedback(scenario, run, tube):
-    """The cross feedback on the current exits, u1 = -k1 theta2(t, l), u2 = -k2 theta1(t, l).
-
-    In a delayed run it is the delay-free reference loop, which applies the
-    warm-up input while t <= tau; otherwise it is the error system, which
-    evolves observer0 - theta0 under the feedback from the first step.  Its
-    plant_l2 column then holds the error norm and its u columns the
-    boundary values the error system generates for itself; with zero gains
-    the error flushes to exactly zero strictly after t = l.
-    """
-    _recur_cross(run, tube, scenario.params, run.m if run.delayed else 0)
     return None, None
 
 
@@ -331,8 +327,8 @@ _RECURRENCES = {
     "observer_predictor": _recur_observer_predictor,
     "sano_static": _recur_static,
     "open_loop": _recur_open_loop,
-    "error_system": _recur_feedback,
-    "delay_free": _recur_feedback,
+    "error_system": _recur_cross,
+    "delay_free": _recur_cross,
 }
 
 

@@ -465,12 +465,15 @@ def test_sweep_without_axes_is_config_error(tmp_path, capsys):
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
-    text = BASE + "\n[sweep]\ntau = 0.5, 1.0, 1.5\n"
-    cfg = write_config(tmp_path, text)
-    out1, out2 = tmp_path / "serial", tmp_path / "par"
-    assert main(["sweep", "-c", cfg, "-o", str(out1), "--workers", "1"]) == 0
-    assert main(["sweep", "-c", cfg, "-o", str(out2), "--workers", "3"]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    sano = BASE.replace("controller = observer_predictor", "controller = sano_static\nsano_k = 1.0")
+    for controller, text in (("observer_predictor", BASE), ("sano_static", sano)):
+        cfg = write_config(tmp_path, text + "\n[sweep]\ntau = 0.5, 1.0, 1.5\n", f"{controller}.ini")
+        out1, out2 = tmp_path / controller / "serial", tmp_path / controller / "par"
+        assert main(["sweep", "-c", cfg, "-o", str(out1), "--workers", "1"]) == 0
+        assert main(["sweep", "-c", cfg, "-o", str(out2), "--workers", "3"]) == 0
+        serial = (out1 / "sweep.csv").read_bytes()
+        assert serial == (out2 / "sweep.csv").read_bytes(), controller
+        assert serial.count(f",{controller},".encode()) == 3
 
 
 def test_freqresp_writes_formula_and_measurement(tmp_path):

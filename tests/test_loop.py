@@ -21,7 +21,7 @@ from pfhx import (
 from pfhx.coupling import coupling_matrix
 from pfhx.grid import _l2
 from pfhx.history import rows
-from pfhx.params import _CONTROLLERS, check_scenario
+from pfhx.params import _CONTROLLERS, _run_check, check_scenario
 
 
 def scenario_with(tau=0.5, T=20.0, n=100, controller="observer_predictor", **kw):
@@ -187,10 +187,18 @@ def test_tau_snap_reported():
     assert any("snapped" in w for w in result.summary.warnings)
 
 
-def test_T_not_exceeding_tau_is_config_error():
-    sc = scenario_with(tau=1.5, T=1.0)
+@pytest.mark.parametrize("T", [1.5, 1.0], ids=["T=tau", "T<tau"])
+@pytest.mark.parametrize("law", ["observer_predictor", "sano_static", "delay_free"])
+def test_T_not_exceeding_tau_is_config_error(law, T):
+    # every delayed law refuses n_steps <= m, so no recurrence waits past the run's end;
+    # the laws that wait for no measurement run at the same T
+    sc = scenario_with(tau=1.5, T=T, n=10, sano_k=0.5)
+    run = _run_check(sc._replace(controller="open_loop"))
+    assert (run.n_steps == run.m) if T == 1.5 else (run.n_steps < run.m)
     with pytest.raises(ConfigError, match="must exceed"):
-        run_scenario(sc)
+        run_delay_free_feedback(sc) if law == "delay_free" else run_as(law, sc)
+    for controller in ("error_system", "open_loop"):
+        assert len(run_as(controller, sc).trajectory.t) == run.n_steps + 1
 
 
 def test_upwind_open_loop_snaps_T_once_to_its_own_step():
