@@ -36,9 +36,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .analysis import _checked_omegas, _transfer, _upwind_gain
-from .config import Config, parse_config
+from .config import _SCHEMA, Config, parse_config
 from .grid import Grid
-from .params import ConfigError, _run_check, check_scenario, condition_report
+from .params import ConfigError, _run_check, check_scenario, condition_report, sano_window
 
 if TYPE_CHECKING:  # annotations only: the engine and numpy load in the code that runs them
     import numpy as np
@@ -112,7 +112,11 @@ def _decay_text(label: str, decay) -> str:
 
 
 def render_condition(report: ConditionReport, params: Params, run: _RunCheck | RunSummary) -> str:
-    """The condition report as text, for ``check`` and summary.txt; a predicting run's regime."""
+    """The condition report as text, for ``check`` and summary.txt; a predicting run's regime.
+
+    The regime and the Sano window's ``tau inside`` are stated for the snapped
+    tau the run uses; sweep.csv's ``sano_in_window`` keeps the requested one.
+    """
     g = report.gains
     lines = ["condition report:"]
     if not g.applicable:
@@ -131,7 +135,7 @@ def render_condition(report: ConditionReport, params: Params, run: _RunCheck | R
         lines.append(f"  delay regime: {run.regime} ({needs}, any initial value) "
                      f"(tau={run.tau_used:g}, l={params.l:g})")
     if report.sano is not None:
-        s = report.sano
+        s = sano_window(params._replace(tau=run.tau_used), report.sano.k)
         if not s.applicable:
             lines.append("  static-feedback window: not applicable (requires h1, h2 > 0)")
         else:
@@ -349,29 +353,6 @@ def cmd_check(cfg: Config) -> int:
     return 0
 
 
-_ALL = ("run", "sweep", "freqresp", "check")
-# Every flag that overrides a config key: (flags, key, subcommands, help).  The key is
-# the flag's argparse dest, and its value the text typed, parsed as the file's value
-# is; --cfl sets the step of the subcommand's own scheme.
-_FLAGS = [
-    (("-o", "--out"), "output.dir", _ALL, "output directory (overrides output.dir)"),
-    *((("--" + name,), "params." + name, _ALL, None)
-      for name in ("h1", "h2", "l", "tau", "k1", "k2")),
-    (("--T",), "run.T", _ALL, None),
-    (("--cfl",), "run.cfl", ("run", "sweep", "check"), None),
-    (("--cfl",), "freqresp.cfl", ("freqresp",), None),
-    (("--snapshot-stride",), "run.snapshot_stride", _ALL, None),
-    (("--sano-k",), "run.sano_k", _ALL, None),
-    (("--n-cells",), "grid.n_cells", _ALL, None),
-    (("--seed",), "run.seed", _ALL, None),
-    (("--controller",), "run.controller", _ALL, None),
-    (("--solver",), "run.solver", _ALL, None),
-    (("--workers",), "sweep.workers", ("sweep",), "worker processes (0 = all cores)"),
-    (("--omega",), "freqresp.omega", ("freqresp",), "comma-separated frequencies"),
-    (("--cycles",), "freqresp.cycles", ("freqresp",), None),
-]
-
-
 # subcommand -> (handler, help)
 _COMMANDS = {
     "run": (cmd_run, "single simulation run"),
@@ -390,10 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
         cmd.add_argument("-c", "--config", required=True, help="path to INI config file")
-        for flags, key, commands, flag_help in _FLAGS:
-            if command in commands:
-                metavar = flags[-1].lstrip("-").replace("-", "_").upper()
-                cmd.add_argument(*flags, dest=key, metavar=metavar, help=flag_help)
+        # flag -> (key, help); a command's own section, last in the schema, takes a shared
+        # flag in place (--cfl on freqresp).  A flag's value is parsed as the file's is.
+        flags = {row.flag: (f"{section}.{key}", row.help)
+                 for section, keys in _SCHEMA.items()
+                 if section == command or section not in ("sweep", "freqresp")
+                 for key, row in keys.items() if row.flag}
+        for flag, (key, flag_help) in flags.items():
+            metavar = flag.split()[-1].lstrip("-").replace("-", "_").upper()
+            cmd.add_argument(*flag.split(), dest=key, metavar=metavar, help=flag_help)
     return parser
 
 

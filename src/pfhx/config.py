@@ -1,8 +1,10 @@
 """Run configuration: INI parsing, validation, and scenario assembly.
 
-The config format is flat key/value pairs grouped into sections; the full
-schema lives in docs/config.md.  Unknown sections or keys are rejected by
-name, values are checked against their types, and command-line flags
+The config format is flat key/value pairs grouped into sections.  One
+table, ``_SCHEMA``, declares every key: its type, whether it is required,
+and the command-line flag that overrides it (docs/config.md documents
+it, and a test holds the two to the same keys).  Unknown sections or keys
+are rejected by name, values are checked against their types, and flags
 override file values.  ``parse_config`` checks the file's form, the
 ``[params]`` (through ``Params``), ``sweep.workers`` and
 ``freqresp.cycles``; every other setting is refused by the code that
@@ -18,54 +20,18 @@ from typing import NamedTuple
 
 from .params import ConfigError, Params, Scenario
 
-# section -> key -> type tag
-_SCHEMA: dict[str, dict[str, str]] = {
-    "params": {k: "float" for k in ("h1", "h2", "l", "tau", "k1", "k2")},
-    "grid": {"n_cells": "int"},
-    "run": {
-        "T": "float",
-        "controller": "str",
-        "sano_k": "float",
-        "solver": "str",
-        "cfl": "float",
-        "snapshot_stride": "float",
-        "seed": "int",
-    },
-    "initial": {
-        "theta1": "str",
-        "theta2": "str",
-        "observer1": "str",
-        "observer2": "str",
-        "u1": "str",
-        "u2": "str",
-        "warmup_u1": "str",
-        "warmup_u2": "str",
-    },
-    "output": {"dir": "str"},
-    "sweep": {
-        "tau": "floatlist",
-        "k1": "floatlist",
-        "k2": "floatlist",
-        "h1": "floatlist",
-        "h2": "floatlist",
-        "workers": "int",
-    },
-    "freqresp": {"omega": "floatlist", "cycles": "int", "cfl": "float"},
-}
 
-_REQUIRED = (
-    ("params", "h1"),
-    ("params", "h2"),
-    ("params", "l"),
-    ("params", "tau"),
-    ("params", "k1"),
-    ("params", "k2"),
-    ("grid", "n_cells"),
-    ("run", "T"),
-    ("run", "controller"),
-)
+class _Key(NamedTuple):
+    """A config key's schema row: its type tag, whether a config must give it, and its flag.
 
-_SWEEP_AXES = ("tau", "k1", "k2", "h1", "h2")
+    ``flag`` is the command-line flag that overrides the key (space-separated
+    aliases, the last naming the metavar), or None; ``help`` is its help text.
+    """
+
+    kind: str
+    required: bool = False
+    flag: str | None = None
+    help: str | None = None
 
 
 # [initial] key pairs -> the Scenario field holding them
@@ -74,6 +40,33 @@ _PAIRS = {
     "observer0": ("observer1", "observer2"),
     "u_open": ("u1", "u2"),
     "warmup_u": ("warmup_u1", "warmup_u2"),
+}
+
+# section -> key -> schema row: the one declaration of every setting
+_SCHEMA: dict[str, dict[str, _Key]] = {
+    "params": {k: _Key("float", True, "--" + k) for k in ("h1", "h2", "l", "tau", "k1", "k2")},
+    "grid": {"n_cells": _Key("int", True, "--n-cells")},
+    "run": {
+        "T": _Key("float", True, "--T"),
+        "controller": _Key("str", True, "--controller"),
+        "sano_k": _Key("float", False, "--sano-k"),
+        "solver": _Key("str", False, "--solver"),
+        "cfl": _Key("float", False, "--cfl"),
+        "snapshot_stride": _Key("float", False, "--snapshot-stride"),
+        "seed": _Key("int", False, "--seed"),
+    },
+    "initial": {k: _Key("str") for pair in _PAIRS.values() for k in pair},
+    "output": {"dir": _Key("str", False, "-o --out", "output directory (overrides output.dir)")},
+    # the sweep axes are the [params] keys named here, each a value list
+    "sweep": {
+        **{k: _Key("floatlist") for k in ("tau", "k1", "k2", "h1", "h2")},
+        "workers": _Key("int", False, "--workers", "worker processes (0 = all cores)"),
+    },
+    "freqresp": {
+        "omega": _Key("floatlist", False, "--omega", "comma-separated frequencies"),
+        "cycles": _Key("int", False, "--cycles"),
+        "cfl": _Key("float", False, "--cfl"),
+    },
 }
 
 # Config field -> the (section, key) that sets it
@@ -162,13 +155,14 @@ def parse_config(text: str, overrides: dict[str, object] | None = None) -> Confi
             if section not in _SCHEMA or key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown override {dotted}")
             raw.setdefault(section, {})[key] = str(value)
-    for section, key in _REQUIRED:
-        if section not in raw or key not in raw[section]:
-            raise ConfigError(f"missing required key {section}.{key}")
+    for section, keys in _SCHEMA.items():
+        for key, row in keys.items():
+            if row.required and key not in raw.get(section, {}):
+                raise ConfigError(f"missing required key {section}.{key}")
 
     values = {
         section: {
-            key: _parse_value(given, _SCHEMA[section][key], f"{section}.{key}")
+            key: _parse_value(given, _SCHEMA[section][key].kind, f"{section}.{key}")
             for key, given in raw.get(section, {}).items()
         }
         for section in _SCHEMA
@@ -186,7 +180,7 @@ def parse_config(text: str, overrides: dict[str, object] | None = None) -> Confi
         if key in values[section]
     }
     # declaration order fixes the row order
-    axes = {key: v for key, v in values["sweep"].items() if key in _SWEEP_AXES and v}
+    axes = {key: v for key, v in values["sweep"].items() if key in _SCHEMA["params"] and v}
     omegas = settings.pop("freq_omegas", [0.5, 1.0, 2.0])
     cfg = Config(scenario=scenario, sweep_axes=axes, freq_omegas=omegas, **settings)
     if cfg.freq_cycles is not None and cfg.freq_cycles < 10:

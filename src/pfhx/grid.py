@@ -88,14 +88,12 @@ class Grid(namedtuple("Grid", "n_cells l")):
 
         return np.linspace(0.0, self.l, self.n_cells + 1)
 
-    def snap_steps(
-        self, duration: float, minimum: int = 0, dt: float | None = None
-    ) -> tuple[int, float, bool]:
-        """Round a duration to a whole number of steps of dt (default: the grid's step).
+    def snap_steps(self, duration: float, minimum: int = 0) -> tuple[int, float, bool]:
+        """Round a duration to a whole number of the grid's steps.
 
         Returns (step count, snapped duration, whether snapping changed it).
         """
-        return _snap(duration, self.dt if dt is None else dt, minimum)
+        return _snap(duration, self.dt, minimum)
 
     def snap_tau(self, tau: float) -> tuple[int, float, bool]:
         """Snap a delay to the step grid; the delay is at least one step."""

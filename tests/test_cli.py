@@ -56,6 +56,18 @@ def write_config(tmp_path, text, name="run.ini"):
     return str(path)
 
 
+def _parser_flags(command):
+    """``pfhx command``'s options: option strings, space-joined -> (dest, metavar, help)."""
+    cmd = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    return {" ".join(a.option_strings): (a.dest, a.metavar, a.help) for a in cmd._actions}
+
+
+def _flags(command):
+    """The config key each flag of ``pfhx command`` overrides -> that flag's last name."""
+    return {dest: names.split()[-1] for names, (dest, *_) in _parser_flags(command).items()
+            if "." in dest}
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -379,7 +391,7 @@ def test_run_writes_what_the_writers_make_of_its_result(tmp_path, case):
     text = BASE + "warmup_u1 = sine(1, 4)\n"
     cfg = write_config(tmp_path, text)
     overrides = WRITER_CASES[case]
-    flag = {key: flags[-1] for flags, key, *_ in cli._FLAGS}
+    flag = _flags("run")
     argv = [item for key, value in overrides.items() for item in (flag[key], str(value))]
     out = tmp_path / "out"
     assert main(["run", "-c", cfg, "-o", str(out), *argv]) == (3 if case == "overflow" else 0)
@@ -458,6 +470,23 @@ def test_sweep_annotates_sano_window_membership(tmp_path):
     assert [r.split(",")[col] for r in rows] == ["true", "false"]
 
 
+@pytest.mark.parametrize("n_cells, inside", [("1", "false"), ("200", "true")])
+def test_sano_window_is_judged_at_the_tau_the_run_uses(tmp_path, capsys, n_cells, inside):
+    # tau = 1.5 snaps to 2 on one cell, outside the open window (1, 2): check and summary.txt
+    # judge the tau the run uses, and sweep.csv's sano_in_window the requested one
+    text = BASE.replace("controller = observer_predictor", "controller = sano_static\nsano_k = 1")
+    cfg = write_config(tmp_path, text + "\n[sweep]\ntau = 1.5\nworkers = 1\n")
+    line = f"  static-feedback window for k=1: (1, 2), gain_ok=true, tau inside: {inside}"
+    argv = ["-c", cfg, "-o", str(tmp_path), "--n-cells", n_cells, "--T", "4"]
+    assert main(["check", *argv]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+    assert main(["run", *argv]) == 0
+    assert line in (tmp_path / "summary.txt").read_text().splitlines()
+    assert main(["sweep", *argv]) == 0
+    header, rows = read_csv(tmp_path / "sweep.csv")
+    assert [r.split(",")[header.index("sano_in_window")] for r in rows] == ["true"]
+
+
 def test_sweep_without_axes_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     assert main(["sweep", "-c", cfg]) == 2
@@ -500,7 +529,7 @@ def test_freqresp_rows_are_the_library_gains(tmp_path, overrides):
     # the CLI computes each omega in scalar arithmetic; every row must be the
     # public arrays' bits, with rel_err their Frobenius ratio
     path = ROOT / "configs" / "freqresp.ini"
-    flag = {key: flags[-1] for flags, key, *_ in cli._FLAGS}
+    flag = _flags("freqresp")
     argv = [f"{flag[key]}={value}" for key, value in overrides.items()]
     assert main(["freqresp", "-c", str(path), "-o", str(tmp_path), *argv]) == 0
     cfg = parse_config(path.read_text(), overrides=overrides)
@@ -515,6 +544,43 @@ def test_freqresp_rows_are_the_library_gains(tmp_path, overrides):
         rel_err = (math.hypot(*(gain - formula).view(float).ravel().tolist())
                    / math.hypot(*formula.view(float).ravel().tolist()))
         assert row == ",".join("%.16e" % value for value in [omega, *entries, rel_err])
+
+
+# every option of run and check, as the CLI had them when cli._FLAGS listed them
+_RUN_OPTIONS = {
+    "-h --help": ("help", None, "show this help message and exit"),
+    "-c --config": ("config", None, "path to INI config file"),
+    "-o --out": ("output.dir", "OUT", "output directory (overrides output.dir)"),
+    "--h1": ("params.h1", "H1", None),
+    "--h2": ("params.h2", "H2", None),
+    "--l": ("params.l", "L", None),
+    "--tau": ("params.tau", "TAU", None),
+    "--k1": ("params.k1", "K1", None),
+    "--k2": ("params.k2", "K2", None),
+    "--T": ("run.T", "T", None),
+    "--cfl": ("run.cfl", "CFL", None),
+    "--snapshot-stride": ("run.snapshot_stride", "SNAPSHOT_STRIDE", None),
+    "--sano-k": ("run.sano_k", "SANO_K", None),
+    "--n-cells": ("grid.n_cells", "N_CELLS", None),
+    "--seed": ("run.seed", "SEED", None),
+    "--controller": ("run.controller", "CONTROLLER", None),
+    "--solver": ("run.solver", "SOLVER", None),
+}
+OPTIONS = {
+    "run": _RUN_OPTIONS,
+    "check": _RUN_OPTIONS,
+    "sweep": {**_RUN_OPTIONS, "--workers": ("sweep.workers", "WORKERS",
+                                            "worker processes (0 = all cores)")},
+    "freqresp": {**_RUN_OPTIONS, "--cfl": ("freqresp.cfl", "CFL", None),
+                 "--omega": ("freqresp.omega", "OMEGA", "comma-separated frequencies"),
+                 "--cycles": ("freqresp.cycles", "CYCLES", None)},
+}
+
+
+@pytest.mark.parametrize("command", list(OPTIONS))
+def test_each_subcommand_takes_the_pinned_options(command):
+    # the schema's rows make the flags: each with its dest, metavar and help as pinned
+    assert _parser_flags(command) == OPTIONS[command]
 
 
 def test_cfl_flag_sets_the_freqresp_cfl(tmp_path, capsys):

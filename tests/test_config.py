@@ -1,10 +1,12 @@
 import configparser
+import re
+from pathlib import Path
 
 import pytest
 
 from pfhx import ConfigError, Params, Scenario
-from pfhx.cli import main
-from pfhx.config import parse_config
+from pfhx.cli import build_parser, main
+from pfhx.config import _SCHEMA, parse_config
 from pfhx.params import check_scenario
 
 MINIMAL = """\
@@ -154,3 +156,58 @@ def test_scenario_assembly():
     assert scenario.params.tau == 1.5
     swept = cfg.to_scenario(tau=0.5)
     assert swept.params.tau == 0.5
+
+
+DOCS = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+# a flag inside a backquoted span: --name, or a one-letter -x that is not -inf
+_FLAG = re.compile(r"(?<![\w-])(--[A-Za-z][\w-]*|-[a-z](?![\w-]))")
+
+
+def _doc_units():
+    """docs/config.md as (section, keys, text) units: a table row, or a sentence of prose.
+
+    ``section`` is the ``[section]`` heading above the unit (None elsewhere),
+    and ``keys`` the keys a table row names in its first cell.
+    """
+    section = None
+    for block in DOCS.split("\n\n"):
+        heading = re.match(r"## (?:`\[(\w+)\]`)?", block)
+        if heading:
+            section = heading.group(1)
+        elif block.startswith("|"):
+            for row in block.splitlines()[2:]:
+                yield section, re.findall(r"`(\w+)`", row.split("|")[1]), row
+        else:
+            for sentence in re.split(r"(?<=\.)\s+(?=[A-Z`(])", " ".join(block.split())):
+                yield section, [], sentence
+
+
+def test_docs_tables_name_exactly_the_schema_keys():
+    # every key's row, and which are required: a default of `required`, or a heading saying so
+    headings = dict(re.findall(r"^## `\[(\w+)\]`(.*)$", DOCS, re.M))
+    documented = {section: {} for section in headings}
+    for section, keys, row in _doc_units():
+        cells = [cell.strip() for cell in row.split("|")]
+        for key in keys:
+            documented[section][key] = ("all required" in headings[section]
+                                        or cells[2] == "required")
+    assert documented == {section: {key: row.required for key, row in rows.items()}
+                          for section, rows in _SCHEMA.items()}
+
+
+def test_docs_flags_exist_on_the_subcommands_they_are_given():
+    # a flag is on every subcommand its sentence or row names, or on every subcommand if it
+    # names none; a flag in a key's row overrides that key
+    parsers = build_parser()._subparsers._group_actions[0].choices
+    dests = {command: {name: action.dest for action in parser._actions
+                       for name in action.option_strings}
+             for command, parser in parsers.items()}
+    mentioned = set()
+    for section, keys, text in _doc_units():
+        commands = re.findall(rf"\bpfhx ({'|'.join(dests)})\b", text) or list(dests)
+        for flag in _FLAG.findall(" ".join(re.findall(r"`([^`]*)`", text))):
+            mentioned.add(flag)
+            for command in commands:
+                assert flag in dests[command], (flag, command, text)
+                assert not keys or dests[command][flag] in {f"{section}.{k}" for k in keys}, text
+    assert {"-o", "--cfl", "--workers", "--omega", "--n-cells"} <= mentioned

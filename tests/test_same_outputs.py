@@ -4,6 +4,9 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+from pfhx.cli import main
+from pfhx.config import parse_config
+
 ROOT = Path(__file__).resolve().parents[1]
 
 _spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
@@ -41,3 +44,22 @@ def test_the_tool_finds_identical_trees_identical_and_names_a_moved_csv(tmp_path
     # a declared move passes, and a declaration that moves nothing fails
     assert same_outputs.compare(base, moved, CASES, moved=["run/norms.csv"])[1]
     assert not same_outputs.compare(base, same, CASES, moved=["run/norms.csv"])[1]
+
+
+def test_the_written_configs_give_the_outcomes_their_cases_pin(tmp_path, capsys):
+    # what each tree's run of the WRITTEN cases must show: the overflowing profile is found by
+    # run alone (exit 3) and check is silent; a swept h1 = -1 is refused by check and sweep alike
+    same_outputs._write(ROOT, tmp_path)
+    swept = parse_config((tmp_path / "written" / "h1_sweep.ini").read_text())
+    assert swept.sweep_axes == {"h1": [1.0, -1.0]}
+    expected = {"run_sine_1e308": (3, "numerical failure: first non-finite value at step 0"),
+                "check_sine_1e308": (0, ""),
+                "check_h1_sweep": (2, "configuration error: params.h1 must be nonnegative"),
+                "sweep_h1_sweep": (2, "configuration error: params.h1 must be nonnegative")}
+    for case, (code, err) in expected.items():
+        command, flag, path, *rest = same_outputs.SUITE[case]
+        out = tmp_path / case
+        assert main([command, flag, str(tmp_path / path), *rest, "-o", str(out)]) == code
+        found = capsys.readouterr().err
+        assert found.startswith(err) if err else found == "", (case, found)
+    assert not (tmp_path / "sweep_h1_sweep" / "sweep.csv").exists()

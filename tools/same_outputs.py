@@ -6,7 +6,9 @@ It runs one fixed suite of ``pfhx`` invocations (``SUITE``) in each tree,
 ``python -m pfhx.cli`` with ``PYTHONPATH=<tree>/src``.  ``--change`` is this
 tree by default, and ``--base`` is typically a ``git archive`` of its parent.
 Each tree's ``configs/`` and ``benchmarks/data/`` are copied into a temporary
-directory that the commands run in, so both trees see the same paths.
+directory that the commands run in, so both trees see the same paths, and
+the configs the suite needs of its own (``WRITTEN``) are written there from
+the tree's ``configs/theorem_run.ini``.
 
 An invocation's artifacts are every file it writes, its stdout, its stderr
 and its exit code.  CSVs are compared byte for byte, ``summary.txt`` without
@@ -42,6 +44,12 @@ _CONFIGS = {prefix + name: f"{home}/{name}.ini"
             for home, prefix in (("configs", ""), ("benchmarks/data", "bench_"))
             for name in ("theorem_run", "tau_sweep", "sano_baseline", "freqresp")}
 _T, _F, _B = (_CONFIGS[name] for name in ("theorem_run", "freqresp", "bench_theorem_run"))
+
+# written/<name>.ini -> its text made from configs/theorem_run.ini's
+WRITTEN = {
+    "sine_1e308": lambda text: re.sub(r"(?m)^theta1 = .*$", "theta1 = sine(1, 1e308)", text),
+    "h1_sweep": lambda text: text + "\n[sweep]\nh1 = 1.0, -1.0\n",
+}
 
 # case name -> pfhx arguments, without the output directory
 SUITE: dict[str, tuple[str, ...]] = {
@@ -88,14 +96,28 @@ SUITE: dict[str, tuple[str, ...]] = {
        for command in ("run", "check")
        for name, flags in (("tau_1.04", ("--n-cells", "10", "--tau", "1.04")),
                            ("l_0.7", ("--l", "0.7", "--n-cells", "35", "--tau", "0.7")))},
+    # a profile that overflows at step 0, which only run evaluates; a swept h1 both refuse
+    "run_sine_1e308": ("run", "-c", "written/sine_1e308.ini", "--n-cells", "10", "--T", "4"),
+    "check_sine_1e308": ("check", "-c", "written/sine_1e308.ini"),
+    **{f"{command}_h1_sweep": (command, "-c", "written/h1_sweep.ini")
+       for command in ("check", "sweep")},
 }
 
 
+def _write(tree: Path, work: Path) -> None:
+    """``WRITTEN``'s configs, made from the tree's configs/theorem_run.ini, in work/written."""
+    text = (tree / "configs" / "theorem_run.ini").read_text()
+    (work / "written").mkdir()
+    for name, edit in WRITTEN.items():
+        (work / "written" / f"{name}.ini").write_text(edit(text))
+
+
 def _run(tree: Path, work: Path, cases: dict) -> dict:
-    """Each case run in ``work``, a copy of the tree's configs: its artifacts by name."""
+    """Each case run in ``work``, a copy of the tree's configs and ``WRITTEN``'s: its artifacts."""
     for data in ("configs", "benchmarks/data"):
         if (tree / data).is_dir():
             shutil.copytree(tree / data, work / data)
+    _write(tree, work)
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
     found = {}
     for case, args in cases.items():
